@@ -16,7 +16,7 @@ import sys
 from mpmath import mp
 
 from .config import RunConfig
-from .embeddings import compute_embeddings, gram, gram_from_strings
+from .embeddings import gram_from_strings, with_gram
 from .errors import (
     DegenerateSplitting,
     EnumerationBudgetExceeded,
@@ -35,7 +35,7 @@ from .orders import (
     order_to_json,
     quotient_order,
 )
-from .units import idempotents, is_connected, roots_of_unity
+from .units import connected_on, idempotents, roots_of_unity
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -125,10 +125,7 @@ def cmd_analyze(args) -> int:
         f"nilradical rank: {rad.rank}",
     ]
     if reduced and a.rank > 0:
-        connected = is_connected(a, config)
-        e = compute_embeddings(a, precision=config.precision, seed=config.seed,
-                               escalations=config.escalation_budget)
-        g = gram(e)
+        connected, g = with_gram(a, config, lambda g: (connected_on(a, g, config), g))
         data["connected"] = connected
         data["gram"] = _gram_json(g)
         lines.append(f"connected:       {'yes' if connected else 'no'}")

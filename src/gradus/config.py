@@ -15,7 +15,8 @@ class RunConfig:
     enumeration_cap    hard cap on the number of enumerated short vectors
     seed               seed for the deterministic choice of splitting elements
     output_format      "text" or "json" (CLI only)
-    escalation_budget  how many times precision may be doubled on ambiguity
+    escalation_budget  how many times one query may double the precision in
+                       total, so no level exceeds precision * 2**budget
     """
 
     precision: int = 192
@@ -30,6 +31,8 @@ class RunConfig:
             raise ValueError("precision must be at least 64 bits")
         if self.enumeration_cap < 1:
             raise ValueError("enumeration cap must be at least 1")
+        if self.escalation_budget < 0:
+            raise ValueError("escalation budget must be non-negative")
         if self.tolerance_exponent < 2:
             raise ValueError("tolerance exponent must be at least 2")
         if self.output_format not in ("text", "json"):

@@ -17,6 +17,7 @@ precision instead of guessing.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
@@ -37,6 +38,10 @@ from .orders import Order, is_reduced, regular_matrix
 # |value| <= tol counts as zero, |value| >= AMBIGUITY_SPAN * tol as nonzero;
 # anything in between needs more precision.
 AMBIGUITY_SPAN = 1 << 16
+
+# Gram forms kept by numeric_context.  The queries on one order run back to
+# back, so a few entries give full reuse while bounding the memory held.
+CONTEXT_CACHE_SIZE = 4
 
 T = TypeVar("T")
 
@@ -72,13 +77,12 @@ def compute_embeddings(
     precision: int = 192,
     seed: int = 0,
     retries: int = 8,
-    escalations: int = 4,
 ) -> EmbeddingMatrix:
-    """Numerically compute the n embeddings of a reduced order.
+    """Numerically compute the n embeddings of a reduced order at one precision.
 
-    Doubles the working precision up to `escalations` times whenever the
-    homomorphism residual is too large; raises DegenerateSplitting when no
-    seeded splitting element separates the eigenvalues.
+    Raises DegenerateSplitting when no seeded splitting element separates the
+    eigenvalues and EscalationNeeded when the homomorphism residual is too
+    large; `with_gram` retries both at a doubled precision.
     """
     if not is_reduced(a):
         raise NotReduced("embeddings are only defined in this form for reduced orders")
@@ -87,56 +91,36 @@ def compute_embeddings(
         return EmbeddingMatrix(0, (), precision, mpf(0))
     mats = [regular_matrix(a, a.unit(i)) for i in range(n)]
     p = precision
-    degenerate = True
-    for _ in range(escalations + 1):
-        with mp.workprec(p):
-            result = _attempt_embeddings(a, mats, p, seed, retries)
-        if isinstance(result, EmbeddingMatrix):
-            return result
-        degenerate = result
-        p *= 2
-    if degenerate:
-        raise DegenerateSplitting(
-            f"no splitting element separated the spectrum after {retries} tries per level"
-        )
-    raise PrecisionExhausted(
-        f"embedding residual stayed above threshold up to {p // 2} bits"
-    )
-
-
-def _attempt_embeddings(a, mats, p, seed, retries):
-    """One precision level; returns an EmbeddingMatrix or a bool telling
-    whether the last failure was a degenerate spectrum."""
-    n = a.rank
-    sep_floor = mpf(2) ** (-(p // 4))
-    degenerate = True
-    for attempt in range(retries):
-        rng = random.Random(f"{seed}:{p}:{attempt}")
-        coeffs = [rng.randrange(-8 * n, 8 * n + 1) for _ in range(n)]
-        mz = mp.matrix(n)
-        for i, c in enumerate(coeffs):
-            if not c:
+    with mp.workprec(p):
+        sep_floor = mpf(2) ** (-(p // 4))
+        for attempt in range(retries):
+            rng = random.Random(f"{seed}:{p}:{attempt}")
+            coeffs = [rng.randrange(-8 * n, 8 * n + 1) for _ in range(n)]
+            mz = mp.matrix(n)
+            for i, c in enumerate(coeffs):
+                if not c:
+                    continue
+                for r in range(n):
+                    for s in range(n):
+                        if mats[i].entries[r][s]:
+                            mz[r, s] += c * mats[i].entries[r][s]
+            try:
+                eigvals, eigvecs = mp.eig(mz)
+            except (ZeroDivisionError, mp.NoConvergence):  # pragma: no cover
                 continue
-            for r in range(n):
-                for s in range(n):
-                    if mats[i].entries[r][s]:
-                        mz[r, s] += c * mats[i].entries[r][s]
-        try:
-            eigvals, eigvecs = mp.eig(mz)
-        except (ZeroDivisionError, mp.NoConvergence):  # pragma: no cover
-            continue
-        if _min_separation(eigvals) <= sep_floor:
-            continue
-        degenerate = False
-        sigma = _rayleigh_rows(mats, eigvecs, n)
-        order_keys = sorted(range(n), key=lambda k: (mp.re(eigvals[k]), mp.im(eigvals[k])))
-        sigma = tuple(sigma[k] for k in order_keys)
-        residual = _hom_residual(a, sigma)
-        scale = n * (1 + max(abs(s) for row in sigma for s in row)) ** 2
-        if residual <= mpf(2) ** (-(p // 2)) * scale:
-            return EmbeddingMatrix(n, sigma, p, residual)
-        break
-    return degenerate
+            if _min_separation(eigvals) <= sep_floor:
+                continue
+            sigma = _rayleigh_rows(mats, eigvecs, n)
+            order_keys = sorted(range(n), key=lambda k: (mp.re(eigvals[k]), mp.im(eigvals[k])))
+            sigma = tuple(sigma[k] for k in order_keys)
+            residual = _hom_residual(a, sigma)
+            scale = n * (1 + max(abs(s) for row in sigma for s in row)) ** 2
+            if residual <= mpf(2) ** (-(p // 2)) * scale:
+                return EmbeddingMatrix(n, sigma, p, residual)
+            raise EscalationNeeded(f"embedding residual is above threshold at {p} bits")
+    raise DegenerateSplitting(
+        f"no splitting element separated the spectrum after {retries} tries at {p} bits"
+    )
 
 
 def _min_separation(eigvals) -> mpf:
@@ -264,21 +248,29 @@ def is_nonneg(g: GramForm, value: mpf) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def numeric_context(a: Order, precision: int, seed: int, tolerance_exponent: int) -> GramForm:
+    """Gram form of a at one precision, computed once and shared by every
+    query on the same (order, precision, seed, tolerance exponent)."""
+    return gram(compute_embeddings(a, precision, seed), tolerance_exponent)
+
+
 def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
-    """Run fn on the Gram form of a, escalating precision on ambiguity."""
+    """Run fn on the Gram form of a, doubling the precision on ambiguity.
+
+    This is the pipeline's only precision loop: it tries config.precision
+    times 2**k for k = 0 .. config.escalation_budget, moving on whenever the
+    embeddings or fn raise EscalationNeeded or DegenerateSplitting.  When
+    every level fails, the last DegenerateSplitting is re-raised, and any
+    other failure becomes PrecisionExhausted.
+    """
     p = config.precision
     for _ in range(config.escalation_budget + 1):
-        e = compute_embeddings(
-            a,
-            precision=p,
-            seed=config.seed,
-            escalations=config.escalation_budget,
-        )
-        g = gram(e, config.tolerance_exponent)
         try:
-            return fn(g)
-        except EscalationNeeded:
-            p = 2 * max(p, e.precision)
-    raise PrecisionExhausted(
-        f"ambiguous numeric verdicts persisted up to {p // 2} bits"
-    )
+            return fn(numeric_context(a, p, config.seed, config.tolerance_exponent))
+        except (EscalationNeeded, DegenerateSplitting) as exc:
+            last = exc
+        p *= 2
+    if isinstance(last, DegenerateSplitting):
+        raise last
+    raise PrecisionExhausted(f"numeric verdicts stayed ambiguous up to {p // 2} bits: {last}")

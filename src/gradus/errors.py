@@ -50,8 +50,9 @@ class EnumerationBudgetExceeded(GradusError):
 class EscalationNeeded(GradusError):
     """Internal: a numeric verdict cannot be trusted at the working precision.
 
-    Callers that own the precision loop catch this and retry with more bits;
-    everyone else sees it converted into PrecisionExhausted.
+    `embeddings.with_gram` owns the only precision loop: it catches this and
+    retries with twice the bits, and converts it into PrecisionExhausted once
+    the escalation budget is spent.
     """
 
 

@@ -18,7 +18,7 @@ from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .embeddings import compute_embeddings, gram
+from .embeddings import with_gram
 from .errors import (
     AmbiguousMorphism,
     EscalationNeeded,
@@ -26,7 +26,6 @@ from .errors import (
     InfiniteIndex,
     NoMorphism,
     NotReduced,
-    PrecisionExhausted,
 )
 from .intlinalg import (
     IntMatrix,
@@ -34,6 +33,7 @@ from .intlinalg import (
     Vec,
     direct_sum_index,
     hnf,
+    inverse_unimodular,
     snf,
     solve_left,
     stack,
@@ -378,24 +378,12 @@ def universal_grading(a: Order, config: RunConfig | None = None) -> GradedOrder:
     Pipeline: embeddings -> Gram form -> finest orthogonal lattice splitting
     -> relations from products of component vectors -> presented group ->
     pieces summed per group element.  The result is verified exactly; any
-    inconsistency triggers a precision escalation and retry.
+    inconsistency triggers a precision escalation and retry in `with_gram`.
     """
     config = config or DEFAULT_CONFIG
     if not is_reduced(a):
         raise NotReduced("only reduced orders admit this computation")
-    p = config.precision
-    last: Exception | None = None
-    for _ in range(config.escalation_budget + 1):
-        e = compute_embeddings(
-            a, precision=p, seed=config.seed, escalations=config.escalation_budget
-        )
-        g = gram(e, config.tolerance_exponent)
-        try:
-            return _grading_from_gram(a, g, config)
-        except (EscalationNeeded, InfiniteGroup) as exc:
-            last = exc
-            p = 2 * max(p, e.precision)
-    raise PrecisionExhausted(f"grading pipeline did not stabilize: {last}")
+    return with_gram(a, config, lambda g: _grading_from_gram(a, g, config))
 
 
 def _grading_from_gram(a: Order, g, config: RunConfig) -> GradedOrder:
@@ -405,7 +393,9 @@ def _grading_from_gram(a: Order, g, config: RunConfig) -> GradedOrder:
     if k == 0:
         grading = Grading(a, FinAbGroup(()), ())
         return GradedOrder(grading, dec, ())
-    stacked = stack([c.basis for c in comps], cols=a.rank)
+    # the components split the lattice with index 1, so the stacked basis
+    # is unimodular and one inverse gives the coordinates of every product
+    inverse = inverse_unimodular(stack([c.basis for c in comps], cols=a.rank))
     offsets = [0]
     for c in comps:
         offsets.append(offsets[-1] + c.rank)
@@ -414,9 +404,7 @@ def _grading_from_gram(a: Order, g, config: RunConfig) -> GradedOrder:
         for s2 in range(s1, k):
             for x in comps[s1].vectors():
                 for y in comps[s2].vectors():
-                    coeffs = solve_left(stacked, mul(a, x, y))
-                    if coeffs is None:
-                        raise EscalationNeeded("component sum lost full index during relations")
+                    coeffs = inverse.vec_mat(mul(a, x, y))
                     for s3 in range(k):
                         if any(coeffs[offsets[s3]:offsets[s3 + 1]]):
                             row = [0] * k
@@ -424,7 +412,10 @@ def _grading_from_gram(a: Order, g, config: RunConfig) -> GradedOrder:
                             row[s2] += 1
                             row[s3] -= 1
                             relations.add(tuple(row))
-    group, images = group_from_relations(k, sorted(relations))
+    try:
+        group, images = group_from_relations(k, sorted(relations))
+    except InfiniteGroup as exc:
+        raise EscalationNeeded(f"relations of the splitting present an infinite group: {exc}") from exc
     rows_by: dict[GroupElem, list[Vec]] = {}
     for img, comp in zip(images, comps):
         rows_by.setdefault(img, []).extend(comp.vectors())

@@ -91,12 +91,6 @@ class IntMatrix:
             other.cols,
         )
 
-    def mat_vec(self, v: Sequence[int]) -> Vec:
-        """Column action: the image of the coordinate column v."""
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self.entries)
-
     def vec_mat(self, v: Sequence[int]) -> Vec:
         """Row action: v as a row vector times this matrix."""
         if len(v) != self.rows:
@@ -110,9 +104,6 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
         return IntMatrix(tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)), self.cols)
-
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(tuple(vec_scale(k, r) for r in self.entries), self.cols)
 
 
 def stack(mats: Sequence[IntMatrix], cols: int | None = None) -> IntMatrix:

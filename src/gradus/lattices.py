@@ -11,6 +11,7 @@ nonzero-inner-product graph; the components span the answer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +33,10 @@ from .intlinalg import (
 from .embeddings import GramForm, inner, is_nonneg, is_zero, norm
 
 LLL_DELTA = "0.99"
+
+# Gram forms whose reduction is kept; the queries on one order share one
+# form, so a few entries suffice.
+REDUCTION_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,16 @@ def lll_reduce(g: GramForm, delta: str = LLL_DELTA) -> list[Vec]:
         return [tuple(row) for row in basis]
 
 
+@functools.lru_cache(maxsize=REDUCTION_CACHE_SIZE)
+def _reduction(g: GramForm):
+    """LLL basis of g with the LDL data of its Gram matrix, computed once
+    per form and shared by every enumeration and decomposition on it."""
+    with mp.workprec(g.precision):
+        red = tuple(lll_reduce(g))
+        d, mu = _ldl(_gram_of(g, red), g.tolerance)
+    return red, d, mu
+
+
 def enumerate_up_to(g: GramForm, bound, cap: int = 10**6) -> list[Vec]:
     """All nonzero vectors v with <v, v> <= bound (up to the tolerance),
     one representative per +/- pair, sorted lexicographically."""
@@ -121,8 +136,7 @@ def enumerate_up_to(g: GramForm, bound, cap: int = 10**6) -> list[Vec]:
         return []
     with mp.workprec(g.precision):
         limit = mpf(bound) + g.tolerance
-        red = lll_reduce(g)
-        d, mu = _ldl(_gram_of(g, red), g.tolerance)
+        red, d, mu = _reduction(g)
         found: set[Vec] = set()
         x = [0] * n
 
@@ -206,7 +220,7 @@ def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
     if n == 0:
         return SDecomposition(0, (), g)
     with mp.workprec(g.precision):
-        red = lll_reduce(g)
+        red, _, _ = _reduction(g)
         bound = max(norm(g, r) for r in red)
         pool = enumerate_up_to(g, bound, cap)
         norms = {v: norm(g, v) for v in pool}

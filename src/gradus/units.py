@@ -73,6 +73,15 @@ def element_order(a: Order, x, bound: int | None = None) -> int | None:
     return None
 
 
+def _idempotents_in(a: Order, pool) -> list[Vec]:
+    found = {a.zero()}
+    for v in pool:
+        for s in (v, vec_neg(v)):
+            if mul(a, s, s) == s:
+                found.add(s)
+    return sorted(found)
+
+
 def idempotents(a: Order, config: RunConfig | None = None) -> list[Vec]:
     """All solutions of x*x = x, found by enumerating vectors of norm up to
     the rank and filtering exactly; 0 and 1 are always present."""
@@ -81,41 +90,37 @@ def idempotents(a: Order, config: RunConfig | None = None) -> list[Vec]:
         raise NotReduced("idempotent search needs a reduced order")
     if a.rank == 0:
         return [()]
-
-    def run(g: GramForm) -> list[Vec]:
-        found = {a.zero()}
-        for v in enumerate_up_to(g, a.rank, config.enumeration_cap):
-            for s in (v, vec_neg(v)):
-                if mul(a, s, s) == s:
-                    found.add(s)
-        return sorted(found)
-
-    return with_gram(a, config, run)
+    return with_gram(
+        a, config, lambda g: _idempotents_in(a, enumerate_up_to(g, a.rank, config.enumeration_cap))
+    )
 
 
-def is_connected(a: Order, config: RunConfig | None = None) -> bool:
-    """Whether the only idempotents are 0 and 1.
+def connected_on(a: Order, g: GramForm, config: RunConfig) -> bool:
+    """Connectedness of a decided on one Gram form of it.
 
-    Computed two independent ways, by counting idempotents and by testing
-    whether 1 is indecomposable in the lattice; disagreement raises
-    InternalInconsistency because it can only come from a numeric fault.
+    Computed two independent ways from one enumerated pool, by counting
+    idempotents and by testing whether 1 is indecomposable in the lattice;
+    disagreement raises InternalInconsistency because it can only come from
+    a numeric fault.
     """
-    config = config or DEFAULT_CONFIG
-    if not is_reduced(a):
-        raise NotReduced("connectedness in this form needs a reduced order")
-    if a.rank == 0:
-        raise ValueError("the zero ring is not eligible")
-    by_count = len(idempotents(a, config)) == 2
-
-    def run(g: GramForm) -> bool:
-        return is_indecomposable(g, a.one)
-
-    by_lattice = with_gram(a, config, run)
+    pool = enumerate_up_to(g, a.rank, config.enumeration_cap)
+    by_count = len(_idempotents_in(a, pool)) == 2
+    by_lattice = is_indecomposable(g, a.one, pool=pool)
     if by_count != by_lattice:
         raise InternalInconsistency(
             "idempotent count and indecomposability of 1 disagree"
         )
     return by_count
+
+
+def is_connected(a: Order, config: RunConfig | None = None) -> bool:
+    """Whether the only idempotents are 0 and 1 (see `connected_on`)."""
+    config = config or DEFAULT_CONFIG
+    if not is_reduced(a):
+        raise NotReduced("connectedness in this form needs a reduced order")
+    if a.rank == 0:
+        raise ValueError("the zero ring is not eligible")
+    return with_gram(a, config, lambda g: connected_on(a, g, config))
 
 
 def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport:

@@ -1,0 +1,123 @@
+"""One numeric context per order and one precision-escalation loop.
+
+Every query on an order takes its Gram form from `embeddings.with_gram`,
+which computes the embeddings once per (order, precision, seed, tolerance
+exponent) and is the only code that doubles the precision.
+"""
+
+import json
+
+import pytest
+from mpmath import mp, mpf
+
+import gradus.embeddings as embeddings
+import gradus.grading as grading
+import gradus.lattices as lattices
+import gradus.units as units
+from gradus.cli import main
+from gradus.config import RunConfig
+from gradus.errors import AmbiguousZero, DegenerateSplitting, PrecisionExhausted
+from gradus.examples import example_order
+from gradus.grading import universal_grading
+from gradus.orders import order_to_json
+from gradus.units import idempotents, is_connected, roots_of_unity
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
+def fresh_caches():
+    embeddings.numeric_context.cache_clear()
+    lattices._reduction.cache_clear()
+    yield
+    embeddings.numeric_context.cache_clear()
+    lattices._reduction.cache_clear()
+
+
+def test_queries_on_one_order_share_one_context(monkeypatch, fresh_caches):
+    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    lll = counting(monkeypatch, lattices, "lll_reduce")
+    a = example_order("zc4")
+    assert is_connected(a) is True
+    assert universal_grading(a).grading.group.invariant_factors == (4,)
+    assert roots_of_unity(a).count == 8
+    assert len(idempotents(a)) == 2
+    assert len(emb) == 1
+    assert len(lll) == 1
+
+
+def test_analyze_computes_embeddings_once(monkeypatch, fresh_caches, tmp_path, capsys):
+    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(order_to_json(example_order("zeta5"))))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["connected"] is True
+    assert data["gram"]["precision"] == 192
+    assert len(emb) == 1
+
+
+def ambiguous_grading(monkeypatch, tried):
+    def decompose(g, cap):
+        tried.append(g.precision)
+        raise AmbiguousZero("forced ambiguous verdict")
+
+    monkeypatch.setattr(grading, "universal_s_decomposition", decompose)
+    return universal_grading
+
+
+def ambiguous_idempotents(monkeypatch, tried):
+    def enumerate_up_to(g, bound, cap):
+        tried.append(g.precision)
+        raise AmbiguousZero("forced ambiguous verdict")
+
+    monkeypatch.setattr(units, "enumerate_up_to", enumerate_up_to)
+    return idempotents
+
+
+@pytest.mark.parametrize("query", [ambiguous_grading, ambiguous_idempotents])
+@pytest.mark.parametrize("config", [RunConfig(), RunConfig(precision=128, escalation_budget=2)])
+def test_ambiguity_doubles_precision_up_to_the_budget(monkeypatch, fresh_caches, query, config):
+    tried = []
+    run = query(monkeypatch, tried)
+    with pytest.raises(PrecisionExhausted):
+        run(example_order("zsqrt2"), config)
+    assert tried == [config.precision * 2**k for k in range(config.escalation_budget + 1)]
+
+
+def test_embedding_failures_share_the_budget(monkeypatch, fresh_caches):
+    # a residual too large at the first level costs one level of the same
+    # budget, instead of opening an inner loop of its own
+    real = embeddings._hom_residual
+    config = RunConfig()
+
+    def residual(a, sigma):
+        out = real(a, sigma)
+        return mpf(1) if mp.prec == config.precision else out
+
+    monkeypatch.setattr(embeddings, "_hom_residual", residual)
+    tried = []
+    run = ambiguous_grading(monkeypatch, tried)
+    with pytest.raises(PrecisionExhausted):
+        run(example_order("zsqrt2"), config)
+    assert tried == [config.precision * 2**k for k in range(1, config.escalation_budget + 1)]
+
+
+def test_degenerate_spectrum_at_every_level(monkeypatch, fresh_caches, tmp_path, capsys):
+    monkeypatch.setattr(embeddings, "_min_separation", lambda eigvals: mpf(0))
+    with pytest.raises(DegenerateSplitting):
+        roots_of_unity(example_order("zsqrt2"))
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(order_to_json(example_order("zsqrt2"))))
+    assert main(["analyze", str(path)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "DegenerateSplitting"
