@@ -346,7 +346,21 @@ class SublatticeBasis:
         return self.basis.entries
 
     def coordinates_of(self, v: Sequence[int]) -> Vec | None:
-        return solve_left(self.basis, v)
+        """Coordinates of v on the basis rows, or None when v is not in the
+        sublattice.  The rows are in Hermite form, so each coordinate is
+        forced by its row's pivot: v is reduced pivot by pivot, and it is a
+        member exactly when nothing is left."""
+        if len(v) != self.ambient_rank:
+            raise ValueError("vector length does not match the ambient rank")
+        t = [int(x) for x in v]
+        coords = []
+        for row in self.basis.entries:
+            c = next(j for j, x in enumerate(row) if x)
+            q = t[c] // row[c]
+            coords.append(q)
+            if q:
+                t = [a - q * b for a, b in zip(t, row)]
+        return None if any(t) else tuple(coords)
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coordinates_of(v) is not None

@@ -1,12 +1,13 @@
 """Positive-definite lattice machinery over a numeric Gram form.
 
-Provides LLL reduction of the standard basis, Fincke-Pohst enumeration of
-short vectors, decomposition tests for single vectors, and the finest
-orthogonal splitting of the whole lattice into mutually orthogonal
-sublattices.  The splitting algorithm enumerates every vector up to the
-largest reduced-basis norm, keeps the indecomposable ones (every lattice is
-generated by those), and groups them into the connected components of the
-nonzero-inner-product graph; the components span the answer.
+Provides LLL reduction of the standard basis, one Fincke-Pohst enumeration
+kernel (short vectors around the origin, and the centred ball that decides
+whether a single vector decomposes), and the finest orthogonal splitting of
+the whole lattice into mutually orthogonal sublattices.  The splitting walks
+the vectors up to the largest reduced-basis norm in increasing norm, keeps
+an indecomposable one whenever it leaves the span of those kept so far, and
+stops once they span the lattice; the connected components of the kept
+vectors under nonzero inner products span the answer.
 """
 
 from __future__ import annotations
@@ -25,12 +26,15 @@ from .errors import (
     NoMorphism,
 )
 from .intlinalg import (
+    IntMatrix,
     SublatticeBasis,
     Vec,
     direct_sum_index,
+    inverse_unimodular,
+    vec_neg,
     vec_sub,
 )
-from .embeddings import GramForm, inner, is_nonneg, is_zero, norm
+from .embeddings import AMBIGUITY_SPAN, GramForm, inner, is_nonneg, is_zero, norm
 
 LLL_DELTA = "0.99"
 
@@ -120,12 +124,48 @@ def lll_reduce(g: GramForm, delta: str = LLL_DELTA) -> list[Vec]:
 
 @functools.lru_cache(maxsize=REDUCTION_CACHE_SIZE)
 def _reduction(g: GramForm):
-    """LLL basis of g with the LDL data of its Gram matrix, computed once
-    per form and shared by every enumeration and decomposition on it."""
+    """LLL basis of g (rows of an IntMatrix), the LDL data of its Gram
+    matrix and the inverse of the basis, which maps a vector to its
+    coordinates in that basis.  Computed once per form and shared by every
+    enumeration and decomposition test on it."""
     with mp.workprec(g.precision):
-        red = tuple(lll_reduce(g))
-        d, mu = _ldl(_gram_of(g, red), g.tolerance)
-    return red, d, mu
+        basis = IntMatrix.from_rows(lll_reduce(g), g.n)
+        d, mu = _ldl(_gram_of(g, basis.entries), g.tolerance)
+    return basis, d, mu, inverse_unimodular(basis)
+
+
+def _fincke_pohst(d, mu, centre, limit, visit) -> bool:
+    """Call visit(x) on every integer coordinate vector x in the reduced
+    basis with |x - centre|^2 <= limit, where |y|^2 = sum_i d_i (y_i +
+    sum_{j>i} mu_ji y_j)^2 is the form written through its LDL data, until
+    visit returns True; return whether it did.
+
+    Depth-first from the last coordinate, each coordinate over the integers
+    its conditional centre and the remaining budget allow (Fincke-Pohst).
+    `x` is reused between calls: copy what is kept.
+    """
+    n = len(d)
+    x = [0] * n
+
+    def descend(i, budget):
+        # x_i's conditional centre given the coordinates fixed above it
+        t = centre[i] - mp.fsum(
+            mu[j][i] * (x[j] - centre[j]) for j in range(i + 1, n) if x[j] != centre[j]
+        )
+        radius = mp.sqrt(budget / d[i])
+        lo = int(mp.ceil(t - radius))
+        hi = int(mp.floor(t + radius))
+        for xi in range(lo, hi + 1):
+            spent = d[i] * (xi - t) ** 2
+            if spent > budget:
+                continue
+            x[i] = xi
+            if visit(x) if i == 0 else descend(i - 1, budget - spent):
+                return True
+        x[i] = 0
+        return False
+
+    return limit >= 0 and descend(n - 1, limit)
 
 
 def enumerate_up_to(g: GramForm, bound, cap: int = 10**6) -> list[Vec]:
@@ -136,42 +176,20 @@ def enumerate_up_to(g: GramForm, bound, cap: int = 10**6) -> list[Vec]:
         return []
     with mp.workprec(g.precision):
         limit = mpf(bound) + g.tolerance
-        red, d, mu = _reduction(g)
+        basis, d, mu, _ = _reduction(g)
         found: set[Vec] = set()
-        x = [0] * n
 
-        def descend(i, budget):
-            if budget < 0:
-                return
-            center = mp.fsum(mu[j][i] * x[j] for j in range(i + 1, n) if x[j])
-            radius = mp.sqrt(budget / d[i])
-            lo = int(mp.ceil(-center - radius))
-            hi = int(mp.floor(-center + radius))
-            for xi in range(lo, hi + 1):
-                x[i] = xi
-                spent = d[i] * (xi + center) ** 2
-                if spent > budget:
-                    continue
-                if i == 0:
-                    if any(x):
-                        v = tuple(
-                            sum(x[r] * red[r][c] for r in range(n)) for c in range(n)
-                        )
-                        for c in v:
-                            if c:
-                                if c < 0:
-                                    v = tuple(-y for y in v)
-                                break
-                        found.add(v)
-                        if len(found) > cap:
-                            raise EnumerationBudgetExceeded(
-                                f"more than {cap} short vectors below bound {mp.nstr(limit, 8)}"
-                            )
-                else:
-                    descend(i - 1, budget - spent)
-            x[i] = 0
+        def keep(x):
+            if any(x):
+                v = basis.vec_mat(x)
+                found.add(vec_neg(v) if next(c for c in v if c) < 0 else v)
+                if len(found) > cap:
+                    raise EnumerationBudgetExceeded(
+                        f"more than {cap} short vectors below bound {mp.nstr(limit, 8)}"
+                    )
+            return False
 
-        descend(n - 1, limit)
+        _fincke_pohst(d, mu, (0,) * n, limit, keep)
     return sorted(found)
 
 
@@ -183,10 +201,19 @@ def is_decomposition(g: GramForm, z: Sequence[int], x: Sequence[int], y: Sequenc
 
 
 def is_indecomposable(g: GramForm, v: Sequence[int], pool: Sequence[Vec] | None = None) -> bool:
-    """Whether v admits no decomposition into two nonzero parts.
+    """Whether v admits no decomposition v = x + (v - x) into two nonzero
+    parts with <x, v - x> >= 0.
 
-    `pool` may carry a precomputed enumeration of vectors with norm up to at
-    least <v, v>; any nontrivial part of v must appear there up to sign.
+    Without a pool, the candidates x come from a centred Fincke-Pohst search:
+    <x, v - x> = |v|^2/4 - |x - v/2|^2, so the parts are exactly the lattice
+    points of the ball |x - v/2|^2 <= |v|^2/4 other than 0 and v.  The
+    radius is widened by AMBIGUITY_SPAN * tolerance, so every x whose sign
+    test is not a clear "negative" is tested, and one inside the ambiguous
+    band raises AmbiguousSign.  The search stops at the first x accepted.
+
+    `pool` may instead carry a precomputed enumeration of vectors with norm
+    up to at least <v, v>; any nontrivial part of v must appear there up to
+    sign.
     """
     v = tuple(v)
     if not any(v):
@@ -194,11 +221,22 @@ def is_indecomposable(g: GramForm, v: Sequence[int], pool: Sequence[Vec] | None 
     with mp.workprec(g.precision):
         nv = norm(g, v)
         if pool is None:
-            pool = enumerate_up_to(g, nv)
+            basis, d, mu, inverse = _reduction(g)
+            coords = list(inverse.vec_mat(v))
+            centre = [mpf(c) / 2 for c in coords]
+            limit = nv / 4 + AMBIGUITY_SPAN * g.tolerance
+
+            def splits(x):
+                if not any(x) or x == coords:
+                    return False
+                part = basis.vec_mat(x)
+                return is_nonneg(g, inner(g, part, vec_sub(v, part)))
+
+            return not _fincke_pohst(d, mu, centre, limit, splits)
         for cand in pool:
             if norm(g, cand) > nv + g.tolerance:
                 continue
-            for x in (cand, tuple(-c for c in cand)):
+            for x in (cand, vec_neg(cand)):
                 if x == v:
                     continue
                 if is_nonneg(g, inner(g, x, vec_sub(v, x))):
@@ -209,26 +247,46 @@ def is_indecomposable(g: GramForm, v: Sequence[int], pool: Sequence[Vec] | None 
 def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
     """Finest splitting of the lattice into pairwise-orthogonal sublattices.
 
-    Enumerates all vectors up to the largest reduced-basis norm, filters the
-    indecomposable ones, and groups them by connectivity under nonzero inner
-    products.  The grouping provably reproduces the unique finest orthogonal
-    decomposition, because the enumerated indecomposables generate the
-    lattice and any valid orthogonal splitting must be a coarsening of the
-    finest one.
+    The finest orthogonal splitting is unique (Eichler), and every
+    indecomposable vector lies in exactly one of its parts, so the classes
+    of *any* generating set of indecomposables under "nonzero inner
+    product" span the parts.  Such a set is found by a walk: the vectors up
+    to the largest reduced-basis norm (which generate the lattice) are
+    visited in increasing norm; a vector already in the Z-span of the
+    indecomposables kept so far is skipped, any other is tested with
+    `is_indecomposable` and kept when it passes, and the walk stops once the
+    kept span has index 1.
+
+    The kept vectors span every visited vector: a decomposable v = x + y has
+    |x|^2 = |v|^2 - |y|^2 - 2<x, y> <= |v|^2 - lambda_1 and likewise for y,
+    so x and y were visited before v and lie in the span by induction.  So
+    a vector reaching the test is indecomposable unless a numeric verdict
+    went wrong.  The order only keeps the walk short: in any order, every
+    visited vector ends in the final span, so the kept set generates the
+    lattice.  The exact index-1 check of the assembled components guards
+    against a wrong numeric verdict.
     """
     n = g.n
     if n == 0:
         return SDecomposition(0, (), g)
+    full = SublatticeBasis.full(n)
     with mp.workprec(g.precision):
-        red, _, _ = _reduction(g)
-        bound = max(norm(g, r) for r in red)
+        bound = max(norm(g, r) for r in _reduction(g)[0].entries)
         pool = enumerate_up_to(g, bound, cap)
-        norms = {v: norm(g, v) for v in pool}
-        indec = [
-            v
-            for v in pool
-            if is_indecomposable(g, v, pool=[u for u in pool if norms[u] <= norms[v] + g.tolerance])
-        ]
+        # the walk is ordered by norms under 2^precision * G rounded to
+        # integers: far finer than the lambda_1 gap between a vector and
+        # its parts, and much cheaper to compute and compare than mpf norms
+        fixed = IntMatrix.from_rows(
+            [[int(mp.nint(mp.ldexp(e, g.precision))) for e in row] for row in g.entries]
+        )
+        indec: list[Vec] = []
+        span = SublatticeBasis.zero(n)
+        for v in sorted(pool, key=lambda v: sum(a * b for a, b in zip(fixed.vec_mat(v), v))):
+            if span == full:
+                break
+            if not span.contains(v) and is_indecomposable(g, v):
+                indec.append(v)
+                span = SublatticeBasis.from_vectors(n, span.vectors() + (v,))
         parent = list(range(len(indec)))
 
         def find(i):

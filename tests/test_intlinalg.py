@@ -183,3 +183,34 @@ def test_sublattice_saturation():
     t = SublatticeBasis.from_vectors(2, [(2, 4)])
     assert not t.is_saturated()
     assert t.saturation() == SublatticeBasis.from_vectors(2, [(1, 2)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    matrices(max_dim=4, lo=-5, hi=5),
+    st.integers(1, 3),
+    st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+    st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+)
+def test_coordinates_of_matches_solve_left(m, scale, coeffs, other):
+    # m may have dependent rows (rank-deficient sums), scaling its rows
+    # gives non-saturated sublattices, and `other` is usually not a member
+    rows = [tuple(scale * x for x in r) for r in m.entries]
+    sub = SublatticeBasis.from_vectors(m.cols, rows)
+    member = IntMatrix.from_rows(rows).vec_mat(tuple(coeffs[: m.rows]))
+    for target in (member, tuple(other[: m.cols]), tuple(coeffs[: m.cols])):
+        got = sub.coordinates_of(target)
+        assert got == solve_left(sub.basis, target)
+        assert sub.contains(target) == (got is not None)
+        if got is not None:
+            assert sub.basis.vec_mat(got) == target
+    assert sub.coordinates_of(member) is not None
+
+
+def test_coordinates_of_edge_cases():
+    zero = SublatticeBasis.zero(3)
+    assert zero.coordinates_of((0, 0, 0)) == ()
+    assert zero.coordinates_of((0, 1, 0)) is None
+    assert SublatticeBasis.from_vectors(2, [(2, 4)]).coordinates_of((1, 2)) is None
+    with pytest.raises(ValueError):
+        SublatticeBasis.full(2).coordinates_of((1, 2, 3))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from mpmath import mp
 
 from gradus.embeddings import compute_embeddings, gram, gram_from_strings, norm
 from gradus.errors import (
+    AmbiguousSign,
     EnumerationBudgetExceeded,
     EscalationNeeded,
     NoMorphism,
@@ -21,7 +23,12 @@ from gradus.lattices import (
     universal_s_decomposition,
 )
 
-from helpers import oracle_short_vectors
+from helpers import (
+    oracle_finest_orthogonal_partition,
+    oracle_indecomposable,
+    oracle_short_vectors,
+    random_unimodular,
+)
 
 STD2 = gram_from_strings([["1", "0"], ["0", "1"]])
 A2 = gram_from_strings([["2", "1"], ["1", "2"]])
@@ -208,3 +215,87 @@ def test_component_count_bounds():
         # number of idempotents is 2 to the number of factors of the spectrum
         spec_components = len(idempotents(a)).bit_length() - 1
         assert k >= spec_components
+
+
+def block_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(b)] = row
+        at += len(b)
+    return out
+
+
+A2_ROWS = [[2, 1], [1, 2]]
+A3_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+# orthogonal sums whose indecomposable blocks have rank above 1; each has at
+# most 7 indecomposable +/- pairs, which the partition oracle can afford
+BLOCK_SUMS = {
+    "a2+a2+z": block_sum(A2_ROWS, A2_ROWS, [[1]]),
+    "a3+z": block_sum(A3_ROWS, [[1]]),
+    "[[2,1],[1,3]]+z": block_sum([[2, 1], [1, 3]], [[1]]),
+}
+
+
+def rebased_block_sums(per_sum=3, max_diagonal=12):
+    """Each block sum in `per_sum` seeded random bases; bases with a larger
+    diagonal entry are skipped, because the oracles scan a box up to it."""
+    out = []
+    for name, gm in BLOCK_SUMS.items():
+        rng = random.Random(name)
+        n = len(gm)
+        kept = 0
+        while kept < per_sum:
+            u = random_unimodular(rng, n, steps=6)
+            h = [
+                [sum(u[i][a] * gm[a][b] * u[j][b] for a in range(n) for b in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            if max(h[i][i] for i in range(n)) <= max_diagonal:
+                out.append(h)
+                kept += 1
+    return out
+
+
+@pytest.mark.parametrize("gm", rebased_block_sums())
+def test_splitting_of_rebased_block_sums_matches_oracle(gm):
+    n = len(gm)
+    dec = universal_s_decomposition(str_gram(gm))
+    want = [SublatticeBasis.from_vectors(n, b) for b in oracle_finest_orthogonal_partition(gm)]
+    assert len(dec.components) == len(want)
+    assert set(dec.components) == set(want)
+
+
+def check_pool_less_indecomposability(gm):
+    g = str_gram(gm)
+    pool = oracle_short_vectors(gm, max(gm[i][i] for i in range(len(gm))))
+    for v in pool:
+        assert is_indecomposable(g, v) == oracle_indecomposable(gm, v, pool), v
+
+
+@pytest.mark.parametrize("gm", rebased_block_sums())
+def test_pool_less_indecomposability_matches_oracle(gm):
+    check_pool_less_indecomposability(gm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pd_grams())
+def test_pool_less_indecomposability_matches_oracle_on_random_forms(gm):
+    check_pool_less_indecomposability(gm)
+
+
+def test_pool_less_test_keeps_the_ambiguous_sign_signal():
+    # <e1, e2> = -2^-32 is inside the ambiguous sign band at 128 bits, so
+    # whether e1 + e2 splits into e1 and e2 cannot be decided; e1 lies just
+    # outside the ball |x - v/2|^2 <= |v|^2/4 and only the widened radius
+    # reaches it
+    tiny = "-2.3283064365386962890625e-10"
+    g = gram_from_strings([["1", tiny], [tiny, "1"]], precision=128)
+    with pytest.raises(AmbiguousSign):
+        is_indecomposable(g, (1, 1))
+    with pytest.raises(AmbiguousSign):
+        is_indecomposable(g, (1, 1), pool=enumerate_up_to(g, 2))
+    with pytest.raises(EscalationNeeded):
+        universal_s_decomposition(g)

@@ -3,6 +3,7 @@ non-cyclic groups beyond the acceptance list, and randomized orders."""
 
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gradus.config import RunConfig
@@ -15,7 +16,7 @@ from gradus.grading import (
     verify_grading,
 )
 from gradus.intlinalg import SublatticeBasis
-from gradus.orders import is_reduced, monogenic_order, product_order
+from gradus.orders import group_ring, is_reduced, monogenic_order, product_order
 from gradus.units import idempotents, roots_of_unity
 
 from helpers import random_hom
@@ -211,3 +212,58 @@ def test_pipeline_on_random_reduced_orders(a, seed):
     assert [b.rank for _, b in triv.pieces] == [a.rank]
     f = find_morphism(go, triv)
     assert all(img == () for img in f.images)
+
+
+def test_radical_cubic_with_wide_norm_spread_grades_in_any_basis():
+    # Z[X]/(X^3 - 1000): the power basis is orthogonal with norms 3, 300 and
+    # 30000, so the short-vector pool is large, yet the grading is C3 on the
+    # lines Z * x^i in every presentation
+    from helpers import random_unimodular
+
+    from gradus.intlinalg import IntMatrix
+
+    a = monogenic_order([-1000, 0, 0, 1])
+    lines = {SublatticeBasis.from_vectors(3, [e]) for e in a.basis()}
+    rng = random.Random(3)
+    presentations = [(a, IntMatrix.identity(3))]
+    for _ in range(2):
+        u_rows = random_unimodular(rng, 3, steps=8)
+        presentations.append((change_of_basis(a, u_rows)[0], IntMatrix.from_rows(u_rows)))
+    for b, u in presentations:
+        gr = universal_grading(b).grading
+        assert gr.group.invariant_factors == (3,)
+        assert {
+            SublatticeBasis.from_vectors(3, [u.vec_mat(v) for v in piece.vectors()])
+            for _, piece in gr.pieces
+        } == lines
+
+
+@pytest.mark.parametrize(
+    "a",
+    # Z[C8] has Gram form 8 * identity on the group basis; Z[X]/(X^3 - 1000)
+    # has a pool of hundreds of vectors below its largest reduced norm
+    [group_ring([8])[0], monogenic_order([-1000, 0, 0, 1])],
+    ids=["zc8", "x3-1000"],
+)
+def test_splitting_walk_tests_at_most_rank_vectors(monkeypatch, a):
+    # every vector the walk tests is indecomposable and enlarges the span of
+    # those kept, so a presentation whose first indecomposables have index 1
+    # costs at most rank tests
+    from helpers import random_unimodular
+
+    import gradus.lattices as lattices
+    from gradus.embeddings import compute_embeddings, gram
+    from gradus.lattices import universal_s_decomposition
+
+    b, _ = change_of_basis(a, random_unimodular(random.Random(8), a.rank))
+    calls = []
+    real = lattices.is_indecomposable
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattices, "is_indecomposable", counted)
+    dec = universal_s_decomposition(gram(compute_embeddings(b)))
+    assert len(dec.components) == a.rank
+    assert len(calls) <= a.rank
