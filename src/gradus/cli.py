@@ -43,8 +43,8 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
-def _emit(data: dict, config: RunConfig, text_lines) -> None:
-    if config.output_format == "json":
+def _emit(data: dict, args, text_lines) -> None:
+    if args.format == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -62,7 +62,6 @@ def _config(args) -> RunConfig:
         precision=args.precision,
         enumeration_cap=args.cap,
         seed=args.seed,
-        output_format=args.format,
     )
 
 
@@ -102,19 +101,17 @@ def _gram_json(g) -> dict:
         }
 
 
-def cmd_validate(args) -> int:
-    config = _config(args)
+def cmd_validate(args, config: RunConfig) -> int:
     a = _load_order(args.path)
     _emit(
         {"ok": True, "rank": a.rank},
-        config,
+        args,
         [f"ok: valid order of rank {a.rank}"],
     )
     return 0
 
 
-def cmd_analyze(args) -> int:
-    config = _config(args)
+def cmd_analyze(args, config: RunConfig) -> int:
     a = _load_order(args.path)
     rad = nilradical(a)
     reduced = rad.rank == 0
@@ -133,12 +130,11 @@ def cmd_analyze(args) -> int:
         lines.append("gram matrix:")
         for row in data["gram"]["gram"]:
             lines.append("  [" + ", ".join(row) + "]")
-    _emit(data, config, lines)
+    _emit(data, args, lines)
     return 0
 
 
-def cmd_grade(args) -> int:
-    config = _config(args)
+def cmd_grade(args, config: RunConfig) -> int:
     a = _load_order(args.path)
     a, note = _maybe_mod_nilradical(a, args)
     graded = universal_grading(a, config)
@@ -153,12 +149,11 @@ def cmd_grade(args) -> int:
             lines.append(f"    {list(v)}")
     if note:
         lines.append(f"note: {note}")
-    _emit(data, config, lines)
+    _emit(data, args, lines)
     return 0
 
 
-def cmd_units(args) -> int:
-    config = _config(args)
+def cmd_units(args, config: RunConfig) -> int:
     a = _load_order(args.path)
     a, note = _maybe_mod_nilradical(a, args)
     report = roots_of_unity(a, config)
@@ -174,12 +169,11 @@ def cmd_units(args) -> int:
         lines.append(f"  {list(r)}  order {k}")
     if note:
         lines.append(f"note: {note}")
-    _emit(data, config, lines)
+    _emit(data, args, lines)
     return 0
 
 
-def cmd_idempotents(args) -> int:
-    config = _config(args)
+def cmd_idempotents(args, config: RunConfig) -> int:
     a = _load_order(args.path)
     a, note = _maybe_mod_nilradical(a, args)
     idem = idempotents(a, config)
@@ -189,12 +183,11 @@ def cmd_idempotents(args) -> int:
     lines = [f"idempotents: {len(idem)}"] + [f"  {list(x)}" for x in idem]
     if note:
         lines.append(f"note: {note}")
-    _emit(data, config, lines)
+    _emit(data, args, lines)
     return 0
 
 
-def cmd_decompose(args) -> int:
-    config = _config(args)
+def cmd_decompose(args, config: RunConfig) -> int:
     with open(args.path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "gram" not in doc:
@@ -218,16 +211,15 @@ def cmd_decompose(args) -> int:
     lines = [f"components: {len(dec.components)}"]
     for c in dec.components:
         lines.append(f"  rank {c.rank}: {[list(v) for v in c.vectors()]}")
-    _emit(data, config, lines)
+    _emit(data, args, lines)
     return 0
 
 
-def cmd_example(args) -> int:
-    config = _config(args)
+def cmd_example(args, config: RunConfig) -> int:
     if args.list or args.name is None:
         data = {"examples": {n: EXAMPLE_SUMMARIES[n] for n in example_names()}}
         lines = [f"{n:10s} {EXAMPLE_SUMMARIES[n]}" for n in example_names()]
-        _emit(data, config, lines)
+        _emit(data, args, lines)
         return 0
     a = example_order(args.name)
     print(json.dumps(order_to_json(a), indent=2))
@@ -296,7 +288,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _config(args))
     except (EnumerationBudgetExceeded,) as exc:
         return _fail(4, type(exc).__name__, str(exc))
     except (PrecisionExhausted, DegenerateSplitting) as exc:

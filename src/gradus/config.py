@@ -10,20 +10,15 @@ class RunConfig:
     """Knobs for every numeric computation.
 
     precision          working precision in bits for embeddings and Gram forms
-    tolerance_exponent zero tolerance is 2**(-precision/tolerance_exponent)
-                       times the largest Gram entry
     enumeration_cap    hard cap on the number of enumerated short vectors
     seed               seed for the deterministic choice of splitting elements
-    output_format      "text" or "json" (CLI only)
     escalation_budget  how many times one query may double the precision in
                        total, so no level exceeds precision * 2**budget
     """
 
     precision: int = 192
-    tolerance_exponent: int = 3
     enumeration_cap: int = 10**6
     seed: int = 0
-    output_format: str = "text"
     escalation_budget: int = 4
 
     def __post_init__(self):
@@ -33,10 +28,6 @@ class RunConfig:
             raise ValueError("enumeration cap must be at least 1")
         if self.escalation_budget < 0:
             raise ValueError("escalation budget must be non-negative")
-        if self.tolerance_exponent < 2:
-            raise ValueError("tolerance exponent must be at least 2")
-        if self.output_format not in ("text", "json"):
-            raise ValueError("output format must be 'text' or 'json'")
 
 
 DEFAULT_CONFIG = RunConfig()

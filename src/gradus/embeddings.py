@@ -24,7 +24,7 @@ from typing import Callable, Sequence, TypeVar
 
 from mpmath import mp, mpc, mpf
 
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import RunConfig
 from .errors import (
     AmbiguousSign,
     AmbiguousZero,
@@ -38,6 +38,14 @@ from .orders import Order, is_reduced, regular_matrix
 # |value| <= tol counts as zero, |value| >= AMBIGUITY_SPAN * tol as nonzero;
 # anything in between needs more precision.
 AMBIGUITY_SPAN = 1 << 16
+
+# the zero tolerance of a form at p bits is 2**(-p/TOLERANCE_EXPONENT) times
+# its largest entry (at least 1)
+TOLERANCE_EXPONENT = 3
+
+# seeded splitting elements tried at one precision before the spectrum is
+# declared degenerate
+SPLITTING_TRIES = 8
 
 # Gram forms kept by numeric_context.  The queries on one order run back to
 # back, so a few entries give full reuse while bounding the memory held.
@@ -72,20 +80,19 @@ class GramForm:
     residual: mpf
 
 
-def compute_embeddings(
-    a: Order,
-    precision: int = 192,
-    seed: int = 0,
-    retries: int = 8,
-) -> EmbeddingMatrix:
+def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> EmbeddingMatrix:
     """Numerically compute the n embeddings of a reduced order at one precision.
 
-    Raises DegenerateSplitting when no seeded splitting element separates the
-    eigenvalues and EscalationNeeded when the homomorphism residual is too
-    large; `with_gram` retries both at a doubled precision.
+    This is the pipeline's only reducedness check: every query reaches it
+    through `numeric_context`, which keeps only successes, so it runs once
+    per order and precision, and a non-reduced order raises NotReduced from
+    every query.  Raises DegenerateSplitting when no seeded splitting
+    element separates the eigenvalues and EscalationNeeded when the
+    homomorphism residual is too large; `with_gram` retries both at a
+    doubled precision.
     """
     if not is_reduced(a):
-        raise NotReduced("embeddings are only defined in this form for reduced orders")
+        raise NotReduced("only reduced orders admit this computation")
     n = a.rank
     if n == 0:
         return EmbeddingMatrix(0, (), precision, mpf(0))
@@ -93,7 +100,7 @@ def compute_embeddings(
     p = precision
     with mp.workprec(p):
         sep_floor = mpf(2) ** (-(p // 4))
-        for attempt in range(retries):
+        for attempt in range(SPLITTING_TRIES):
             rng = random.Random(f"{seed}:{p}:{attempt}")
             coeffs = [rng.randrange(-8 * n, 8 * n + 1) for _ in range(n)]
             mz = mp.matrix(n)
@@ -119,7 +126,7 @@ def compute_embeddings(
                 return EmbeddingMatrix(n, sigma, p, residual)
             raise EscalationNeeded(f"embedding residual is above threshold at {p} bits")
     raise DegenerateSplitting(
-        f"no splitting element separated the spectrum after {retries} tries at {p} bits"
+        f"no splitting element separated the spectrum after {SPLITTING_TRIES} tries at {p} bits"
     )
 
 
@@ -162,7 +169,12 @@ def _hom_residual(a: Order, sigma) -> mpf:
     return worst
 
 
-def gram(e: EmbeddingMatrix, tolerance_exponent: int = DEFAULT_CONFIG.tolerance_exponent) -> GramForm:
+def _tolerance(entries, precision: int) -> mpf:
+    biggest = max((abs(x) for row in entries for x in row), default=mpf(1))
+    return mpf(2) ** (-(precision // TOLERANCE_EXPONENT)) * max(biggest, mpf(1))
+
+
+def gram(e: EmbeddingMatrix) -> GramForm:
     """Gram form of the canonical inner product from an embedding matrix."""
     n = e.n
     if n == 0:
@@ -175,17 +187,12 @@ def gram(e: EmbeddingMatrix, tolerance_exponent: int = DEFAULT_CONFIG.tolerance_
                 val = mp.fsum(row[i] * mp.conj(row[j]) for row in e.sigma)
                 worst_imag = max(worst_imag, abs(mp.im(val)))
                 entries[i][j] = entries[j][i] = mp.re(val)
-        biggest = max(abs(x) for row in entries for x in row)
-        tol = mpf(2) ** (-(e.precision // tolerance_exponent)) * max(biggest, mpf(1))
+        tol = _tolerance(entries, e.precision)
         residual = max(e.residual, worst_imag)
     return GramForm(n, tuple(tuple(r) for r in entries), e.precision, tol, residual)
 
 
-def gram_from_strings(
-    rows: Sequence[Sequence[str]],
-    precision: int = 192,
-    tolerance_exponent: int = DEFAULT_CONFIG.tolerance_exponent,
-) -> GramForm:
+def gram_from_strings(rows: Sequence[Sequence[str]], precision: int = 192) -> GramForm:
     """Gram form from decimal-string entries, as used in the JSON exchange
     format.  The matrix must be square and symmetric as given."""
     n = len(rows)
@@ -197,8 +204,7 @@ def gram_from_strings(
             for j in range(i + 1, n):
                 if entries[i][j] != entries[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        biggest = max((abs(x) for row in entries for x in row), default=mpf(1))
-        tol = mpf(2) ** (-(precision // tolerance_exponent)) * max(biggest, mpf(1))
+        tol = _tolerance(entries, precision)
     return GramForm(n, entries, precision, tol, mpf(0))
 
 
@@ -249,10 +255,10 @@ def is_nonneg(g: GramForm, value: mpf) -> bool:
 
 
 @functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def numeric_context(a: Order, precision: int, seed: int, tolerance_exponent: int) -> GramForm:
+def numeric_context(a: Order, precision: int, seed: int) -> GramForm:
     """Gram form of a at one precision, computed once and shared by every
-    query on the same (order, precision, seed, tolerance exponent)."""
-    return gram(compute_embeddings(a, precision, seed), tolerance_exponent)
+    query on the same (order, precision, seed)."""
+    return gram(compute_embeddings(a, precision, seed))
 
 
 def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
@@ -267,7 +273,7 @@ def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
     p = config.precision
     for _ in range(config.escalation_budget + 1):
         try:
-            return fn(numeric_context(a, p, config.seed, config.tolerance_exponent))
+            return fn(numeric_context(a, p, config.seed))
         except (EscalationNeeded, DegenerateSplitting) as exc:
             last = exc
         p *= 2

@@ -25,7 +25,6 @@ from .errors import (
     InfiniteGroup,
     InfiniteIndex,
     NoMorphism,
-    NotReduced,
 )
 from .intlinalg import (
     IntMatrix,
@@ -41,7 +40,7 @@ from .intlinalg import (
     vec_scale,
 )
 from .lattices import SDecomposition, universal_s_decomposition
-from .orders import Order, is_reduced, mul
+from .orders import Order, mul
 
 GroupElem = tuple[int, ...]
 
@@ -381,8 +380,6 @@ def universal_grading(a: Order, config: RunConfig | None = None) -> GradedOrder:
     inconsistency triggers a precision escalation and retry in `with_gram`.
     """
     config = config or DEFAULT_CONFIG
-    if not is_reduced(a):
-        raise NotReduced("only reduced orders admit this computation")
     return with_gram(a, config, lambda g: _grading_from_gram(a, g, config))
 
 

@@ -100,11 +100,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.entries)
 
-    def add(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return IntMatrix(tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)), self.cols)
-
 
 def stack(mats: Sequence[IntMatrix], cols: int | None = None) -> IntMatrix:
     if mats:

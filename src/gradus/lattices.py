@@ -86,7 +86,7 @@ def _ldl(gmat, tol):
     return d, mu
 
 
-def lll_reduce(g: GramForm, delta: str = LLL_DELTA) -> list[Vec]:
+def lll_reduce(g: GramForm) -> list[Vec]:
     """LLL-reduced basis of the standard lattice under the form g.
 
     Arithmetic on the Gram-Schmidt data runs at the precision of g; the
@@ -96,7 +96,7 @@ def lll_reduce(g: GramForm, delta: str = LLL_DELTA) -> list[Vec]:
     if n <= 1:
         return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     with mp.workprec(g.precision):
-        dlt = mpf(delta)
+        dlt = mpf(LLL_DELTA)
         basis = [[int(i == j) for j in range(n)] for i in range(n)]
 
         def gso():
@@ -200,48 +200,33 @@ def is_decomposition(g: GramForm, z: Sequence[int], x: Sequence[int], y: Sequenc
     return is_nonneg(g, inner(g, x, y))
 
 
-def is_indecomposable(g: GramForm, v: Sequence[int], pool: Sequence[Vec] | None = None) -> bool:
+def is_indecomposable(g: GramForm, v: Sequence[int]) -> bool:
     """Whether v admits no decomposition v = x + (v - x) into two nonzero
     parts with <x, v - x> >= 0.
 
-    Without a pool, the candidates x come from a centred Fincke-Pohst search:
+    The candidates x come from a centred Fincke-Pohst search:
     <x, v - x> = |v|^2/4 - |x - v/2|^2, so the parts are exactly the lattice
     points of the ball |x - v/2|^2 <= |v|^2/4 other than 0 and v.  The
     radius is widened by AMBIGUITY_SPAN * tolerance, so every x whose sign
     test is not a clear "negative" is tested, and one inside the ambiguous
     band raises AmbiguousSign.  The search stops at the first x accepted.
-
-    `pool` may instead carry a precomputed enumeration of vectors with norm
-    up to at least <v, v>; any nontrivial part of v must appear there up to
-    sign.
     """
     v = tuple(v)
     if not any(v):
         raise ValueError("the zero vector is not eligible")
     with mp.workprec(g.precision):
-        nv = norm(g, v)
-        if pool is None:
-            basis, d, mu, inverse = _reduction(g)
-            coords = list(inverse.vec_mat(v))
-            centre = [mpf(c) / 2 for c in coords]
-            limit = nv / 4 + AMBIGUITY_SPAN * g.tolerance
+        basis, d, mu, inverse = _reduction(g)
+        coords = list(inverse.vec_mat(v))
+        centre = [mpf(c) / 2 for c in coords]
+        limit = norm(g, v) / 4 + AMBIGUITY_SPAN * g.tolerance
 
-            def splits(x):
-                if not any(x) or x == coords:
-                    return False
-                part = basis.vec_mat(x)
-                return is_nonneg(g, inner(g, part, vec_sub(v, part)))
+        def splits(x):
+            if not any(x) or x == coords:
+                return False
+            part = basis.vec_mat(x)
+            return is_nonneg(g, inner(g, part, vec_sub(v, part)))
 
-            return not _fincke_pohst(d, mu, centre, limit, splits)
-        for cand in pool:
-            if norm(g, cand) > nv + g.tolerance:
-                continue
-            for x in (cand, vec_neg(cand)):
-                if x == v:
-                    continue
-                if is_nonneg(g, inner(g, x, vec_sub(v, x))):
-                    return False
-    return True
+        return not _fincke_pohst(d, mu, centre, limit, splits)
 
 
 def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:

@@ -70,19 +70,39 @@ def _mul_raw(table: Table, x: Sequence[int], y: Sequence[int]) -> Vec:
     return tuple(out)
 
 
-def validate(table: Sequence, one: Sequence[int], labels: Sequence[str] | None = None) -> Order:
-    """Check the ring axioms and return the resulting Order.
+def _is_list(x) -> bool:
+    return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
 
-    Raises NotCommutative, NotAssociative, or BadIdentity naming the first
-    violating basis indices.
+
+def _ints(values, what: str) -> Vec:
+    """values as a tuple of integers.  Raises ValueError for anything else,
+    such as a bare number, a string or a float read from an order file."""
+    if not _is_list(values) or not all(
+        isinstance(c, int) and not isinstance(c, bool) for c in values
+    ):
+        raise ValueError(f"{what} must be a list of integers")
+    return tuple(values)
+
+
+def validate(table: Sequence, one: Sequence[int], labels: Sequence[str] | None = None) -> Order:
+    """Check the shape and the ring axioms and return the resulting Order.
+
+    Raises ValueError for a table, identity or labels of the wrong shape or
+    type, and NotCommutative, NotAssociative, or BadIdentity naming the
+    first violating basis indices.
     """
-    n = len(one)
-    tab: Table = tuple(tuple(tuple(int(c) for c in cell) for cell in row) for row in table)
-    if len(tab) != n or any(len(row) != n for row in tab) or any(
-        len(cell) != n for row in tab for cell in row
+    one_t = _ints(one, "the identity")
+    n = len(one_t)
+    if not _is_list(table) or len(table) != n or not all(
+        _is_list(row) and len(row) == n and all(_is_list(c) and len(c) == n for c in row)
+        for row in table
     ):
         raise ValueError(f"table must be {n}x{n} coordinate vectors of length {n}")
-    one_t = tuple(int(c) for c in one)
+    tab: Table = tuple(tuple(_ints(cell, "a table cell") for cell in row) for row in table)
+    if labels is not None and (
+        not _is_list(labels) or len(labels) != n or not all(isinstance(x, str) for x in labels)
+    ):
+        raise ValueError(f"labels must be a list of {n} strings")
     for i in range(n):
         for j in range(i + 1, n):
             if tab[i][j] != tab[j][i]:
@@ -331,10 +351,7 @@ def order_from_json(data: dict) -> Order:
     for key in ("rank", "one", "table"):
         if key not in data:
             raise ValueError(f"order document is missing '{key}'")
-    n = int(data["rank"])
-    one = data["one"]
-    table = data["table"]
-    if len(one) != n or len(table) != n:
+    a = validate(data["table"], data["one"], data.get("labels"))
+    if a.rank != data["rank"]:
         raise ValueError("declared rank does not match the data")
-    labels = data.get("labels")
-    return validate(table, one, labels)
+    return a

@@ -15,10 +15,10 @@ from mpmath import mp
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .embeddings import GramForm, norm, with_gram
-from .errors import InternalInconsistency, NotReduced
+from .errors import InternalInconsistency
 from .intlinalg import Vec, vec_neg
 from .lattices import enumerate_up_to, is_indecomposable
-from .orders import Order, is_reduced, mul, power
+from .orders import Order, mul, power
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ def element_order(a: Order, x, bound: int | None = None) -> int | None:
     return None
 
 
-def _idempotents_in(a: Order, pool) -> list[Vec]:
+def _idempotents_on(a: Order, g: GramForm, config: RunConfig) -> list[Vec]:
     found = {a.zero()}
-    for v in pool:
+    for v in enumerate_up_to(g, a.rank, config.enumeration_cap):
         for s in (v, vec_neg(v)):
             if mul(a, s, s) == s:
                 found.add(s)
@@ -86,26 +86,18 @@ def idempotents(a: Order, config: RunConfig | None = None) -> list[Vec]:
     """All solutions of x*x = x, found by enumerating vectors of norm up to
     the rank and filtering exactly; 0 and 1 are always present."""
     config = config or DEFAULT_CONFIG
-    if not is_reduced(a):
-        raise NotReduced("idempotent search needs a reduced order")
-    if a.rank == 0:
-        return [()]
-    return with_gram(
-        a, config, lambda g: _idempotents_in(a, enumerate_up_to(g, a.rank, config.enumeration_cap))
-    )
+    return with_gram(a, config, lambda g: _idempotents_on(a, g, config))
 
 
 def connected_on(a: Order, g: GramForm, config: RunConfig) -> bool:
     """Connectedness of a decided on one Gram form of it.
 
-    Computed two independent ways from one enumerated pool, by counting
-    idempotents and by testing whether 1 is indecomposable in the lattice;
-    disagreement raises InternalInconsistency because it can only come from
-    a numeric fault.
+    Computed two independent ways, by counting idempotents and by testing
+    whether 1 is indecomposable in the lattice; disagreement raises
+    InternalInconsistency because it can only come from a numeric fault.
     """
-    pool = enumerate_up_to(g, a.rank, config.enumeration_cap)
-    by_count = len(_idempotents_in(a, pool)) == 2
-    by_lattice = is_indecomposable(g, a.one, pool=pool)
+    by_count = len(_idempotents_on(a, g, config)) == 2
+    by_lattice = is_indecomposable(g, a.one)
     if by_count != by_lattice:
         raise InternalInconsistency(
             "idempotent count and indecomposability of 1 disagree"
@@ -116,8 +108,6 @@ def connected_on(a: Order, g: GramForm, config: RunConfig) -> bool:
 def is_connected(a: Order, config: RunConfig | None = None) -> bool:
     """Whether the only idempotents are 0 and 1 (see `connected_on`)."""
     config = config or DEFAULT_CONFIG
-    if not is_reduced(a):
-        raise NotReduced("connectedness in this form needs a reduced order")
     if a.rank == 0:
         raise ValueError("the zero ring is not eligible")
     return with_gram(a, config, lambda g: connected_on(a, g, config))
@@ -131,11 +121,7 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     torsion bound.
     """
     config = config or DEFAULT_CONFIG
-    if not is_reduced(a):
-        raise NotReduced("torsion search needs a reduced order")
     n = a.rank
-    if n == 0:
-        return UnitGroupReport((), (), 0, True)
     bound = torsion_order_bound(n)
 
     def run(g: GramForm):

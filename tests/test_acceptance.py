@@ -124,10 +124,7 @@ def check_higman(name, size, config=None):
 def integeric_gram(name, config=None):
     config = config or RunConfig()
     a = example_order(name)
-    g = gram(
-        compute_embeddings(a, precision=config.precision, seed=config.seed),
-        config.tolerance_exponent,
-    )
+    g = gram(compute_embeddings(a, precision=config.precision, seed=config.seed))
     out = []
     with mp.workprec(g.precision):
         for row in g.entries:
@@ -323,7 +320,6 @@ def _battery(config):
                 gram_from_strings(
                     [[str(x) for x in row] for row in gm],
                     precision=config.precision,
-                    tolerance_exponent=config.tolerance_exponent,
                 ),
                 config.enumeration_cap,
             ).components

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from gradus.cli import main
 from gradus.examples import example_order
 from gradus.grading import grading_from_json, verify_grading
@@ -33,6 +35,25 @@ def test_validate_malformed_json(tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 2
     assert json.loads(err)["error"] == "JSONDecodeError"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"rank": 1, "one": 1, "table": [[[1]]]},
+        {"rank": 1, "one": [1], "table": [[1]]},
+        {"rank": 1, "one": [1.5], "table": [[[1]]]},
+        {"rank": 1, "one": [1], "table": [[[1]]], "labels": ["1", "x"]},
+        {"rank": 1, "one": [1], "table": [[[1]]], "labels": "1"},
+    ],
+    ids=["bare-one", "bare-cell", "float-one", "label-count", "label-string"],
+)
+def test_validate_rejects_malformed_order(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_validate_nonassociative_table(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """One numeric context per order and one precision-escalation loop.
 
 Every query on an order takes its Gram form from `embeddings.with_gram`,
-which computes the embeddings once per (order, precision, seed, tolerance
-exponent) and is the only code that doubles the precision.
+which computes the embeddings once per (order, precision, seed) and is the
+only code that doubles the precision.  Reducedness is proved once, by the
+embeddings behind that context.
 """
 
 import json
@@ -13,14 +14,15 @@ from mpmath import mp, mpf
 import gradus.embeddings as embeddings
 import gradus.grading as grading
 import gradus.lattices as lattices
+import gradus.orders as orders
 import gradus.units as units
 from gradus.cli import main
 from gradus.config import RunConfig
 from gradus.errors import AmbiguousZero, DegenerateSplitting, PrecisionExhausted
 from gradus.examples import example_order
 from gradus.grading import universal_grading
-from gradus.orders import order_to_json
-from gradus.units import idempotents, is_connected, roots_of_unity
+from gradus.orders import order_to_json, validate
+from gradus.units import UnitGroupReport, idempotents, is_connected, roots_of_unity
 
 
 def counting(monkeypatch, module, name):
@@ -47,6 +49,7 @@ def fresh_caches():
 def test_queries_on_one_order_share_one_context(monkeypatch, fresh_caches):
     emb = counting(monkeypatch, embeddings, "compute_embeddings")
     lll = counting(monkeypatch, lattices, "lll_reduce")
+    nil = counting(monkeypatch, orders, "nilradical")
     a = example_order("zc4")
     assert is_connected(a) is True
     assert universal_grading(a).grading.group.invariant_factors == (4,)
@@ -54,6 +57,17 @@ def test_queries_on_one_order_share_one_context(monkeypatch, fresh_caches):
     assert len(idempotents(a)) == 2
     assert len(emb) == 1
     assert len(lll) == 1
+    assert len(nil) == 1
+
+
+def test_queries_on_the_zero_ring(fresh_caches):
+    a = validate([], [])
+    assert idempotents(a) == [()]
+    assert roots_of_unity(a) == UnitGroupReport((), (), 0, True)
+    go = universal_grading(a)
+    assert go.grading.group.invariant_factors == ()
+    assert go.grading.pieces == ()
+    assert go.component_images == ()
 
 
 def test_analyze_computes_embeddings_once(monkeypatch, fresh_caches, tmp_path, capsys):

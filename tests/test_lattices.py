@@ -295,7 +295,5 @@ def test_pool_less_test_keeps_the_ambiguous_sign_signal():
     g = gram_from_strings([["1", tiny], [tiny, "1"]], precision=128)
     with pytest.raises(AmbiguousSign):
         is_indecomposable(g, (1, 1))
-    with pytest.raises(AmbiguousSign):
-        is_indecomposable(g, (1, 1), pool=enumerate_up_to(g, 2))
     with pytest.raises(EscalationNeeded):
         universal_s_decomposition(g)
