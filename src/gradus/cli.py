@@ -193,7 +193,7 @@ def cmd_decompose(args, config: RunConfig) -> int:
     if not isinstance(doc, dict) or "gram" not in doc:
         raise ValidationError("gram document must be an object with a 'gram' key")
     rows = doc["gram"]
-    if "n" in doc and int(doc["n"]) != len(rows):
+    if "n" in doc and isinstance(rows, list) and int(doc["n"]) != len(rows):
         raise ValidationError("declared size does not match the matrix")
     g = gram_from_strings(rows, precision=config.precision)
     try:

@@ -1,12 +1,13 @@
 """Complex embeddings of a reduced order and its canonical inner product.
 
 A reduced order of rank n has exactly n ring homomorphisms into the complex
-numbers.  They are recovered numerically: a seeded integer combination z of
-the basis is formed, the eigenvectors of multiplication-by-z are computed at
-the working precision, and the value of each embedding on each basis vector
-is read off as a Rayleigh quotient of the corresponding multiplication
-matrix on the shared eigenvector.  A residual bound certifies that every row
-really is multiplicative to within the working precision.
+numbers.  Each one, written as the row (sigma(e_0), ..., sigma(e_{n-1})), is a
+common left eigenvector of the multiplication matrices: sigma * M_x =
+sigma(x) * sigma.  So the rows are recovered numerically as the
+eigenvectors of the transpose of M_z for a seeded integer combination z of
+the basis, computed at the working precision and scaled so that
+sigma(1) = 1.  A residual bound certifies that every row really is
+multiplicative to within the working precision.
 
 The inner product <x, y> = sum over embeddings of sigma(x) * conj(sigma(y))
 is assembled into a Gram form.  Entries can be irrational, so zero tests are
@@ -96,28 +97,25 @@ def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> Embeddi
     n = a.rank
     if n == 0:
         return EmbeddingMatrix(0, (), precision, mpf(0))
-    mats = [regular_matrix(a, a.unit(i)) for i in range(n)]
     p = precision
     with mp.workprec(p):
         sep_floor = mpf(2) ** (-(p // 4))
         for attempt in range(SPLITTING_TRIES):
             rng = random.Random(f"{seed}:{p}:{attempt}")
             coeffs = [rng.randrange(-8 * n, 8 * n + 1) for _ in range(n)]
-            mz = mp.matrix(n)
-            for i, c in enumerate(coeffs):
-                if not c:
-                    continue
-                for r in range(n):
-                    for s in range(n):
-                        if mats[i].entries[r][s]:
-                            mz[r, s] += c * mats[i].entries[r][s]
+            # the transpose of M_z: its eigenvectors are the left ones of M_z
+            mzt = mp.matrix(regular_matrix(a, coeffs).entries).T
             try:
-                eigvals, eigvecs = mp.eig(mz)
+                eigvals, eigvecs = mp.eig(mzt)
             except (ZeroDivisionError, mp.NoConvergence):  # pragma: no cover
                 continue
             if _min_separation(eigvals) <= sep_floor:
                 continue
-            sigma = _rayleigh_rows(mats, eigvecs, n)
+            sigma = []
+            for k in range(n):
+                w = [eigvecs[r, k] for r in range(n)]
+                at_one = mp.fsum(c * w[i] for i, c in enumerate(a.one) if c)
+                sigma.append(tuple(x / at_one for x in w))
             order_keys = sorted(range(n), key=lambda k: (mp.re(eigvals[k]), mp.im(eigvals[k])))
             sigma = tuple(sigma[k] for k in order_keys)
             residual = _hom_residual(a, sigma)
@@ -135,23 +133,6 @@ def _min_separation(eigvals) -> mpf:
     if n == 1:
         return mpf(1)
     return min(abs(eigvals[i] - eigvals[j]) for i in range(n) for j in range(i + 1, n))
-
-
-def _rayleigh_rows(mats, eigvecs, n):
-    rows = []
-    for k in range(n):
-        w = [eigvecs[r, k] for r in range(n)]
-        denom = mp.fsum(abs(x) ** 2 for x in w)
-        row = []
-        for m in mats:
-            mw = [
-                mp.fsum(m.entries[r][s] * w[s] for s in range(n) if m.entries[r][s])
-                for r in range(n)
-            ]
-            numer = mp.fsum(mp.conj(w[r]) * mw[r] for r in range(n))
-            row.append(numer / denom)
-        rows.append(tuple(row))
-    return rows
 
 
 def _hom_residual(a: Order, sigma) -> mpf:
@@ -194,10 +175,14 @@ def gram(e: EmbeddingMatrix) -> GramForm:
 
 def gram_from_strings(rows: Sequence[Sequence[str]], precision: int = 192) -> GramForm:
     """Gram form from decimal-string entries, as used in the JSON exchange
-    format.  The matrix must be square and symmetric as given."""
+    format.  The matrix must be a list of rows, square and symmetric as
+    given, and each entry a string, int or float naming a finite real;
+    anything else raises ValueError."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise ValueError("gram matrix must be a list of rows")
     n = len(rows)
     with mp.workprec(precision):
-        entries = tuple(tuple(mpf(x) for x in row) for row in rows)
+        entries = tuple(tuple(_finite_real(x) for x in row) for row in rows)
         if any(len(r) != n for r in entries):
             raise ValueError("gram matrix must be square")
         for i in range(n):
@@ -206,6 +191,15 @@ def gram_from_strings(rows: Sequence[Sequence[str]], precision: int = 192) -> Gr
                     raise ValueError("gram matrix must be symmetric")
         tol = _tolerance(entries, precision)
     return GramForm(n, entries, precision, tol, mpf(0))
+
+
+def _finite_real(x) -> mpf:
+    if isinstance(x, bool) or not isinstance(x, (str, int, float)):
+        raise ValueError(f"gram entry {x!r} is not a number")
+    value = mpf(x)
+    if not mp.isfinite(value):
+        raise ValueError(f"gram entry {x!r} is not a finite real")
+    return value
 
 
 def inner(g: GramForm, u: Sequence[int], v: Sequence[int]) -> mpf:

@@ -97,9 +97,6 @@ class IntMatrix:
             raise ValueError("vector length does not match row count")
         return tuple(sum(v[i] * self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
 
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.entries)
-
 
 def stack(mats: Sequence[IntMatrix], cols: int | None = None) -> IntMatrix:
     if mats:

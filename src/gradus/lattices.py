@@ -52,15 +52,6 @@ class SDecomposition:
     gram: GramForm
 
 
-def _gram_of(g: GramForm, rows: Sequence[Sequence[int]]):
-    k = len(rows)
-    out = [[mpf(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            out[i][j] = out[j][i] = inner(g, rows[i], rows[j])
-    return out
-
-
 def _ldl(gmat, tol):
     """Unit lower-triangular LDL data of a positive-definite matrix.
 
@@ -86,29 +77,32 @@ def _ldl(gmat, tol):
     return d, mu
 
 
-def lll_reduce(g: GramForm) -> list[Vec]:
-    """LLL-reduced basis of the standard lattice under the form g.
+def lll_reduce(g: GramForm) -> tuple[list[Vec], list[mpf], list[list[mpf]]]:
+    """LLL-reduced basis of the standard lattice under the form g, with the
+    LDL data (d, mu) of its Gram matrix.
 
-    Arithmetic on the Gram-Schmidt data runs at the precision of g; the
-    basis itself stays integral throughout.
+    The Gram matrix of the current basis starts as g.entries and follows
+    every size-reduction step and swap; each swap re-runs the LDL on it.
+    Arithmetic on it runs at the precision of g; the basis itself stays
+    integral throughout.
     """
     n = g.n
-    if n <= 1:
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     with mp.workprec(g.precision):
         dlt = mpf(LLL_DELTA)
         basis = [[int(i == j) for j in range(n)] for i in range(n)]
-
-        def gso():
-            return _ldl(_gram_of(g, basis), g.tolerance)
-
-        d, mu = gso()
+        gm = [list(row) for row in g.entries]
+        d, mu = _ldl(gm, g.tolerance)
         k = 1
         while k < n:
             for j in range(k - 1, -1, -1):
                 q = int(mp.nint(mu[k][j]))
                 if q:
                     basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
+                    # b_k -= q b_j: row and column k of the Gram matrix follow
+                    gm[k][k] += q * (q * gm[j][j] - 2 * gm[k][j])
+                    for t in range(n):
+                        if t != k:
+                            gm[k][t] = gm[t][k] = gm[k][t] - q * gm[j][t]
                     # standard coefficient update keeps the GS data exact
                     mu[k][j] -= q
                     for t in range(j):
@@ -117,20 +111,22 @@ def lll_reduce(g: GramForm) -> list[Vec]:
                 k += 1
             else:
                 basis[k - 1], basis[k] = basis[k], basis[k - 1]
-                d, mu = gso()
+                gm[k - 1], gm[k] = gm[k], gm[k - 1]
+                for row in gm:
+                    row[k - 1], row[k] = row[k], row[k - 1]
+                d, mu = _ldl(gm, g.tolerance)
                 k = max(k - 1, 1)
-        return [tuple(row) for row in basis]
+        return [tuple(row) for row in basis], d, mu
 
 
 @functools.lru_cache(maxsize=REDUCTION_CACHE_SIZE)
 def _reduction(g: GramForm):
     """LLL basis of g (rows of an IntMatrix), the LDL data of its Gram
-    matrix and the inverse of the basis, which maps a vector to its
-    coordinates in that basis.  Computed once per form and shared by every
-    enumeration and decomposition test on it."""
-    with mp.workprec(g.precision):
-        basis = IntMatrix.from_rows(lll_reduce(g), g.n)
-        d, mu = _ldl(_gram_of(g, basis.entries), g.tolerance)
+    matrix as LLL leaves it, and the inverse of the basis, which maps a
+    vector to its coordinates in that basis.  Computed once per form and
+    shared by every enumeration and decomposition test on it."""
+    rows, d, mu = lll_reduce(g)
+    basis = IntMatrix.from_rows(rows, g.n)
     return basis, d, mu, inverse_unimodular(basis)
 
 

@@ -9,6 +9,7 @@ no code paths.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -198,6 +199,44 @@ def random_unimodular(rng, n, steps=12):
             c = rng.randrange(-3, 4)
             m[i] = [a + c * b for a, b in zip(m[i], m[j])]
     return m
+
+
+def change_of_basis(a, u_rows):
+    """The same ring presented on the basis with rows u_rows (unimodular),
+    and the inverse of that basis."""
+    from gradus.intlinalg import IntMatrix, inverse_unimodular
+    from gradus.orders import mul, validate
+
+    u = IntMatrix.from_rows(u_rows)
+    uinv = inverse_unimodular(u)
+    n = a.rank
+    table = [
+        [uinv.vec_mat(mul(a, u.row(i), u.row(j))) for j in range(n)]
+        for i in range(n)
+    ]
+    one = uinv.vec_mat(a.one)
+    return validate(table, one), uinv
+
+
+def rebased_samples():
+    """{name: (order, basis rows u, the order on basis u)} for a few orders
+    with complex or large embeddings, each on a seeded random unimodular
+    basis."""
+    from gradus.examples import example_order
+    from gradus.orders import group_ring, monogenic_order
+
+    bases = {
+        "kummer6": example_order("kummer6"),
+        "zeta5": example_order("zeta5"),
+        "zc2c4": group_ring([2, 4])[0],
+        "x^3-1000": monogenic_order([-1000, 0, 0, 1]),
+        "x^2-150000": monogenic_order([-150000, 0, 1]),
+    }
+    out = {}
+    for name, a in bases.items():
+        u = random_unimodular(random.Random(name), a.rank)
+        out[name] = (a, u, change_of_basis(a, u)[0])
+    return out
 
 
 def random_hom(rng, source):

@@ -196,6 +196,29 @@ def test_decompose_ambiguous_entry_exits_precision_exhausted(tmp_path, capsys):
     assert json.loads(err)["error"] == "PrecisionExhausted"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"gram": [["1", None], [None, "1"]]},
+        {"gram": [["1", ["0"]], [["0"], "1"]]},
+        {"gram": 5},
+        {"n": 1, "gram": 5},
+        {"gram": ["12"]},
+        {"gram": [[True]]},
+        {"gram": [["inf"]]},
+        {"gram": [["nan"]]},
+        {"gram": [[float("inf")]]},
+    ],
+)
+def test_decompose_rejects_malformed_gram(tmp_path, capsys, doc):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == "ValueError"
+    assert out == ""
+
+
 def test_example_list_and_emit(tmp_path, capsys):
     code, out, err = run_cli(capsys, "example", "--list")
     assert code == 0

@@ -15,6 +15,8 @@ from gradus.examples import example_order
 from gradus.lattices import enumerate_up_to
 from gradus.orders import group_ring, monogenic_order, quotient_order
 
+from helpers import rebased_samples
+
 
 def close(a, b, tol):
     return abs(a - b) <= tol
@@ -188,3 +190,24 @@ def test_embedding_rows_pairwise_distinct(name):
             for j in range(i + 1, e.n):
                 gap = max(abs(x - y) for x, y in zip(e.sigma[i], e.sigma[j]))
                 assert gap > g.tolerance
+
+
+REBASED = rebased_samples()
+
+
+@pytest.mark.parametrize("name", list(REBASED))
+def test_embeddings_follow_a_change_of_basis(name):
+    # sigma(u_i) = sum_j U_ij sigma(e_j): the rows on the new basis are the
+    # old rows mapped through U, in some order
+    a, u, b = REBASED[name]
+    e, eb = compute_embeddings(a), compute_embeddings(b)
+    with mp.workprec(e.precision):
+        bound = mpf(2) ** (-(e.precision // 2))
+        mapped = [
+            [mp.fsum(c * row[j] for j, c in enumerate(ui) if c) for ui in u] for row in e.sigma
+        ]
+        matches = [
+            [k for k, m in enumerate(mapped) if max(abs(x - y) for x, y in zip(row, m)) <= bound]
+            for row in eb.sigma
+        ]
+    assert sorted(k for hits in matches for k in hits) == list(range(a.rank))

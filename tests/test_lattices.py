@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from gradus.embeddings import compute_embeddings, gram, gram_from_strings, norm
+from gradus.embeddings import compute_embeddings, gram, gram_from_strings, inner, norm
 from gradus.errors import (
     AmbiguousSign,
     EnumerationBudgetExceeded,
@@ -19,6 +19,7 @@ from gradus.lattices import (
     enumerate_up_to,
     is_decomposition,
     is_indecomposable,
+    _ldl,
     lll_reduce,
     universal_s_decomposition,
 )
@@ -28,11 +29,13 @@ from helpers import (
     oracle_indecomposable,
     oracle_short_vectors,
     random_unimodular,
+    rebased_samples,
 )
 
 STD2 = gram_from_strings([["1", "0"], ["0", "1"]])
 A2 = gram_from_strings([["2", "1"], ["1", "2"]])
 TWO_I = gram_from_strings([["2", "0"], ["0", "2"]])
+REBASED = rebased_samples()
 
 
 def str_gram(rows):
@@ -98,12 +101,34 @@ def test_enumeration_matches_box_oracle(gm, bound):
 @given(pd_grams(max_dim=4))
 def test_lll_basis_spans_and_does_not_grow(gm):
     g = str_gram(gm)
-    red = lll_reduce(g)
+    red, _, _ = lll_reduce(g)
     n = len(gm)
     assert SublatticeBasis.from_vectors(n, red) == SublatticeBasis.full(n)
     with mp.workprec(g.precision):
         worst = max(norm(g, r) for r in red)
         assert worst <= max(gm[i][i] for i in range(n)) + g.tolerance
+
+
+def check_lll_ldl_data(g):
+    # the LDL data LLL carries must be that of the basis it returns
+    rows, d, mu = lll_reduce(g)
+    with mp.workprec(g.precision):
+        d0, mu0 = _ldl([[inner(g, u, v) for v in rows] for u in rows], g.tolerance)
+        for i in range(g.n):
+            assert abs(d[i] - d0[i]) <= g.tolerance
+            for j in range(i):
+                assert abs(mu[i][j] - mu0[i][j]) <= g.tolerance
+
+
+@settings(max_examples=40, deadline=None)
+@given(pd_grams(max_dim=4))
+def test_lll_ldl_data_matches_the_returned_basis(gm):
+    check_lll_ldl_data(str_gram(gm))
+
+
+@pytest.mark.parametrize("name", list(REBASED))
+def test_lll_ldl_data_matches_the_returned_basis_on_rebased_orders(name):
+    check_lll_ldl_data(gram(compute_embeddings(REBASED[name][2])))
 
 
 def test_universal_s_decomposition_identity3():

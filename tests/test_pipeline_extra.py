@@ -19,7 +19,7 @@ from gradus.intlinalg import SublatticeBasis
 from gradus.orders import group_ring, is_reduced, monogenic_order, product_order
 from gradus.units import idempotents, roots_of_unity
 
-from helpers import random_hom
+from helpers import change_of_basis, random_hom
 
 
 def test_cubic_power_basis_grades_cyclically():
@@ -125,22 +125,6 @@ def test_mixed_product_units_and_idempotents():
     a = product_order(example_order("zc2"), example_order("z"))
     assert len(idempotents(a)) == 4
     assert roots_of_unity(a).count == 8  # mu(Z[C2]) x mu(Z) = 4 * 2
-
-
-def change_of_basis(a, u_rows):
-    """The same ring presented on the basis with rows u_rows (unimodular)."""
-    from gradus.intlinalg import IntMatrix, inverse_unimodular
-    from gradus.orders import mul, validate
-
-    u = IntMatrix.from_rows(u_rows)
-    uinv = inverse_unimodular(u)
-    n = a.rank
-    table = [
-        [uinv.vec_mat(mul(a, u.row(i), u.row(j))) for j in range(n)]
-        for i in range(n)
-    ]
-    one = uinv.vec_mat(a.one)
-    return validate(table, one), uinv
 
 
 def test_universal_grading_is_presentation_independent():
