@@ -122,7 +122,7 @@ def cmd_analyze(args, config: RunConfig) -> int:
         f"nilradical rank: {rad.rank}",
     ]
     if reduced and a.rank > 0:
-        connected, g = with_gram(a, config, lambda g: (connected_on(a, g, config), g))
+        connected, g = with_gram(a, config, lambda g: (connected_on(a, g), g))
         data["connected"] = connected
         data["gram"] = _gram_json(g)
         lines.append(f"connected:       {'yes' if connected else 'no'}")
@@ -193,8 +193,12 @@ def cmd_decompose(args, config: RunConfig) -> int:
     if not isinstance(doc, dict) or "gram" not in doc:
         raise ValidationError("gram document must be an object with a 'gram' key")
     rows = doc["gram"]
-    if "n" in doc and isinstance(rows, list) and int(doc["n"]) != len(rows):
-        raise ValidationError("declared size does not match the matrix")
+    if "n" in doc:
+        n = doc["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValidationError("declared size 'n' must be an integer")
+        if isinstance(rows, list) and n != len(rows):
+            raise ValidationError("declared size does not match the matrix")
     g = gram_from_strings(rows, precision=config.precision)
     try:
         dec = universal_s_decomposition(g, config.enumeration_cap)

@@ -107,7 +107,9 @@ def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> Embeddi
             mzt = mp.matrix(regular_matrix(a, coeffs).entries).T
             try:
                 eigvals, eigvecs = mp.eig(mzt)
-            except (ZeroDivisionError, mp.NoConvergence):  # pragma: no cover
+            except (ZeroDivisionError, mp.NoConvergence, RuntimeError):
+                # mp.eig's QR iteration raises a bare RuntimeError when it
+                # does not converge, as it can on a repeated eigenvalue
                 continue
             if _min_separation(eigvals) <= sep_floor:
                 continue

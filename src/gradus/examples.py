@@ -83,7 +83,7 @@ def _kummer6() -> Order:
 
 def _parity5() -> Order:
     data = json.loads(
-        resources.files("gradus.fixtures").joinpath("parity5.json").read_text()
+        resources.files("gradus").joinpath("fixtures/parity5.json").read_text()
     )
     return order_from_json(data)
 

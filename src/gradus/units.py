@@ -1,23 +1,36 @@
 """Idempotents, connectedness, and roots of unity of reduced orders.
 
-Both searches run over short lattice vectors under the canonical form and
-then filter with exact ring arithmetic, so numeric noise can only cost a
-retry, never a wrong answer.  Idempotents e satisfy <e, e> <= rank because
-the form counts the embeddings sending e to 1; roots of unity satisfy
-<z, z> = rank exactly, which bounds their search too.
+Both searches run over lattice vectors under the canonical form and then
+filter with exact ring arithmetic, so numeric noise can only cost a retry,
+never a wrong answer.
+
+Idempotents are exactly the lattice points e with <e, 1 - e> >= 0, that is
+the points of the centred ball |e - 1/2|^2 <= |1|^2 / 4, which one
+Fincke-Pohst search lists (see `_idempotents_on`).
+
+Roots of unity satisfy <z, z> = rank exactly, so the candidates are the
+vectors of that norm.  A candidate s goes on only when +-s^2 is a candidate
+too.  No root is lost, since the square of a root is a root, and almost no
+non-root passes: |s|^2 = |s^2|^2 = rank forces |sigma s| = 1 for every
+embedding (Cauchy-Schwarz), which by Kronecker makes s a root.  The exact
+exponent gate then decides: s is a root exactly when s^L = 1 for
+L = lcm{m : phi(m) <= rank}, the exponent of every torsion group of that
+rank.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from math import lcm
 
-from mpmath import mp
+from mpmath import mp, mpf
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .embeddings import GramForm, norm, with_gram
+from .embeddings import AMBIGUITY_SPAN, GramForm, norm, with_gram
 from .errors import InternalInconsistency
-from .intlinalg import Vec, vec_neg
-from .lattices import enumerate_up_to, is_indecomposable
+from .intlinalg import Vec, vec_add, vec_neg, vec_sub
+from .lattices import _fincke_pohst, _reduction, enumerate_up_to
 from .orders import Order, mul, power
 
 
@@ -46,63 +59,120 @@ def _euler_phi(m: int) -> int:
     return out
 
 
+def _cyclotomic_orders(rank: int) -> list[int]:
+    # phi(m) >= sqrt(m/2), so phi(m) <= rank forces m <= 2 * rank^2
+    return [m for m in range(1, 2 * rank * rank + 2) if _euler_phi(m) <= rank]
+
+
 def torsion_order_bound(rank: int) -> int:
     """Safe upper bound on the multiplicative order of any root of unity in
     an order of the given rank: twice the square of the largest m with
     phi(m) <= rank."""
     if rank < 1:
         return 1
-    largest = 1
-    for m in range(1, 2 * rank * rank + 2):
-        if _euler_phi(m) <= rank:
-            largest = m
-    return 2 * largest * largest
+    return 2 * max(_cyclotomic_orders(rank)) ** 2
 
 
-def element_order(a: Order, x, bound: int | None = None) -> int | None:
-    """Least n >= 1 with x**n = 1, or None when no such n exists below the
-    torsion bound for this rank."""
-    if bound is None:
-        bound = torsion_order_bound(a.rank)
+@functools.lru_cache(maxsize=None)
+def torsion_exponent(rank: int) -> int:
+    """L = lcm{m : phi(m) <= rank}, which every root of unity in an order of
+    this rank satisfies: z^L = 1.
+
+    A root of order m in a field factor of degree d generates Q(zeta_m)
+    inside it, so phi(m) <= d <= rank; the order of a root of the product
+    is the lcm of the orders of its components."""
+    return lcm(*_cyclotomic_orders(rank))
+
+
+def element_order(a: Order, x) -> int | None:
+    """Least n >= 1 with x**n = 1, or None when x is not a root of unity.
+
+    The exponent gate x^L = 1 (L = `torsion_exponent(rank)`, by fast
+    powering) decides whether x is a root; the least order n then divides
+    L, and the walk x, x^2, ... reaches 1 after n - 1 products."""
     x = tuple(x)
-    y = x
-    for n in range(1, bound + 1):
-        if y == a.one:
-            return n
+    if power(a, x, torsion_exponent(a.rank)) != a.one:
+        return None
+    y, n = x, 1
+    while y != a.one:
         y = mul(a, y, x)
-    return None
+        n += 1
+    return n
 
 
-def _idempotents_on(a: Order, g: GramForm, config: RunConfig) -> list[Vec]:
-    found = {a.zero()}
-    for v in enumerate_up_to(g, a.rank, config.enumeration_cap):
-        for s in (v, vec_neg(v)):
-            if mul(a, s, s) == s:
-                found.add(s)
+def _idempotents_on(a: Order, g: GramForm) -> list[Vec]:
+    """All idempotents of a, from one centred Fincke-Pohst search.
+
+    <x, 1 - x> = |1|^2/4 - |x - 1/2|^2, and x is idempotent exactly when
+    <x, 1 - x> >= 0.  One way: sigma(e) is 0 or 1 for every embedding sigma,
+    so <e, 1 - e> = 0.  The other: a field factor of degree d contributes
+    Re Tr x - sum |sigma x|^2 over its d embeddings.  Where x is nonzero,
+    Re Tr x <= sqrt(d * sum |sigma x|^2) <= sum |sigma x|^2, the first step
+    by Cauchy-Schwarz and the second because sum |sigma x|^2 >= d (AM-GM
+    against the nonzero integral norm), with equality only at x = 1.  So
+    every factor contributes <= 0, a sum >= 0 makes each contribution 0, and
+    every component of x is 0 or 1.
+
+    The idempotents are thus the lattice points of the ball |x - 1/2|^2 <=
+    |1|^2/4, searched with a radius widened by AMBIGUITY_SPAN * tolerance so
+    no point on its boundary is lost to rounding; each point is kept when
+    x * x = x exactly.
+    """
+    if a.rank == 0:
+        return [a.zero()]
+    found = []
+    with mp.workprec(g.precision):
+        basis, d, mu, inverse = _reduction(g)
+        centre = [mpf(c) / 2 for c in inverse.vec_mat(a.one)]
+        limit = norm(g, a.one) / 4 + AMBIGUITY_SPAN * g.tolerance
+
+        def keep(x):
+            e = basis.vec_mat(x)
+            if mul(a, e, e) == e:
+                found.append(e)
+            return False
+
+        _fincke_pohst(d, mu, centre, limit, keep)
     return sorted(found)
 
 
 def idempotents(a: Order, config: RunConfig | None = None) -> list[Vec]:
-    """All solutions of x*x = x, found by enumerating vectors of norm up to
-    the rank and filtering exactly; 0 and 1 are always present."""
+    """All solutions of x*x = x (see `_idempotents_on`); 0 and 1 are always
+    present."""
     config = config or DEFAULT_CONFIG
-    return with_gram(a, config, lambda g: _idempotents_on(a, g, config))
+    return with_gram(a, config, lambda g: _idempotents_on(a, g))
 
 
-def connected_on(a: Order, g: GramForm, config: RunConfig) -> bool:
-    """Connectedness of a decided on one Gram form of it.
+def connected_on(a: Order, g: GramForm) -> bool:
+    """Connectedness of a decided on one Gram form of it: whether 0 and 1
+    are its only idempotents.
 
-    Computed two independent ways, by counting idempotents and by testing
-    whether 1 is indecomposable in the lattice; disagreement raises
-    InternalInconsistency because it can only come from a numeric fault.
+    The idempotents of a reduced order form a finite Boolean algebra, so the
+    search result is cross-checked exactly: it must be closed under e*f and
+    1 - e, hold 2^k elements for k atoms, and its atoms must sum to 1.  A
+    failure can only come from a numeric fault and raises
+    InternalInconsistency.
     """
-    by_count = len(_idempotents_on(a, g, config)) == 2
-    by_lattice = is_indecomposable(g, a.one)
-    if by_count != by_lattice:
-        raise InternalInconsistency(
-            "idempotent count and indecomposability of 1 disagree"
-        )
-    return by_count
+    found = _idempotents_on(a, g)
+    members = set(found)
+    below = dict.fromkeys(found, 0)  # below[e]: how many f in found have e*f = f
+    for i, e in enumerate(found):
+        if vec_sub(a.one, e) not in members:
+            raise InternalInconsistency("idempotents are not closed under 1 - e")
+        for f in found[i:]:
+            ef = mul(a, e, f)
+            if ef not in members:
+                raise InternalInconsistency("idempotents are not closed under products")
+            if ef == f:
+                below[e] += 1
+            if ef == e and f != e:
+                below[f] += 1
+    # an atom is a nonzero idempotent with only 0 and itself below it
+    atoms = [e for e in found if any(e) and below[e] == 2]
+    total = functools.reduce(vec_add, atoms, a.zero())
+    if len(found) != 2 ** len(atoms) or total != a.one:
+        raise InternalInconsistency("idempotents do not form the Boolean algebra of their atoms")
+    return len(found) == 2
 
 
 def is_connected(a: Order, config: RunConfig | None = None) -> bool:
@@ -110,19 +180,20 @@ def is_connected(a: Order, config: RunConfig | None = None) -> bool:
     config = config or DEFAULT_CONFIG
     if a.rank == 0:
         raise ValueError("the zero ring is not eligible")
-    return with_gram(a, config, lambda g: connected_on(a, g, config))
+    return with_gram(a, config, lambda g: connected_on(a, g))
 
 
 def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport:
     """All elements of finite multiplicative order.
 
     Candidates are the lattice vectors of norm equal to the rank (within the
-    tolerance); each is tested exactly by iterating multiplication up to the
-    torsion bound.
+    tolerance).  A pair +-v is tested only when +-v^2 is a candidate, which
+    costs one product and a set lookup and drops no root, since the square
+    of a root is a root; each of v and -v then goes through the exact
+    exponent gate of `element_order`.
     """
     config = config or DEFAULT_CONFIG
     n = a.rank
-    bound = torsion_order_bound(n)
 
     def run(g: GramForm):
         with mp.workprec(g.precision):
@@ -131,10 +202,14 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
                 for v in enumerate_up_to(g, n, config.enumeration_cap)
                 if norm(g, v) >= n - g.tolerance
             ]
+        pool = set(cands)
         found = {}
         for v in cands:
+            sq = mul(a, v, v)
+            if sq not in pool and vec_neg(sq) not in pool:
+                continue
             for s in (v, vec_neg(v)):
-                k = element_order(a, s, bound)
+                k = element_order(a, s)
                 if k is not None:
                     found[s] = k
         return found

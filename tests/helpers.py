@@ -306,3 +306,55 @@ def brute_idempotents(table, one, radius=3):
         if mul(v, v) == v:
             out.append(tuple(v))
     return sorted(out)
+
+
+def oracle_idempotents(a):
+    """All idempotents by the norm-<=rank enumeration: <e, e> counts the
+    embeddings sending e to 1, so every idempotent has norm <= rank; each
+    short vector and its negative is kept when e*e = e exactly."""
+    from gradus.config import DEFAULT_CONFIG
+    from gradus.embeddings import with_gram
+    from gradus.lattices import enumerate_up_to
+    from gradus.orders import mul
+
+    def run(g):
+        found = {a.zero()}
+        for v in enumerate_up_to(g, a.rank):
+            for s in (v, tuple(-c for c in v)):
+                if mul(a, s, s) == s:
+                    found.add(s)
+        return sorted(found)
+
+    return with_gram(a, DEFAULT_CONFIG, run)
+
+
+def oracle_roots(a):
+    """{root: multiplicative order} for every root of unity: the vectors of
+    norm = rank and their negatives, each multiplied by itself up to
+    `torsion_order_bound(rank)` times until it reaches 1."""
+    from mpmath import mp
+
+    from gradus.config import DEFAULT_CONFIG
+    from gradus.embeddings import norm, with_gram
+    from gradus.lattices import enumerate_up_to
+    from gradus.orders import mul
+    from gradus.units import torsion_order_bound
+
+    n = a.rank
+    bound = torsion_order_bound(n)
+
+    def run(g):
+        with mp.workprec(g.precision):
+            cands = [v for v in enumerate_up_to(g, n) if norm(g, v) >= n - g.tolerance]
+        found = {}
+        for v in cands:
+            for s in (v, tuple(-c for c in v)):
+                y = s
+                for k in range(1, bound + 1):
+                    if y == a.one:
+                        found[s] = k
+                        break
+                    y = mul(a, y, s)
+        return found
+
+    return with_gram(a, DEFAULT_CONFIG, run)

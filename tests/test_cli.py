@@ -1,6 +1,8 @@
 import json
+import pathlib
 import subprocess
 import sys
+import zipfile
 
 import pytest
 
@@ -196,6 +198,17 @@ def test_decompose_ambiguous_entry_exits_precision_exhausted(tmp_path, capsys):
     assert json.loads(err)["error"] == "PrecisionExhausted"
 
 
+# a declared size must be an integer (not a bool, float, string or null)
+MALFORMED_SIZE = [
+    {"n": None, "gram": [["1"]]},
+    {"n": 1.5, "gram": [["1"]]},
+    {"n": 1.0, "gram": [["1"]]},
+    {"n": True, "gram": [["1"]]},
+    {"n": "1", "gram": [["1"]]},
+    {"n": [1], "gram": [["1"]]},
+]
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -208,6 +221,7 @@ def test_decompose_ambiguous_entry_exits_precision_exhausted(tmp_path, capsys):
         {"gram": [["inf"]]},
         {"gram": [["nan"]]},
         {"gram": [[float("inf")]]},
+        *MALFORMED_SIZE,
     ],
 )
 def test_decompose_rejects_malformed_gram(tmp_path, capsys, doc):
@@ -215,7 +229,8 @@ def test_decompose_rejects_malformed_gram(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "decompose", str(path))
     assert code == 2
-    assert json.loads(err)["error"] == "ValueError"
+    want = "ValidationError" if doc in MALFORMED_SIZE else "ValueError"
+    assert json.loads(err)["error"] == want
     assert out == ""
 
 
@@ -227,6 +242,29 @@ def test_example_list_and_emit(tmp_path, capsys):
     assert code == 0
     a = order_from_json(json.loads(out))
     assert a.rank == 5
+
+
+def test_parity5_loads_from_a_zipped_package(tmp_path):
+    # package data is read through importlib.resources, so the example also
+    # loads where gradus is not a directory on disk
+    import gradus
+
+    src = pathlib.Path(gradus.__file__).parent
+    archive = tmp_path / "gradus.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for f in [*src.glob("*.py"), src / "fixtures" / "parity5.json"]:
+            zf.write(f, f"gradus/{f.relative_to(src)}")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import gradus; "
+        "assert gradus.__file__.startswith(sys.argv[1]); "
+        "print(gradus.example_order('parity5').rank)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(archive)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "5"
 
 
 def test_example_unknown_name(capsys):

@@ -91,11 +91,11 @@ def ambiguous_grading(monkeypatch, tried):
 
 
 def ambiguous_idempotents(monkeypatch, tried):
-    def enumerate_up_to(g, bound, cap):
+    def reduction(g):
         tried.append(g.precision)
         raise AmbiguousZero("forced ambiguous verdict")
 
-    monkeypatch.setattr(units, "enumerate_up_to", enumerate_up_to)
+    monkeypatch.setattr(units, "_reduction", reduction)
     return idempotents
 
 

@@ -13,7 +13,8 @@ from gradus.embeddings import (
 from gradus.errors import AmbiguousSign, AmbiguousZero, NotReduced
 from gradus.examples import example_order
 from gradus.lattices import enumerate_up_to
-from gradus.orders import group_ring, monogenic_order, quotient_order
+from gradus.orders import group_ring, monogenic_order, quotient_order, validate
+from gradus.units import roots_of_unity
 
 from helpers import rebased_samples
 
@@ -171,6 +172,22 @@ def test_gram_from_strings_validation():
         gram_from_strings([["1", "2"], ["3", "4"]])
     with pytest.raises(ValueError):
         gram_from_strings([["1", "2", "0"], ["2", "1", "0"]])
+
+
+def test_embeddings_retry_when_qr_does_not_converge():
+    # Z x Z[i] x Z on a rebased basis: at 192 bits and seed 0 the first
+    # splitting element repeats an eigenvalue and mp.eig raises a bare
+    # RuntimeError; the next element must be tried
+    table = [
+        [(-1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (-3, 0, 0, 0)],
+        [(0, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 0), (0, -2, 0, 0)],
+        [(0, 0, 0, 0), (0, 0, 0, 0), (-3, -2, 0, 1), (0, 0, -1, 0)],
+        [(-3, 0, 0, 0), (0, -2, 0, 0), (0, 0, -1, 0), (-6, -2, 0, -1)],
+    ]
+    a = validate(table, (2, 1, 0, -1))
+    e = compute_embeddings(a, 192, 0)
+    assert e.n == 4
+    assert roots_of_unity(a).count == 16
 
 
 def test_embeddings_deterministic_for_seed():

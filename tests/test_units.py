@@ -1,18 +1,38 @@
-import pytest
+import itertools
+import random
 
-from gradus.errors import NotReduced
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gradus.units as units
+from gradus.config import DEFAULT_CONFIG
+from gradus.embeddings import with_gram
+from gradus.errors import InternalInconsistency, NotReduced
 from gradus.examples import example_order, natural_group_ring_grading
 from gradus.grading import homogeneous_parts, universal_grading
-from gradus.orders import group_ring, monogenic_order, mul, order_to_json
+from gradus.orders import group_ring, monogenic_order, mul, order_to_json, product_order, validate
 from gradus.units import (
+    connected_on,
     element_order,
     idempotents,
     is_connected,
     roots_of_unity,
+    torsion_exponent,
     torsion_order_bound,
 )
 
-from helpers import brute_idempotents
+from helpers import (
+    brute_idempotents,
+    change_of_basis,
+    oracle_idempotents,
+    oracle_roots,
+    random_unimodular,
+)
+
+
+def integers_power(k):
+    e = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    return validate([[e[i] if i == j else (0,) * k for j in range(k)] for i in range(k)], (1,) * k)
 
 
 def test_idempotents_product_ring():
@@ -60,6 +80,21 @@ def test_element_order_basics():
     z = monogenic_order([-1, 1])
     assert element_order(z, (2,)) is None
     assert element_order(z, (-1,)) == 2
+    # norm 5 = rank, like the roots, but (2,1,0,0,0)^120 != 1
+    assert element_order(integers_power(5), (2, 1, 0, 0, 0)) is None
+
+
+def test_element_order_of_primitive_twelfth_roots():
+    # Z[zeta_12] = Z[x]/(x^4 - x^2 + 1), with x a primitive 12th root
+    a = monogenic_order([1, 0, -1, 0, 1])
+    assert torsion_exponent(a.rank) == 120
+    assert element_order(a, a.unit(1)) == 12
+    c12, _ = group_ring([12])
+    assert element_order(c12, c12.unit(1)) == 12
+
+
+def test_torsion_exponent_table():
+    assert [torsion_exponent(n) for n in (0, 1, 2, 4, 6)] == [1, 2, 12, 120, 2520]
 
 
 def test_torsion_order_bound_small_ranks():
@@ -131,3 +166,72 @@ def test_roots_homogeneous_when_identity_piece_connected():
         go = universal_grading(a)
         for r in roots_of_unity(a).roots:
             assert len(homogeneous_parts(go.grading, r)) == 1
+
+
+@pytest.mark.parametrize(
+    "drop",
+    [
+        [(1, 0, 0)],
+        [(0, 1, 1)],
+        [(1, 0, 0), (0, 1, 1)],
+        list(itertools.product((0, 1), repeat=3)),
+    ],
+)
+def test_connected_on_cross_checks_the_search(monkeypatch, drop):
+    # Z^3 has the 8 idempotents of {0, 1}^3
+    a = integers_power(3)
+    real = units._idempotents_on
+    monkeypatch.setattr(
+        units, "_idempotents_on", lambda a, g: [e for e in real(a, g) if e not in drop]
+    )
+    with pytest.raises(InternalInconsistency):
+        with_gram(a, DEFAULT_CONFIG, lambda g: connected_on(a, g))
+
+
+# -------------------------------------------- searches against the oracles
+
+BASE_RINGS = {
+    "z": lambda: monogenic_order([-1, 1]),
+    "z[i]": lambda: monogenic_order([1, 0, 1]),
+    "z[w]": lambda: monogenic_order([1, 1, 1]),
+    "z[sqrt2]": lambda: monogenic_order([-2, 0, 1]),
+}
+
+
+def _product(names):
+    a = BASE_RINGS[names[0]]()
+    for name in names[1:]:
+        a = product_order(a, BASE_RINGS[name]())
+    return a
+
+
+# products of up to rank 5, and the small group rings
+torsion_orders = st.one_of(
+    st.lists(st.sampled_from(sorted(BASE_RINGS)), min_size=1, max_size=3)
+    .filter(lambda names: sum(2 - (n == "z") for n in names) <= 5)
+    .map(_product),
+    st.sampled_from([[2], [3], [4], [2, 2]]).map(lambda f: group_ring(f)[0]),
+)
+
+
+def rebased(a, seed):
+    """a on a seeded random unimodular basis, as `rebased_samples` does."""
+    return change_of_basis(a, random_unimodular(random.Random(seed), a.rank))[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(torsion_orders, st.integers(0, 2**32))
+def test_idempotents_and_connectedness_match_the_oracle(a, seed):
+    a = rebased(a, seed)
+    want = oracle_idempotents(a)
+    assert idempotents(a) == want
+    assert is_connected(a) == (len(want) == 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(torsion_orders, st.integers(0, 2**32))
+def test_roots_of_unity_match_the_oracle(a, seed):
+    a = rebased(a, seed)
+    report = roots_of_unity(a)
+    assert dict(zip(report.roots, report.orders)) == oracle_roots(a)
+    assert report.group_closed
