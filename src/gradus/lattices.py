@@ -1,13 +1,14 @@
 """Positive-definite lattice machinery over a numeric Gram form.
 
 Provides LLL reduction of the standard basis, one Fincke-Pohst enumeration
-kernel (short vectors around the origin, and the centred ball that decides
-whether a single vector decomposes), and the finest orthogonal splitting of
-the whole lattice into mutually orthogonal sublattices.  The splitting walks
-the vectors up to the largest reduced-basis norm in increasing norm, keeps
-an indecomposable one whenever it leaves the span of those kept so far, and
-stops once they span the lattice; the connected components of the kept
-vectors under nonzero inner products span the answer.
+kernel (short vectors around the origin, and the centred ball of the
+lattice points x with <x, v - x> >= 0, which decides whether v decomposes
+and holds the idempotents when v = 1), and the finest orthogonal splitting
+of the whole lattice into mutually orthogonal sublattices.  The splitting
+walks the vectors up to the largest reduced-basis norm in increasing norm,
+keeps an indecomposable one whenever it leaves the span of those kept so
+far, and stops once they span the lattice; the connected components of the
+kept vectors under nonzero inner products span the answer.
 """
 
 from __future__ import annotations
@@ -196,33 +197,43 @@ def is_decomposition(g: GramForm, z: Sequence[int], x: Sequence[int], y: Sequenc
     return is_nonneg(g, inner(g, x, y))
 
 
+def search_centred_ball(g: GramForm, v: Sequence[int], visit) -> bool:
+    """Call visit(x) on every lattice vector x with <x, v - x> >= 0, until
+    visit returns True; return whether it did.
+
+    <x, v - x> = |v|^2/4 - |x - v/2|^2, so these are the lattice points of
+    the ball |x - v/2|^2 <= |v|^2/4, listed by a centred Fincke-Pohst search
+    and passed in the original basis.  The radius is widened by
+    AMBIGUITY_SPAN * tolerance, so no point whose sign test is not a clear
+    "negative" is lost to rounding; visit makes the exact decision.
+    """
+    if g.n == 0:
+        return bool(visit(()))
+    with mp.workprec(g.precision):
+        basis, d, mu, inverse = _reduction(g)
+        centre = [mpf(c) / 2 for c in inverse.vec_mat(v)]
+        limit = norm(g, v) / 4 + AMBIGUITY_SPAN * g.tolerance
+        return _fincke_pohst(d, mu, centre, limit, lambda x: visit(basis.vec_mat(x)))
+
+
 def is_indecomposable(g: GramForm, v: Sequence[int]) -> bool:
     """Whether v admits no decomposition v = x + (v - x) into two nonzero
     parts with <x, v - x> >= 0.
 
-    The candidates x come from a centred Fincke-Pohst search:
-    <x, v - x> = |v|^2/4 - |x - v/2|^2, so the parts are exactly the lattice
-    points of the ball |x - v/2|^2 <= |v|^2/4 other than 0 and v.  The
-    radius is widened by AMBIGUITY_SPAN * tolerance, so every x whose sign
-    test is not a clear "negative" is tested, and one inside the ambiguous
-    band raises AmbiguousSign.  The search stops at the first x accepted.
+    The candidates x are the points of `search_centred_ball` other than 0
+    and v; one inside the ambiguous band raises AmbiguousSign.  The search
+    stops at the first x accepted.
     """
     v = tuple(v)
     if not any(v):
         raise ValueError("the zero vector is not eligible")
-    with mp.workprec(g.precision):
-        basis, d, mu, inverse = _reduction(g)
-        coords = list(inverse.vec_mat(v))
-        centre = [mpf(c) / 2 for c in coords]
-        limit = norm(g, v) / 4 + AMBIGUITY_SPAN * g.tolerance
 
-        def splits(x):
-            if not any(x) or x == coords:
-                return False
-            part = basis.vec_mat(x)
-            return is_nonneg(g, inner(g, part, vec_sub(v, part)))
+    def splits(x):
+        if not any(x) or x == v:
+            return False
+        return is_nonneg(g, inner(g, x, vec_sub(v, x)))
 
-        return not _fincke_pohst(d, mu, centre, limit, splits)
+    return not search_centred_ball(g, v, splits)
 
 
 def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:

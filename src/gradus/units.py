@@ -9,13 +9,9 @@ the points of the centred ball |e - 1/2|^2 <= |1|^2 / 4, which one
 Fincke-Pohst search lists (see `_idempotents_on`).
 
 Roots of unity satisfy <z, z> = rank exactly, so the candidates are the
-vectors of that norm.  A candidate s goes on only when +-s^2 is a candidate
-too.  No root is lost, since the square of a root is a root, and almost no
-non-root passes: |s|^2 = |s^2|^2 = rank forces |sigma s| = 1 for every
-embedding (Cauchy-Schwarz), which by Kronecker makes s a root.  The exact
-exponent gate then decides: s is a root exactly when s^L = 1 for
-L = lcm{m : phi(m) <= rank}, the exponent of every torsion group of that
-rank.
+vectors of that norm.  An exact exponent gate decides each: s is a root
+exactly when s^L = 1 for L = lcm{m : phi(m) <= rank}, the exponent of every
+torsion group of that rank, which fast powering tests in O(log L) products.
 """
 
 from __future__ import annotations
@@ -24,13 +20,13 @@ import functools
 from dataclasses import dataclass
 from math import lcm
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .embeddings import AMBIGUITY_SPAN, GramForm, norm, with_gram
+from .embeddings import GramForm, norm, with_gram
 from .errors import InternalInconsistency
-from .intlinalg import Vec, vec_add, vec_neg, vec_sub
-from .lattices import _fincke_pohst, _reduction, enumerate_up_to
+from .intlinalg import Vec, vec_neg, vec_sub
+from .lattices import enumerate_up_to, search_centred_ball
 from .orders import Order, mul, power
 
 
@@ -114,25 +110,17 @@ def _idempotents_on(a: Order, g: GramForm) -> list[Vec]:
     every component of x is 0 or 1.
 
     The idempotents are thus the lattice points of the ball |x - 1/2|^2 <=
-    |1|^2/4, searched with a radius widened by AMBIGUITY_SPAN * tolerance so
-    no point on its boundary is lost to rounding; each point is kept when
-    x * x = x exactly.
+    |1|^2/4, which `search_centred_ball` lists with a widened radius; each
+    point is kept when x * x = x exactly.
     """
-    if a.rank == 0:
-        return [a.zero()]
     found = []
-    with mp.workprec(g.precision):
-        basis, d, mu, inverse = _reduction(g)
-        centre = [mpf(c) / 2 for c in inverse.vec_mat(a.one)]
-        limit = norm(g, a.one) / 4 + AMBIGUITY_SPAN * g.tolerance
 
-        def keep(x):
-            e = basis.vec_mat(x)
-            if mul(a, e, e) == e:
-                found.append(e)
-            return False
+    def keep(x):
+        if mul(a, x, x) == x:
+            found.append(x)
+        return False
 
-        _fincke_pohst(d, mu, centre, limit, keep)
+    search_centred_ball(g, a.one, keep)
     return sorted(found)
 
 
@@ -148,30 +136,20 @@ def connected_on(a: Order, g: GramForm) -> bool:
     are its only idempotents.
 
     The idempotents of a reduced order form a finite Boolean algebra, so the
-    search result is cross-checked exactly: it must be closed under e*f and
-    1 - e, hold 2^k elements for k atoms, and its atoms must sum to 1.  A
-    failure can only come from a numeric fault and raises
+    search result is cross-checked exactly: it must be nonempty and closed
+    under e*f and 1 - e, which makes it a Boolean subalgebra (holding 0 and
+    1).  A failure can only come from a numeric fault and raises
     InternalInconsistency.
     """
     found = _idempotents_on(a, g)
+    if not found:
+        raise InternalInconsistency("the idempotent search found nothing")
     members = set(found)
-    below = dict.fromkeys(found, 0)  # below[e]: how many f in found have e*f = f
     for i, e in enumerate(found):
         if vec_sub(a.one, e) not in members:
             raise InternalInconsistency("idempotents are not closed under 1 - e")
-        for f in found[i:]:
-            ef = mul(a, e, f)
-            if ef not in members:
-                raise InternalInconsistency("idempotents are not closed under products")
-            if ef == f:
-                below[e] += 1
-            if ef == e and f != e:
-                below[f] += 1
-    # an atom is a nonzero idempotent with only 0 and itself below it
-    atoms = [e for e in found if any(e) and below[e] == 2]
-    total = functools.reduce(vec_add, atoms, a.zero())
-    if len(found) != 2 ** len(atoms) or total != a.one:
-        raise InternalInconsistency("idempotents do not form the Boolean algebra of their atoms")
+        if any(mul(a, e, f) not in members for f in found[i + 1 :]):
+            raise InternalInconsistency("idempotents are not closed under products")
     return len(found) == 2
 
 
@@ -187,10 +165,8 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     """All elements of finite multiplicative order.
 
     Candidates are the lattice vectors of norm equal to the rank (within the
-    tolerance).  A pair +-v is tested only when +-v^2 is a candidate, which
-    costs one product and a set lookup and drops no root, since the square
-    of a root is a root; each of v and -v then goes through the exact
-    exponent gate of `element_order`.
+    tolerance); each of v and -v goes through the exact exponent gate of
+    `element_order`.
     """
     config = config or DEFAULT_CONFIG
     n = a.rank
@@ -202,12 +178,8 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
                 for v in enumerate_up_to(g, n, config.enumeration_cap)
                 if norm(g, v) >= n - g.tolerance
             ]
-        pool = set(cands)
         found = {}
         for v in cands:
-            sq = mul(a, v, v)
-            if sq not in pool and vec_neg(sq) not in pool:
-                continue
             for s in (v, vec_neg(v)):
                 k = element_order(a, s)
                 if k is not None:

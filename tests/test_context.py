@@ -91,11 +91,11 @@ def ambiguous_grading(monkeypatch, tried):
 
 
 def ambiguous_idempotents(monkeypatch, tried):
-    def reduction(g):
+    def search(g, v, visit):
         tried.append(g.precision)
         raise AmbiguousZero("forced ambiguous verdict")
 
-    monkeypatch.setattr(units, "_reduction", reduction)
+    monkeypatch.setattr(units, "search_centred_ball", search)
     return idempotents
 
 

@@ -190,6 +190,17 @@ def test_embeddings_retry_when_qr_does_not_converge():
     assert roots_of_unity(a).count == 16
 
 
+def test_embeddings_raise_other_eig_runtime_errors(monkeypatch):
+    # only the QR iteration's "failed to converge" means "try the next
+    # splitting element"; any other RuntimeError is a fault and propagates
+    def eig(m):
+        raise RuntimeError("unrelated fault")
+
+    monkeypatch.setattr(mp, "eig", eig)
+    with pytest.raises(RuntimeError, match="unrelated fault"):
+        compute_embeddings(example_order("zsqrt2"), 192, 0)
+
+
 def test_embeddings_deterministic_for_seed():
     a = example_order("kummer6")
     e1 = compute_embeddings(a, seed=7)
