@@ -3,11 +3,14 @@
 A reduced order of rank n has exactly n ring homomorphisms into the complex
 numbers.  Each one, written as the row (sigma(e_0), ..., sigma(e_{n-1})), is a
 common left eigenvector of the multiplication matrices: sigma * M_x =
-sigma(x) * sigma.  So the rows are recovered numerically as the
-eigenvectors of the transpose of M_z for a seeded integer combination z of
-the basis, computed at the working precision and scaled so that
-sigma(1) = 1.  A residual bound certifies that every row really is
-multiplicative to within the working precision.
+sigma(x) * sigma.  For a seeded integer combination z of the basis, the
+characteristic polynomial chi of M_z and the rows t . adj(xI - M_z), t the
+trace functional, are computed exactly in integers; z is used only when chi
+is squarefree, which is decided exactly.  Each root lambda of chi is then
+refined by Newton's method, and t . adj(lambda - M_z) is the left
+eigenvector of lambda, scaled so that sigma(1) = 1.  A residual bound
+certifies that every row really is multiplicative to within the working
+precision.
 
 The inner product <x, y> = sum over embeddings of sigma(x) * conj(sigma(y))
 is assembled into a Gram form.  Entries can be irrational, so zero tests are
@@ -18,8 +21,11 @@ precision instead of guessing.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -34,7 +40,7 @@ from .errors import (
     NotReduced,
     PrecisionExhausted,
 )
-from .orders import Order, is_reduced, regular_matrix
+from .orders import Order, charpoly_rows, is_reduced
 
 # |value| <= tol counts as zero, |value| >= AMBIGUITY_SPAN * tol as nonzero;
 # anything in between needs more precision.
@@ -47,6 +53,13 @@ TOLERANCE_EXPONENT = 3
 # seeded splitting elements tried at one precision before the spectrum is
 # declared degenerate
 SPLITTING_TRIES = 8
+
+# sweeps of the double-precision Aberth iteration, steps of the mp.polyroots
+# fallback, and Newton steps at full precision after the doubling ones,
+# before a root proposal counts as failed
+ABERTH_SWEEPS = 100
+POLYROOTS_STEPS = 200
+NEWTON_EXTRA_STEPS = 8
 
 # Gram forms kept by numeric_context.  The queries on one order run back to
 # back, so a few entries give full reuse while bounding the memory held.
@@ -84,6 +97,21 @@ class GramForm:
 def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> EmbeddingMatrix:
     """Numerically compute the n embeddings of a reduced order at one precision.
 
+    For a seeded splitting element z, `charpoly_rows` gives, in integers,
+    chi = det(xI - M_z) and the rows beta_k with t . adj(xI - M_z) =
+    sum_k beta_k x^{n-k}, t the trace functional.  An element whose chi is
+    not squarefree (gcd(chi, chi') != 1 over Q) has a repeated eigenvalue
+    and is skipped.  Otherwise the roots lambda of chi are proposed in
+    double precision, refined by Newton's method to p + max bitlength(beta)
+    + 32 bits, and each gives the row sigma_lambda(e_i) = w_i / (w . one)
+    with w = sum_k lambda^{n-k} beta_k.  Since adj(lambda - M_z) is a
+    polynomial in M_z, w . one is its trace, chi'(lambda), which is
+    nonzero because lambda is a simple root; so the row is a left
+    eigenvector of M_z for lambda, scaled to sigma(1) = 1.  (Equally:
+    adj(lambda - M_z) = chi'(lambda) M_e for the idempotent e of K (x) C
+    belonging to lambda, and t . coords(e) = Tr(e) = 1.)  The homomorphism
+    residual then certifies every row at the working precision.
+
     This is the pipeline's only reducedness check: every query reaches it
     through `numeric_context`, which keeps only successes, so it runs once
     per order and precision, and a non-reduced order raises NotReduced from
@@ -103,27 +131,22 @@ def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> Embeddi
         for attempt in range(SPLITTING_TRIES):
             rng = random.Random(f"{seed}:{p}:{attempt}")
             coeffs = [rng.randrange(-8 * n, 8 * n + 1) for _ in range(n)]
-            # the transpose of M_z: its eigenvectors are the left ones of M_z
-            mzt = mp.matrix(regular_matrix(a, coeffs).entries).T
-            try:
-                eigvals, eigvecs = mp.eig(mzt)
-            except (ZeroDivisionError, mp.NoConvergence):  # pragma: no cover
+            chi, betas = charpoly_rows(a, coeffs)
+            if not _squarefree(chi):
                 continue
-            except RuntimeError as exc:
-                # mp.eig's QR iteration raises a bare RuntimeError when it
-                # does not converge, as it can on a repeated eigenvalue
-                if "failed to converge" not in str(exc):
-                    raise
+            bits = p + max(abs(b).bit_length() for beta in betas for b in beta) + 32
+            roots = _roots(chi, bits, sep_floor)
+            if roots is None:
                 continue
-            if _min_separation(eigvals) <= sep_floor:
-                continue
-            sigma = []
-            for k in range(n):
-                w = [eigvecs[r, k] for r in range(n)]
-                at_one = mp.fsum(c * w[i] for i, c in enumerate(a.one) if c)
-                sigma.append(tuple(x / at_one for x in w))
-            order_keys = sorted(range(n), key=lambda k: (mp.re(eigvals[k]), mp.im(eigvals[k])))
-            sigma = tuple(sigma[k] for k in order_keys)
+            columns = list(zip(*betas))
+            keyed = []
+            for lam in roots:
+                row = _row(a, columns, lam, bits)
+                keyed.append(((lam.real, lam.imag), row))
+                if lam.imag:
+                    keyed.append(((lam.real, -lam.imag), tuple(x.conjugate() for x in row)))
+            keyed.sort(key=lambda item: item[0])
+            sigma = tuple(row for _, row in keyed)
             residual = _hom_residual(a, sigma)
             scale = n * (1 + max(abs(s) for row in sigma for s in row)) ** 2
             if residual <= mpf(2) ** (-(p // 2)) * scale:
@@ -134,11 +157,157 @@ def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> Embeddi
     )
 
 
-def _min_separation(eigvals) -> mpf:
-    n = len(eigvals)
+def _squarefree(chi: Sequence[int]) -> bool:
+    """Whether gcd(chi, chi') = 1 over Q, by a primitive pseudo-remainder
+    sequence in integers (coefficients leading first)."""
+    deg = len(chi) - 1
+    f = list(chi)
+    g = [c * (deg - k) for k, c in enumerate(chi[:-1])]
+    while len(g) > 1:
+        r = _pseudo_remainder(f, g)
+        if not r:
+            return False
+        content = math.gcd(*r)
+        f, g = g, [c // content for c in r]
+    return True
+
+
+def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
+    """f times a power of g's leading coefficient, reduced mod g; leading
+    zeros are stripped, so a zero remainder is []."""
+    lead = g[0]
+    while len(f) >= len(g):
+        top = f[0]
+        f = [lead * x - top * y for x, y in zip(f, g + [0] * (len(f) - len(g)))][1:]
+        while f and not f[0]:
+            f.pop(0)
+    return f
+
+
+def _roots(chi: Sequence[int], bits: int, sep_floor: mpf) -> list[mpc] | None:
+    """The real roots and the roots in the upper half-plane of a squarefree
+    chi at `bits` bits, or None when the roots are not pairwise farther
+    apart than sep_floor.
+
+    The starts come from `_aberth`; when it fails, or its refined roots
+    collide, `mp.polyroots` at the working precision proposes them instead.
+    chi is real, so a root nearer to its own conjugate than the roots are to
+    one another is real and is returned with imaginary part 0; the others
+    come in conjugate pairs, and one of each pair is returned.
+    """
+    for propose in (_aberth, _polyroots):
+        starts = propose(chi)
+        if starts is None:
+            continue
+        roots = [_newton(chi, x, bits) for x in starts]
+        if any(r is None for r in roots) or _min_separation(roots) <= sep_floor:
+            continue
+        with mp.workprec(bits):
+            real = [mpc(r.real) for r in roots if 2 * abs(r.imag) < sep_floor]
+        upper = [r for r in roots if r.imag >= sep_floor / 2]
+        if len(real) + 2 * len(upper) == len(roots):
+            return real + upper
+    return None
+
+
+def _aberth(chi: Sequence[int]) -> list[complex] | None:
+    """Roots of the monic chi in double precision by the Aberth-Ehrlich
+    iteration, or None when it overflows or does not settle.
+
+    A root is settled once |chi(x)| is within the rounding error of its
+    evaluation, 4 n eps sum |c_k| |x|^k.
+    """
+    n = len(chi) - 1
+    try:
+        coeffs = [float(c) for c in chi]
+    except OverflowError:
+        return None
+    # every root lies within twice this radius (Fujiwara)
+    radius = max(abs(c) ** (1 / k) for k, c in enumerate(coeffs[1:], 1)) or 1.0
+    xs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    settled = [False] * n
+    noise = 4 * n * sys.float_info.epsilon
+    try:
+        for _ in range(ABERTH_SWEEPS):
+            moved = False
+            for i, x in enumerate(xs):
+                if settled[i]:
+                    continue
+                val = der = 0j
+                bound = 0.0
+                for c in coeffs:
+                    der = der * x + val
+                    val = val * x + c
+                    bound = bound * abs(x) + abs(c)
+                if not (cmath.isfinite(val) and math.isfinite(bound)):
+                    return None
+                if abs(val) <= noise * bound:
+                    settled[i] = True
+                    continue
+                ratio = val / der
+                repel = sum(1 / (x - y) for j, y in enumerate(xs) if j != i)
+                xs[i] = x - ratio / (1 - ratio * repel)
+                moved = True
+            if not moved:
+                return xs
+    except ZeroDivisionError:
+        pass
+    return None
+
+
+def _polyroots(chi: Sequence[int]) -> list[mpc] | None:
+    try:
+        return mp.polyroots(chi, maxsteps=POLYROOTS_STEPS)
+    except mp.NoConvergence:
+        return None
+
+
+def _newton(chi: Sequence[int], x, bits: int) -> mpc | None:
+    """x refined to a root of chi at `bits` bits by Newton's method, the
+    precision doubling at each step; None unless a step at full precision
+    ends up below half the bits."""
+    precs = [bits]
+    while precs[-1] > 106:
+        precs.append((precs[-1] + 1) // 2)
+    try:
+        x = mpc(x)
+        for prec in reversed(precs):
+            with mp.workprec(prec):
+                val, der = mp.polyval(chi, x, derivative=True)
+                step = val / der
+                x = x - step
+        with mp.workprec(bits):
+            for _ in range(NEWTON_EXTRA_STEPS):
+                if abs(step) <= mp.ldexp(1 + abs(x), -(bits // 2)):
+                    return x
+                val, der = mp.polyval(chi, x, derivative=True)
+                step = val / der
+                x = x - step
+    except ZeroDivisionError:
+        pass
+    return None
+
+
+def _row(a: Order, columns, lam: mpc, bits: int) -> tuple[mpc, ...]:
+    """sigma_lambda on the basis, w / (w . one) for w = sum_k lambda^{n-k}
+    beta_k, computed at `bits` bits and divided at the caller's precision;
+    `columns` are the coordinates of the beta_k, column by column."""
+    with mp.workprec(bits):
+        x = lam if lam.imag else lam.real
+        powers = [mpf(1)]
+        for _ in range(len(columns) - 1):
+            powers.append(powers[-1] * x)
+        powers.reverse()
+        w = [mp.fdot(col, powers) for col in columns]
+        at_one = mp.fdot(a.one, w)
+    return tuple(mpc(x / at_one) for x in w)
+
+
+def _min_separation(roots) -> mpf:
+    n = len(roots)
     if n == 1:
         return mpf(1)
-    return min(abs(eigvals[i] - eigvals[j]) for i in range(n) for j in range(i + 1, n))
+    return min(abs(roots[i] - roots[j]) for i in range(n) for j in range(i + 1, n))
 
 
 def _hom_residual(a: Order, sigma) -> mpf:

@@ -69,7 +69,13 @@ class PrecisionExhausted(GradusError):
 
 
 class DegenerateSplitting(GradusError):
-    """No generic element separated the eigenvalues within the retry budget."""
+    """No seeded splitting element separated the eigenvalues.
+
+    Every element tried has a repeated eigenvalue, proved exactly by
+    gcd(chi, chi') != 1 for its characteristic polynomial chi, or (never seen
+    in practice) the roots of a squarefree chi could not be resolved farther
+    apart than the separation floor of the working precision.
+    """
 
 
 class NoMorphism(GradusError):

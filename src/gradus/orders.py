@@ -156,11 +156,46 @@ def regular_matrix(a: Order, x: Sequence[int]) -> IntMatrix:
     return IntMatrix.from_rows(rows, n)
 
 
+def trace_vector(a: Order) -> Vec:
+    """The trace functional t: t[m] is the trace of M_{e_m}, so that
+    t . coords(x) is the trace of M_x."""
+    n = a.rank
+    return tuple(sum(a.table[m][j][j] for j in range(n)) for m in range(n))
+
+
+def charpoly_rows(a: Order, z: Sequence[int]) -> tuple[Vec, tuple[Vec, ...]]:
+    """Characteristic polynomial of M_z and the rows t . adj(xI - M_z).
+
+    Faddeev-LeVerrier on the trace functional t, in integers only: with
+    chi = x^n + c_{n-1} x^{n-1} + ... + c_0, beta_1 = t and
+    beta_k = beta_{k-1} M_z + c_{n-k+1} t, one has
+    c_{n-k} = -(beta_k . z) / k, an exact division, and
+    t . adj(xI - M_z) = sum_k beta_k x^{n-k}.  beta_k . z is the trace of
+    M_z times the k-th Faddeev-LeVerrier matrix, a polynomial in M_z, so n
+    vector-matrix products give everything.  Returns the coefficients of
+    chi, leading one first, and (beta_1, ..., beta_n).
+    """
+    mz = regular_matrix(a, z)
+    t = trace_vector(a)
+    beta = t
+    betas = [t]
+    chi = [1]
+    for k in range(1, a.rank + 1):
+        if k > 1:
+            beta = tuple(b + chi[-1] * ti for b, ti in zip(mz.vec_mat(beta), t))
+            betas.append(beta)
+        num = -sum(b * zi for b, zi in zip(beta, z))
+        c, rem = divmod(num, k)
+        if rem:
+            raise InternalInconsistency("Faddeev-LeVerrier division was not exact")
+        chi.append(c)
+    return tuple(chi), tuple(betas)
+
+
 def trace_gram(a: Order) -> IntMatrix:
     """Integer Gram matrix of the trace form (x, y) -> trace of M_{x*y}."""
     n = a.rank
-    # trace of multiplication by e_m
-    tr = [sum(a.table[m][j][j] for j in range(n)) for m in range(n)]
+    tr = trace_vector(a)
     rows = [
         [sum(a.table[i][j][m] * tr[m] for m in range(n)) for j in range(n)]
         for i in range(n)

@@ -218,6 +218,26 @@ def change_of_basis(a, u_rows):
     return validate(table, one), uinv
 
 
+def rebased(a, seed):
+    """a on a seeded random unimodular basis, as `rebased_samples` does."""
+    return change_of_basis(a, random_unimodular(random.Random(seed), a.rank))[0]
+
+
+# the polynomials x - 1, x^2 + 1, x^2 + x + 1 and x^2 - 2 of Z, Z[i], Z[w]
+# and Z[sqrt2], constant term first
+SMALL_RINGS = {"z": [-1, 1], "z[i]": [1, 0, 1], "z[w]": [1, 1, 1], "z[sqrt2]": [-2, 0, 1]}
+
+
+def small_ring_product(names):
+    """The product of the SMALL_RINGS named, in order."""
+    from gradus.orders import monogenic_order, product_order
+
+    a = monogenic_order(SMALL_RINGS[names[0]])
+    for name in names[1:]:
+        a = product_order(a, monogenic_order(SMALL_RINGS[name]))
+    return a
+
+
 def rebased_samples():
     """{name: (order, basis rows u, the order on basis u)} for a few orders
     with complex or large embeddings, each on a seeded random unimodular
@@ -358,3 +378,40 @@ def oracle_roots(a):
         return found
 
     return with_gram(a, DEFAULT_CONFIG, run)
+
+
+def oracle_embeddings(a, precision=192, seed=0):
+    """The embeddings of a reduced order read off the eigenvectors of the
+    transpose of M_z by mpmath's QR eigensolver (`mp.eig`), for the same
+    seeded splitting elements as `compute_embeddings`: each eigenvector is
+    scaled so that sigma(1) = 1, and the first element whose eigenvalues are
+    farther apart than 2**(-precision/4) is used.  Rows are sorted by
+    eigenvalue; the residual is left at 0 (nothing is certified here)."""
+    from mpmath import mp, mpf
+
+    from gradus.embeddings import SPLITTING_TRIES, EmbeddingMatrix
+    from gradus.orders import regular_matrix
+
+    n = a.rank
+    with mp.workprec(precision):
+        floor = mpf(2) ** (-(precision // 4))
+        for attempt in range(SPLITTING_TRIES):
+            rng = random.Random(f"{seed}:{precision}:{attempt}")
+            coeffs = [rng.randrange(-8 * n, 8 * n + 1) for _ in range(n)]
+            mzt = mp.matrix(regular_matrix(a, coeffs).entries).T
+            try:
+                eigvals, eigvecs = mp.eig(mzt)
+            except RuntimeError as exc:
+                if "failed to converge" not in str(exc):
+                    raise
+                continue
+            gaps = [abs(eigvals[i] - eigvals[j]) for i in range(n) for j in range(i)]
+            if gaps and min(gaps) <= floor:
+                continue
+            rows = []
+            for k in sorted(range(n), key=lambda k: (mp.re(eigvals[k]), mp.im(eigvals[k]))):
+                w = [eigvecs[r, k] for r in range(n)]
+                at_one = mp.fsum(c * w[i] for i, c in enumerate(a.one) if c)
+                rows.append(tuple(x / at_one for x in w))
+            return EmbeddingMatrix(n, tuple(rows), precision, mpf(0))
+    raise AssertionError("no splitting element separated the spectrum")

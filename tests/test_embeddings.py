@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from sympy import Matrix, symbols
 
+import gradus.embeddings as embeddings
 from gradus.embeddings import (
     compute_embeddings,
     gram,
@@ -11,12 +15,27 @@ from gradus.embeddings import (
     norm,
 )
 from gradus.errors import AmbiguousSign, AmbiguousZero, NotReduced
-from gradus.examples import example_order
+from gradus.examples import example_names, example_order
 from gradus.lattices import enumerate_up_to
-from gradus.orders import group_ring, monogenic_order, quotient_order, validate
+from gradus.orders import (
+    charpoly_rows,
+    is_reduced,
+    group_ring,
+    monogenic_order,
+    quotient_order,
+    regular_matrix,
+    trace_vector,
+    validate,
+)
 from gradus.units import roots_of_unity
 
-from helpers import rebased_samples
+from helpers import (
+    SMALL_RINGS,
+    oracle_embeddings,
+    rebased,
+    rebased_samples,
+    small_ring_product,
+)
 
 
 def close(a, b, tol):
@@ -176,8 +195,9 @@ def test_gram_from_strings_validation():
 
 def test_embeddings_retry_when_qr_does_not_converge():
     # Z x Z[i] x Z on a rebased basis: at 192 bits and seed 0 the first
-    # splitting element repeats an eigenvalue and mp.eig raises a bare
-    # RuntimeError; the next element must be tried
+    # splitting element repeats an eigenvalue (mp.eig's QR iteration did not
+    # converge on it); its characteristic polynomial is not squarefree, so
+    # it is rejected exactly and the next element must be tried
     table = [
         [(-1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (-3, 0, 0, 0)],
         [(0, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 0), (0, -2, 0, 0)],
@@ -190,15 +210,60 @@ def test_embeddings_retry_when_qr_does_not_converge():
     assert roots_of_unity(a).count == 16
 
 
-def test_embeddings_raise_other_eig_runtime_errors(monkeypatch):
-    # only the QR iteration's "failed to converge" means "try the next
-    # splitting element"; any other RuntimeError is a fault and propagates
-    def eig(m):
+@pytest.mark.parametrize("name", ["zsqrt2", "kummer6", "zeta5", "parity5"])
+def test_embeddings_fall_back_when_the_start_fails(monkeypatch, name):
+    # when the double-precision proposer gives up, mp.polyroots proposes the
+    # starts and Newton refines them to the same embeddings, in the same
+    # order, up to the noise far below the working precision
+    a = example_order(name)
+    want = compute_embeddings(a, 192, 0)
+    monkeypatch.setattr(embeddings, "_aberth", lambda chi: None)
+    got = compute_embeddings(a, 192, 0)
+    assert (got.n, got.precision) == (want.n, want.precision)
+    with mp.workprec(192):
+        for row, want_row in zip(got.sigma, want.sigma):
+            for x, y in zip(row, want_row):
+                assert abs(x - y) <= mpf(2) ** -192 * (1 + abs(y))
+
+
+def test_embeddings_raise_unrelated_root_errors(monkeypatch):
+    # only a failed proposal means "use the fallback"; any other exception
+    # from the root step is a fault and propagates
+    def aberth(chi):
         raise RuntimeError("unrelated fault")
 
-    monkeypatch.setattr(mp, "eig", eig)
+    monkeypatch.setattr(embeddings, "_aberth", aberth)
     with pytest.raises(RuntimeError, match="unrelated fault"):
         compute_embeddings(example_order("zsqrt2"), 192, 0)
+
+
+def test_repeated_eigenvalue_is_skipped_exactly(monkeypatch):
+    # Z[sqrt2] at 256 bits and seed 3 draws z = -8 first, so chi = (x + 8)^2:
+    # the element is rejected by the exact squarefree test, before any root
+    # is computed, and the next one is used
+    a = example_order("zsqrt2")
+    rng = random.Random("3:256:0")
+    assert [rng.randrange(-16, 17) for _ in range(2)] == [-8, 0]
+    assert charpoly_rows(a, (-8, 0))[0] == (1, 16, 64)
+    calls = []
+    real = embeddings._roots
+    monkeypatch.setattr(embeddings, "_roots", lambda chi, *rest: calls.append(chi) or real(chi, *rest))
+    e = compute_embeddings(a, 256, 3)
+    assert e.n == 2 and e.precision == 256
+    assert (1, 16, 64) not in calls and len(calls) == 1
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_charpoly_matches_sympy(name):
+    a = example_order(name)
+    rng = random.Random(name)
+    for _ in range(3):
+        z = [rng.randrange(-9, 10) for _ in range(a.rank)]
+        m = Matrix([list(r) for r in regular_matrix(a, z).entries])
+        want = tuple(int(c) for c in m.charpoly(symbols("x")).all_coeffs())
+        chi, betas = charpoly_rows(a, z)
+        assert chi == want
+        assert betas[0] == trace_vector(a)
 
 
 def test_embeddings_deterministic_for_seed():
@@ -239,3 +304,51 @@ def test_embeddings_follow_a_change_of_basis(name):
             for row in eb.sigma
         ]
     assert sorted(k for hits in matches for k in hits) == list(range(a.rank))
+
+
+# ------------------------------------------------- rows against mp.eig
+
+
+def assert_rows_match_the_oracle(a, precision=192, seed=0):
+    # the embeddings do not depend on the splitting element, so the rows
+    # must agree as sets, each within 2**(-p/2) of exactly one oracle row
+    e = compute_embeddings(a, precision, seed)
+    want = oracle_embeddings(a, precision, seed)
+    with mp.workprec(precision):
+        bound = mpf(2) ** (-(precision // 2))
+        matches = [
+            [
+                k
+                for k, other in enumerate(want.sigma)
+                if all(abs(x - y) <= bound * (1 + abs(y)) for x, y in zip(row, other))
+            ]
+            for row in e.sigma
+        ]
+    assert sorted(k for hits in matches for k in hits) == list(range(a.rank))
+
+
+# products of up to rank 5, and the cyclic group rings Z[C2] .. Z[C6]
+oracle_orders = st.one_of(
+    st.lists(st.sampled_from(sorted(SMALL_RINGS)), min_size=1, max_size=3)
+    .filter(lambda names: sum(2 - (n == "z") for n in names) <= 5)
+    .map(small_ring_product),
+    st.integers(2, 6).map(lambda m: group_ring([m])[0]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_orders, st.integers(0, 2**32), st.sampled_from([128, 192, 256]), st.integers(0, 3))
+def test_embeddings_match_the_oracle(a, basis_seed, precision, seed):
+    assert_rows_match_the_oracle(rebased(a, basis_seed), precision, seed)
+
+
+ORACLE_FIXTURES = {
+    **{name: example_order(name) for name in example_names() if is_reduced(example_order(name))},
+    "x^3-150": monogenic_order([-150, 0, 0, 1]),
+    "x^4-20": monogenic_order([-20, 0, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FIXTURES))
+def test_embeddings_match_the_oracle_on_fixtures(name):
+    assert_rows_match_the_oracle(ORACLE_FIXTURES[name])

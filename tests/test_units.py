@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +9,7 @@ from gradus.embeddings import with_gram
 from gradus.errors import InternalInconsistency, NotReduced
 from gradus.examples import example_order, natural_group_ring_grading
 from gradus.grading import homogeneous_parts, universal_grading
-from gradus.orders import group_ring, monogenic_order, mul, order_to_json, product_order, validate
+from gradus.orders import group_ring, monogenic_order, mul, order_to_json, validate
 from gradus.units import (
     connected_on,
     element_order,
@@ -22,11 +21,12 @@ from gradus.units import (
 )
 
 from helpers import (
+    SMALL_RINGS,
     brute_idempotents,
-    change_of_basis,
     oracle_idempotents,
     oracle_roots,
-    random_unimodular,
+    rebased,
+    small_ring_product,
 )
 
 
@@ -190,33 +190,13 @@ def test_connected_on_cross_checks_the_search(monkeypatch, drop):
 
 # -------------------------------------------- searches against the oracles
 
-BASE_RINGS = {
-    "z": lambda: monogenic_order([-1, 1]),
-    "z[i]": lambda: monogenic_order([1, 0, 1]),
-    "z[w]": lambda: monogenic_order([1, 1, 1]),
-    "z[sqrt2]": lambda: monogenic_order([-2, 0, 1]),
-}
-
-
-def _product(names):
-    a = BASE_RINGS[names[0]]()
-    for name in names[1:]:
-        a = product_order(a, BASE_RINGS[name]())
-    return a
-
-
 # products of up to rank 5, and the small group rings
 torsion_orders = st.one_of(
-    st.lists(st.sampled_from(sorted(BASE_RINGS)), min_size=1, max_size=3)
+    st.lists(st.sampled_from(sorted(SMALL_RINGS)), min_size=1, max_size=3)
     .filter(lambda names: sum(2 - (n == "z") for n in names) <= 5)
-    .map(_product),
+    .map(small_ring_product),
     st.sampled_from([[2], [3], [4], [2, 2]]).map(lambda f: group_ring(f)[0]),
 )
-
-
-def rebased(a, seed):
-    """a on a seeded random unimodular basis, as `rebased_samples` does."""
-    return change_of_basis(a, random_unimodular(random.Random(seed), a.rank))[0]
 
 
 @settings(max_examples=25, deadline=None)
