@@ -10,10 +10,16 @@ is squarefree, which is decided exactly.  Each root lambda of chi is then
 refined by Newton's method, and t . adj(lambda - M_z) is the left
 eigenvector of lambda, scaled so that sigma(1) = 1.  A residual bound
 certifies that every row really is multiplicative to within the working
-precision.
+precision p: the rows are rounded once to the grid 2**(-q) Z[i], q = p + 16,
+the residuals sigma(e_i) sigma(e_j) - sigma(e_i e_j) and sigma(1) - 1 are
+computed exactly in integers on that grid, and a rounding slack of at most
+(4 max|sigma| + 2 + 2 max_ij sum_m |T_ijm|) 2**(-q) turns their maximum
+into a proven upper bound on the residual of the rows themselves (see
+`_hom_residual`).
 
 The inner product <x, y> = sum over embeddings of sigma(x) * conj(sigma(y))
-is assembled into a Gram form.  Entries can be irrational, so zero tests are
+is assembled into a Gram form, each entry one exact integer sum on the same
+grid, rounded once to p bits.  Entries can be irrational, so zero tests are
 made against a tolerance, with a wide ambiguous band in between: any value
 landing in the band aborts the computation so the caller can escalate the
 precision instead of guessing.
@@ -24,12 +30,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_int, round_ceiling, to_fixed
 
 from .config import RunConfig
 from .errors import (
@@ -40,6 +48,7 @@ from .errors import (
     NotReduced,
     PrecisionExhausted,
 )
+from .intlinalg import IntMatrix
 from .orders import Order, charpoly_rows, is_reduced
 
 # |value| <= tol counts as zero, |value| >= AMBIGUITY_SPAN * tol as nonzero;
@@ -60,6 +69,10 @@ SPLITTING_TRIES = 8
 ABERTH_SWEEPS = 100
 POLYROOTS_STEPS = 200
 NEWTON_EXTRA_STEPS = 8
+
+# fractional bits of the fixed-point grid of the residual and the Gram form,
+# beyond the working precision
+FIXED_GUARD_BITS = 16
 
 # Gram forms kept by numeric_context.  The queries on one order run back to
 # back, so a few entries give full reuse while bounding the memory held.
@@ -139,16 +152,17 @@ def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> Embeddi
             if roots is None:
                 continue
             columns = list(zip(*betas))
+            rows = [_row(a, columns, lam, bits) for lam in roots]
             keyed = []
-            for lam in roots:
-                row = _row(a, columns, lam, bits)
+            for lam, row in zip(roots, rows):
                 keyed.append(((lam.real, lam.imag), row))
                 if lam.imag:
                     keyed.append(((lam.real, -lam.imag), tuple(x.conjugate() for x in row)))
             keyed.sort(key=lambda item: item[0])
             sigma = tuple(row for _, row in keyed)
-            residual = _hom_residual(a, sigma)
-            scale = n * (1 + max(abs(s) for row in sigma for s in row)) ** 2
+            # a conjugate row has the same residual as its partner
+            residual = _hom_residual(a, rows)
+            scale = n * (1 + max(abs(s) for row in rows for s in row)) ** 2
             if residual <= mpf(2) ** (-(p // 2)) * scale:
                 return EmbeddingMatrix(n, sigma, p, residual)
             raise EscalationNeeded(f"embedding residual is above threshold at {p} bits")
@@ -310,19 +324,74 @@ def _min_separation(roots) -> mpf:
     return min(abs(roots[i] - roots[j]) for i in range(n) for j in range(i + 1, n))
 
 
+def _fixed_rows(sigma, q: int) -> list[tuple[list[int], list[int]]]:
+    """Each row as its real and imaginary parts on the grid 2**(-q)Z:
+    floor(x * 2**q), so every entry moves by less than sqrt(2) 2**(-q)."""
+    return [
+        ([to_fixed(x.real._mpf_, q) for x in row], [to_fixed(x.imag._mpf_, q) for x in row])
+        for row in sigma
+    ]
+
+
+def _ceil_sqrt(n: int) -> int:
+    return math.isqrt(n - 1) + 1 if n else 0
+
+
 def _hom_residual(a: Order, sigma) -> mpf:
+    """Proven upper bound on the homomorphism residual of the given rows,
+    max |sigma(e_i) sigma(e_j) - sigma(e_i e_j)| and |sigma(1) - 1|,
+    computed in integers.
+
+    Each row is rounded once to the grid 2**(-q)Z[i], q = p + 16 for the
+    working precision p: s_i = S_i / 2**q with Gaussian integers S_i, and
+    eps_i = sigma_i - s_i has |eps_i| <= delta < 2**(1-q) <= 1.  On the
+    grid the residuals are exact: rho_ij = (S_i S_j - 2**q sum_m T_ijm
+    S_m) / 2**(2q) and rho_1 = (sum_i c_i S_i - 2**q) / 2**q, c = coords(1).
+    The true residuals differ from them by
+
+        r_ij - rho_ij = eps_i sigma_j + s_i eps_j - sum_m T_ijm eps_m,
+        r_1 - rho_1 = sum_i c_i eps_i.
+
+    With A = max |S_i| rounded up, |s_i| <= A 2**(-q) and |sigma_j| <=
+    A 2**(-q) + delta, so |r_ij| <= |rho_ij| + delta (2 A 2**(-q) + delta
+    + sum_m |T_ijm|) and |r_1| <= |rho_1| + delta ||c||_1.  Both are at
+    most the largest grid residual plus
+
+        2**(1-q) (2 A 2**(-q) + 1 + W),  W = max(max_ij sum_m |T_ijm|, ||c||_1),
+
+    which is what is returned, as a multiple of 2**(-2q) rounded up to an
+    mpf.  A non-finite entry gives infinity.  The table is integral, so the
+    conjugate of a row has the same residual, and a caller may pass one row
+    of each conjugate pair.
+    """
     n = a.rank
-    worst = mpf(0)
-    for row in sigma:
-        one_val = mp.fsum(c * row[i] for i, c in enumerate(a.one) if c)
-        worst = max(worst, abs(one_val - 1))
+    if any(not mp.isfinite(x) for row in sigma for x in row):
+        return mpf("inf")
+    q = mp.prec + FIXED_GUARD_BITS
+    shift = 1 << q
+    width = max([sum(map(abs, cell)) for row in a.table for cell in row] + [sum(map(abs, a.one))])
+    one = [(i, c) for i, c in enumerate(a.one) if c]
+    worst_pair = worst_one = biggest = 0
+    for re, im in _fixed_rows(sigma, q):
+        biggest = max([biggest] + [x * x + y * y for x, y in zip(re, im)])
+        dre = sum(c * re[i] for i, c in one) - shift
+        dim = sum(c * im[i] for i, c in one)
+        worst_one = max(worst_one, dre * dre + dim * dim)
         for i in range(n):
+            ri, ii, cells, support = re[i], im[i], a.table[i], a.support[i]
             for j in range(i, n):
-                lin = mp.fsum(
-                    t * row[m] for m, t in enumerate(a.table[i][j]) if t
-                )
-                worst = max(worst, abs(row[i] * row[j] - lin))
-    return worst
+                cell = cells[j]
+                lre = lim = 0
+                for m in support[j]:
+                    lre += cell[m] * re[m]
+                    lim += cell[m] * im[m]
+                dre = ri * re[j] - ii * im[j] - (lre << q)
+                dim = ri * im[j] + ii * re[j] - (lim << q)
+                worst_pair = max(worst_pair, dre * dre + dim * dim)
+    grid = max(_ceil_sqrt(worst_pair), _ceil_sqrt(worst_one) << q)
+    slack = 2 * (2 * _ceil_sqrt(biggest) + ((1 + width) << q))
+    bound = mp.make_mpf(from_int(grid + slack, mp.prec, round_ceiling))
+    return mp.ldexp(bound, -2 * q)
 
 
 def _tolerance(entries, precision: int) -> mpf:
@@ -331,20 +400,33 @@ def _tolerance(entries, precision: int) -> mpf:
 
 
 def gram(e: EmbeddingMatrix) -> GramForm:
-    """Gram form of the canonical inner product from an embedding matrix."""
+    """Gram form of the canonical inner product from an embedding matrix.
+
+    The rows are rounded once to the grid of `_hom_residual`, and each
+    entry sum_k Re(s_ki conj s_kj) is an exact integer sum, rounded once to
+    the working precision; the largest imaginary part of such a sum joins
+    the residual of the form.
+    """
     n = e.n
     if n == 0:
         return GramForm(0, (), e.precision, mpf(0), e.residual)
+    q = e.precision + FIXED_GUARD_BITS
+    rows = _fixed_rows(e.sigma, q)
+    re_cols = list(zip(*(re for re, _ in rows)))
+    im_cols = list(zip(*(im for _, im in rows)))
     with mp.workprec(e.precision):
         entries = [[mpf(0)] * n for _ in range(n)]
-        worst_imag = mpf(0)
+        worst_imag = 0
         for i in range(n):
+            ri, ii = re_cols[i], im_cols[i]
             for j in range(i, n):
-                val = mp.fsum(row[i] * mp.conj(row[j]) for row in e.sigma)
-                worst_imag = max(worst_imag, abs(mp.im(val)))
-                entries[i][j] = entries[j][i] = mp.re(val)
+                rj, ij = re_cols[j], im_cols[j]
+                real = sum(map(operator.mul, ri, rj)) + sum(map(operator.mul, ii, ij))
+                imag = sum(map(operator.mul, ii, rj)) - sum(map(operator.mul, ri, ij))
+                worst_imag = max(worst_imag, abs(imag))
+                entries[i][j] = entries[j][i] = mp.ldexp(mpf(real), -2 * q)
         tol = _tolerance(entries, e.precision)
-        residual = max(e.residual, worst_imag)
+        residual = max(e.residual, mp.ldexp(mpf(worst_imag), -2 * q))
     return GramForm(n, tuple(tuple(r) for r in entries), e.precision, tol, residual)
 
 
@@ -393,6 +475,23 @@ def inner(g: GramForm, u: Sequence[int], v: Sequence[int]) -> mpf:
 
 def norm(g: GramForm, v: Sequence[int]) -> mpf:
     return inner(g, v, v)
+
+
+@functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def fixed_gram(g: GramForm) -> IntMatrix:
+    """2**p G rounded entrywise to integers, p the precision of g.
+
+    v F v^T then differs from 2**p <v, v> by at most ||v||_1^2 / 2, that is
+    <v, v> by ||v||_1^2 2**(-p-1) once scaled back: the order of the
+    rounding error of an mpf `norm` at p bits, and below 2**(-p/2-1), far
+    under the tolerance 2**(-p/3) max(1, max|G|), for every ||v||_1 <
+    2**(p/4).  So comparing these integer norms sorts or thresholds vectors
+    as the mpf norms would, at the cost of integer products only.
+    """
+    with mp.workprec(g.precision):
+        return IntMatrix.from_rows(
+            [[int(mp.nint(mp.ldexp(x, g.precision))) for x in row] for row in g.entries], g.n
+        )
 
 
 def is_zero(g: GramForm, value: mpf) -> bool:

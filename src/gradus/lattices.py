@@ -35,7 +35,15 @@ from .intlinalg import (
     vec_neg,
     vec_sub,
 )
-from .embeddings import AMBIGUITY_SPAN, GramForm, inner, is_nonneg, is_zero, norm
+from .embeddings import (
+    AMBIGUITY_SPAN,
+    GramForm,
+    fixed_gram,
+    inner,
+    is_nonneg,
+    is_zero,
+    norm,
+)
 
 LLL_DELTA = "0.99"
 
@@ -83,9 +91,12 @@ def lll_reduce(g: GramForm) -> tuple[list[Vec], list[mpf], list[list[mpf]]]:
     LDL data (d, mu) of its Gram matrix.
 
     The Gram matrix of the current basis starts as g.entries and follows
-    every size-reduction step and swap; each swap re-runs the LDL on it.
-    Arithmetic on it runs at the precision of g; the basis itself stays
-    integral throughout.
+    every size-reduction step and swap.  A swap of b_{k-1} and b_k updates
+    (d, mu) in O(n) (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.3); one LDL of the final Gram matrix then decides
+    positive definiteness and gives fresh (d, mu) to return.  Arithmetic on
+    them runs at the precision of g; the basis itself stays integral
+    throughout.
     """
     n = g.n
     with mp.workprec(g.precision):
@@ -110,13 +121,23 @@ def lll_reduce(g: GramForm) -> tuple[list[Vec], list[mpf], list[list[mpf]]]:
                         mu[k][t] -= q * mu[j][t]
             if d[k] >= (dlt - mu[k][k - 1] ** 2) * d[k - 1]:
                 k += 1
-            else:
-                basis[k - 1], basis[k] = basis[k], basis[k - 1]
-                gm[k - 1], gm[k] = gm[k], gm[k - 1]
-                for row in gm:
-                    row[k - 1], row[k] = row[k], row[k - 1]
-                d, mu = _ldl(gm, g.tolerance)
-                k = max(k - 1, 1)
+                continue
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            gm[k - 1], gm[k] = gm[k], gm[k - 1]
+            for row in gm:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            mu[k - 1][: k - 1], mu[k][: k - 1] = mu[k][: k - 1], mu[k - 1][: k - 1]
+            m = mu[k][k - 1]
+            b = d[k] + m * m * d[k - 1]
+            mu[k][k - 1] = m * d[k - 1] / b
+            d[k] = d[k - 1] * d[k] / b
+            d[k - 1] = b
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+        d, mu = _ldl(gm, g.tolerance)
         return [tuple(row) for row in basis], d, mu
 
 
@@ -265,12 +286,10 @@ def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
     with mp.workprec(g.precision):
         bound = max(norm(g, r) for r in _reduction(g)[0].entries)
         pool = enumerate_up_to(g, bound, cap)
-        # the walk is ordered by norms under 2^precision * G rounded to
-        # integers: far finer than the lambda_1 gap between a vector and
-        # its parts, and much cheaper to compute and compare than mpf norms
-        fixed = IntMatrix.from_rows(
-            [[int(mp.nint(mp.ldexp(e, g.precision))) for e in row] for row in g.entries]
-        )
+        # the walk is ordered by the integer norms of `fixed_gram`: far
+        # finer than the lambda_1 gap between a vector and its parts, and
+        # much cheaper to compute and compare than mpf norms
+        fixed = fixed_gram(g)
         indec: list[Vec] = []
         span = SublatticeBasis.zero(n)
         for v in sorted(pool, key=lambda v: sum(a * b for a, b in zip(fixed.vec_mat(v), v))):

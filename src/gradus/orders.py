@@ -9,8 +9,9 @@ the ring axioms.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (
@@ -31,6 +32,26 @@ from .intlinalg import (
 
 Table = tuple[tuple[Vec, ...], ...]
 
+# support[i][j]: the m with table[i][j][m] != 0
+Support = tuple[tuple[tuple[int, ...], ...], ...]
+
+# nilradicals kept by `nilradical`; a CLI run and a query on one order
+# both ask for the same one
+NILRADICAL_CACHE_SIZE = 4
+
+
+def _support(table: Table) -> Support:
+    # equal supports share one tuple: most cells of a dense table have the
+    # same one, so this costs little memory over the table itself
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    return tuple(
+        tuple(
+            shared.setdefault(nz, nz)
+            for nz in (tuple(m for m, t in enumerate(cell) if t) for cell in row)
+        )
+        for row in table
+    )
+
 
 @dataclass(frozen=True)
 class Order:
@@ -38,6 +59,12 @@ class Order:
     table: Table
     one: Vec
     labels: tuple[str, ...] | None = None
+    # the nonzero entries of each cell, derived once per order so that a
+    # product skips the zeros of the table
+    support: Support = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "support", _support(self.table))
 
     def unit(self, i: int) -> Vec:
         return tuple(int(j == i) for j in range(self.rank))
@@ -54,19 +81,18 @@ class Order:
         return Order(self.rank, self.table, self.one, tuple(labels))
 
 
-def _mul_raw(table: Table, x: Sequence[int], y: Sequence[int]) -> Vec:
-    n = len(x)
-    out = [0] * n
+def _mul_raw(a: Order, x: Sequence[int], y: Sequence[int]) -> Vec:
+    out = [0] * len(x)
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
         if not xi:
             continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
+        cells, support = a.table[i], a.support[i]
+        for j, yj in ys:
             c = xi * yj
-            for m, t in enumerate(table[i][j]):
-                if t:
-                    out[m] += c * t
+            cell = cells[j]
+            for m in support[j]:
+                out[m] += c * cell[m]
     return tuple(out)
 
 
@@ -107,25 +133,26 @@ def validate(table: Sequence, one: Sequence[int], labels: Sequence[str] | None =
         for j in range(i + 1, n):
             if tab[i][j] != tab[j][i]:
                 raise NotCommutative(i, j)
-    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    a = Order(n, tab, one_t, tuple(labels) if labels is not None else None)
+    units = a.basis()
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = _mul_raw(tab, tab[i][j], units[k])
-                rhs = _mul_raw(tab, units[i], tab[j][k])
+                lhs = _mul_raw(a, tab[i][j], units[k])
+                rhs = _mul_raw(a, units[i], tab[j][k])
                 if lhs != rhs:
                     raise NotAssociative(i, j, k)
     for i in range(n):
-        if _mul_raw(tab, one_t, units[i]) != units[i]:
+        if _mul_raw(a, one_t, units[i]) != units[i]:
             raise BadIdentity(i)
-    return Order(n, tab, one_t, tuple(labels) if labels is not None else None)
+    return a
 
 
 def mul(a: Order, x: Sequence[int], y: Sequence[int]) -> Vec:
     """Product of two elements given by coordinates; bilinear in both."""
     if len(x) != a.rank or len(y) != a.rank:
         raise ValueError("element length does not match the rank")
-    return _mul_raw(a.table, x, y)
+    return _mul_raw(a, x, y)
 
 
 def power(a: Order, x: Sequence[int], k: int) -> Vec:
@@ -148,11 +175,9 @@ def regular_matrix(a: Order, x: Sequence[int]) -> IntMatrix:
     for i, xi in enumerate(x):
         if not xi:
             continue
-        for j in range(n):
-            cell = a.table[i][j]
-            for m in range(n):
-                if cell[m]:
-                    rows[m][j] += xi * cell[m]
+        for j, (cell, support) in enumerate(zip(a.table[i], a.support[i])):
+            for m in support:
+                rows[m][j] += xi * cell[m]
     return IntMatrix.from_rows(rows, n)
 
 
@@ -203,12 +228,14 @@ def trace_gram(a: Order) -> IntMatrix:
     return IntMatrix.from_rows(rows, n)
 
 
+@functools.lru_cache(maxsize=NILRADICAL_CACHE_SIZE)
 def nilradical(a: Order) -> SublatticeBasis:
     """Basis of the ideal of nilpotent elements.
 
     Computed as the saturated kernel of the trace form; each basis vector is
     certified nilpotent by repeated squaring (the nilpotency index is at most
-    the rank).
+    the rank).  Kept per order, so the CLI's report and the reducedness
+    check behind the embeddings share one computation.
     """
     if a.rank == 0:
         return SublatticeBasis.zero(0)

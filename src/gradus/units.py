@@ -23,7 +23,7 @@ from math import lcm
 from mpmath import mp
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .embeddings import GramForm, norm, with_gram
+from .embeddings import GramForm, fixed_gram, with_gram
 from .errors import InternalInconsistency
 from .intlinalg import Vec, vec_neg, vec_sub
 from .lattices import enumerate_up_to, search_centred_ball
@@ -165,19 +165,21 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     """All elements of finite multiplicative order.
 
     Candidates are the lattice vectors of norm equal to the rank (within the
-    tolerance); each of v and -v goes through the exact exponent gate of
-    `element_order`.
+    tolerance), the norms compared as the integers of `fixed_gram`; each of
+    v and -v goes through the exact exponent gate of `element_order`.
     """
     config = config or DEFAULT_CONFIG
     n = a.rank
 
     def run(g: GramForm):
         with mp.workprec(g.precision):
-            cands = [
-                v
-                for v in enumerate_up_to(g, n, config.enumeration_cap)
-                if norm(g, v) >= n - g.tolerance
-            ]
+            floor = int(mp.ceil(mp.ldexp(n - g.tolerance, g.precision)))
+        fixed = fixed_gram(g)
+        cands = [
+            v
+            for v in enumerate_up_to(g, n, config.enumeration_cap)
+            if sum(x * y for x, y in zip(fixed.vec_mat(v), v)) >= floor
+        ]
         found = {}
         for v in cands:
             for s in (v, vec_neg(v)):

@@ -415,3 +415,80 @@ def oracle_embeddings(a, precision=192, seed=0):
                 rows.append(tuple(x / at_one for x in w))
             return EmbeddingMatrix(n, tuple(rows), precision, mpf(0))
     raise AssertionError("no splitting element separated the spectrum")
+
+
+def oracle_hom_residual(a, sigma):
+    """max |sigma(e_i) sigma(e_j) - sigma(e_i e_j)| and |sigma(1) - 1| over
+    every row, each an `mp.fsum` of complex products at the current
+    precision."""
+    from mpmath import mp, mpf
+
+    n = a.rank
+    worst = mpf(0)
+    for row in sigma:
+        one_val = mp.fsum(c * row[i] for i, c in enumerate(a.one) if c)
+        worst = max(worst, abs(one_val - 1))
+        for i in range(n):
+            for j in range(i, n):
+                lin = mp.fsum(t * row[m] for m, t in enumerate(a.table[i][j]) if t)
+                worst = max(worst, abs(row[i] * row[j] - lin))
+    return worst
+
+
+def oracle_gram(e):
+    """The Gram form sum_k sigma_k(e_i) conj(sigma_k(e_j)), each entry an
+    `mp.fsum` of complex products at the precision of e."""
+    from mpmath import mp, mpf
+
+    from gradus.embeddings import GramForm, _tolerance
+
+    n = e.n
+    with mp.workprec(e.precision):
+        entries = [[mpf(0)] * n for _ in range(n)]
+        worst_imag = mpf(0)
+        for i in range(n):
+            for j in range(i, n):
+                val = mp.fsum(row[i] * mp.conj(row[j]) for row in e.sigma)
+                worst_imag = max(worst_imag, abs(mp.im(val)))
+                entries[i][j] = entries[j][i] = mp.re(val)
+        tol = _tolerance(entries, e.precision)
+        residual = max(e.residual, worst_imag)
+    return GramForm(n, tuple(tuple(r) for r in entries), e.precision, tol, residual)
+
+
+def oracle_lll(g):
+    """LLL of the standard lattice under g that re-runs the full LDL after
+    every swap; returns the basis rows and the LDL data as LLL leaves it."""
+    from mpmath import mp, mpf
+
+    from gradus.lattices import LLL_DELTA, _ldl
+
+    n = g.n
+    with mp.workprec(g.precision):
+        dlt = mpf(LLL_DELTA)
+        basis = [[int(i == j) for j in range(n)] for i in range(n)]
+        gm = [list(row) for row in g.entries]
+        d, mu = _ldl(gm, g.tolerance)
+        k = 1
+        while k < n:
+            for j in range(k - 1, -1, -1):
+                q = int(mp.nint(mu[k][j]))
+                if q:
+                    basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+                    gm[k][k] += q * (q * gm[j][j] - 2 * gm[k][j])
+                    for t in range(n):
+                        if t != k:
+                            gm[k][t] = gm[t][k] = gm[k][t] - q * gm[j][t]
+                    mu[k][j] -= q
+                    for t in range(j):
+                        mu[k][t] -= q * mu[j][t]
+            if d[k] >= (dlt - mu[k][k - 1] ** 2) * d[k - 1]:
+                k += 1
+            else:
+                basis[k - 1], basis[k] = basis[k], basis[k - 1]
+                gm[k - 1], gm[k] = gm[k], gm[k - 1]
+                for row in gm:
+                    row[k - 1], row[k] = row[k], row[k - 1]
+                d, mu = _ldl(gm, g.tolerance)
+                k = max(k - 1, 1)
+        return [tuple(row) for row in basis], d, mu

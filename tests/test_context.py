@@ -39,11 +39,12 @@ def counting(monkeypatch, module, name):
 
 @pytest.fixture
 def fresh_caches():
-    embeddings.numeric_context.cache_clear()
-    lattices._reduction.cache_clear()
+    caches = (embeddings.numeric_context, lattices._reduction, orders.nilradical)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    embeddings.numeric_context.cache_clear()
-    lattices._reduction.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 def test_queries_on_one_order_share_one_context(monkeypatch, fresh_caches):
@@ -79,6 +80,17 @@ def test_analyze_computes_embeddings_once(monkeypatch, fresh_caches, tmp_path, c
     assert data["connected"] is True
     assert data["gram"]["precision"] == 192
     assert len(emb) == 1
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["grade", "--mod-nilradical"]])
+def test_a_cli_run_computes_the_nilradical_once(monkeypatch, fresh_caches, tmp_path, command):
+    # the CLI's report and the reducedness check behind the embeddings
+    # share one trace-form kernel
+    kernels = counting(monkeypatch, orders, "kernel_saturated")
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(order_to_json(example_order("kummer6"))))
+    assert main([command[0], str(path), *command[1:]]) == 0
+    assert len(kernels) == 1
 
 
 def ambiguous_grading(monkeypatch, tried):

@@ -14,7 +14,7 @@ from gradus.embeddings import (
     is_zero,
     norm,
 )
-from gradus.errors import AmbiguousSign, AmbiguousZero, NotReduced
+from gradus.errors import AmbiguousSign, AmbiguousZero, EscalationNeeded, NotReduced
 from gradus.examples import example_names, example_order
 from gradus.lattices import enumerate_up_to
 from gradus.orders import (
@@ -32,6 +32,8 @@ from gradus.units import roots_of_unity
 from helpers import (
     SMALL_RINGS,
     oracle_embeddings,
+    oracle_gram,
+    oracle_hom_residual,
     rebased,
     rebased_samples,
     small_ring_product,
@@ -352,3 +354,114 @@ ORACLE_FIXTURES = {
 @pytest.mark.parametrize("name", list(ORACLE_FIXTURES))
 def test_embeddings_match_the_oracle_on_fixtures(name):
     assert_rows_match_the_oracle(ORACLE_FIXTURES[name])
+
+
+# ------------------------------------- fixed-point residual and Gram form
+
+
+def scale(e):
+    return e.n * (1 + max(abs(s) for row in e.sigma for s in row)) ** 2
+
+
+def threshold(e):
+    # the bound compute_embeddings holds the residual to
+    return mpf(2) ** (-(e.precision // 2)) * scale(e)
+
+
+def nudged(e, k, bits):
+    # e with its k-th row moved by 2**(-bits) in its last entry, and the
+    # conjugate row (if any) moved to match
+    eps = mp.ldexp(1, -bits)
+    row = e.sigma[k]
+    moved = row[:-1] + (row[-1] + eps,)
+    rows = list(e.sigma)
+    rows[k] = moved
+    for i, other in enumerate(e.sigma):
+        if i != k and other == tuple(x.conjugate() for x in row):
+            rows[i] = tuple(x.conjugate() for x in moved)
+    return embeddings.EmbeddingMatrix(e.n, tuple(rows), e.precision, e.residual)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    oracle_orders,
+    st.integers(0, 2**32),
+    st.sampled_from([128, 192, 256]),
+    st.integers(0, 3),
+    st.sampled_from([None, 4]),
+    st.integers(0, 5),
+)
+def test_residual_bounds_the_oracle(a, basis_seed, precision, seed, nudge, row):
+    # the integer residual bounds the true residual of the rows from above,
+    # by little, and gives the verdict of the mpc residual at the
+    # threshold, also on rows moved by 2**(-p/4)
+    b = rebased(a, basis_seed)
+    e = compute_embeddings(b, precision, seed)
+    with mp.workprec(precision):
+        if nudge:
+            e = nudged(e, row % e.n, precision // nudge)
+        got = embeddings._hom_residual(b, e.sigma)
+        at_p = oracle_hom_residual(b, e.sigma)
+        assert (got <= threshold(e)) == (at_p <= threshold(e)) == (not nudge)
+    # the rows are exact binary numbers, and at 4p bits the oracle's own
+    # rounding is far below 2**(-2p): this is their true residual
+    with mp.workprec(4 * precision):
+        true = oracle_hom_residual(b, e.sigma)
+        assert got >= true - mp.ldexp(1, -2 * precision)
+        if not nudge:
+            # one row of each conjugate pair was checked, for all of them
+            assert e.residual >= true - mp.ldexp(1, -2 * precision)
+    with mp.workprec(precision):
+        if not nudge:
+            width = max(sum(map(abs, cell)) for row in b.table for cell in row)
+            biggest = max(abs(x) for r in e.sigma for x in r)
+            assert got <= true + mp.ldexp(1 + width + 2 * biggest, -precision)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_orders, st.integers(0, 2**32), st.sampled_from([128, 192, 256]), st.integers(0, 3))
+def test_gram_matches_the_oracle(a, basis_seed, precision, seed):
+    e = compute_embeddings(rebased(a, basis_seed), precision, seed)
+    g, h = gram(e), oracle_gram(e)
+    with mp.workprec(precision):
+        bound = mp.ldexp(1, -(precision - 8)) * (1 + max(abs(x) for row in h.entries for x in row))
+        for r, s in zip(g.entries, h.entries):
+            for x, y in zip(r, s):
+                assert abs(x - y) <= bound
+        assert abs(g.tolerance - h.tolerance) <= bound * g.tolerance
+        assert g.residual <= e.residual + bound
+
+
+@pytest.mark.parametrize("name", ["zsqrt2", "zeta5", "kummer6", "zc6"])
+def test_a_row_moved_by_a_quarter_of_the_bits_escalates(monkeypatch, name):
+    real = embeddings._row
+
+    def moved(a, columns, lam, bits):
+        row = real(a, columns, lam, bits)
+        return row[:-1] + (row[-1] + mp.ldexp(1, -(mp.prec // 4)),)
+
+    monkeypatch.setattr(embeddings, "_row", moved)
+    with pytest.raises(EscalationNeeded):
+        compute_embeddings(example_order(name))
+
+
+def test_residual_bounds_rows_off_its_grid():
+    # rows that round onto the embeddings of Z x Z but are not embeddings
+    # themselves: the grid residual is 0, and only the slack covers theirs
+    a = small_ring_product(["z", "z"])
+    p = 128
+    with mp.workprec(2 * p):
+        eta = mp.ldexp(1, -(p + embeddings.FIXED_GUARD_BITS + 1))
+        rows = [(mp.mpc(1) + eta, mp.mpc(0)), (mp.mpc(0), mp.mpc(1))]
+        true = oracle_hom_residual(a, rows)
+    with mp.workprec(p):
+        got = embeddings._hom_residual(a, rows)
+    assert 0 < true <= got
+
+
+def test_residual_of_non_finite_rows_is_infinite():
+    a = example_order("zsqrt2")
+    e = compute_embeddings(a)
+    with mp.workprec(e.precision):
+        rows = [e.sigma[0][:-1] + (mp.mpc(mp.nan),), e.sigma[1]]
+        assert embeddings._hom_residual(a, rows) == mp.inf

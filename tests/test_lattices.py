@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from gradus.embeddings import compute_embeddings, gram, gram_from_strings, inner, norm
@@ -12,7 +12,7 @@ from gradus.errors import (
     EscalationNeeded,
     NoMorphism,
 )
-from gradus.examples import example_order
+from gradus.examples import example_names, example_order
 from gradus.intlinalg import SublatticeBasis
 from gradus.lattices import (
     component_refinement_map,
@@ -23,12 +23,15 @@ from gradus.lattices import (
     lll_reduce,
     universal_s_decomposition,
 )
+from gradus.orders import group_ring, is_reduced
 
 from helpers import (
     oracle_finest_orthogonal_partition,
     oracle_indecomposable,
+    oracle_lll,
     oracle_short_vectors,
     random_unimodular,
+    rebased,
     rebased_samples,
 )
 
@@ -99,14 +102,17 @@ def test_enumeration_matches_box_oracle(gm, bound):
 
 @settings(max_examples=40, deadline=None)
 @given(pd_grams(max_dim=4))
+@example([[4, 0, 0, 2], [0, 4, 0, 2], [0, 0, 9, 3], [2, 2, 3, 7]])
 def test_lll_basis_spans_and_does_not_grow(gm):
+    # a swap never raises the largest Gram-Schmidt norm d_i, and those of
+    # the standard basis are at most its diagonal.  The basis norms can
+    # grow: the example reduces to a basis with a vector of norm 10 > 9.
     g = str_gram(gm)
-    red, _, _ = lll_reduce(g)
+    red, d, _ = lll_reduce(g)
     n = len(gm)
     assert SublatticeBasis.from_vectors(n, red) == SublatticeBasis.full(n)
     with mp.workprec(g.precision):
-        worst = max(norm(g, r) for r in red)
-        assert worst <= max(gm[i][i] for i in range(n)) + g.tolerance
+        assert max(d) <= max(gm[i][i] for i in range(n)) + g.tolerance
 
 
 def check_lll_ldl_data(g):
@@ -129,6 +135,31 @@ def test_lll_ldl_data_matches_the_returned_basis(gm):
 @pytest.mark.parametrize("name", list(REBASED))
 def test_lll_ldl_data_matches_the_returned_basis_on_rebased_orders(name):
     check_lll_ldl_data(gram(compute_embeddings(REBASED[name][2])))
+
+
+LLL_ORDERS = {
+    **{name: example_order(name) for name in example_names() if is_reduced(example_order(name))},
+    **{
+        name: rebased(group_ring(factors)[0], name)
+        for name, factors in {"ZC8": [8], "C2xC4": [2, 4], "ZC12": [12]}.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(LLL_ORDERS))
+def test_lll_matches_the_oracle(name):
+    # the O(n) swap update makes the same choices as an LDL after every
+    # swap, and its final (d, mu) are the LDL data of the basis it returns
+    g = gram(compute_embeddings(LLL_ORDERS[name]))
+    rows, d, mu = lll_reduce(g)
+    assert rows == oracle_lll(g)[0]
+    with mp.workprec(g.precision):
+        d0, mu0 = _ldl([[inner(g, u, v) for v in rows] for u in rows], g.tolerance)
+        bound = mp.ldexp(1, -(g.precision // 2))
+        for i in range(g.n):
+            assert abs(d[i] - d0[i]) <= bound * (1 + abs(d0[i]))
+            for j in range(i):
+                assert abs(mu[i][j] - mu0[i][j]) <= bound * (1 + abs(mu0[i][j]))
 
 
 def test_universal_s_decomposition_identity3():
