@@ -7,12 +7,14 @@ Each group ring is taken on a seeded random unimodular basis (as the tests'
 roots) and by `oracle_embeddings` from tests/helpers.py (mpmath's QR
 eigensolver).  On the rows of `compute_embeddings`, the integer
 `_hom_residual` and `gram` are timed against `oracle_hom_residual` and
-`oracle_gram`, which compute the same in mpc sums.  One line per order gives
+`oracle_gram`, which compute the same in mpc sums (the oracle's sums then
+put on the same grid 2**(-p)Z as the Gram form).  One line per order gives
 the times and the largest deviation between the Gram forms of the two
 embeddings, relative to the largest entry (at least 1).  Exits 1 when that
 deviation is above 2**(-precision/2), when the integer residual is below the
 oracle's by more than the oracle's rounding (2**-p n (1 + max|sigma|)^2), or
-when a Gram entry is off the oracle's by more than 2**(8-p) (1 + max|entry|).
+when a Gram entry is off the oracle's by more than 2**(8-p) (1 + max|entry|),
+compared in integers on the grid.
 
     PYTHONPATH=src python scripts/embedding_sweep.py [--large]
 """
@@ -40,11 +42,13 @@ def timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
-def largest(entries):
-    return max([mpf(1)] + [abs(x) for row in entries for x in row])
+def largest(g):
+    """The largest |entry| of a Gram form, at least 1, on its grid."""
+    return max([1 << g.precision] + [abs(x) for row in g.entries for x in row])
 
 
 def deviation(g, h):
+    """The largest entrywise difference of two Gram forms on one grid."""
     return max(abs(x - y) for r, s in zip(g.entries, h.entries) for x, y in zip(r, s))
 
 
@@ -74,9 +78,10 @@ def main():
             residual_ok = res >= want - mp.ldexp(scale, -p)
         g, gram_s = timed(gram, new)
         h, oracle_gram_s = timed(oracle_gram, new)
+        # |entry - oracle| <= 2**(8-p) (1 + max|entry|), times 2**p on the grid
+        gram_ok = deviation(g, h) << (p - 8) <= (1 << p) + largest(h)
         with mp.workprec(p):
-            gram_ok = deviation(g, h) <= mp.ldexp(1 + largest(h.entries), 8 - p)
-            dev = deviation(g, gram(old)) / largest(g.entries)
+            dev = mpf(deviation(g, gram(old))) / largest(g)
         ok &= dev <= bound and residual_ok and gram_ok
         print(
             f"{name:6s} {a.rank:4d} {new_s:10.3f} {old_s:9.3f} {mp.nstr(dev, 3):>15s}"

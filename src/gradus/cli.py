@@ -16,7 +16,7 @@ import sys
 from mpmath import mp
 
 from .config import RunConfig
-from .embeddings import gram_from_strings, with_gram
+from .embeddings import as_real, gram_from_strings, with_gram
 from .errors import (
     DegenerateSplitting,
     EnumerationBudgetExceeded,
@@ -86,19 +86,18 @@ def _gram_digits(g) -> int:
 
 
 def _gram_json(g) -> dict:
-    with mp.workprec(g.precision):
-        digits = _gram_digits(g)
+    digits = _gram_digits(g)
 
-        def fmt(x):
-            # entries below the tolerance are zero by definition of the form
-            return "0.0" if abs(x) <= g.tolerance else mp.nstr(x, digits)
+    def fmt(x):
+        # entries below the tolerance are zero by definition of the form
+        return "0.0" if abs(x) <= g.tolerance else mp.nstr(as_real(g, x), digits)
 
-        return {
-            "n": g.n,
-            "gram": [[fmt(x) for x in row] for row in g.entries],
-            "tolerance": mp.nstr(g.tolerance, 8),
-            "precision": g.precision,
-        }
+    return {
+        "n": g.n,
+        "gram": [[fmt(x) for x in row] for row in g.entries],
+        "tolerance": mp.nstr(as_real(g, g.tolerance), 8),
+        "precision": g.precision,
+    }
 
 
 def cmd_validate(args, config: RunConfig) -> int:

@@ -18,11 +18,17 @@ into a proven upper bound on the residual of the rows themselves (see
 `_hom_residual`).
 
 The inner product <x, y> = sum over embeddings of sigma(x) * conj(sigma(y))
-is assembled into a Gram form, each entry one exact integer sum on the same
-grid, rounded once to p bits.  Entries can be irrational, so zero tests are
-made against a tolerance, with a wide ambiguous band in between: any value
-landing in the band aborts the computation so the caller can escalate the
-precision instead of guessing.
+is assembled into a Gram form on the grid 2**(-p) Z: each entry is one
+exact integer sum on the grid 2**(-2q) Z, shifted once onto 2**(-p) Z, so
+the form is a matrix F of Python integers with F / 2**p ~ <e_i, e_j>.
+Inner products u F v^T are then exact integers, and the zero and sign
+verdicts integer comparisons against a tolerance on the same grid, with a
+wide ambiguous band in between: any value landing in the band aborts the
+computation so the caller can escalate the precision instead of guessing.
+The tolerance covers the rounding of the entries, so an exactly known form
+can carry tolerance 0, and its verdicts are then exact.  mpmath stays where
+numerics propose: the roots and rows here, and the LLL and Fincke-Pohst
+data of `lattices`.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from .errors import (
     NotReduced,
     PrecisionExhausted,
 )
-from .intlinalg import IntMatrix
 from .orders import Order, charpoly_rows, is_reduced
 
 # |value| <= tol counts as zero, |value| >= AMBIGUITY_SPAN * tol as nonzero;
@@ -56,18 +61,16 @@ from .orders import Order, charpoly_rows, is_reduced
 AMBIGUITY_SPAN = 1 << 16
 
 # the zero tolerance of a form at p bits is 2**(-p/TOLERANCE_EXPONENT) times
-# its largest entry (at least 1)
+# its largest entry (at least 1), on the grid of the form
 TOLERANCE_EXPONENT = 3
 
 # seeded splitting elements tried at one precision before the spectrum is
 # declared degenerate
 SPLITTING_TRIES = 8
 
-# sweeps of the double-precision Aberth iteration, steps of the mp.polyroots
-# fallback, and Newton steps at full precision after the doubling ones,
-# before a root proposal counts as failed
+# sweeps of the double-precision Aberth iteration, and Newton steps at full
+# precision after the doubling ones, before a root proposal counts as failed
 ABERTH_SWEEPS = 100
-POLYROOTS_STEPS = 200
 NEWTON_EXTRA_STEPS = 8
 
 # fractional bits of the fixed-point grid of the residual and the Gram form,
@@ -98,13 +101,15 @@ class EmbeddingMatrix:
 
 @dataclass(frozen=True)
 class GramForm:
-    """Real symmetric positive-definite matrix of the canonical form."""
+    """Symmetric positive-definite matrix of the canonical form on the grid
+    2**(-p) Z, p = precision: entries[i][j] is the integer F_ij with
+    F_ij / 2**p ~ <e_i, e_j>, and tolerance, the zero tolerance of every
+    verdict on the form, is an integer on the same grid."""
 
     n: int
-    entries: tuple[tuple[mpf, ...], ...]
+    entries: tuple[tuple[int, ...], ...]
     precision: int
-    tolerance: mpf
-    residual: mpf
+    tolerance: int
 
 
 def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> EmbeddingMatrix:
@@ -204,23 +209,22 @@ def _roots(chi: Sequence[int], bits: int, sep_floor: mpf) -> list[mpc] | None:
     apart than sep_floor.
 
     The starts come from `_aberth`; when it fails, or its refined roots
-    collide, `mp.polyroots` at the working precision proposes them instead.
-    chi is real, so a root nearer to its own conjugate than the roots are to
-    one another is real and is returned with imaginary part 0; the others
-    come in conjugate pairs, and one of each pair is returned.
+    collide, the caller moves on to the next splitting element.  chi is
+    real, so a root nearer to its own conjugate than the roots are to one
+    another is real and is returned with imaginary part 0; the others come
+    in conjugate pairs, and one of each pair is returned.
     """
-    for propose in (_aberth, _polyroots):
-        starts = propose(chi)
-        if starts is None:
-            continue
-        roots = [_newton(chi, x, bits) for x in starts]
-        if any(r is None for r in roots) or _min_separation(roots) <= sep_floor:
-            continue
-        with mp.workprec(bits):
-            real = [mpc(r.real) for r in roots if 2 * abs(r.imag) < sep_floor]
-        upper = [r for r in roots if r.imag >= sep_floor / 2]
-        if len(real) + 2 * len(upper) == len(roots):
-            return real + upper
+    starts = _aberth(chi)
+    if starts is None:
+        return None
+    roots = [_newton(chi, x, bits) for x in starts]
+    if any(r is None for r in roots) or _min_separation(roots) <= sep_floor:
+        return None
+    with mp.workprec(bits):
+        real = [mpc(r.real) for r in roots if 2 * abs(r.imag) < sep_floor]
+    upper = [r for r in roots if r.imag >= sep_floor / 2]
+    if len(real) + 2 * len(upper) == len(roots):
+        return real + upper
     return None
 
 
@@ -267,13 +271,6 @@ def _aberth(chi: Sequence[int]) -> list[complex] | None:
     except ZeroDivisionError:
         pass
     return None
-
-
-def _polyroots(chi: Sequence[int]) -> list[mpc] | None:
-    try:
-        return mp.polyroots(chi, maxsteps=POLYROOTS_STEPS)
-    except mp.NoConvergence:
-        return None
 
 
 def _newton(chi: Sequence[int], x, bits: int) -> mpc | None:
@@ -394,60 +391,56 @@ def _hom_residual(a: Order, sigma) -> mpf:
     return mp.ldexp(bound, -2 * q)
 
 
-def _tolerance(entries, precision: int) -> mpf:
-    biggest = max((abs(x) for row in entries for x in row), default=mpf(1))
-    return mpf(2) ** (-(precision // TOLERANCE_EXPONENT)) * max(biggest, mpf(1))
+def _tolerance(entries, precision: int) -> int:
+    biggest = max((abs(x) for row in entries for x in row), default=0)
+    return max(biggest, 1 << precision) >> (precision // TOLERANCE_EXPONENT)
 
 
 def gram(e: EmbeddingMatrix) -> GramForm:
     """Gram form of the canonical inner product from an embedding matrix.
 
-    The rows are rounded once to the grid of `_hom_residual`, and each
-    entry sum_k Re(s_ki conj s_kj) is an exact integer sum, rounded once to
-    the working precision; the largest imaginary part of such a sum joins
-    the residual of the form.
+    The rows are rounded once to the grid 2**(-q)Z[i] of `_hom_residual`,
+    each entry sum_k Re(s_ki conj s_kj) is an exact integer sum on the grid
+    2**(-2q)Z, and one integer shift rounds it to the nearest point of
+    2**(-p)Z.
     """
-    n = e.n
+    n, p = e.n, e.precision
     if n == 0:
-        return GramForm(0, (), e.precision, mpf(0), e.residual)
-    q = e.precision + FIXED_GUARD_BITS
+        return GramForm(0, (), p, 0)
+    q = p + FIXED_GUARD_BITS
+    shift = 2 * q - p
+    half = 1 << (shift - 1)
     rows = _fixed_rows(e.sigma, q)
     re_cols = list(zip(*(re for re, _ in rows)))
     im_cols = list(zip(*(im for _, im in rows)))
-    with mp.workprec(e.precision):
-        entries = [[mpf(0)] * n for _ in range(n)]
-        worst_imag = 0
-        for i in range(n):
-            ri, ii = re_cols[i], im_cols[i]
-            for j in range(i, n):
-                rj, ij = re_cols[j], im_cols[j]
-                real = sum(map(operator.mul, ri, rj)) + sum(map(operator.mul, ii, ij))
-                imag = sum(map(operator.mul, ii, rj)) - sum(map(operator.mul, ri, ij))
-                worst_imag = max(worst_imag, abs(imag))
-                entries[i][j] = entries[j][i] = mp.ldexp(mpf(real), -2 * q)
-        tol = _tolerance(entries, e.precision)
-        residual = max(e.residual, mp.ldexp(mpf(worst_imag), -2 * q))
-    return GramForm(n, tuple(tuple(r) for r in entries), e.precision, tol, residual)
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        ri, ii = re_cols[i], im_cols[i]
+        for j in range(i, n):
+            real = sum(map(operator.mul, ri, re_cols[j])) + sum(map(operator.mul, ii, im_cols[j]))
+            entries[i][j] = entries[j][i] = (real + half) >> shift
+    return GramForm(n, tuple(map(tuple, entries)), p, _tolerance(entries, p))
 
 
 def gram_from_strings(rows: Sequence[Sequence[str]], precision: int = 192) -> GramForm:
     """Gram form from decimal-string entries, as used in the JSON exchange
     format.  The matrix must be a list of rows, square and symmetric as
     given, and each entry a string, int or float naming a finite real;
-    anything else raises ValueError."""
+    anything else raises ValueError.  Each entry is read at the given
+    precision and put on the nearest point of the grid 2**(-precision)Z."""
     if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
         raise ValueError("gram matrix must be a list of rows")
     n = len(rows)
     with mp.workprec(precision):
-        entries = tuple(tuple(_finite_real(x) for x in row) for row in rows)
-        if any(len(r) != n for r in entries):
+        values = tuple(tuple(_finite_real(x) for x in row) for row in rows)
+        if any(len(r) != n for r in values):
             raise ValueError("gram matrix must be square")
         for i in range(n):
             for j in range(i + 1, n):
-                if entries[i][j] != entries[j][i]:
+                if values[i][j] != values[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        tol = _tolerance(entries, precision)
-    return GramForm(n, entries, precision, tol, mpf(0))
+        entries = tuple(tuple(int(mp.nint(mp.ldexp(x, precision))) for x in row) for row in values)
+    return GramForm(n, entries, precision, _tolerance(entries, precision))
 
 
 def _finite_real(x) -> mpf:
@@ -459,43 +452,27 @@ def _finite_real(x) -> mpf:
     return value
 
 
-def inner(g: GramForm, u: Sequence[int], v: Sequence[int]) -> mpf:
-    """Inner product of two integer coordinate vectors under the form."""
+def as_real(g: GramForm, x: int) -> mpf:
+    """A value on the grid of g as a real at the precision of g, for
+    display."""
+    with mp.workprec(g.precision):
+        return mp.ldexp(x, -g.precision)
+
+
+def inner(g: GramForm, u: Sequence[int], v: Sequence[int]) -> int:
+    """Inner product of two integer coordinate vectors under the form: the
+    exact integer u F v^T on the grid of g."""
     if len(u) != g.n or len(v) != g.n:
         raise ValueError("vector length does not match the form")
-    with mp.workprec(g.precision):
-        total = mpf(0)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = g.entries[i]
-            total += ui * mp.fsum(row[j] * vj for j, vj in enumerate(v) if vj)
-        return total
+    return sum(ui * sum(map(operator.mul, row, v)) for ui, row in zip(u, g.entries) if ui)
 
 
-def norm(g: GramForm, v: Sequence[int]) -> mpf:
+def norm(g: GramForm, v: Sequence[int]) -> int:
     return inner(g, v, v)
 
 
-@functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def fixed_gram(g: GramForm) -> IntMatrix:
-    """2**p G rounded entrywise to integers, p the precision of g.
-
-    v F v^T then differs from 2**p <v, v> by at most ||v||_1^2 / 2, that is
-    <v, v> by ||v||_1^2 2**(-p-1) once scaled back: the order of the
-    rounding error of an mpf `norm` at p bits, and below 2**(-p/2-1), far
-    under the tolerance 2**(-p/3) max(1, max|G|), for every ||v||_1 <
-    2**(p/4).  So comparing these integer norms sorts or thresholds vectors
-    as the mpf norms would, at the cost of integer products only.
-    """
-    with mp.workprec(g.precision):
-        return IntMatrix.from_rows(
-            [[int(mp.nint(mp.ldexp(x, g.precision))) for x in row] for row in g.entries], g.n
-        )
-
-
-def is_zero(g: GramForm, value: mpf) -> bool:
-    """Tolerance verdict on a computed inner product.
+def is_zero(g: GramForm, value: int) -> bool:
+    """Tolerance verdict on an inner product on the grid of g.
 
     Raises AmbiguousZero when the magnitude falls in the band where neither
     verdict is safe; callers escalate precision on that signal.
@@ -506,11 +483,11 @@ def is_zero(g: GramForm, value: mpf) -> bool:
     if mag >= AMBIGUITY_SPAN * g.tolerance:
         return False
     raise AmbiguousZero(
-        f"|{mp.nstr(value, 8)}| is inside the ambiguous zero band at {g.precision} bits"
+        f"|{mp.nstr(as_real(g, value), 8)}| is inside the ambiguous zero band at {g.precision} bits"
     )
 
 
-def is_nonneg(g: GramForm, value: mpf) -> bool:
+def is_nonneg(g: GramForm, value: int) -> bool:
     """Sign verdict used by decomposition tests: is value >= 0 up to the
     tolerance?  Raises AmbiguousSign just below zero, inside the band."""
     if value >= -g.tolerance:
@@ -518,7 +495,7 @@ def is_nonneg(g: GramForm, value: mpf) -> bool:
     if value <= -(AMBIGUITY_SPAN * g.tolerance):
         return False
     raise AmbiguousSign(
-        f"{mp.nstr(value, 8)} is inside the ambiguous sign band at {g.precision} bits"
+        f"{mp.nstr(as_real(g, value), 8)} is inside the ambiguous sign band at {g.precision} bits"
     )
 
 

@@ -72,9 +72,11 @@ class DegenerateSplitting(GradusError):
     """No seeded splitting element separated the eigenvalues.
 
     Every element tried has a repeated eigenvalue, proved exactly by
-    gcd(chi, chi') != 1 for its characteristic polynomial chi, or (never seen
-    in practice) the roots of a squarefree chi could not be resolved farther
-    apart than the separation floor of the working precision.
+    gcd(chi, chi') != 1 for its characteristic polynomial chi, or the
+    double-precision Aberth iteration could not propose the roots of its
+    squarefree chi (it overflows once chi's coefficients exceed a double,
+    as for x^2 - 10^310), or (never seen in practice) the refined roots were
+    no farther apart than the separation floor of the working precision.
     """
 
 

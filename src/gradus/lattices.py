@@ -1,4 +1,9 @@
-"""Positive-definite lattice machinery over a numeric Gram form.
+"""Positive-definite lattice machinery over a Gram form on the grid 2**(-p)Z.
+
+Inner products, norms and the zero and sign verdicts on them are exact
+integers on the grid of the form (see `embeddings.GramForm`).  mpmath only
+proposes: the LDL data (d on the grid, mu scale-free) that steer LLL and the
+Fincke-Pohst searches.
 
 Provides LLL reduction of the standard basis, one Fincke-Pohst enumeration
 kernel (short vectors around the origin, and the centred ball of the
@@ -38,7 +43,7 @@ from .intlinalg import (
 from .embeddings import (
     AMBIGUITY_SPAN,
     GramForm,
-    fixed_gram,
+    as_real,
     inner,
     is_nonneg,
     is_zero,
@@ -62,22 +67,24 @@ class SDecomposition:
 
 
 def _ldl(gmat, tol):
-    """Unit lower-triangular LDL data of a positive-definite matrix.
+    """Unit lower-triangular LDL data of a positive-definite matrix, its
+    entries lifted to mpf at the working precision.
 
-    Returns (d, mu) with gmat = L D L^T, L[i][j] = mu[i][j] for j < i.
-    Raises AmbiguousZero when a pivot is too small to trust, which callers
-    treat as a request for more precision.
+    Returns (d, mu) with gmat = L D L^T, L[i][j] = mu[i][j] for j < i; d has
+    the scale of gmat, mu is scale-free.  Raises AmbiguousZero when a pivot
+    is at most tol, too small to trust, which callers treat as a request for
+    more precision.
     """
     k = len(gmat)
     d = [mpf(0)] * k
     mu = [[mpf(0)] * k for _ in range(k)]
     for i in range(k):
         for j in range(i):
-            s = gmat[i][j]
+            s = mpf(gmat[i][j])
             for t in range(j):
                 s -= mu[i][t] * mu[j][t] * d[t]
             mu[i][j] = s / d[j]
-        s = gmat[i][i]
+        s = mpf(gmat[i][i])
         for t in range(i):
             s -= mu[i][t] ** 2 * d[t]
         if s <= tol:
@@ -91,12 +98,12 @@ def lll_reduce(g: GramForm) -> tuple[list[Vec], list[mpf], list[list[mpf]]]:
     LDL data (d, mu) of its Gram matrix.
 
     The Gram matrix of the current basis starts as g.entries and follows
-    every size-reduction step and swap.  A swap of b_{k-1} and b_k updates
-    (d, mu) in O(n) (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 2.6.3); one LDL of the final Gram matrix then decides
-    positive definiteness and gives fresh (d, mu) to return.  Arithmetic on
-    them runs at the precision of g; the basis itself stays integral
-    throughout.
+    every size-reduction step and swap exactly, in integers on the grid of
+    g.  A swap of b_{k-1} and b_k updates (d, mu) in O(n) (Cohen, A Course
+    in Computational Algebraic Number Theory, Alg. 2.6.3); one LDL of the
+    final Gram matrix then decides positive definiteness and gives fresh
+    (d, mu) to return.  Arithmetic on them runs at the precision of g; d is
+    on the grid of g and mu is scale-free.
     """
     n = g.n
     with mp.workprec(g.precision):
@@ -187,13 +194,13 @@ def _fincke_pohst(d, mu, centre, limit, visit) -> bool:
 
 
 def enumerate_up_to(g: GramForm, bound, cap: int = 10**6) -> list[Vec]:
-    """All nonzero vectors v with <v, v> <= bound (up to the tolerance),
-    one representative per +/- pair, sorted lexicographically."""
+    """All nonzero vectors v with <v, v> <= bound (a real; up to the
+    tolerance), one representative per +/- pair, sorted lexicographically."""
     n = g.n
     if n == 0:
         return []
     with mp.workprec(g.precision):
-        limit = mpf(bound) + g.tolerance
+        limit = mp.ldexp(bound, g.precision) + g.tolerance
         basis, d, mu, _ = _reduction(g)
         found: set[Vec] = set()
 
@@ -203,7 +210,8 @@ def enumerate_up_to(g: GramForm, bound, cap: int = 10**6) -> list[Vec]:
                 found.add(vec_neg(v) if next(c for c in v if c) < 0 else v)
                 if len(found) > cap:
                     raise EnumerationBudgetExceeded(
-                        f"more than {cap} short vectors below bound {mp.nstr(limit, 8)}"
+                        f"more than {cap} short vectors below bound "
+                        f"{mp.nstr(as_real(g, limit), 8)}"
                     )
             return False
 
@@ -233,7 +241,8 @@ def search_centred_ball(g: GramForm, v: Sequence[int], visit) -> bool:
     with mp.workprec(g.precision):
         basis, d, mu, inverse = _reduction(g)
         centre = [mpf(c) / 2 for c in inverse.vec_mat(v)]
-        limit = norm(g, v) / 4 + AMBIGUITY_SPAN * g.tolerance
+        # |v|^2 / 4 rounded up, on the grid of g
+        limit = -(-norm(g, v) // 4) + AMBIGUITY_SPAN * g.tolerance
         return _fincke_pohst(d, mu, centre, limit, lambda x: visit(basis.vec_mat(x)))
 
 
@@ -283,49 +292,44 @@ def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
     if n == 0:
         return SDecomposition(0, (), g)
     full = SublatticeBasis.full(n)
-    with mp.workprec(g.precision):
-        bound = max(norm(g, r) for r in _reduction(g)[0].entries)
-        pool = enumerate_up_to(g, bound, cap)
-        # the walk is ordered by the integer norms of `fixed_gram`: far
-        # finer than the lambda_1 gap between a vector and its parts, and
-        # much cheaper to compute and compare than mpf norms
-        fixed = fixed_gram(g)
-        indec: list[Vec] = []
-        span = SublatticeBasis.zero(n)
-        for v in sorted(pool, key=lambda v: sum(a * b for a, b in zip(fixed.vec_mat(v), v))):
-            if span == full:
-                break
-            if not span.contains(v) and is_indecomposable(g, v):
-                indec.append(v)
-                span = SublatticeBasis.from_vectors(n, span.vectors() + (v,))
-        parent = list(range(len(indec)))
+    bound = max(norm(g, r) for r in _reduction(g)[0].entries)
+    pool = enumerate_up_to(g, as_real(g, bound), cap)
+    indec: list[Vec] = []
+    span = SublatticeBasis.zero(n)
+    for v in sorted(pool, key=lambda v: norm(g, v)):
+        if span == full:
+            break
+        if not span.contains(v) and is_indecomposable(g, v):
+            indec.append(v)
+            span = SublatticeBasis.from_vectors(n, span.vectors() + (v,))
+    parent = list(range(len(indec)))
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-        for i in range(len(indec)):
-            for j in range(i + 1, len(indec)):
-                if find(i) != find(j) and not is_zero(g, inner(g, indec[i], indec[j])):
-                    parent[find(i)] = find(j)
-        groups: dict[int, list[Vec]] = {}
-        for i, v in enumerate(indec):
-            groups.setdefault(find(i), []).append(v)
-        components = [
-            SublatticeBasis.from_vectors(n, vs) for vs in groups.values()
-        ]
-        components.sort(key=lambda c: min(c.vectors()))
-        try:
-            index = direct_sum_index(components, n)
-        except InfiniteIndex:
-            index = None
-        if index != 1:
-            raise EscalationNeeded(
-                "indecomposable vectors failed to split the lattice exactly; "
-                "a zero test was likely misclassified"
-            )
+    for i in range(len(indec)):
+        for j in range(i + 1, len(indec)):
+            if find(i) != find(j) and not is_zero(g, inner(g, indec[i], indec[j])):
+                parent[find(i)] = find(j)
+    groups: dict[int, list[Vec]] = {}
+    for i, v in enumerate(indec):
+        groups.setdefault(find(i), []).append(v)
+    components = [
+        SublatticeBasis.from_vectors(n, vs) for vs in groups.values()
+    ]
+    components.sort(key=lambda c: min(c.vectors()))
+    try:
+        index = direct_sum_index(components, n)
+    except InfiniteIndex:
+        index = None
+    if index != 1:
+        raise EscalationNeeded(
+            "indecomposable vectors failed to split the lattice exactly; "
+            "a zero test was likely misclassified"
+        )
     return SDecomposition(n, tuple(components), g)
 
 

@@ -20,10 +20,8 @@ import functools
 from dataclasses import dataclass
 from math import lcm
 
-from mpmath import mp
-
 from .config import DEFAULT_CONFIG, RunConfig
-from .embeddings import GramForm, fixed_gram, with_gram
+from .embeddings import GramForm, norm, with_gram
 from .errors import InternalInconsistency
 from .intlinalg import Vec, vec_neg, vec_sub
 from .lattices import enumerate_up_to, search_centred_ball
@@ -165,21 +163,15 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     """All elements of finite multiplicative order.
 
     Candidates are the lattice vectors of norm equal to the rank (within the
-    tolerance), the norms compared as the integers of `fixed_gram`; each of
-    v and -v goes through the exact exponent gate of `element_order`.
+    tolerance, compared on the grid of the form); each of v and -v goes
+    through the exact exponent gate of `element_order`.
     """
     config = config or DEFAULT_CONFIG
     n = a.rank
 
     def run(g: GramForm):
-        with mp.workprec(g.precision):
-            floor = int(mp.ceil(mp.ldexp(n - g.tolerance, g.precision)))
-        fixed = fixed_gram(g)
-        cands = [
-            v
-            for v in enumerate_up_to(g, n, config.enumeration_cap)
-            if sum(x * y for x, y in zip(fixed.vec_mat(v), v)) >= floor
-        ]
+        floor = (n << g.precision) - g.tolerance
+        cands = [v for v in enumerate_up_to(g, n, config.enumeration_cap) if norm(g, v) >= floor]
         found = {}
         for v in cands:
             for s in (v, vec_neg(v)):

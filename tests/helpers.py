@@ -365,7 +365,8 @@ def oracle_roots(a):
 
     def run(g):
         with mp.workprec(g.precision):
-            cands = [v for v in enumerate_up_to(g, n) if norm(g, v) >= n - g.tolerance]
+            floor = n - real(g, g.tolerance)
+        cands = [v for v in enumerate_up_to(g, n) if real(g, norm(g, v)) >= floor]
         found = {}
         for v in cands:
             for s in (v, tuple(-c for c in v)):
@@ -435,25 +436,74 @@ def oracle_hom_residual(a, sigma):
     return worst
 
 
+def oracle_gram_entries(e, precision):
+    """The real Gram matrix sum_k Re(sigma_k(e_i) conj sigma_k(e_j)), each
+    entry an `mp.fsum` of complex products at the given precision."""
+    from mpmath import mp
+
+    with mp.workprec(precision):
+        return [[mp.re(mp.fsum(row[i] * mp.conj(row[j]) for row in e.sigma)) for j in range(e.n)]
+                for i in range(e.n)]
+
+
 def oracle_gram(e):
-    """The Gram form sum_k sigma_k(e_i) conj(sigma_k(e_j)), each entry an
-    `mp.fsum` of complex products at the precision of e."""
-    from mpmath import mp, mpf
+    """The Gram form of `oracle_gram_entries` at the precision p of e, each
+    entry put on the nearest point of the grid 2**(-p)Z."""
+    from mpmath import mp
 
     from gradus.embeddings import GramForm, _tolerance
 
-    n = e.n
-    with mp.workprec(e.precision):
-        entries = [[mpf(0)] * n for _ in range(n)]
-        worst_imag = mpf(0)
-        for i in range(n):
-            for j in range(i, n):
-                val = mp.fsum(row[i] * mp.conj(row[j]) for row in e.sigma)
-                worst_imag = max(worst_imag, abs(mp.im(val)))
-                entries[i][j] = entries[j][i] = mp.re(val)
-        tol = _tolerance(entries, e.precision)
-        residual = max(e.residual, worst_imag)
-    return GramForm(n, tuple(tuple(r) for r in entries), e.precision, tol, residual)
+    p = e.precision
+    with mp.workprec(p):
+        entries = tuple(
+            tuple(int(mp.nint(mp.ldexp(x, p))) for x in row) for row in oracle_gram_entries(e, p)
+        )
+    return GramForm(e.n, entries, p, _tolerance(entries, p))
+
+
+def real(g, x):
+    """A value on the grid 2**(-p)Z of the Gram form g (an entry, inner
+    product, norm, tolerance or LDL pivot, as an integer or mpf) as the real
+    it stands for, an mpf at the precision p of g."""
+    from mpmath import mp
+
+    with mp.workprec(g.precision):
+        return mp.ldexp(x, -g.precision)
+
+
+def oracle_inner(entries, u, v):
+    """<u, v> over a real Gram matrix the way `embeddings.inner` computed it
+    on mpf entries: u_i times one `mp.fsum` per row, at the working
+    precision."""
+    from mpmath import mp, mpf
+
+    total = mpf(0)
+    for i, ui in enumerate(u):
+        if ui:
+            total += ui * mp.fsum(entries[i][j] * vj for j, vj in enumerate(v) if vj)
+    return total
+
+
+def oracle_verdict(entries, precision, value, sign=False):
+    """The zero verdict (or with sign=True the sign verdict) on a real value
+    as `embeddings.is_zero` and `is_nonneg` gave it on mpf entries, against
+    the tolerance 2**(-p/3) max(1, max|entry|): True, False, or the
+    exception class raised in the ambiguous band."""
+    from mpmath import mp, mpf
+
+    from gradus.embeddings import AMBIGUITY_SPAN, TOLERANCE_EXPONENT
+    from gradus.errors import AmbiguousSign, AmbiguousZero
+
+    with mp.workprec(precision):
+        biggest = max([mpf(1)] + [abs(x) for row in entries for x in row])
+        tol = mp.ldexp(biggest, -(precision // TOLERANCE_EXPONENT))
+        if sign:
+            if value >= -tol:
+                return True
+            return False if value <= -AMBIGUITY_SPAN * tol else AmbiguousSign
+        if abs(value) <= tol:
+            return True
+        return False if abs(value) >= AMBIGUITY_SPAN * tol else AmbiguousZero
 
 
 def oracle_lll(g):

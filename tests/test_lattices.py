@@ -5,9 +5,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
-from gradus.embeddings import compute_embeddings, gram, gram_from_strings, inner, norm
+from gradus.embeddings import (
+    compute_embeddings,
+    gram,
+    gram_from_strings,
+    inner,
+    is_nonneg,
+    is_zero,
+    norm,
+)
 from gradus.errors import (
     AmbiguousSign,
+    AmbiguousZero,
     EnumerationBudgetExceeded,
     EscalationNeeded,
     NoMorphism,
@@ -26,13 +35,19 @@ from gradus.lattices import (
 from gradus.orders import group_ring, is_reduced
 
 from helpers import (
+    SMALL_RINGS,
     oracle_finest_orthogonal_partition,
+    oracle_gram_entries,
     oracle_indecomposable,
+    oracle_inner,
     oracle_lll,
     oracle_short_vectors,
+    oracle_verdict,
     random_unimodular,
+    real,
     rebased,
     rebased_samples,
+    small_ring_product,
 )
 
 STD2 = gram_from_strings([["1", "0"], ["0", "1"]])
@@ -112,7 +127,7 @@ def test_lll_basis_spans_and_does_not_grow(gm):
     n = len(gm)
     assert SublatticeBasis.from_vectors(n, red) == SublatticeBasis.full(n)
     with mp.workprec(g.precision):
-        assert max(d) <= max(gm[i][i] for i in range(n)) + g.tolerance
+        assert real(g, max(d)) <= max(gm[i][i] for i in range(n)) + real(g, g.tolerance)
 
 
 def check_lll_ldl_data(g):
@@ -121,9 +136,10 @@ def check_lll_ldl_data(g):
     with mp.workprec(g.precision):
         d0, mu0 = _ldl([[inner(g, u, v) for v in rows] for u in rows], g.tolerance)
         for i in range(g.n):
+            # d is on the grid of g, mu is scale-free
             assert abs(d[i] - d0[i]) <= g.tolerance
             for j in range(i):
-                assert abs(mu[i][j] - mu0[i][j]) <= g.tolerance
+                assert abs(mu[i][j] - mu0[i][j]) <= real(g, g.tolerance)
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,3 +369,72 @@ def test_pool_less_test_keeps_the_ambiguous_sign_signal():
         is_indecomposable(g, (1, 1))
     with pytest.raises(EscalationNeeded):
         universal_s_decomposition(g)
+
+
+# ------------------------------------------ the grid form against mpf sums
+
+PRECISIONS = st.sampled_from([128, 192, 256])
+
+# small rebased orders, as in test_embeddings
+grid_orders = st.one_of(
+    st.lists(st.sampled_from(sorted(SMALL_RINGS)), min_size=1, max_size=3)
+    .filter(lambda names: sum(2 - (n == "z") for n in names) <= 5)
+    .map(small_ring_product),
+    st.integers(2, 6).map(lambda m: group_ring([m])[0]),
+)
+
+# values placed at these multiples of the tolerance: zero, inside the
+# ambiguous band three times, and nonzero twice
+TOLERANCE_MULTIPLES = [(1, 2), (2, 1), (1 << 8, 1), (1 << 15, 1), (1 << 17, 1), (1 << 20, 1)]
+
+
+def verdict(test, g, value):
+    try:
+        return test(g, value)
+    except AmbiguousZero as exc:
+        return type(exc)
+
+
+def check_against_mpf_sums(g, values, u, v):
+    """The integer inner product of g agrees with the mpf sum over the real
+    entries `values` within the rounding of the grid, and is_zero and
+    is_nonneg give the verdicts of the mpf form on it and on values inside
+    and around the ambiguous band."""
+    p = g.precision
+    got = inner(g, u, v)
+    assert norm(g, u) == inner(g, u, u)
+    with mp.workprec(4 * p):
+        slack = mp.ldexp(sum(map(abs, u)) * sum(map(abs, v)) + 1, -p)
+        assert abs(mp.ldexp(got, -p) - oracle_inner(values, u, v)) <= slack
+    with mp.workprec(p):
+        cases = [(got, oracle_inner(values, u, v))]
+    for m, d in TOLERANCE_MULTIPLES:
+        for sign in (1, -1):
+            k = sign * g.tolerance * m // d
+            cases.append((k, real(g, k)))
+    for value, at_p in cases:
+        assert verdict(is_zero, g, value) == oracle_verdict(values, p, at_p)
+        assert verdict(is_nonneg, g, value) == oracle_verdict(values, p, at_p, sign=True)
+
+
+def vectors(n):
+    return st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pd_grams(max_dim=4), PRECISIONS, st.data())
+def test_grid_form_matches_mpf_sums_on_integral_forms(gm, precision, data):
+    g = gram_from_strings([[str(x) for x in row] for row in gm], precision)
+    with mp.workprec(precision):
+        values = [[mp.mpf(x) for x in row] for row in gm]
+    n = len(gm)
+    check_against_mpf_sums(g, values, data.draw(vectors(n)), data.draw(vectors(n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_orders, st.integers(0, 2**32), PRECISIONS, st.data())
+def test_grid_form_matches_mpf_sums_on_orders(a, basis_seed, precision, data):
+    e = compute_embeddings(rebased(a, basis_seed), precision)
+    g = gram(e)
+    values = oracle_gram_entries(e, 4 * precision)
+    check_against_mpf_sums(g, values, data.draw(vectors(e.n)), data.draw(vectors(e.n)))
