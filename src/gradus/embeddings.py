@@ -27,8 +27,9 @@ wide ambiguous band in between: any value landing in the band aborts the
 computation so the caller can escalate the precision instead of guessing.
 The tolerance covers the rounding of the entries, so an exactly known form
 can carry tolerance 0, and its verdicts are then exact.  mpmath stays where
-numerics propose: the roots and rows here, and the LLL and Fincke-Pohst
-data of `lattices`.
+numerics propose: the roots and rows here, and the LDL data that steers LLL
+in `lattices`.  The Fincke-Pohst searches of `lattices` run on exact
+integer data and are complete by proof.
 """
 
 from __future__ import annotations

@@ -95,7 +95,12 @@ class IntMatrix:
         """Row action: v as a row vector times this matrix."""
         if len(v) != self.rows:
             raise ValueError("vector length does not match row count")
-        return tuple(sum(v[i] * self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
+        out = [0] * self.cols
+        for k, row in zip(v, self.entries):
+            if k:
+                for j, r in enumerate(row):
+                    out[j] += k * r
+        return tuple(out)
 
 
 def stack(mats: Sequence[IntMatrix], cols: int | None = None) -> IntMatrix:

@@ -2,8 +2,12 @@
 
 Inner products, norms and the zero and sign verdicts on them are exact
 integers on the grid of the form (see `embeddings.GramForm`).  mpmath only
-proposes: the LDL data (d on the grid, mu scale-free) that steer LLL and the
-Fincke-Pohst searches.
+steers LLL, through its LDL data (d on the grid, mu scale-free).  The
+Fincke-Pohst searches run on exact integer data: a fraction-free LDL of the
+exact Gram matrix of the LLL basis, with mu and the centres in fixed point
+on the grid 2**(-FP_BITS) Z.  Each node widens its range by a proven bound
+on that rounding, so every search is complete by proof (see
+`_fincke_pohst`) and its callers decide the points exactly.
 
 Provides LLL reduction of the standard basis, one Fincke-Pohst enumeration
 kernel (short vectors around the origin, and the centred ball of the
@@ -19,10 +23,13 @@ kept vectors under nonzero inner products span the answer.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_shift, round_floor, to_int
 
 from .errors import (
     AmbiguousZero,
@@ -51,6 +58,10 @@ from .embeddings import (
 )
 
 LLL_DELTA = "0.99"
+
+# fractional bits of the fixed-point Fincke-Pohst data: mu and the centres
+# are kept on the grid 2**(-FP_BITS) Z
+FP_BITS = 64
 
 # Gram forms whose reduction is kept; the queries on one order share one
 # form, so a few entries suffice.
@@ -148,74 +159,147 @@ def lll_reduce(g: GramForm) -> tuple[list[Vec], list[mpf], list[list[mpf]]]:
         return [tuple(row) for row in basis], d, mu
 
 
+def _fixed_ldl(h: IntMatrix) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Fixed-point LDL data (D, M) of a positive-definite integer matrix h.
+
+    h = L diag(d) L^T with L unit lower triangular, L[j][i] = mu_ji.  A
+    fraction-free elimination (Bareiss; Cohen, Alg. 2.6.7) gives the leading
+    minors Delta_i of h and the integers lambda_ji = Delta_i mu_ji exactly,
+    so d_i = Delta_i / Delta_{i-1}.  Returns D_i = floor(d_i) and M[i] =
+    (M_ji for j > i) with M_ji = round(mu_ji 2**FP_BITS).  Raises
+    AmbiguousZero when some Delta_i <= 0 (h is not positive definite) or
+    D_i = 0 (a pivot below one unit of the grid), which callers treat as a
+    request for more precision.
+    """
+    n = h.rows
+    lam = [[0] * n for _ in range(n)]
+    delta = [1] * (n + 1)  # delta[i + 1] = Delta_i, the leading i + 1 minor
+    for i in range(n):
+        for j in range(i + 1):
+            u = h.entries[i][j]
+            for k in range(j):
+                u = (delta[k + 1] * u - lam[i][k] * lam[j][k]) // delta[k]
+            lam[i][j] = u
+        if lam[i][i] <= 0:
+            raise AmbiguousZero("form is not positive definite on its grid")
+        delta[i + 1] = lam[i][i]
+    D = [delta[i + 1] // delta[i] for i in range(n)]
+    if not all(D):
+        raise AmbiguousZero("a pivot of the form is below one unit of its grid")
+    M = [
+        tuple(
+            ((lam[j][i] << (FP_BITS + 1)) + delta[i + 1]) // (2 * delta[i + 1])
+            for j in range(i + 1, n)
+        )
+        for i in range(n)
+    ]
+    return D, M
+
+
 @functools.lru_cache(maxsize=REDUCTION_CACHE_SIZE)
 def _reduction(g: GramForm):
-    """LLL basis of g (rows of an IntMatrix), the LDL data of its Gram
-    matrix as LLL leaves it, and the inverse of the basis, which maps a
-    vector to its coordinates in that basis.  Computed once per form and
-    shared by every enumeration and decomposition test on it."""
-    rows, d, mu = lll_reduce(g)
+    """LLL basis of g (rows of an IntMatrix), the fixed-point LDL data (D,
+    M) of its exact Gram matrix B F B^T on the grid of g (`_fixed_ldl`), and
+    the inverse of the basis, which maps a vector to its coordinates in that
+    basis.  Computed once per form and shared by every enumeration and
+    decomposition test on it."""
+    rows, _, _ = lll_reduce(g)
     basis = IntMatrix.from_rows(rows, g.n)
-    return basis, d, mu, inverse_unimodular(basis)
+    D, M = _fixed_ldl(basis @ IntMatrix(g.entries, g.n) @ basis.transpose())
+    return basis, D, M, inverse_unimodular(basis)
 
 
-def _fincke_pohst(d, mu, centre, limit, visit) -> bool:
+def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
     """Call visit(x) on every integer coordinate vector x in the reduced
-    basis with |x - centre|^2 <= limit, where |y|^2 = sum_i d_i (y_i +
-    sum_{j>i} mu_ji y_j)^2 is the form written through its LDL data, until
-    visit returns True; return whether it did.
+    basis with Q(x - c) <= limit, and possibly on a few points just outside,
+    until visit returns True; return whether it did.
 
-    Depth-first from the last coordinate, each coordinate over the integers
-    its conditional centre and the remaining budget allow (Fincke-Pohst).
-    `x` is reused between calls: copy what is kept.
+    Q(y) = y H y^T for H the exact Gram matrix of the basis on the grid of
+    the form, written through its LDL data as Q(y) = sum_i d_i (y_i + sum_{j>i}
+    mu_ji y_j)^2; D, M are those of `_fixed_ldl`, and C_i = c_i 2**K with K =
+    FP_BITS is the centre on the grid 2**(-K) Z.  Depth-first from the last
+    coordinate (Fincke-Pohst), in integers only.  `x` is reused between
+    calls: copy what is kept.
+
+    Completeness.  Given x_j for j > i, Q(x - c) <= limit requires
+    d_i (x_i - t_i)^2 <= R_i, where t_i = c_i - sum_{j>i} mu_ji (x_j - c_j) is
+    the conditional centre and R_i = limit - sum_{j>i} d_j (x_j - t_j)^2 the
+    exact remaining budget.  With y_j = x_j 2**K - C_j the node computes
+    T_i = C_i - (sum_{j>i} M_ji y_j >> K); since |M_ji - mu_ji 2**K| <= 1/2
+    and the shift floors, |T_i - t_i 2**K| <= sum_{j>i} |y_j| / 2**(K+1) + 1
+    <= delta_i = floor(sum_{j>i} |y_j| / 2**(K+1)) + 2.  The node holds a
+    budget B_i >= R_i (B = limit at the top).  Then every admissible x_i has
+    |x_i 2**K - t_i 2**K| <= sqrt(B_i 2**(2K) / D_i) < isqrt((B_i << 2K) //
+    D_i) + 1 (as D_i <= d_i), so |x_i 2**K - T_i| is below the radius
+    isqrt((B_i << 2K) // D_i) + 1 + delta_i, the range scanned.  Its exact
+    cost d_i (x_i - t_i)^2 is at least s_i = D_i max(0, |x_i 2**K - T_i| -
+    delta_i)^2 >> 2K, so s_i <= R_i <= B_i passes the test below, and the
+    child gets B_i - s_i >= R_i - d_i (x_i - t_i)^2 = R_{i-1}.  By induction
+    every point of the exact ball is visited.
     """
-    n = len(d)
+    n = len(D)
+    two_k = 2 * FP_BITS
     x = [0] * n
+    y = [0] * n
 
-    def descend(i, budget):
-        # x_i's conditional centre given the coordinates fixed above it
-        t = centre[i] - mp.fsum(
-            mu[j][i] * (x[j] - centre[j]) for j in range(i + 1, n) if x[j] != centre[j]
-        )
-        radius = mp.sqrt(budget / d[i])
-        lo = int(mp.ceil(t - radius))
-        hi = int(mp.floor(t + radius))
-        for xi in range(lo, hi + 1):
-            spent = d[i] * (xi - t) ** 2
+    def descend(i, budget, spread):
+        # spread = sum_{j>i} |y_j|
+        t = C[i] - (sum(map(operator.mul, M[i], y[i + 1 :])) >> FP_BITS)
+        delta = (spread >> (FP_BITS + 1)) + 2
+        d = D[i]
+        radius = math.isqrt((budget << two_k) // d) + 1 + delta
+        for xi in range(-((radius - t) >> FP_BITS), ((t + radius) >> FP_BITS) + 1):
+            fixed = xi << FP_BITS
+            e = abs(fixed - t) - delta
+            spent = (d * e * e) >> two_k if e > 0 else 0
             if spent > budget:
                 continue
             x[i] = xi
-            if visit(x) if i == 0 else descend(i - 1, budget - spent):
+            y[i] = fixed - C[i]
+            if visit(x) if i == 0 else descend(i - 1, budget - spent, spread + abs(y[i])):
                 return True
-        x[i] = 0
         return False
 
-    return limit >= 0 and descend(n - 1, limit)
+    return limit >= 0 and descend(n - 1, limit, 0)
+
+
+def _grid_floor(x, p: int) -> int:
+    """floor(x 2**p), exactly, for an int, float or mpf x."""
+    if isinstance(x, int):
+        return x << p
+    return to_int(mpf_shift(mp.convert(x)._mpf_, p), round_floor)
 
 
 def enumerate_up_to(g: GramForm, bound, cap: int = 10**6) -> list[Vec]:
-    """All nonzero vectors v with <v, v> <= bound (a real; up to the
-    tolerance), one representative per +/- pair, sorted lexicographically."""
+    """All nonzero vectors v with <v, v> <= bound (a real) up to the
+    tolerance, one representative per +/- pair, sorted lexicographically.
+
+    Exactly the v with norm(g, v) <= floor(bound 2**p) + tolerance on the
+    grid of g: the search proposes a superset and each point is kept on its
+    exact norm, so the output and the cap count are that set."""
     n = g.n
     if n == 0:
         return []
-    with mp.workprec(g.precision):
-        limit = mp.ldexp(bound, g.precision) + g.tolerance
-        basis, d, mu, _ = _reduction(g)
-        found: set[Vec] = set()
+    limit = _grid_floor(bound, g.precision) + g.tolerance
+    basis, D, M, _ = _reduction(g)
+    zero = (0,) * n
+    found: set[Vec] = set()
 
-        def keep(x):
-            if any(x):
-                v = basis.vec_mat(x)
-                found.add(vec_neg(v) if next(c for c in v if c) < 0 else v)
+    def keep(x):
+        if any(x):
+            v = basis.vec_mat(x)
+            if v < zero:
+                v = vec_neg(v)
+            if v not in found and norm(g, v) <= limit:
+                found.add(v)
                 if len(found) > cap:
                     raise EnumerationBudgetExceeded(
                         f"more than {cap} short vectors below bound "
                         f"{mp.nstr(as_real(g, limit), 8)}"
                     )
-            return False
+        return False
 
-        _fincke_pohst(d, mu, (0,) * n, limit, keep)
+    _fincke_pohst(D, M, zero, limit, keep)
     return sorted(found)
 
 
@@ -227,23 +311,24 @@ def is_decomposition(g: GramForm, z: Sequence[int], x: Sequence[int], y: Sequenc
 
 
 def search_centred_ball(g: GramForm, v: Sequence[int], visit) -> bool:
-    """Call visit(x) on every lattice vector x with <x, v - x> >= 0, until
-    visit returns True; return whether it did.
+    """Call visit(x) on every lattice vector x with <x, v - x> >= 0, and
+    possibly on a few more, until visit returns True; return whether it did.
 
     <x, v - x> = |v|^2/4 - |x - v/2|^2, so these are the lattice points of
     the ball |x - v/2|^2 <= |v|^2/4, listed by a centred Fincke-Pohst search
-    and passed in the original basis.  The radius is widened by
-    AMBIGUITY_SPAN * tolerance, so no point whose sign test is not a clear
-    "negative" is lost to rounding; visit makes the exact decision.
+    (complete by `_fincke_pohst`) and passed in the original basis.  The
+    radius is widened by AMBIGUITY_SPAN * tolerance, so every point whose
+    sign test is not a clear "negative" is visited; visit makes the exact
+    decision.
     """
     if g.n == 0:
         return bool(visit(()))
-    with mp.workprec(g.precision):
-        basis, d, mu, inverse = _reduction(g)
-        centre = [mpf(c) / 2 for c in inverse.vec_mat(v)]
-        # |v|^2 / 4 rounded up, on the grid of g
-        limit = -(-norm(g, v) // 4) + AMBIGUITY_SPAN * g.tolerance
-        return _fincke_pohst(d, mu, centre, limit, lambda x: visit(basis.vec_mat(x)))
+    basis, D, M, inverse = _reduction(g)
+    # v / 2 in the reduced basis, on the grid 2**(-FP_BITS) Z
+    centre = [c << (FP_BITS - 1) for c in inverse.vec_mat(v)]
+    # |v|^2 / 4 rounded up, on the grid of g
+    limit = -(-norm(g, v) // 4) + AMBIGUITY_SPAN * g.tolerance
+    return _fincke_pohst(D, M, centre, limit, lambda x: visit(basis.vec_mat(x)))
 
 
 def is_indecomposable(g: GramForm, v: Sequence[int]) -> bool:

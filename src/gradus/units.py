@@ -165,6 +165,11 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     Candidates are the lattice vectors of norm equal to the rank (within the
     tolerance, compared on the grid of the form); each of v and -v goes
     through the exact exponent gate of `element_order`.
+
+    group_closed checks x y for unordered pairs only, since `validate`
+    rejects non-commutative tables, and needs no inverse check: the inverse
+    x^(k-1) of a root of order k is a product of copies of x, so closure
+    under products gives it.
     """
     config = config or DEFAULT_CONFIG
     n = a.rank
@@ -185,8 +190,6 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     orders = tuple(found[r] for r in roots)
     root_set = set(roots)
     closed = all(
-        mul(a, x, y) in root_set for x in roots for y in roots
-    ) and all(
-        power(a, x, found[x] - 1) in root_set for x in roots if found[x] > 1
+        mul(a, x, y) in root_set for i, x in enumerate(roots) for y in roots[i:]
     )
     return UnitGroupReport(roots, orders, len(roots), closed)

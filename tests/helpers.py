@@ -125,6 +125,39 @@ def oracle_short_vectors(gram, bound):
     return sorted(out)
 
 
+def oracle_ball_points(gram, v):
+    """All integer x with <x, v - x> >= 0 under an integer form, by scanning
+    an explicit coordinate box: these are the points of the ball
+    |x - v/2|^2 <= |v|^2/4, whose i-th coordinate lies within
+    sqrt(|v|^2/4 * inv[i][i]) of v_i/2."""
+    n = len(gram)
+    inv = frac_inverse(gram)
+    r2 = Fraction(quad_form(gram, v), 4)
+    box = []
+    for i in range(n):
+        lim = isqrt(int(r2 * inv[i][i])) + 1
+        box.append(range(v[i] // 2 - lim, -(-v[i] // 2) + lim + 1))
+    return {
+        x
+        for x in itertools.product(*box)
+        if dot_form(gram, x, [a - b for a, b in zip(v, x)]) >= 0
+    }
+
+
+def frac_ldl(gram):
+    """Exact LDL data of a positive-definite rational matrix, as Fractions:
+    (d, mu) with gram = L diag(d) L^T and L[i][j] = mu[i][j] for j < i."""
+    n = len(gram)
+    d = [Fraction(0)] * n
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            s = Fraction(gram[i][j]) - sum(mu[i][t] * mu[j][t] * d[t] for t in range(j))
+            mu[i][j] = s / d[j]
+        d[i] = Fraction(gram[i][i]) - sum(mu[i][t] ** 2 * d[t] for t in range(i))
+    return d, mu
+
+
 def oracle_indecomposable(gram, v, pool):
     """Exact decomposability test: some nonzero x != v with q(x) < q(v) and
     <x, v - x> >= 0 disqualifies v."""

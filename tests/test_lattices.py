@@ -1,11 +1,14 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+from gradus import lattices
 from gradus.embeddings import (
+    GramForm,
     compute_embeddings,
     gram,
     gram_from_strings,
@@ -22,20 +25,28 @@ from gradus.errors import (
     NoMorphism,
 )
 from gradus.examples import example_names, example_order
-from gradus.intlinalg import SublatticeBasis
+from gradus.intlinalg import IntMatrix, SublatticeBasis
 from gradus.lattices import (
+    FP_BITS,
     component_refinement_map,
     enumerate_up_to,
     is_decomposition,
     is_indecomposable,
+    _fixed_ldl,
+    _grid_floor,
     _ldl,
+    _reduction,
     lll_reduce,
+    search_centred_ball,
     universal_s_decomposition,
 )
 from gradus.orders import group_ring, is_reduced
 
 from helpers import (
     SMALL_RINGS,
+    dot_form,
+    frac_ldl,
+    oracle_ball_points,
     oracle_finest_orthogonal_partition,
     oracle_gram_entries,
     oracle_indecomposable,
@@ -438,3 +449,106 @@ def test_grid_form_matches_mpf_sums_on_orders(a, basis_seed, precision, data):
     g = gram(e)
     values = oracle_gram_entries(e, 4 * precision)
     check_against_mpf_sums(g, values, data.draw(vectors(e.n)), data.draw(vectors(e.n)))
+
+
+# ------------------------------------------ the integer Fincke-Pohst kernel
+
+# scales of an exact form on the grid 2**-64: 2**1200 is beyond double range
+SCALES = st.sampled_from([1, 1 << 64, 1 << 1200])
+
+
+def exact_form(gm, scale=1, precision=64):
+    """The integer matrix gm times scale as a grid form with tolerance 0."""
+    n = len(gm)
+    return GramForm(n, tuple(tuple(x * scale for x in row) for row in gm), precision, 0)
+
+
+def check_ball_search(gm, scale, v):
+    seen = set()
+    search_centred_ball(exact_form(gm, scale), v, lambda x: seen.add(tuple(x)))
+    want = oracle_ball_points(gm, v)
+    assert want <= seen
+    return want
+
+
+@settings(max_examples=50, deadline=None)
+@given(pd_grams(max_dim=4), SCALES, st.data())
+def test_centred_search_visits_every_ball_point(gm, scale, data):
+    # 0 and v lie exactly on the sphere, and tolerance 0 leaves no margin;
+    # v stays short because the oracle scans a box around v/2
+    v = data.draw(st.tuples(*[st.integers(-2, 2)] * len(gm)))
+    check_ball_search(gm, scale, v)
+
+
+@pytest.mark.parametrize("scale", [1, 1 << 64, 1 << 1200])
+def test_centred_search_reaches_every_point_on_the_sphere(scale):
+    # Z^3 in the basis (1,1,0), (0,1,1), (0,0,1); v = (1,0,1) is (1,1,1),
+    # and each of its 8 subsets x has <x, v - x> = 0 exactly
+    assert len(check_ball_search([[2, 1, 0], [1, 2, 1], [0, 1, 1]], scale, (1, 0, 1))) == 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(pd_grams(max_dim=4), SCALES)
+def test_kernel_data_is_the_exact_ldl_on_the_grid(gm, scale):
+    g = exact_form(gm, scale)
+    basis, D, M, _ = _reduction(g)
+    rows = basis.entries
+    h = [[dot_form(g.entries, u, w) for w in rows] for u in rows]
+    d, mu = frac_ldl(h)
+    for i in range(g.n):
+        assert D[i] == d[i].numerator // d[i].denominator
+        for j in range(i + 1, g.n):
+            assert abs(M[i][j - i - 1] - mu[j][i] * 2**FP_BITS) <= Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "h", [[[1, 2], [2, 1]], [[1, 1], [1, 1]], [[-1]], [[2, 0, 0], [0, 1, 1], [0, 1, 1]]]
+)
+def test_kernel_data_rejects_a_form_that_is_not_positive_definite(h):
+    with pytest.raises(AmbiguousZero):
+        _fixed_ldl(IntMatrix.from_rows(h))
+
+
+def test_kernel_data_rejects_a_pivot_below_one_grid_unit():
+    # d_1 = 1/2: positive, but below the unit of the grid
+    with pytest.raises(AmbiguousZero):
+        _fixed_ldl(IntMatrix.from_rows([[2, 1], [1, 1]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pd_grams(), st.integers(0, 8))
+def test_exact_enumeration_matches_the_box_oracle(gm, bound):
+    # the real form is gm itself, on the grid 2**-1200, with tolerance 0:
+    # the pool is exactly the set of v with v gm v^T <= bound, and the cap
+    # is exceeded exactly when that set is larger
+    g = exact_form(gm, 1 << 1200, precision=1200)
+    want = oracle_short_vectors(gm, bound)
+    assert enumerate_up_to(g, bound, cap=len(want)) == want
+    if want:
+        with pytest.raises(EnumerationBudgetExceeded):
+            enumerate_up_to(g, bound, cap=len(want) - 1)
+
+
+def test_grid_floor_is_exact():
+    assert _grid_floor(3, 4) == 48
+    assert _grid_floor(-0.75, 1) == -2
+    assert _grid_floor(0.75, 1) == 1
+    with mp.workprec(300):
+        x = mp.mpf(2) ** 250 + mp.mpf(1) / 3
+        assert _grid_floor(x, 2) == (1 << 252) + 1
+        assert _grid_floor(-x, 2) == -(1 << 252) - 2
+
+
+def test_searches_make_no_mpmath_call(monkeypatch):
+    class NoMpmath:
+        def __getattr__(self, name):
+            raise AssertionError(f"mp.{name} called in a search")
+
+    gm = [[2, 1, 0], [1, 2, 1], [0, 1, 3]]
+    g = str_gram(gm)
+    _reduction(g)
+    monkeypatch.setattr(lattices, "mp", NoMpmath())
+    assert enumerate_up_to(g, 3) == oracle_short_vectors(gm, 3)
+    pool = oracle_short_vectors(gm, 4)
+    for v in pool:
+        assert is_indecomposable(g, v) == oracle_indecomposable(gm, v, pool)
