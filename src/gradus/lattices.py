@@ -1,13 +1,14 @@
 """Positive-definite lattice machinery over a Gram form on the grid 2**(-p)Z.
 
 Inner products, norms and the zero and sign verdicts on them are exact
-integers on the grid of the form (see `embeddings.GramForm`).  mpmath only
-steers LLL, through its LDL data (d on the grid, mu scale-free).  The
-Fincke-Pohst searches run on exact integer data: a fraction-free LDL of the
-exact Gram matrix of the LLL basis, with mu and the centres in fixed point
-on the grid 2**(-FP_BITS) Z.  Each node widens its range by a proven bound
-on that rounding, so every search is complete by proof (see
-`_fincke_pohst`) and its callers decide the points exactly.
+integers on the grid of the form (see `embeddings.GramForm`).  LLL is
+integral: it reduces the exact grid Gram matrix through its leading minors
+and fraction-free LDL data, and the Fincke-Pohst searches run on that data,
+with mu and the centres in fixed point on the grid 2**(-FP_BITS) Z.  Each
+node widens its range by a proven bound on that rounding, so every search
+is complete by proof (see `_fincke_pohst`) and its callers decide the
+points exactly.  mpmath only puts a real bound on the grid and prints one
+in an error message.
 
 Provides LLL reduction of the standard basis, one Fincke-Pohst enumeration
 kernel (short vectors around the origin, and the centred ball of the
@@ -28,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from mpmath import mp, mpf
+from mpmath import mp
 from mpmath.libmp import mpf_shift, round_floor, to_int
 
 from .errors import (
@@ -57,7 +58,10 @@ from .embeddings import (
     norm,
 )
 
-LLL_DELTA = "0.99"
+# the Lovasz constant delta = 99/100 of LLL, as (numerator, denominator)
+LLL_DELTA = (99, 100)
+
+NOT_DEFINITE = "form is not positive definite at the working precision"
 
 # fractional bits of the fixed-point Fincke-Pohst data: mu and the centres
 # are kept on the grid 2**(-FP_BITS) Z
@@ -77,115 +81,76 @@ class SDecomposition:
     gram: GramForm
 
 
-def _ldl(gmat, tol):
-    """Unit lower-triangular LDL data of a positive-definite matrix, its
-    entries lifted to mpf at the working precision.
-
-    Returns (d, mu) with gmat = L D L^T, L[i][j] = mu[i][j] for j < i; d has
-    the scale of gmat, mu is scale-free.  Raises AmbiguousZero when a pivot
-    is at most tol, too small to trust, which callers treat as a request for
-    more precision.
-    """
-    k = len(gmat)
-    d = [mpf(0)] * k
-    mu = [[mpf(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i):
-            s = mpf(gmat[i][j])
-            for t in range(j):
-                s -= mu[i][t] * mu[j][t] * d[t]
-            mu[i][j] = s / d[j]
-        s = mpf(gmat[i][i])
-        for t in range(i):
-            s -= mu[i][t] ** 2 * d[t]
-        if s <= tol:
-            raise AmbiguousZero("form is not positive definite at the working precision")
-        d[i] = s
-    return d, mu
-
-
-def lll_reduce(g: GramForm) -> tuple[list[Vec], list[mpf], list[list[mpf]]]:
+def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]]:
     """LLL-reduced basis of the standard lattice under the form g, with the
-    LDL data (d, mu) of its Gram matrix.
+    fixed-point LDL data (D, M) of its Gram matrix on the grid of g.
 
-    The Gram matrix of the current basis starts as g.entries and follows
-    every size-reduction step and swap exactly, in integers on the grid of
-    g.  A swap of b_{k-1} and b_k updates (d, mu) in O(n) (Cohen, A Course
-    in Computational Algebraic Number Theory, Alg. 2.6.3); one LDL of the
-    final Gram matrix then decides positive definiteness and gives fresh
-    (d, mu) to return.  Arithmetic on them runs at the precision of g; d is
-    on the grid of g and mu is scale-free.
+    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7) on the exact Gram matrix F = g.entries.  A fraction-free
+    (Bareiss) elimination of F gives the leading minors Delta_i (Delta_-1 =
+    1) and the integers lambda_ji = Delta_i mu_ji, so that the Gram matrix
+    of the basis is L diag(d) L^T with L[j][i] = mu_ji and d_i = Delta_i /
+    Delta_(i-1).  Size reduction subtracts round(mu_kj) b_j from b_k (a tie
+    rounds half to even), and a swap of b_(k-1) and b_k updates
+    Delta_(k-1) and lambda in O(n) exact divisions.  The Lovasz test with
+    delta = 99/100 is 100 (Delta_k Delta_(k-2) + lambda_k(k-1)^2) >= 99
+    Delta_(k-1)^2.
+
+    Termination: every Delta_i is a positive integer, size reduction leaves
+    them unchanged, and a swap replaces Delta_(k-1) by (Delta_k Delta_(k-2)
+    + lambda_k(k-1)^2) / Delta_(k-1) < 99/100 Delta_(k-1), so their product
+    falls by that factor with every swap.
+
+    Returns the basis rows, D_i = floor(d_i) and M[i] = (M_ji for j > i)
+    with M_ji = round(mu_ji 2**FP_BITS) (half up).  Raises AmbiguousZero,
+    which callers treat as a request for more precision, when a pivot of
+    the standard basis has d_i <= g.tolerance (checked during the
+    elimination, so no division by a minor <= 0 happens) or one of the
+    final basis has D_i <= g.tolerance, which includes D_i = 0.
     """
     n = g.n
-    with mp.workprec(g.precision):
-        dlt = mpf(LLL_DELTA)
-        basis = [[int(i == j) for j in range(n)] for i in range(n)]
-        gm = [list(row) for row in g.entries]
-        d, mu = _ldl(gm, g.tolerance)
-        k = 1
-        while k < n:
-            for j in range(k - 1, -1, -1):
-                q = int(mp.nint(mu[k][j]))
-                if q:
-                    basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
-                    # b_k -= q b_j: row and column k of the Gram matrix follow
-                    gm[k][k] += q * (q * gm[j][j] - 2 * gm[k][j])
-                    for t in range(n):
-                        if t != k:
-                            gm[k][t] = gm[t][k] = gm[k][t] - q * gm[j][t]
-                    # standard coefficient update keeps the GS data exact
-                    mu[k][j] -= q
-                    for t in range(j):
-                        mu[k][t] -= q * mu[j][t]
-            if d[k] >= (dlt - mu[k][k - 1] ** 2) * d[k - 1]:
-                k += 1
-                continue
-            basis[k - 1], basis[k] = basis[k], basis[k - 1]
-            gm[k - 1], gm[k] = gm[k], gm[k - 1]
-            for row in gm:
-                row[k - 1], row[k] = row[k], row[k - 1]
-            mu[k - 1][: k - 1], mu[k][: k - 1] = mu[k][: k - 1], mu[k - 1][: k - 1]
-            m = mu[k][k - 1]
-            b = d[k] + m * m * d[k - 1]
-            mu[k][k - 1] = m * d[k - 1] / b
-            d[k] = d[k - 1] * d[k] / b
-            d[k - 1] = b
-            for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
-            k = max(k - 1, 1)
-        d, mu = _ldl(gm, g.tolerance)
-        return [tuple(row) for row in basis], d, mu
-
-
-def _fixed_ldl(h: IntMatrix) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Fixed-point LDL data (D, M) of a positive-definite integer matrix h.
-
-    h = L diag(d) L^T with L unit lower triangular, L[j][i] = mu_ji.  A
-    fraction-free elimination (Bareiss; Cohen, Alg. 2.6.7) gives the leading
-    minors Delta_i of h and the integers lambda_ji = Delta_i mu_ji exactly,
-    so d_i = Delta_i / Delta_{i-1}.  Returns D_i = floor(d_i) and M[i] =
-    (M_ji for j > i) with M_ji = round(mu_ji 2**FP_BITS).  Raises
-    AmbiguousZero when some Delta_i <= 0 (h is not positive definite) or
-    D_i = 0 (a pivot below one unit of the grid), which callers treat as a
-    request for more precision.
-    """
-    n = h.rows
+    tol = g.tolerance
+    num, den = LLL_DELTA
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
     lam = [[0] * n for _ in range(n)]
     delta = [1] * (n + 1)  # delta[i + 1] = Delta_i, the leading i + 1 minor
     for i in range(n):
         for j in range(i + 1):
-            u = h.entries[i][j]
-            for k in range(j):
-                u = (delta[k + 1] * u - lam[i][k] * lam[j][k]) // delta[k]
+            u = g.entries[i][j]
+            for t in range(j):
+                u = (delta[t + 1] * u - lam[i][t] * lam[j][t]) // delta[t]
             lam[i][j] = u
-        if lam[i][i] <= 0:
-            raise AmbiguousZero("form is not positive definite on its grid")
+        if lam[i][i] <= tol * delta[i]:
+            raise AmbiguousZero(NOT_DEFINITE)
         delta[i + 1] = lam[i][i]
+    k = 1
+    while k < n:
+        row = lam[k]
+        for j in range(k - 1, -1, -1):
+            q, r = divmod(2 * row[j] + delta[j + 1], 2 * delta[j + 1])
+            if r == 0 and q & 1:  # a tie mu_kj = q - 1/2 rounds to even
+                q -= 1
+            if q:
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
+                row[j] -= q * delta[j + 1]
+                for t in range(j):
+                    row[t] -= q * lam[j][t]
+        m = row[k - 1]
+        if den * (delta[k + 1] * delta[k - 1] + m * m) >= num * delta[k] ** 2:
+            k += 1
+            continue
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        lam[k - 1][: k - 1], row[: k - 1] = row[: k - 1], lam[k - 1][: k - 1]
+        b = (delta[k + 1] * delta[k - 1] + m * m) // delta[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (delta[k + 1] * lam[i][k - 1] - m * t) // delta[k]
+            lam[i][k - 1] = (b * t + m * lam[i][k]) // delta[k + 1]
+        delta[k] = b
+        k = max(k - 1, 1)
     D = [delta[i + 1] // delta[i] for i in range(n)]
-    if not all(D):
-        raise AmbiguousZero("a pivot of the form is below one unit of its grid")
+    if any(x <= tol for x in D):
+        raise AmbiguousZero(NOT_DEFINITE)
     M = [
         tuple(
             ((lam[j][i] << (FP_BITS + 1)) + delta[i + 1]) // (2 * delta[i + 1])
@@ -193,19 +158,18 @@ def _fixed_ldl(h: IntMatrix) -> tuple[list[int], list[tuple[int, ...]]]:
         )
         for i in range(n)
     ]
-    return D, M
+    return [tuple(row) for row in basis], D, M
 
 
 @functools.lru_cache(maxsize=REDUCTION_CACHE_SIZE)
 def _reduction(g: GramForm):
     """LLL basis of g (rows of an IntMatrix), the fixed-point LDL data (D,
-    M) of its exact Gram matrix B F B^T on the grid of g (`_fixed_ldl`), and
-    the inverse of the basis, which maps a vector to its coordinates in that
-    basis.  Computed once per form and shared by every enumeration and
+    M) of its Gram matrix on the grid of g (`lll_reduce`), and the inverse
+    of the basis, which maps a vector to its coordinates in that basis.
+    Computed once per form and shared by every enumeration and
     decomposition test on it."""
-    rows, _, _ = lll_reduce(g)
+    rows, D, M = lll_reduce(g)
     basis = IntMatrix.from_rows(rows, g.n)
-    D, M = _fixed_ldl(basis @ IntMatrix(g.entries, g.n) @ basis.transpose())
     return basis, D, M, inverse_unimodular(basis)
 
 
@@ -216,7 +180,7 @@ def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
 
     Q(y) = y H y^T for H the exact Gram matrix of the basis on the grid of
     the form, written through its LDL data as Q(y) = sum_i d_i (y_i + sum_{j>i}
-    mu_ji y_j)^2; D, M are those of `_fixed_ldl`, and C_i = c_i 2**K with K =
+    mu_ji y_j)^2; D, M are those of `lll_reduce`, and C_i = c_i 2**K with K =
     FP_BITS is the centre on the grid 2**(-K) Z.  Depth-first from the last
     coordinate (Fincke-Pohst), in integers only.  `x` is reused between
     calls: copy what is kept.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import floor, gcd, isqrt
 
 
 def xgcd(a, b):
@@ -540,38 +540,38 @@ def oracle_verdict(entries, precision, value, sign=False):
 
 
 def oracle_lll(g):
-    """LLL of the standard lattice under g that re-runs the full LDL after
-    every swap; returns the basis rows and the LDL data as LLL leaves it."""
-    from mpmath import mp, mpf
-
-    from gradus.lattices import LLL_DELTA, _ldl
+    """LLL of the standard lattice under the grid form g in exact Fraction
+    arithmetic: the exact LDL data of B F B^T (`frac_ldl`) is recomputed
+    after every size-reduction step and every swap.  Same reduction order
+    (b_k against b_(k-1), ..., b_0, then the Lovasz test), same tie rule
+    (round(mu) half to even) and delta = 99/100.  Returns the basis rows,
+    D_i = floor(d_i) and M[i] = (round(mu_ji 2**FP_BITS), half up, for j > i)."""
+    from gradus.lattices import FP_BITS, LLL_DELTA
 
     n = g.n
-    with mp.workprec(g.precision):
-        dlt = mpf(LLL_DELTA)
-        basis = [[int(i == j) for j in range(n)] for i in range(n)]
-        gm = [list(row) for row in g.entries]
-        d, mu = _ldl(gm, g.tolerance)
-        k = 1
-        while k < n:
-            for j in range(k - 1, -1, -1):
-                q = int(mp.nint(mu[k][j]))
-                if q:
-                    basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
-                    gm[k][k] += q * (q * gm[j][j] - 2 * gm[k][j])
-                    for t in range(n):
-                        if t != k:
-                            gm[k][t] = gm[t][k] = gm[k][t] - q * gm[j][t]
-                    mu[k][j] -= q
-                    for t in range(j):
-                        mu[k][t] -= q * mu[j][t]
-            if d[k] >= (dlt - mu[k][k - 1] ** 2) * d[k - 1]:
-                k += 1
-            else:
-                basis[k - 1], basis[k] = basis[k], basis[k - 1]
-                gm[k - 1], gm[k] = gm[k], gm[k - 1]
-                for row in gm:
-                    row[k - 1], row[k] = row[k], row[k - 1]
-                d, mu = _ldl(gm, g.tolerance)
-                k = max(k - 1, 1)
-        return [tuple(row) for row in basis], d, mu
+    dlt = Fraction(*LLL_DELTA)
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def ldl():
+        return frac_ldl([[dot_form(g.entries, u, v) for v in basis] for u in basis])
+
+    d, mu = ldl()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+                d, mu = ldl()
+        if d[k] >= (dlt - mu[k][k - 1] ** 2) * d[k - 1]:
+            k += 1
+        else:
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            d, mu = ldl()
+            k = max(k - 1, 1)
+    D = [x.numerator // x.denominator for x in d]
+    M = [
+        tuple(floor(mu[j][i] * 2**FP_BITS + Fraction(1, 2)) for j in range(i + 1, n))
+        for i in range(n)
+    ]
+    return [tuple(row) for row in basis], D, M

@@ -198,6 +198,21 @@ def test_decompose_ambiguous_entry_exits_precision_exhausted(tmp_path, capsys):
     assert json.loads(err)["error"] == "PrecisionExhausted"
 
 
+def test_decompose_tiny_pivot_against_a_huge_entry_exits_precision_exhausted(tmp_path, capsys):
+    # [[2, 1], [1, 2e30 + 1]] is positive definite, but its first pivot, 2,
+    # is below the zero tolerance 2**(-p/3) max|entry| of the form, and a
+    # raw Gram matrix is not recomputed at a higher precision.  The exact
+    # integral Gram form for integer documents (ROADMAP item 4) is meant to
+    # change this expectation to one component.
+    doc = {"gram": [["2", "1"], ["1", "2000000000000000000000000000001"]]}
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert code == 3
+    assert json.loads(err)["error"] == "PrecisionExhausted"
+    assert out == ""
+
+
 # a declared size must be an integer (not a bool, float, string or null)
 MALFORMED_SIZE = [
     {"n": None, "gram": [["1"]]},

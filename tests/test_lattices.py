@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -25,16 +26,15 @@ from gradus.errors import (
     NoMorphism,
 )
 from gradus.examples import example_names, example_order
-from gradus.intlinalg import IntMatrix, SublatticeBasis
+from gradus.intlinalg import SublatticeBasis
 from gradus.lattices import (
     FP_BITS,
     component_refinement_map,
     enumerate_up_to,
     is_decomposition,
     is_indecomposable,
-    _fixed_ldl,
+    LLL_DELTA,
     _grid_floor,
-    _ldl,
     _reduction,
     lll_reduce,
     search_centred_ball,
@@ -134,23 +134,16 @@ def test_lll_basis_spans_and_does_not_grow(gm):
     # the standard basis are at most its diagonal.  The basis norms can
     # grow: the example reduces to a basis with a vector of norm 10 > 9.
     g = str_gram(gm)
-    red, d, _ = lll_reduce(g)
+    red, D, M = lll_reduce(g)
+    assert (red, D, M) == oracle_lll(g)
     n = len(gm)
     assert SublatticeBasis.from_vectors(n, red) == SublatticeBasis.full(n)
-    with mp.workprec(g.precision):
-        assert real(g, max(d)) <= max(gm[i][i] for i in range(n)) + real(g, g.tolerance)
+    assert max(D) <= max(g.entries[i][i] for i in range(n))
 
 
 def check_lll_ldl_data(g):
-    # the LDL data LLL carries must be that of the basis it returns
-    rows, d, mu = lll_reduce(g)
-    with mp.workprec(g.precision):
-        d0, mu0 = _ldl([[inner(g, u, v) for v in rows] for u in rows], g.tolerance)
-        for i in range(g.n):
-            # d is on the grid of g, mu is scale-free
-            assert abs(d[i] - d0[i]) <= g.tolerance
-            for j in range(i):
-                assert abs(mu[i][j] - mu0[i][j]) <= real(g, g.tolerance)
+    # the basis and its (D, M) are those of the exact Fraction LLL
+    assert lll_reduce(g) == oracle_lll(g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -175,18 +168,9 @@ LLL_ORDERS = {
 
 @pytest.mark.parametrize("name", list(LLL_ORDERS))
 def test_lll_matches_the_oracle(name):
-    # the O(n) swap update makes the same choices as an LDL after every
-    # swap, and its final (d, mu) are the LDL data of the basis it returns
-    g = gram(compute_embeddings(LLL_ORDERS[name]))
-    rows, d, mu = lll_reduce(g)
-    assert rows == oracle_lll(g)[0]
-    with mp.workprec(g.precision):
-        d0, mu0 = _ldl([[inner(g, u, v) for v in rows] for u in rows], g.tolerance)
-        bound = mp.ldexp(1, -(g.precision // 2))
-        for i in range(g.n):
-            assert abs(d[i] - d0[i]) <= bound * (1 + abs(d0[i]))
-            for j in range(i):
-                assert abs(mu[i][j] - mu0[i][j]) <= bound * (1 + abs(mu0[i][j]))
+    # the O(n) integral updates make the same choices as an exact LDL after
+    # every step, ties included, and (D, M) are the data of the final basis
+    check_lll_ldl_data(gram(compute_embeddings(LLL_ORDERS[name])))
 
 
 def test_universal_s_decomposition_identity3():
@@ -506,13 +490,40 @@ def test_kernel_data_is_the_exact_ldl_on_the_grid(gm, scale):
 )
 def test_kernel_data_rejects_a_form_that_is_not_positive_definite(h):
     with pytest.raises(AmbiguousZero):
-        _fixed_ldl(IntMatrix.from_rows(h))
+        lll_reduce(exact_form(h))
+
+
+def e8_gram():
+    """The Gram matrix of E8 on its simple roots (its Cartan matrix): the
+    chain e0 - ... - e6 with e7 attached to e4."""
+    gm = [[2 * (i == j) for j in range(8)] for i in range(8)]
+    for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]:
+        gm[i][j] = gm[j][i] = -1
+    return gm
 
 
 def test_kernel_data_rejects_a_pivot_below_one_grid_unit():
-    # d_1 = 1/2: positive, but below the unit of the grid
+    # E8 is even and unimodular, so every basis has d_0 >= 2 and prod d_i = 1:
+    # its standard pivots are positive, but some pivot of the reduced basis
+    # is below the unit of the grid
     with pytest.raises(AmbiguousZero):
-        _fixed_ldl(IntMatrix.from_rows([[2, 1], [1, 1]]))
+        lll_reduce(exact_form(e8_gram()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pd_grams(max_dim=4), SCALES)
+def test_lll_basis_is_unimodular_size_reduced_and_lovasz(gm, scale):
+    # checked in Fractions on B gm B^T, whose mu and Lovasz test do not
+    # depend on the scale of the grid; det(B gm B^T) = det(gm) makes the
+    # integer matrix B unimodular
+    rows, _, _ = lll_reduce(exact_form(gm, scale))
+    d, mu = frac_ldl([[dot_form(gm, u, v) for v in rows] for u in rows])
+    assert math.prod(d) == math.prod(frac_ldl(gm)[0])
+    dlt = Fraction(*LLL_DELTA)
+    for k in range(len(gm)):
+        assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+        if k:
+            assert d[k] >= (dlt - mu[k][k - 1] ** 2) * d[k - 1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -540,13 +551,14 @@ def test_grid_floor_is_exact():
 
 
 def test_searches_make_no_mpmath_call(monkeypatch):
+    # patched before the reduction runs, so LLL is covered too
     class NoMpmath:
         def __getattr__(self, name):
             raise AssertionError(f"mp.{name} called in a search")
 
     gm = [[2, 1, 0], [1, 2, 1], [0, 1, 3]]
     g = str_gram(gm)
-    _reduction(g)
+    _reduction.cache_clear()
     monkeypatch.setattr(lattices, "mp", NoMpmath())
     assert enumerate_up_to(g, 3) == oracle_short_vectors(gm, 3)
     pool = oracle_short_vectors(gm, 4)
