@@ -3,19 +3,13 @@
 A reduced order of rank n has exactly n ring homomorphisms into the complex
 numbers.  Each one, written as the row (sigma(e_0), ..., sigma(e_{n-1})), is a
 common left eigenvector of the multiplication matrices: sigma * M_x =
-sigma(x) * sigma.  For a seeded integer combination z of the basis, the
-characteristic polynomial chi of M_z and the rows t . adj(xI - M_z), t the
-trace functional, are computed exactly in integers; z is used only when chi
-is squarefree, which is decided exactly.  Each root lambda of chi is then
-refined by Newton's method, and t . adj(lambda - M_z) is the left
-eigenvector of lambda, scaled so that sigma(1) = 1.  A residual bound
-certifies that every row really is multiplicative to within the working
-precision p: the rows are rounded once to the grid 2**(-q) Z[i], q = p + 16,
-the residuals sigma(e_i) sigma(e_j) - sigma(e_i e_j) and sigma(1) - 1 are
-computed exactly in integers on that grid, and a rounding slack of at most
-(4 max|sigma| + 2 + 2 max_ij sum_m |T_ijm|) 2**(-q) turns their maximum
-into a proven upper bound on the residual of the rows themselves (see
-`_hom_residual`).
+sigma(x) * sigma.  `compute_embeddings` reads them off the exact
+characteristic polynomial of a seeded splitting element: doubles propose
+its roots, and from there on everything is integer arithmetic on
+fixed-point grids.  The rows come out as Gaussian integers on the grid
+2**(-q) Z[i], q = p + 16 for the working precision p, every later step
+reads those integers, and their exact homomorphism residual certifies
+them.
 
 The inner product <x, y> = sum over embeddings of sigma(x) * conj(sigma(y))
 is assembled into a Gram form on the grid 2**(-p) Z: each entry is one
@@ -26,10 +20,9 @@ verdicts integer comparisons against a tolerance on the same grid, with a
 wide ambiguous band in between: any value landing in the band aborts the
 computation so the caller can escalate the precision instead of guessing.
 The tolerance covers the rounding of the entries, so an exactly known form
-can carry tolerance 0, and its verdicts are then exact.  mpmath stays where
-numerics propose: the roots and rows here, and the LDL data that steers LLL
-in `lattices`.  The Fincke-Pohst searches of `lattices` run on exact
-integer data and are complete by proof.
+can carry tolerance 0, and its verdicts are then exact.  mpmath only reads
+decimal Gram entries (`gram_from_strings`) and prints values; LLL and the
+Fincke-Pohst searches of `lattices` run on exact integer data.
 """
 
 from __future__ import annotations
@@ -43,8 +36,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_int, round_ceiling, to_fixed
+from mpmath import mp, mpf
 
 from .config import RunConfig
 from .errors import (
@@ -74,8 +66,8 @@ SPLITTING_TRIES = 8
 ABERTH_SWEEPS = 100
 NEWTON_EXTRA_STEPS = 8
 
-# fractional bits of the fixed-point grid of the residual and the Gram form,
-# beyond the working precision
+# fractional bits of the fixed-point grid of the rows, beyond the working
+# precision
 FIXED_GUARD_BITS = 16
 
 # Gram forms kept by numeric_context.  The queries on one order run back to
@@ -84,20 +76,28 @@ CONTEXT_CACHE_SIZE = 4
 
 T = TypeVar("T")
 
+# a row on the grid 2**(-q) Z[i]: the real and the imaginary parts of its
+# entries, as integers in units of 2**(-q)
+Row = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """All ring homomorphisms into C, evaluated on the basis.
+    """All ring homomorphisms into C, evaluated on the basis, on the grid
+    2**(-q) Z[i], q = precision + FIXED_GUARD_BITS.
 
-    sigma[k][i] is the k-th homomorphism applied to basis vector i.  Rows are
-    sorted by the eigenvalue of the splitting element, so the output is
-    reproducible for a fixed seed.
+    rows[k] = (re, im) stands for the k-th homomorphism: sigma_k(e_i) is
+    (re[i] + i im[i]) / 2**q.  Rows are sorted by the eigenvalue of the
+    splitting element, so the output is reproducible for a fixed seed, and
+    the row of a non-real eigenvalue and that of its conjugate are exact
+    conjugates.  residual is the homomorphism residual of the rows rounded
+    up to the grid 2**(-2q) Z, an integer in units of 2**(-2q).
     """
 
     n: int
-    sigma: tuple[tuple[mpc, ...], ...]
+    rows: tuple[Row, ...]
     precision: int
-    residual: mpf
+    residual: int
 
 
 @dataclass(frozen=True)
@@ -114,22 +114,24 @@ class GramForm:
 
 
 def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> EmbeddingMatrix:
-    """Numerically compute the n embeddings of a reduced order at one precision.
+    """Compute the n embeddings of a reduced order at one precision, as rows
+    of Gaussian integers on the grid 2**(-q) Z[i], q = p + 16.
 
     For a seeded splitting element z, `charpoly_rows` gives, in integers,
     chi = det(xI - M_z) and the rows beta_k with t . adj(xI - M_z) =
     sum_k beta_k x^{n-k}, t the trace functional.  An element whose chi is
     not squarefree (gcd(chi, chi') != 1 over Q) has a repeated eigenvalue
     and is skipped.  Otherwise the roots lambda of chi are proposed in
-    double precision, refined by Newton's method to p + max bitlength(beta)
-    + 32 bits, and each gives the row sigma_lambda(e_i) = w_i / (w . one)
-    with w = sum_k lambda^{n-k} beta_k.  Since adj(lambda - M_z) is a
-    polynomial in M_z, w . one is its trace, chi'(lambda), which is
-    nonzero because lambda is a simple root; so the row is a left
-    eigenvector of M_z for lambda, scaled to sigma(1) = 1.  (Equally:
-    adj(lambda - M_z) = chi'(lambda) M_e for the idempotent e of K (x) C
-    belonging to lambda, and t . coords(e) = Tr(e) = 1.)  The homomorphism
-    residual then certifies every row at the working precision.
+    double precision, refined by Newton's method on the grid 2**(-bits)
+    Z[i], bits = p + max bitlength(beta) + 32, and each gives the row
+    sigma_lambda(e_i) = w_i / (w . one) with w = sum_k lambda^{n-k} beta_k.
+    Since adj(lambda - M_z) is a polynomial in M_z, w . one is its trace,
+    chi'(lambda), which is nonzero because lambda is a simple root; so the
+    row is a left eigenvector of M_z for lambda, scaled to sigma(1) = 1.
+    (Equally: adj(lambda - M_z) = chi'(lambda) M_e for the idempotent e of
+    K (x) C belonging to lambda, and t . coords(e) = Tr(e) = 1.)  The exact
+    homomorphism residual of the rows must then be at most 2**(-p/2) n (1 +
+    max|sigma|)^2.
 
     This is the pipeline's only reducedness check: every query reaches it
     through `numeric_context`, which keeps only successes, so it runs once
@@ -143,35 +145,35 @@ def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> Embeddi
         raise NotReduced("only reduced orders admit this computation")
     n = a.rank
     if n == 0:
-        return EmbeddingMatrix(0, (), precision, mpf(0))
+        return EmbeddingMatrix(0, (), precision, 0)
     p = precision
-    with mp.workprec(p):
-        sep_floor = mpf(2) ** (-(p // 4))
-        for attempt in range(SPLITTING_TRIES):
-            rng = random.Random(f"{seed}:{p}:{attempt}")
-            coeffs = [rng.randrange(-8 * n, 8 * n + 1) for _ in range(n)]
-            chi, betas = charpoly_rows(a, coeffs)
-            if not _squarefree(chi):
-                continue
-            bits = p + max(abs(b).bit_length() for beta in betas for b in beta) + 32
-            roots = _roots(chi, bits, sep_floor)
-            if roots is None:
-                continue
-            columns = list(zip(*betas))
-            rows = [_row(a, columns, lam, bits) for lam in roots]
-            keyed = []
-            for lam, row in zip(roots, rows):
-                keyed.append(((lam.real, lam.imag), row))
-                if lam.imag:
-                    keyed.append(((lam.real, -lam.imag), tuple(x.conjugate() for x in row)))
-            keyed.sort(key=lambda item: item[0])
-            sigma = tuple(row for _, row in keyed)
-            # a conjugate row has the same residual as its partner
-            residual = _hom_residual(a, rows)
-            scale = n * (1 + max(abs(s) for row in rows for s in row)) ** 2
-            if residual <= mpf(2) ** (-(p // 2)) * scale:
-                return EmbeddingMatrix(n, sigma, p, residual)
-            raise EscalationNeeded(f"embedding residual is above threshold at {p} bits")
+    q = p + FIXED_GUARD_BITS
+    for attempt in range(SPLITTING_TRIES):
+        rng = random.Random(f"{seed}:{p}:{attempt}")
+        coeffs = [rng.randrange(-8 * n, 8 * n + 1) for _ in range(n)]
+        chi, betas = charpoly_rows(a, coeffs)
+        if not _squarefree(chi):
+            continue
+        bits = p + max(abs(b).bit_length() for beta in betas for b in beta) + 32
+        # the separation floor 2**(-p/4) on the grid 2**(-bits)
+        roots = _roots(chi, bits, 1 << (bits - p // 4))
+        if roots is None:
+            continue
+        columns = list(zip(*betas))
+        rows = [_row(a, columns, lam, bits, q) for lam in roots]
+        keyed = []
+        for (re, im), row in zip(roots, rows):
+            keyed.append(((re, im), row))
+            if im:
+                keyed.append(((re, -im), (row[0], tuple(-y for y in row[1]))))
+        keyed.sort(key=lambda item: item[0])
+        # a conjugate row has the same residual as its partner
+        residual = _hom_residual(a, rows, q)
+        biggest = math.isqrt(max(x * x + y * y for re, im in rows for x, y in zip(re, im)))
+        # residual <= 2**(-p/2) n (1 + max|sigma|)^2, in units of 2**(-2q)
+        if residual << (p // 2) <= n * ((1 << q) + biggest) ** 2:
+            return EmbeddingMatrix(n, tuple(row for _, row in keyed), p, residual)
+        raise EscalationNeeded(f"embedding residual is above threshold at {p} bits")
     raise DegenerateSplitting(
         f"no splitting element separated the spectrum after {SPLITTING_TRIES} tries at {p} bits"
     )
@@ -204,43 +206,53 @@ def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
     return f
 
 
-def _roots(chi: Sequence[int], bits: int, sep_floor: mpf) -> list[mpc] | None:
+def _round_div(num: int, den: int) -> int:
+    """num / den rounded to the nearest integer (halves up), den > 0."""
+    return (2 * num + den) // (2 * den)
+
+
+def _roots(chi: Sequence[int], bits: int, floor: int) -> list[tuple[int, int]] | None:
     """The real roots and the roots in the upper half-plane of a squarefree
-    chi at `bits` bits, or None when the roots are not pairwise farther
-    apart than sep_floor.
+    chi on the grid 2**(-bits) Z[i], as Gaussian integers (re, im) in units
+    of 2**(-bits), or None when the roots are not pairwise farther apart
+    than the separation floor, `floor` units.
 
     The starts come from `_aberth`; when it fails, or its refined roots
     collide, the caller moves on to the next splitting element.  chi is
     real, so a root nearer to its own conjugate than the roots are to one
-    another is real and is returned with imaginary part 0; the others come
-    in conjugate pairs, and one of each pair is returned.
+    another is real and is returned with imaginary part exactly 0; the
+    others come in conjugate pairs, and one of each pair is returned.
     """
-    starts = _aberth(chi)
-    if starts is None:
+    proposal = _aberth(chi)
+    if proposal is None:
         return None
-    roots = [_newton(chi, x, bits) for x in starts]
-    if any(r is None for r in roots) or _min_separation(roots) <= sep_floor:
+    scale, starts = proposal
+    roots = [_newton(chi, x, scale, bits) for x in starts]
+    if any(r is None for r in roots) or len(roots) > 1 and _min_separation(roots) <= floor**2:
         return None
-    with mp.workprec(bits):
-        real = [mpc(r.real) for r in roots if 2 * abs(r.imag) < sep_floor]
-    upper = [r for r in roots if r.imag >= sep_floor / 2]
+    real = [(re, 0) for re, im in roots if 2 * abs(im) < floor]
+    upper = [r for r in roots if 2 * r[1] >= floor]
     if len(real) + 2 * len(upper) == len(roots):
         return real + upper
     return None
 
 
-def _aberth(chi: Sequence[int]) -> list[complex] | None:
+def _aberth(chi: Sequence[int]) -> tuple[int, list[complex]] | None:
     """Roots of the monic chi in double precision by the Aberth-Ehrlich
-    iteration, or None when it overflows or does not settle.
+    iteration, as (e, xs) with the roots 2**e xs, or None when it does not
+    settle.
 
-    A root is settled once |chi(x)| is within the rounding error of its
+    The iteration runs on chi(s x) / s^n, s = 2**e for the least e with
+    |c_k| < s^k for every coefficient c_k of x^{n-k}, so s <= 2 max
+    |c_k|^(1/k) < 2 s (Fujiwara's bound on the roots).  The rescaled
+    coefficients c_k / s^k are below 1, and each is put into a double by
+    one correctly rounded integer division, which cannot overflow.  A root
+    is settled once |chi(x)| is within the rounding error of its
     evaluation, 4 n eps sum |c_k| |x|^k.
     """
     n = len(chi) - 1
-    try:
-        coeffs = [float(c) for c in chi]
-    except OverflowError:
-        return None
+    e = max((-(-abs(c).bit_length() // k) for k, c in enumerate(chi[1:], 1) if c), default=0)
+    coeffs = [c / (1 << (e * k)) for k, c in enumerate(chi)]
     # every root lies within twice this radius (Fujiwara)
     radius = max(abs(c) ** (1 / k) for k, c in enumerate(coeffs[1:], 1)) or 1.0
     xs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
@@ -268,110 +280,95 @@ def _aberth(chi: Sequence[int]) -> list[complex] | None:
                 xs[i] = x - ratio / (1 - ratio * repel)
                 moved = True
             if not moved:
-                return xs
+                return e, xs
     except ZeroDivisionError:
         pass
     return None
 
 
-def _newton(chi: Sequence[int], x, bits: int) -> mpc | None:
-    """x refined to a root of chi at `bits` bits by Newton's method, the
-    precision doubling at each step; None unless a step at full precision
-    ends up below half the bits."""
-    precs = [bits]
-    while precs[-1] > 106:
-        precs.append((precs[-1] + 1) // 2)
-    try:
-        x = mpc(x)
-        for prec in reversed(precs):
-            with mp.workprec(prec):
-                val, der = mp.polyval(chi, x, derivative=True)
-                step = val / der
-                x = x - step
-        with mp.workprec(bits):
-            for _ in range(NEWTON_EXTRA_STEPS):
-                if abs(step) <= mp.ldexp(1 + abs(x), -(bits // 2)):
-                    return x
-                val, der = mp.polyval(chi, x, derivative=True)
-                step = val / der
-                x = x - step
-    except ZeroDivisionError:
-        pass
+def _newton(chi: Sequence[int], start: complex, scale: int, bits: int) -> tuple[int, int] | None:
+    """2**scale start refined to a root of chi by Newton's method on the
+    grid 2**(-bits) Z[i], as a Gaussian integer in units of 2**(-bits).
+
+    The double start is put on a grid at most 106 bits fine exactly, and the
+    grid doubles at each step, chi and chi' evaluated by Horner's rule in
+    integers; then up to NEWTON_EXTRA_STEPS steps on the full grid must
+    bring a step down to 2**(-bits/2) (1 + |x|), or the result is None, as
+    it is when chi' vanishes at an iterate.
+    """
+    grids = [bits]
+    while grids[-1] > 106:
+        grids.append((grids[-1] + 1) // 2)
+    b = grids[-1]
+    parts = (start.real.as_integer_ratio(), start.imag.as_integer_ratio())
+    xr, xi = (_round_div(num << (scale + b), den) for num, den in parts)
+    for k, grid in enumerate(grids[::-1] + [bits] * NEWTON_EXTRA_STEPS):
+        if k >= len(grids):
+            size = (1 << bits) + math.isqrt(xr * xr + xi * xi)
+            if (sr * sr + si * si) << (bits // 2 * 2) <= size * size:
+                return xr, xi
+        xr, xi, b = xr << (grid - b), xi << (grid - b), grid
+        vr = vi = dr = di = 0
+        for c in chi:
+            dr, di = ((dr * xr - di * xi) >> b) + vr, ((dr * xi + di * xr) >> b) + vi
+            vr, vi = ((vr * xr - vi * xi) >> b) + (c << b), (vr * xi + vi * xr) >> b
+        den = dr * dr + di * di
+        if not den:
+            return None
+        sr = _round_div((vr * dr + vi * di) << b, den)
+        si = _round_div((vi * dr - vr * di) << b, den)
+        xr, xi = xr - sr, xi - si
     return None
 
 
-def _row(a: Order, columns, lam: mpc, bits: int) -> tuple[mpc, ...]:
-    """sigma_lambda on the basis, w / (w . one) for w = sum_k lambda^{n-k}
-    beta_k, computed at `bits` bits and divided at the caller's precision;
-    `columns` are the coordinates of the beta_k, column by column."""
-    with mp.workprec(bits):
-        x = lam if lam.imag else lam.real
-        powers = [mpf(1)]
-        for _ in range(len(columns) - 1):
-            powers.append(powers[-1] * x)
-        powers.reverse()
-        w = [mp.fdot(col, powers) for col in columns]
-        at_one = mp.fdot(a.one, w)
-    return tuple(mpc(x / at_one) for x in w)
+def _row(a: Order, columns, lam: tuple[int, int], bits: int, q: int) -> Row:
+    """sigma_lambda on the basis on the grid 2**(-q) Z[i]: w = sum_k
+    lambda^{n-k} beta_k from the powers of lambda = (re + i im) 2**(-bits)
+    on the grid 2**(-bits) Z[i], then w / (w . one) in one rounded Gaussian
+    division; `columns` are the coordinates of the beta_k, column by
+    column."""
+    lr, li = lam
+    powers = [(1 << bits, 0)]
+    for _ in range(len(columns) - 1):
+        r, i = powers[-1]
+        powers.append(((r * lr - i * li) >> bits, (r * li + i * lr) >> bits))
+    pr, pi = zip(*reversed(powers))
+    wr = [sum(map(operator.mul, col, pr)) for col in columns]
+    wi = [sum(map(operator.mul, col, pi)) for col in columns]
+    ar, ai = (sum(c * w[i] for i, c in enumerate(a.one) if c) for w in (wr, wi))
+    den = ar * ar + ai * ai
+    return (
+        tuple(_round_div((x * ar + y * ai) << q, den) for x, y in zip(wr, wi)),
+        tuple(_round_div((y * ar - x * ai) << q, den) for x, y in zip(wr, wi)),
+    )
 
 
-def _min_separation(roots) -> mpf:
-    n = len(roots)
-    if n == 1:
-        return mpf(1)
-    return min(abs(roots[i] - roots[j]) for i in range(n) for j in range(i + 1, n))
-
-
-def _fixed_rows(sigma, q: int) -> list[tuple[list[int], list[int]]]:
-    """Each row as its real and imaginary parts on the grid 2**(-q)Z:
-    floor(x * 2**q), so every entry moves by less than sqrt(2) 2**(-q)."""
-    return [
-        ([to_fixed(x.real._mpf_, q) for x in row], [to_fixed(x.imag._mpf_, q) for x in row])
-        for row in sigma
-    ]
+def _min_separation(roots: Sequence[tuple[int, int]]) -> int:
+    """The least squared distance |r_i - r_j|^2 of two Gaussian integers."""
+    pairs = ((x, y) for k, x in enumerate(roots) for y in roots[k + 1 :])
+    return min((xr - yr) ** 2 + (xi - yi) ** 2 for (xr, xi), (yr, yi) in pairs)
 
 
 def _ceil_sqrt(n: int) -> int:
     return math.isqrt(n - 1) + 1 if n else 0
 
 
-def _hom_residual(a: Order, sigma) -> mpf:
-    """Proven upper bound on the homomorphism residual of the given rows,
-    max |sigma(e_i) sigma(e_j) - sigma(e_i e_j)| and |sigma(1) - 1|,
-    computed in integers.
+def _hom_residual(a: Order, rows: Sequence[Row], q: int) -> int:
+    """The homomorphism residual of rows on the grid 2**(-q) Z[i], max
+    |sigma(e_i) sigma(e_j) - sigma(e_i e_j)| and |sigma(1) - 1|, rounded
+    up to the grid 2**(-2q) Z: an integer in units of 2**(-2q).
 
-    Each row is rounded once to the grid 2**(-q)Z[i], q = p + 16 for the
-    working precision p: s_i = S_i / 2**q with Gaussian integers S_i, and
-    eps_i = sigma_i - s_i has |eps_i| <= delta < 2**(1-q) <= 1.  On the
-    grid the residuals are exact: rho_ij = (S_i S_j - 2**q sum_m T_ijm
-    S_m) / 2**(2q) and rho_1 = (sum_i c_i S_i - 2**q) / 2**q, c = coords(1).
-    The true residuals differ from them by
-
-        r_ij - rho_ij = eps_i sigma_j + s_i eps_j - sum_m T_ijm eps_m,
-        r_1 - rho_1 = sum_i c_i eps_i.
-
-    With A = max |S_i| rounded up, |s_i| <= A 2**(-q) and |sigma_j| <=
-    A 2**(-q) + delta, so |r_ij| <= |rho_ij| + delta (2 A 2**(-q) + delta
-    + sum_m |T_ijm|) and |r_1| <= |rho_1| + delta ||c||_1.  Both are at
-    most the largest grid residual plus
-
-        2**(1-q) (2 A 2**(-q) + 1 + W),  W = max(max_ij sum_m |T_ijm|, ||c||_1),
-
-    which is what is returned, as a multiple of 2**(-2q) rounded up to an
-    mpf.  A non-finite entry gives infinity.  The table is integral, so the
-    conjugate of a row has the same residual, and a caller may pass one row
-    of each conjugate pair.
+    With sigma = S / 2**q for Gaussian integers S, the residuals are
+    (S_i S_j - 2**q sum_m T_ijm S_m) / 2**(2q) and (sum_i c_i S_i - 2**q) /
+    2**q, c = coords(1), exact Gaussian integers over 2**(2q).  The table
+    is integral, so the conjugate of a row has the same residual, and a
+    caller may pass one row of each conjugate pair.
     """
     n = a.rank
-    if any(not mp.isfinite(x) for row in sigma for x in row):
-        return mpf("inf")
-    q = mp.prec + FIXED_GUARD_BITS
     shift = 1 << q
-    width = max([sum(map(abs, cell)) for row in a.table for cell in row] + [sum(map(abs, a.one))])
     one = [(i, c) for i, c in enumerate(a.one) if c]
-    worst_pair = worst_one = biggest = 0
-    for re, im in _fixed_rows(sigma, q):
-        biggest = max([biggest] + [x * x + y * y for x, y in zip(re, im)])
+    worst_pair = worst_one = 0
+    for re, im in rows:
         dre = sum(c * re[i] for i, c in one) - shift
         dim = sum(c * im[i] for i, c in one)
         worst_one = max(worst_one, dre * dre + dim * dim)
@@ -386,10 +383,7 @@ def _hom_residual(a: Order, sigma) -> mpf:
                 dre = ri * re[j] - ii * im[j] - (lre << q)
                 dim = ri * im[j] + ii * re[j] - (lim << q)
                 worst_pair = max(worst_pair, dre * dre + dim * dim)
-    grid = max(_ceil_sqrt(worst_pair), _ceil_sqrt(worst_one) << q)
-    slack = 2 * (2 * _ceil_sqrt(biggest) + ((1 + width) << q))
-    bound = mp.make_mpf(from_int(grid + slack, mp.prec, round_ceiling))
-    return mp.ldexp(bound, -2 * q)
+    return _ceil_sqrt(max(worst_pair, worst_one << (2 * q)))
 
 
 def _tolerance(entries, precision: int) -> int:
@@ -400,20 +394,17 @@ def _tolerance(entries, precision: int) -> int:
 def gram(e: EmbeddingMatrix) -> GramForm:
     """Gram form of the canonical inner product from an embedding matrix.
 
-    The rows are rounded once to the grid 2**(-q)Z[i] of `_hom_residual`,
-    each entry sum_k Re(s_ki conj s_kj) is an exact integer sum on the grid
-    2**(-2q)Z, and one integer shift rounds it to the nearest point of
-    2**(-p)Z.
+    Each entry sum_k Re(s_ki conj s_kj) of the rows s on the grid
+    2**(-q) Z[i] is an exact integer sum on the grid 2**(-2q) Z, and one
+    integer shift rounds it to the nearest point of 2**(-p) Z.
     """
     n, p = e.n, e.precision
     if n == 0:
         return GramForm(0, (), p, 0)
-    q = p + FIXED_GUARD_BITS
-    shift = 2 * q - p
+    shift = p + 2 * FIXED_GUARD_BITS
     half = 1 << (shift - 1)
-    rows = _fixed_rows(e.sigma, q)
-    re_cols = list(zip(*(re for re, _ in rows)))
-    im_cols = list(zip(*(im for _, im in rows)))
+    re_cols = list(zip(*(re for re, _ in e.rows)))
+    im_cols = list(zip(*(im for _, im in e.rows)))
     entries = [[0] * n for _ in range(n)]
     for i in range(n):
         ri, ii = re_cols[i], im_cols[i]

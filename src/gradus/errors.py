@@ -73,10 +73,10 @@ class DegenerateSplitting(GradusError):
 
     Every element tried has a repeated eigenvalue, proved exactly by
     gcd(chi, chi') != 1 for its characteristic polynomial chi, or the
-    double-precision Aberth iteration could not propose the roots of its
-    squarefree chi (it overflows once chi's coefficients exceed a double,
-    as for x^2 - 10^310), or (never seen in practice) the refined roots were
-    no farther apart than the separation floor of the working precision.
+    double-precision Aberth iteration did not settle on the roots of its
+    squarefree chi, or Newton's method did not refine one of them, or
+    (never seen in practice) the refined roots were no farther apart than
+    the separation floor of the working precision.
     """
 
 

@@ -12,6 +12,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import floor, gcd, isqrt
+from typing import NamedTuple
 
 
 def xgcd(a, b):
@@ -414,16 +415,41 @@ def oracle_roots(a):
     return with_gram(a, DEFAULT_CONFIG, run)
 
 
+class MpcEmbeddings(NamedTuple):
+    """Embedding rows as mpc tuples: sigma[k][i] is the k-th homomorphism
+    applied to basis vector i."""
+
+    n: int
+    sigma: tuple
+    precision: int
+
+
+def as_mpc(e):
+    """The grid rows of an `EmbeddingMatrix` as the complex numbers they
+    stand for, each entry an exact mpc, for comparisons with the oracles."""
+    from mpmath import mp, mpc
+
+    from gradus.embeddings import FIXED_GUARD_BITS
+
+    q = e.precision + FIXED_GUARD_BITS
+    bits = max([1] + [abs(x).bit_length() for row in e.rows for part in row for x in part])
+    with mp.workprec(bits):
+        sigma = tuple(
+            tuple(mpc(mp.ldexp(x, -q), mp.ldexp(y, -q)) for x, y in zip(*row)) for row in e.rows
+        )
+    return MpcEmbeddings(e.n, sigma, e.precision)
+
+
 def oracle_embeddings(a, precision=192, seed=0):
     """The embeddings of a reduced order read off the eigenvectors of the
     transpose of M_z by mpmath's QR eigensolver (`mp.eig`), for the same
     seeded splitting elements as `compute_embeddings`: each eigenvector is
     scaled so that sigma(1) = 1, and the first element whose eigenvalues are
     farther apart than 2**(-precision/4) is used.  Rows are sorted by
-    eigenvalue; the residual is left at 0 (nothing is certified here)."""
+    eigenvalue; nothing is certified here."""
     from mpmath import mp, mpf
 
-    from gradus.embeddings import SPLITTING_TRIES, EmbeddingMatrix
+    from gradus.embeddings import SPLITTING_TRIES
     from gradus.orders import regular_matrix
 
     n = a.rank
@@ -447,7 +473,7 @@ def oracle_embeddings(a, precision=192, seed=0):
                 w = [eigvecs[r, k] for r in range(n)]
                 at_one = mp.fsum(c * w[i] for i, c in enumerate(a.one) if c)
                 rows.append(tuple(x / at_one for x in w))
-            return EmbeddingMatrix(n, tuple(rows), precision, mpf(0))
+            return MpcEmbeddings(n, tuple(rows), precision)
     raise AssertionError("no splitting element separated the spectrum")
 
 
@@ -470,8 +496,9 @@ def oracle_hom_residual(a, sigma):
 
 
 def oracle_gram_entries(e, precision):
-    """The real Gram matrix sum_k Re(sigma_k(e_i) conj sigma_k(e_j)), each
-    entry an `mp.fsum` of complex products at the given precision."""
+    """The real Gram matrix sum_k Re(sigma_k(e_i) conj sigma_k(e_j)) of mpc
+    rows e (`as_mpc` or `oracle_embeddings`), each entry an `mp.fsum` of
+    complex products at the given precision."""
     from mpmath import mp
 
     with mp.workprec(precision):

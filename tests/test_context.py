@@ -9,7 +9,6 @@ embeddings behind that context.
 import json
 
 import pytest
-from mpmath import mp, mpf
 
 import gradus.embeddings as embeddings
 import gradus.grading as grading
@@ -127,9 +126,10 @@ def test_embedding_failures_share_the_budget(monkeypatch, fresh_caches):
     real = embeddings._hom_residual
     config = RunConfig()
 
-    def residual(a, sigma):
-        out = real(a, sigma)
-        return mpf(1) if mp.prec == config.precision else out
+    def residual(a, rows, q):
+        out = real(a, rows, q)
+        # a residual of 1, in units of 2**(-2q), at the first level only
+        return 1 << (2 * q) if q == config.precision + embeddings.FIXED_GUARD_BITS else out
 
     monkeypatch.setattr(embeddings, "_hom_residual", residual)
     tried = []
@@ -140,7 +140,7 @@ def test_embedding_failures_share_the_budget(monkeypatch, fresh_caches):
 
 
 def test_degenerate_spectrum_at_every_level(monkeypatch, fresh_caches, tmp_path, capsys):
-    monkeypatch.setattr(embeddings, "_min_separation", lambda eigvals: mpf(0))
+    monkeypatch.setattr(embeddings, "_min_separation", lambda roots: 0)
     with pytest.raises(DegenerateSplitting):
         roots_of_unity(example_order("zsqrt2"))
     path = tmp_path / "order.json"

@@ -22,6 +22,7 @@ from gradus.orders import (
     is_reduced,
     group_ring,
     monogenic_order,
+    nilradical,
     quotient_order,
     regular_matrix,
     trace_vector,
@@ -31,6 +32,7 @@ from gradus.units import roots_of_unity
 
 from helpers import (
     SMALL_RINGS,
+    as_mpc,
     oracle_embeddings,
     oracle_gram,
     oracle_hom_residual,
@@ -46,7 +48,8 @@ def close(a, b, tol):
 
 
 def rows_as_set(e):
-    return {tuple((mp.nstr(mp.re(x), 12), mp.nstr(mp.im(x), 12)) for x in row) for row in e.sigma}
+    rows = as_mpc(e).sigma
+    return {tuple((mp.nstr(mp.re(x), 12), mp.nstr(mp.im(x), 12)) for x in row) for row in rows}
 
 
 def test_embeddings_zc2():
@@ -61,12 +64,13 @@ def test_embeddings_integers():
     a = monogenic_order([-1, 1])
     e = compute_embeddings(a)
     assert e.n == 1
-    assert close(e.sigma[0][0], 1, e.residual)
+    assert e.rows == (((1 << (e.precision + embeddings.FIXED_GUARD_BITS),), (0,)),)
+    assert e.residual == 0
 
 
 def test_embeddings_zsqrt2_matches_root_oracle():
     a = monogenic_order([-2, 0, 1])
-    e = compute_embeddings(a)
+    e = as_mpc(compute_embeddings(a))
     with mp.workprec(e.precision):
         root = mp.sqrt(2)
         vals = sorted((mp.re(row[1]) for row in e.sigma))
@@ -81,7 +85,7 @@ def test_embeddings_require_reduced():
 
 def test_embeddings_each_row_multiplicative():
     a = example_order("kummer6")
-    e = compute_embeddings(a)
+    e = as_mpc(compute_embeddings(a))
     tol = mpf(2) ** (-e.precision // 2 + 8)
     with mp.workprec(e.precision):
         for row in e.sigma:
@@ -170,7 +174,7 @@ def test_norm_bounds_count_of_nonvanishing_embeddings(name):
     with mp.workprec(g.precision):
         for v in enumerate_up_to(g, a.rank + 2):
             hits = 0
-            for row in e.sigma:
+            for row in as_mpc(e).sigma:
                 val = mp.fsum(c * row[i] for i, c in enumerate(v) if c)
                 if abs(val) > tol:
                     hits += 1
@@ -236,8 +240,8 @@ def test_embeddings_fall_back_when_the_start_fails(monkeypatch, name):
         bound = mpf(2) ** -96
         matched = [
             k
-            for row in got.sigma
-            for k, w in enumerate(want.sigma)
+            for row in as_mpc(got).sigma
+            for k, w in enumerate(as_mpc(want).sigma)
             if all(abs(x - y) <= bound for x, y in zip(row, w))
         ]
     assert sorted(matched) == list(range(want.n))
@@ -287,7 +291,7 @@ def test_embeddings_deterministic_for_seed():
     a = example_order("kummer6")
     e1 = compute_embeddings(a, seed=7)
     e2 = compute_embeddings(a, seed=7)
-    assert e1.sigma == e2.sigma
+    assert e1.rows == e2.rows
 
 
 @pytest.mark.parametrize("name", ["zxz", "zc2c2", "zeta5", "kummer6"])
@@ -295,6 +299,7 @@ def test_embedding_rows_pairwise_distinct(name):
     a = example_order(name)
     e = compute_embeddings(a)
     g = gram(e)
+    e = as_mpc(e)
     with mp.workprec(e.precision):
         for i in range(e.n):
             for j in range(i + 1, e.n):
@@ -310,7 +315,7 @@ def test_embeddings_follow_a_change_of_basis(name):
     # sigma(u_i) = sum_j U_ij sigma(e_j): the rows on the new basis are the
     # old rows mapped through U, in some order
     a, u, b = REBASED[name]
-    e, eb = compute_embeddings(a), compute_embeddings(b)
+    e, eb = as_mpc(compute_embeddings(a)), as_mpc(compute_embeddings(b))
     with mp.workprec(e.precision):
         bound = mpf(2) ** (-(e.precision // 2))
         mapped = [
@@ -329,7 +334,7 @@ def test_embeddings_follow_a_change_of_basis(name):
 def assert_rows_match_the_oracle(a, precision=192, seed=0):
     # the embeddings do not depend on the splitting element, so the rows
     # must agree as sets, each within 2**(-p/2) of exactly one oracle row
-    e = compute_embeddings(a, precision, seed)
+    e = as_mpc(compute_embeddings(a, precision, seed))
     want = oracle_embeddings(a, precision, seed)
     with mp.workprec(precision):
         bound = mpf(2) ** (-(precision // 2))
@@ -371,29 +376,28 @@ def test_embeddings_match_the_oracle_on_fixtures(name):
     assert_rows_match_the_oracle(ORACLE_FIXTURES[name])
 
 
-# ------------------------------------- fixed-point residual and Gram form
-
-
-def scale(e):
-    return e.n * (1 + max(abs(s) for row in e.sigma for s in row)) ** 2
+# ---------------------------------------- grid rows, residual and Gram form
 
 
 def threshold(e):
-    # the bound compute_embeddings holds the residual to
-    return mpf(2) ** (-(e.precision // 2)) * scale(e)
+    # the bound compute_embeddings holds the residual to, 2**(-p/2) n (1 +
+    # max|sigma|)^2, for mpc rows
+    biggest = max(abs(s) for row in e.sigma for s in row)
+    return mpf(2) ** (-(e.precision // 2)) * e.n * (1 + biggest) ** 2
 
 
 def nudged(e, k, bits):
     # e with its k-th row moved by 2**(-bits) in its last entry, and the
     # conjugate row (if any) moved to match
-    eps = mp.ldexp(1, -bits)
-    row = e.sigma[k]
-    moved = row[:-1] + (row[-1] + eps,)
-    rows = list(e.sigma)
-    rows[k] = moved
-    for i, other in enumerate(e.sigma):
-        if i != k and other == tuple(x.conjugate() for x in row):
-            rows[i] = tuple(x.conjugate() for x in moved)
+    eps = 1 << (e.precision + embeddings.FIXED_GUARD_BITS - bits)
+    re, im = e.rows[k]
+    moved = re[:-1] + (re[-1] + eps,)
+    conj = tuple(-y for y in im)
+    rows = list(e.rows)
+    for i, other in enumerate(e.rows):
+        if other == (re, conj):
+            rows[i] = (moved, conj)
+    rows[k] = (moved, im)
     return embeddings.EmbeddingMatrix(e.n, tuple(rows), e.precision, e.residual)
 
 
@@ -406,31 +410,29 @@ def nudged(e, k, bits):
     st.sampled_from([None, 4]),
     st.integers(0, 5),
 )
-def test_residual_bounds_the_oracle(a, basis_seed, precision, seed, nudge, row):
-    # the integer residual bounds the true residual of the rows from above,
-    # by little, and gives the verdict of the mpc residual at the
-    # threshold, also on rows moved by 2**(-p/4)
+def test_residual_is_the_oracle_residual_of_the_grid_rows(
+    a, basis_seed, precision, seed, nudge, row
+):
+    # the integer residual is the residual of the grid rows rounded up to
+    # the grid 2**(-2q)Z, exactly, also on rows moved by 2**(-p/4), and the
+    # residual kept for one row of each conjugate pair is that of all rows
     b = rebased(a, basis_seed)
     e = compute_embeddings(b, precision, seed)
+    if nudge:
+        e = nudged(e, row % e.n, precision // nudge)
+    q = precision + embeddings.FIXED_GUARD_BITS
+    got = embeddings._hom_residual(b, e.rows, q)
+    if not nudge:
+        assert got == e.residual
+    rows = as_mpc(e)
+    # the rows are exact binary numbers, and at 8q bits the oracle's
+    # rounding is far below the distance of an irrational residual from
+    # the grid 2**(-2q)Z
+    with mp.workprec(8 * q):
+        true = oracle_hom_residual(b, rows.sigma)
+        assert got == int(mp.ceil(mp.ldexp(true, 2 * q)))
     with mp.workprec(precision):
-        if nudge:
-            e = nudged(e, row % e.n, precision // nudge)
-        got = embeddings._hom_residual(b, e.sigma)
-        at_p = oracle_hom_residual(b, e.sigma)
-        assert (got <= threshold(e)) == (at_p <= threshold(e)) == (not nudge)
-    # the rows are exact binary numbers, and at 4p bits the oracle's own
-    # rounding is far below 2**(-2p): this is their true residual
-    with mp.workprec(4 * precision):
-        true = oracle_hom_residual(b, e.sigma)
-        assert got >= true - mp.ldexp(1, -2 * precision)
-        if not nudge:
-            # one row of each conjugate pair was checked, for all of them
-            assert e.residual >= true - mp.ldexp(1, -2 * precision)
-    with mp.workprec(precision):
-        if not nudge:
-            width = max(sum(map(abs, cell)) for row in b.table for cell in row)
-            biggest = max(abs(x) for r in e.sigma for x in r)
-            assert got <= true + mp.ldexp(1 + width + 2 * biggest, -precision)
+        assert (true <= threshold(rows)) == (not nudge)
 
 
 @settings(max_examples=30, deadline=None)
@@ -440,7 +442,7 @@ def test_gram_matches_the_oracle(a, basis_seed, precision, seed):
     # max|entry|) of the oracle's, and the tolerance, max(|entry|, 2**p)
     # >> (p/3), within that bound >> (p/3) plus the one unit of its floor
     e = compute_embeddings(rebased(a, basis_seed), precision, seed)
-    g, h = gram(e), oracle_gram(e)
+    g, h = gram(e), oracle_gram(as_mpc(e))
     p, shift = precision, precision - 8
     limit = (1 << p) + max(abs(x) for row in h.entries for x in row)
     for r, s in zip(g.entries, h.entries):
@@ -454,32 +456,63 @@ def test_gram_matches_the_oracle(a, basis_seed, precision, seed):
 def test_a_row_moved_by_a_quarter_of_the_bits_escalates(monkeypatch, name):
     real = embeddings._row
 
-    def moved(a, columns, lam, bits):
-        row = real(a, columns, lam, bits)
-        return row[:-1] + (row[-1] + mp.ldexp(1, -(mp.prec // 4)),)
+    def moved(a, columns, lam, bits, q):
+        re, im = real(a, columns, lam, bits, q)
+        p = q - embeddings.FIXED_GUARD_BITS
+        return re[:-1] + (re[-1] + (1 << (q - p // 4)),), im
 
     monkeypatch.setattr(embeddings, "_row", moved)
     with pytest.raises(EscalationNeeded):
         compute_embeddings(example_order(name))
 
 
-def test_residual_bounds_rows_off_its_grid():
-    # rows that round onto the embeddings of Z x Z but are not embeddings
-    # themselves: the grid residual is 0, and only the slack covers theirs
-    a = small_ring_product(["z", "z"])
-    p = 128
-    with mp.workprec(2 * p):
-        eta = mp.ldexp(1, -(p + embeddings.FIXED_GUARD_BITS + 1))
-        rows = [(mp.mpc(1) + eta, mp.mpc(0)), (mp.mpc(0), mp.mpc(1))]
-        true = oracle_hom_residual(a, rows)
-    with mp.workprec(p):
-        got = embeddings._hom_residual(a, rows)
-    assert 0 < true <= got
+def test_roots_beyond_double_range_give_grid_rows():
+    # chi = x^2 - 10^310 overflows a double, and the Aberth iteration on
+    # chi(s x)/s^2 still proposes its roots: the rows are (1, +-10^155)
+    # within one grid unit, and real roots give real rows
+    e = compute_embeddings(monogenic_order([-(10**310), 0, 1]), 192)
+    q = 192 + embeddings.FIXED_GUARD_BITS
+    assert e.precision == 192
+    for (re, im), sign in zip(sorted(e.rows, key=lambda row: row[0][1]), (-1, 1)):
+        assert abs(re[0] - (1 << q)) <= 1 and abs(re[1] - sign * (10**155 << q)) <= 1
+        assert im == (0, 0)
 
 
-def test_residual_of_non_finite_rows_is_infinite():
-    a = example_order("zsqrt2")
-    e = compute_embeddings(a)
-    with mp.workprec(e.precision):
-        rows = [e.sigma[0][:-1] + (mp.mpc(mp.nan),), e.sigma[1]]
-        assert embeddings._hom_residual(a, rows) == mp.inf
+def test_cube_root_beyond_double_range_is_certified():
+    # x^3 - 10^200: one real and two complex rows, each within the residual
+    # bound of compute_embeddings, which is the exact residual of the rows
+    a = monogenic_order([-(10**200), 0, 0, 1])
+    e = compute_embeddings(a, 192)
+    q = 192 + embeddings.FIXED_GUARD_BITS
+    assert e.n == 3 and sum(im == (0, 0, 0) for _, im in e.rows) == 1
+    assert e.residual == embeddings._hom_residual(a, e.rows, q)
+    rows = as_mpc(e)
+    with mp.workprec(192):
+        assert mpf(e.residual) / 2 ** (2 * q) <= threshold(rows)
+        cube = mpf(10) ** 200
+        for row in rows.sigma:
+            assert abs(row[1] ** 3 - cube) <= cube * mpf(2) ** -150
+
+
+def test_embeddings_make_no_mpmath_call(monkeypatch):
+    # the embeddings and their Gram form are integer arithmetic after the
+    # double-precision proposals: with mpmath's names in the module
+    # replaced, every form comes out the same
+    class NoMpmath:
+        def __getattr__(self, name):
+            raise AssertionError(f"mpmath attribute {name} used by the embeddings")
+
+        def __call__(self, *args):
+            raise AssertionError("mpmath number built by the embeddings")
+
+    names = ("z", "zsqrt2", "golden", "zeta5", "kummer6", "parity5")
+    orders = [example_order(name) for name in names] + [rebased(group_ring([6])[0], "zc6")]
+    want = [gram(compute_embeddings(a)) for a in orders]
+    embeddings.numeric_context.cache_clear()
+    nilradical.cache_clear()
+    monkeypatch.setattr(embeddings, "mp", NoMpmath())
+    monkeypatch.setattr(embeddings, "mpf", NoMpmath())
+    try:
+        assert [embeddings.numeric_context(a, 192, 0) for a in orders] == want
+    finally:
+        embeddings.numeric_context.cache_clear()

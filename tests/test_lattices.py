@@ -44,6 +44,7 @@ from gradus.orders import group_ring, is_reduced
 
 from helpers import (
     SMALL_RINGS,
+    as_mpc,
     dot_form,
     frac_ldl,
     oracle_ball_points,
@@ -431,7 +432,7 @@ def test_grid_form_matches_mpf_sums_on_integral_forms(gm, precision, data):
 def test_grid_form_matches_mpf_sums_on_orders(a, basis_seed, precision, data):
     e = compute_embeddings(rebased(a, basis_seed), precision)
     g = gram(e)
-    values = oracle_gram_entries(e, 4 * precision)
+    values = oracle_gram_entries(as_mpc(e), 4 * precision)
     check_against_mpf_sums(g, values, data.draw(vectors(e.n)), data.draw(vectors(e.n)))
 
 
