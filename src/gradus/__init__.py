@@ -98,7 +98,6 @@ from .units import (
     idempotents,
     is_connected,
     roots_of_unity,
-    torsion_order_bound,
 )
 
 __version__ = "0.1.0"

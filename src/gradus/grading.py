@@ -218,7 +218,7 @@ def group_from_relations(
         return FinAbGroup(()), ()
     if not rel_rows:
         raise InfiniteGroup("no relations on a positive number of generators")
-    s, _, v = snf(IntMatrix.from_rows(rel_rows, num_gens))
+    s, v = snf(IntMatrix.from_rows(rel_rows, num_gens))
     diag = [s.entries[i][i] for i in range(min(len(rel_rows), num_gens))]
     diag += [0] * (num_gens - len(diag))
     if any(d == 0 for d in diag):

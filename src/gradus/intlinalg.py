@@ -82,15 +82,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(r[j] for r in self.entries) for j in range(self.cols)), self.rows)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        ot = [tuple(r[j] for r in other.entries) for j in range(other.cols)]
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(r, col)) for col in ot) for r in self.entries),
-            other.cols,
-        )
-
     def vec_mat(self, v: Sequence[int]) -> Vec:
         """Row action: v as a row vector times this matrix."""
         if len(v) != self.rows:
@@ -130,7 +121,7 @@ def _pivots(h: IntMatrix) -> list[tuple[int, int]]:
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
-    Returns (H, U) with H = U @ m and U unimodular.  H is canonical: pivots
+    Returns (H, U) with H = U m and U unimodular.  H is canonical: pivots
     are positive, every entry above a pivot is reduced into [0, pivot), and
     zero rows sink to the bottom.  Two matrices with the same row space get
     the same H.
@@ -180,22 +171,20 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     )
 
 
-def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Smith normal form.
 
-    Returns (S, U, V) with S = U @ m @ V diagonal, U and V unimodular, and
-    nonnegative diagonal entries satisfying d1 | d2 | ...  Pivoting always
-    selects the smallest nonzero entry, which keeps coefficient growth tame
-    at the ranks this library targets.
+    Returns (S, V) with S = U m V diagonal for a unimodular U that is not
+    computed, V unimodular, and nonnegative diagonal entries satisfying
+    d1 | d2 | ...  Pivoting always selects the smallest nonzero entry, which
+    keeps coefficient growth tame at the ranks this library targets.
     """
     nr, nc = m.rows, m.cols
     s = [list(r) for r in m.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def row_sub(i, j, q):
         s[i] = [a - q * b for a, b in zip(s[i], s[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
 
     def col_sub(i, j, q):
         for r in s:
@@ -205,7 +194,6 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in s:
@@ -229,7 +217,6 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         while True:
             if s[t][t] < 0:
                 s[t] = [-x for x in s[t]]
-                u[t] = [-x for x in u[t]]
             piv = s[t][t]
             dirty = False
             for i in range(t + 1, nr):
@@ -264,11 +251,9 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 break
             # pull the offending row up so the next pass shrinks the pivot
             s[t] = [a + b for a, b in zip(s[t], s[offender])]
-            u[t] = [a + b for a, b in zip(u[t], u[offender])]
         t += 1
     return (
         IntMatrix(tuple(tuple(r) for r in s), nc),
-        IntMatrix(tuple(tuple(r) for r in u), nr),
         IntMatrix(tuple(tuple(r) for r in v), nc),
     )
 
@@ -279,7 +264,7 @@ def rank(m: IntMatrix) -> int:
 
 
 def solve_left(m: IntMatrix, target: Sequence[int]) -> Vec | None:
-    """An integer row vector x with x @ m == target, or None."""
+    """An integer row vector x with x m = target, or None."""
     if len(target) != m.cols:
         raise ValueError("target length does not match column count")
     h, u = hnf(m)
@@ -380,7 +365,7 @@ class SublatticeBasis:
 
 
 def kernel_saturated(m: IntMatrix) -> SublatticeBasis:
-    """Basis of {v : v @ m == 0}; such a kernel is saturated automatically."""
+    """Basis of {v : v m = 0}; such a kernel is saturated automatically."""
     h, u = hnf(m)
     rows = [u.entries[i] for i in range(m.rows) if is_zero_vec(h.entries[i])]
     return SublatticeBasis.from_vectors(m.rows, rows)

@@ -7,8 +7,7 @@ and fraction-free LDL data, and the Fincke-Pohst searches run on that data,
 with mu and the centres in fixed point on the grid 2**(-FP_BITS) Z.  Each
 node widens its range by a proven bound on that rounding, so every search
 is complete by proof (see `_fincke_pohst`) and its callers decide the
-points exactly.  mpmath only puts a real bound on the grid and prints one
-in an error message.
+points exactly.  mpmath only prints a bound in an error message.
 
 Provides LLL reduction of the standard basis, one Fincke-Pohst enumeration
 kernel (short vectors around the origin, and the centred ball of the
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from mpmath import mp
-from mpmath.libmp import mpf_shift, round_floor, to_int
 
 from .errors import (
     AmbiguousZero,
@@ -175,8 +173,9 @@ def _reduction(g: GramForm):
 
 def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
     """Call visit(x) on every integer coordinate vector x in the reduced
-    basis with Q(x - c) <= limit, and possibly on a few points just outside,
-    until visit returns True; return whether it did.
+    basis with Q(x - c) <= limit (on one of x and -x when c = 0), and
+    possibly on a few points just outside, until visit returns True; return
+    whether it did.
 
     Q(y) = y H y^T for H the exact Gram matrix of the basis on the grid of
     the form, written through its LDL data as Q(y) = sum_i d_i (y_i + sum_{j>i}
@@ -200,19 +199,33 @@ def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
     delta_i)^2 >> 2K, so s_i <= R_i <= B_i passes the test below, and the
     child gets B_i - s_i >= R_i - d_i (x_i - t_i)^2 = R_{i-1}.  By induction
     every point of the exact ball is visited.
+
+    Symmetry.  At the origin (C = 0) the ball is symmetric, and a node
+    whose coordinates above it are all 0 scans x_i >= 0 only.  Of a pair x,
+    -x (x != 0) in the exact ball, the one whose last nonzero coordinate is
+    positive has x_j = 0 above that coordinate and x_j > 0 at it, so every
+    node on its path scans its coordinate and the argument above reaches
+    it.  The other is never visited: its last nonzero coordinate is
+    negative, at a node that scans only x_i >= 0.  So one point of each
+    pair of the exact ball is visited, and 0 once.
     """
     n = len(D)
     two_k = 2 * FP_BITS
+    origin = not any(C)
     x = [0] * n
     y = [0] * n
 
     def descend(i, budget, spread):
-        # spread = sum_{j>i} |y_j|
+        # spread = sum_{j>i} |y_j|, which at the origin is 0 exactly when
+        # every coordinate above i is 0
         t = C[i] - (sum(map(operator.mul, M[i], y[i + 1 :])) >> FP_BITS)
         delta = (spread >> (FP_BITS + 1)) + 2
         d = D[i]
         radius = math.isqrt((budget << two_k) // d) + 1 + delta
-        for xi in range(-((radius - t) >> FP_BITS), ((t + radius) >> FP_BITS) + 1):
+        low = -((radius - t) >> FP_BITS)
+        if origin and not spread:
+            low = max(low, 0)
+        for xi in range(low, ((t + radius) >> FP_BITS) + 1):
             fixed = xi << FP_BITS
             e = abs(fixed - t) - delta
             spent = (d * e * e) >> two_k if e > 0 else 0
@@ -227,35 +240,29 @@ def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
     return limit >= 0 and descend(n - 1, limit, 0)
 
 
-def _grid_floor(x, p: int) -> int:
-    """floor(x 2**p), exactly, for an int, float or mpf x."""
-    if isinstance(x, int):
-        return x << p
-    return to_int(mpf_shift(mp.convert(x)._mpf_, p), round_floor)
+def enumerate_up_to(g: GramForm, limit: int, cap: int = 10**6) -> list[Vec]:
+    """All nonzero vectors v with norm(g, v) <= limit + tolerance, for an
+    integer limit on the grid of g, one representative per +/- pair (the
+    lexicographically positive one), in increasing norm and
+    lexicographically among equal norms.
 
-
-def enumerate_up_to(g: GramForm, bound, cap: int = 10**6) -> list[Vec]:
-    """All nonzero vectors v with <v, v> <= bound (a real) up to the
-    tolerance, one representative per +/- pair, sorted lexicographically.
-
-    Exactly the v with norm(g, v) <= floor(bound 2**p) + tolerance on the
-    grid of g: the search proposes a superset and each point is kept on its
-    exact norm, so the output and the cap count are that set."""
+    The search visits one point of each pair (see `_fincke_pohst`) and
+    proposes a superset of the ball; each point is kept on its exact norm,
+    so the output and the cap count are exactly that set."""
     n = g.n
     if n == 0:
         return []
-    limit = _grid_floor(bound, g.precision) + g.tolerance
+    limit += g.tolerance
     basis, D, M, _ = _reduction(g)
     zero = (0,) * n
-    found: set[Vec] = set()
+    found: list[tuple[int, Vec]] = []
 
     def keep(x):
         if any(x):
             v = basis.vec_mat(x)
-            if v < zero:
-                v = vec_neg(v)
-            if v not in found and norm(g, v) <= limit:
-                found.add(v)
+            q = norm(g, v)
+            if q <= limit:
+                found.append((q, vec_neg(v) if v < zero else v))
                 if len(found) > cap:
                     raise EnumerationBudgetExceeded(
                         f"more than {cap} short vectors below bound "
@@ -264,7 +271,8 @@ def enumerate_up_to(g: GramForm, bound, cap: int = 10**6) -> list[Vec]:
         return False
 
     _fincke_pohst(D, M, zero, limit, keep)
-    return sorted(found)
+    found.sort()
+    return [v for _, v in found]
 
 
 def is_decomposition(g: GramForm, z: Sequence[int], x: Sequence[int], y: Sequence[int]) -> bool:
@@ -342,10 +350,9 @@ def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
         return SDecomposition(0, (), g)
     full = SublatticeBasis.full(n)
     bound = max(norm(g, r) for r in _reduction(g)[0].entries)
-    pool = enumerate_up_to(g, as_real(g, bound), cap)
     indec: list[Vec] = []
     span = SublatticeBasis.zero(n)
-    for v in sorted(pool, key=lambda v: norm(g, v)):
+    for v in enumerate_up_to(g, bound, cap):
         if span == full:
             break
         if not span.contains(v) and is_indecomposable(g, v):

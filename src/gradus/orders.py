@@ -169,7 +169,7 @@ def power(a: Order, x: Sequence[int], k: int) -> Vec:
 
 
 def regular_matrix(a: Order, x: Sequence[int]) -> IntMatrix:
-    """Matrix of multiplication by x: M_x @ coords(y) = coords(x*y)."""
+    """Matrix of multiplication by x: M_x coords(y) = coords(x*y)."""
     n = a.rank
     rows = [[0] * n for _ in range(n)]
     for i, xi in enumerate(x):
@@ -345,7 +345,7 @@ def quotient_order(a: Order, ideal_gens: Sequence[Sequence[int]]) -> tuple[Order
     """Quotient of the order by the ideal generated by ideal_gens.
 
     Returns the quotient order on a chosen integral basis together with the
-    projection matrix P; the image of x is x @ P in quotient coordinates.
+    projection matrix P; the image of x is x P in quotient coordinates.
     Raises TorsionQuotient when the quotient has additive torsion.
     """
     ideal = ideal_closure(a, ideal_gens)
@@ -356,7 +356,7 @@ def quotient_order(a: Order, ideal_gens: Sequence[Sequence[int]]) -> tuple[Order
     r, n = ideal.rank, a.rank
     if r == 0:
         return a, IntMatrix.identity(n)
-    _, _, v = snf(ideal.basis)
+    _, v = snf(ideal.basis)
     # saturation makes all elementary divisors 1, so x -> last n-r coords of x@V
     # projects onto the quotient, with V^{-1} rows r..n-1 lifting the new basis
     vinv = inverse_unimodular(v)

@@ -58,15 +58,6 @@ def _cyclotomic_orders(rank: int) -> list[int]:
     return [m for m in range(1, 2 * rank * rank + 2) if _euler_phi(m) <= rank]
 
 
-def torsion_order_bound(rank: int) -> int:
-    """Safe upper bound on the multiplicative order of any root of unity in
-    an order of the given rank: twice the square of the largest m with
-    phi(m) <= rank."""
-    if rank < 1:
-        return 1
-    return 2 * max(_cyclotomic_orders(rank)) ** 2
-
-
 @functools.lru_cache(maxsize=None)
 def torsion_exponent(rank: int) -> int:
     """L = lcm{m : phi(m) <= rank}, which every root of unity in an order of
@@ -176,7 +167,8 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
 
     def run(g: GramForm):
         floor = (n << g.precision) - g.tolerance
-        cands = [v for v in enumerate_up_to(g, n, config.enumeration_cap) if norm(g, v) >= floor]
+        pool = enumerate_up_to(g, n << g.precision, config.enumeration_cap)
+        cands = [v for v in pool if norm(g, v) >= floor]
         found = {}
         for v in cands:
             for s in (v, vec_neg(v)):

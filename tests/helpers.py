@@ -94,6 +94,15 @@ def frac_inverse(mat):
     return [row[n:] for row in a]
 
 
+def matmul(a, b):
+    """The product of two IntMatrix values, as an IntMatrix."""
+    from gradus.intlinalg import IntMatrix
+
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in matrix product")
+    return IntMatrix.from_rows([b.vec_mat(r) for r in a.entries], b.cols)
+
+
 def quad_form(gram, v):
     return sum(v[i] * sum(gram[i][j] * v[j] for j in range(len(v))) for i in range(len(v)))
 
@@ -373,13 +382,24 @@ def oracle_idempotents(a):
 
     def run(g):
         found = {a.zero()}
-        for v in enumerate_up_to(g, a.rank):
+        for v in enumerate_up_to(g, a.rank << g.precision):
             for s in (v, tuple(-c for c in v)):
                 if mul(a, s, s) == s:
                     found.add(s)
         return sorted(found)
 
     return with_gram(a, DEFAULT_CONFIG, run)
+
+
+def torsion_order_bound(rank):
+    """Safe upper bound on the multiplicative order of any root of unity in
+    an order of the given rank: twice the square of the largest m with
+    phi(m) <= rank (phi(m) >= sqrt(m/2), so m <= 2 rank^2)."""
+    from sympy import totient
+
+    if rank < 1:
+        return 1
+    return 2 * max(m for m in range(1, 2 * rank * rank + 2) if totient(m) <= rank) ** 2
 
 
 def oracle_roots(a):
@@ -392,7 +412,6 @@ def oracle_roots(a):
     from gradus.embeddings import norm, with_gram
     from gradus.lattices import enumerate_up_to
     from gradus.orders import mul
-    from gradus.units import torsion_order_bound
 
     n = a.rank
     bound = torsion_order_bound(n)
@@ -400,7 +419,8 @@ def oracle_roots(a):
     def run(g):
         with mp.workprec(g.precision):
             floor = n - real(g, g.tolerance)
-        cands = [v for v in enumerate_up_to(g, n) if real(g, norm(g, v)) >= floor]
+        pool = enumerate_up_to(g, n << g.precision)
+        cands = [v for v in pool if real(g, norm(g, v)) >= floor]
         found = {}
         for v in cands:
             for s in (v, tuple(-c for c in v)):

@@ -178,6 +178,34 @@ def test_decompose(tmp_path, capsys):
     assert len(data["components"]) == 2
 
 
+def budget_error(bound):
+    message = f"more than 3 short vectors below bound {bound}"
+    return json.dumps({"error": "EnumerationBudgetExceeded", "message": message}) + "\n"
+
+
+def test_enumeration_budget_exits_4(tmp_path, capsys):
+    # the splitting's pool (norm <= 15.119053, the largest reduced-basis
+    # norm of kummer6) has more than 3 pairs, as a query and as a Gram file
+    path = write_order(tmp_path, "kummer6")
+    assert run_cli(capsys, "grade", path, "--cap", "3") == (4, "", budget_error("15.119053"))
+    code, out, err = run_cli(capsys, "analyze", path, "--format", "json")
+    gram_path = tmp_path / "gram.json"
+    gram_path.write_text(json.dumps(json.loads(out)["gram"]))
+    got = run_cli(capsys, "decompose", str(gram_path), "--cap", "3")
+    assert got == (4, "", budget_error("15.119053"))
+
+
+def test_units_cap_counts_pairs_of_the_rank_norm_ball(tmp_path, capsys):
+    # kummer6 has exactly 3 pairs of norm <= 6, its 6 roots of unity, so a
+    # cap of 3 passes; parity5 has more than 3 pairs of norm <= 5
+    path = write_order(tmp_path, "kummer6")
+    code, out, err = run_cli(capsys, "units", path, "--cap", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] == 6
+    path = write_order(tmp_path, "parity5")
+    assert run_cli(capsys, "units", path, "--cap", "3") == (4, "", budget_error("5.0"))
+
+
 def test_decompose_bad_size(tmp_path, capsys):
     doc = {"n": 3, "gram": [["1.0"]]}
     path = tmp_path / "gram.json"

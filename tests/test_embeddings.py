@@ -172,7 +172,7 @@ def test_norm_bounds_count_of_nonvanishing_embeddings(name):
     g = gram(e)
     tol = real(g, g.tolerance)
     with mp.workprec(g.precision):
-        for v in enumerate_up_to(g, a.rank + 2):
+        for v in enumerate_up_to(g, (a.rank + 2) << g.precision):
             hits = 0
             for row in as_mpc(e).sigma:
                 val = mp.fsum(c * row[i] for i, c in enumerate(v) if c)

@@ -34,7 +34,7 @@ from gradus.lattices import (
     is_decomposition,
     is_indecomposable,
     LLL_DELTA,
-    _grid_floor,
+    _fincke_pohst,
     _reduction,
     lll_reduce,
     search_centred_ball,
@@ -55,6 +55,7 @@ from helpers import (
     oracle_lll,
     oracle_short_vectors,
     oracle_verdict,
+    quad_form,
     random_unimodular,
     real,
     rebased,
@@ -104,25 +105,30 @@ def test_is_indecomposable_examples():
         is_indecomposable(STD2, (0, 0))
 
 
+def short_vectors(g, bound, **kw):
+    """The pool of norm <= bound (an integer) as a lexicographic list."""
+    return sorted(enumerate_up_to(g, bound << g.precision, **kw))
+
+
 def test_enumerate_up_to_std2():
-    assert enumerate_up_to(STD2, 1) == [(0, 1), (1, 0)]
-    assert enumerate_up_to(STD2, 2) == [(0, 1), (1, -1), (1, 0), (1, 1)]
+    assert short_vectors(STD2, 1) == [(0, 1), (1, 0)]
+    assert short_vectors(STD2, 2) == [(0, 1), (1, -1), (1, 0), (1, 1)]
 
 
 def test_enumerate_up_to_two_i():
-    assert enumerate_up_to(TWO_I, 2) == [(0, 1), (1, 0)]
+    assert short_vectors(TWO_I, 2) == [(0, 1), (1, 0)]
 
 
 def test_enumeration_cap():
     with pytest.raises(EnumerationBudgetExceeded):
-        enumerate_up_to(STD2, 100, cap=3)
+        short_vectors(STD2, 100, cap=3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(pd_grams(), st.integers(1, 8))
 def test_enumeration_matches_box_oracle(gm, bound):
     g = str_gram(gm)
-    got = enumerate_up_to(g, bound, cap=10**5)
+    got = short_vectors(g, bound, cap=10**5)
     want = oracle_short_vectors(gm, bound)
     assert got == want
 
@@ -239,8 +245,12 @@ def test_ambiguous_entry_triggers_escalation_request():
 
 def test_norms_in_band_are_counted_inside_bound():
     # bound + tolerance admits norms that are exactly on the bound
-    got = enumerate_up_to(TWO_I, 4)
+    got = short_vectors(TWO_I, 4)
     assert (1, 1) in got and (1, -1) in got
+    # and norms up to one tolerance above a grid limit: norm 5, tolerance 2
+    g = GramForm(1, ((5,),), 4, 2)
+    assert enumerate_up_to(g, 3) == [(1,)]
+    assert enumerate_up_to(g, 2) == []
 
 
 def test_no_finer_coordinate_splitting_at_desk_scale():
@@ -535,20 +545,34 @@ def test_exact_enumeration_matches_the_box_oracle(gm, bound):
     # is exceeded exactly when that set is larger
     g = exact_form(gm, 1 << 1200, precision=1200)
     want = oracle_short_vectors(gm, bound)
-    assert enumerate_up_to(g, bound, cap=len(want)) == want
+    assert short_vectors(g, bound, cap=len(want)) == want
     if want:
         with pytest.raises(EnumerationBudgetExceeded):
-            enumerate_up_to(g, bound, cap=len(want) - 1)
+            short_vectors(g, bound, cap=len(want) - 1)
 
 
-def test_grid_floor_is_exact():
-    assert _grid_floor(3, 4) == 48
-    assert _grid_floor(-0.75, 1) == -2
-    assert _grid_floor(0.75, 1) == 1
-    with mp.workprec(300):
-        x = mp.mpf(2) ** 250 + mp.mpf(1) / 3
-        assert _grid_floor(x, 2) == (1 << 252) + 1
-        assert _grid_floor(-x, 2) == -(1 << 252) - 2
+@settings(max_examples=60, deadline=None)
+@given(pd_grams(max_dim=4), SCALES, st.integers(0, 8))
+def test_origin_search_visits_one_point_of_each_pair(gm, scale, bound):
+    # tolerance 0 and an exact form: the pairs on the sphere must be reached
+    g = exact_form(gm, scale)
+    basis, D, M, _ = _reduction(g)
+    visits = []
+    _fincke_pohst(D, M, (0,) * len(gm), bound * scale, lambda x: visits.append(tuple(x)))
+    seen = {basis.vec_mat(x) for x in visits}
+    assert len(seen) == len(visits)
+    assert (0,) * len(gm) in seen
+    assert not any(tuple(-c for c in v) in seen for v in seen if any(v))
+    for w in oracle_short_vectors(gm, bound):
+        assert w in seen or tuple(-c for c in w) in seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(pd_grams(max_dim=4), SCALES, st.integers(0, 8))
+def test_pool_comes_in_exact_norm_then_lexicographic_order(gm, scale, bound):
+    g = exact_form(gm, scale)
+    want = sorted(oracle_short_vectors(gm, bound), key=lambda v: (quad_form(gm, v), v))
+    assert enumerate_up_to(g, bound * scale) == want
 
 
 def test_searches_make_no_mpmath_call(monkeypatch):
@@ -561,7 +585,7 @@ def test_searches_make_no_mpmath_call(monkeypatch):
     g = str_gram(gm)
     _reduction.cache_clear()
     monkeypatch.setattr(lattices, "mp", NoMpmath())
-    assert enumerate_up_to(g, 3) == oracle_short_vectors(gm, 3)
+    assert short_vectors(g, 3) == oracle_short_vectors(gm, 3)
     pool = oracle_short_vectors(gm, 4)
     for v in pool:
         assert is_indecomposable(g, v) == oracle_indecomposable(gm, v, pool)

