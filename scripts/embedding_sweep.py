@@ -17,6 +17,9 @@ is not the oracle's residual of the grid rows rounded up to the grid
 2**(-2q)Z, or when a Gram entry is off the oracle's by more than 2**(8-p)
 (1 + max|entry|), compared in integers on the grid.
 
+The oracles run on mpmath, which gradus itself does not need: install the
+`test` extra (`pip install -e '.[test]'`) first.
+
     PYTHONPATH=src python scripts/embedding_sweep.py [--precision P] [--large]
 """
 

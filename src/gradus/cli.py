@@ -2,9 +2,11 @@
 
 Subcommands: validate, analyze, grade, units, idempotents, decompose,
 example.  Orders travel as JSON files; Gram matrices use decimal strings so
-output is identical across platforms.  Exit codes: 0 success, 2 input or
-validation failure, 3 precision exhausted, 4 enumeration budget exceeded.
-Errors are reported on stderr as a single JSON object.
+output is identical across platforms, read and printed exactly by
+`embeddings.gram_from_strings` and `embeddings.grid_str`.  Exit codes: 0
+success, 2 input or validation failure, 3 precision exhausted, 4
+enumeration budget exceeded.  Errors are reported on stderr as a single
+JSON object.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import argparse
 import json
 import sys
 
-from mpmath import mp
-
 from .config import RunConfig
-from .embeddings import as_real, gram_from_strings, with_gram
+from .embeddings import gram_from_strings, grid_str, with_gram
 from .errors import (
     DegenerateSplitting,
     EnumerationBudgetExceeded,
@@ -90,12 +90,12 @@ def _gram_json(g) -> dict:
 
     def fmt(x):
         # entries below the tolerance are zero by definition of the form
-        return "0.0" if abs(x) <= g.tolerance else mp.nstr(as_real(g, x), digits)
+        return "0.0" if abs(x) <= g.tolerance else grid_str(g, x, digits)
 
     return {
         "n": g.n,
         "gram": [[fmt(x) for x in row] for row in g.entries],
-        "tolerance": mp.nstr(as_real(g, g.tolerance), 8),
+        "tolerance": grid_str(g, g.tolerance, 8),
         "precision": g.precision,
     }
 

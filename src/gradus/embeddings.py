@@ -20,9 +20,11 @@ verdicts integer comparisons against a tolerance on the same grid, with a
 wide ambiguous band in between: any value landing in the band aborts the
 computation so the caller can escalate the precision instead of guessing.
 The tolerance covers the rounding of the entries, so an exactly known form
-can carry tolerance 0, and its verdicts are then exact.  mpmath only reads
-decimal Gram entries (`gram_from_strings`) and prints values; LLL and the
-Fincke-Pohst searches of `lattices` run on exact integer data.
+can carry tolerance 0, and its verdicts are then exact.  This module also
+owns number input and output: `gram_from_strings` reads decimal entries
+exactly (`decimal`, `fractions`) onto the grid, and `grid_str` prints grid
+values.  LLL and the Fincke-Pohst searches of `lattices` run on exact
+integer data.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ import operator
 import random
 import sys
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
-
-from mpmath import mp, mpf
 
 from .config import RunConfig
 from .errors import (
@@ -418,37 +420,73 @@ def gram_from_strings(rows: Sequence[Sequence[str]], precision: int = 192) -> Gr
     """Gram form from decimal-string entries, as used in the JSON exchange
     format.  The matrix must be a list of rows, square and symmetric as
     given, and each entry a string, int or float naming a finite real;
-    anything else raises ValueError.  Each entry is read at the given
-    precision and put on the nearest point of the grid 2**(-precision)Z."""
+    anything else raises ValueError.  Each entry is read exactly and put on
+    the nearest point of the grid 2**(-precision)Z (ties to even), and the
+    symmetry is checked on those grid points."""
     if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
         raise ValueError("gram matrix must be a list of rows")
     n = len(rows)
-    with mp.workprec(precision):
-        values = tuple(tuple(_finite_real(x) for x in row) for row in rows)
-        if any(len(r) != n for r in values):
-            raise ValueError("gram matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if values[i][j] != values[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
-        entries = tuple(tuple(int(mp.nint(mp.ldexp(x, precision))) for x in row) for row in values)
+    entries = tuple(tuple(_grid_point(x, precision) for x in row) for row in rows)
+    if any(len(r) != n for r in entries):
+        raise ValueError("gram matrix must be square")
+    if any(entries[i][j] != entries[j][i] for i in range(n) for j in range(i + 1, n)):
+        raise ValueError("gram matrix must be symmetric")
     return GramForm(n, entries, precision, _tolerance(entries, precision))
 
 
-def _finite_real(x) -> mpf:
+def _grid_point(x, precision: int) -> int:
     if isinstance(x, bool) or not isinstance(x, (str, int, float)):
         raise ValueError(f"gram entry {x!r} is not a number")
-    value = mpf(x)
-    if not mp.isfinite(value):
+    try:
+        d = Decimal(x)
+    except InvalidOperation:
+        raise ValueError(f"gram entry {x!r} is not a number") from None
+    if not d.is_finite():
         raise ValueError(f"gram entry {x!r} is not a finite real")
-    return value
+    # |d| < 10**(-precision) is under half a grid step: 0 without building
+    # the power of ten of a tiny exponent
+    if d.adjusted() < -precision:
+        return 0
+    return round(Fraction(d) * (1 << precision))
 
 
-def as_real(g: GramForm, x: int) -> mpf:
-    """A value on the grid of g as a real at the precision of g, for
-    display."""
-    with mp.workprec(g.precision):
-        return mp.ldexp(x, -g.precision)
+def grid_str(g: GramForm, x: int, digits: int) -> str:
+    """The value x * 2**(-p) on the grid of g as a decimal string of at most
+    `digits` (>= 1) significant digits, byte for byte as mpmath's `nstr`
+    prints it, so Gram documents and messages read as before.
+
+    The integer core of mpmath's `to_digits_exp` and `to_str`: the leading
+    int((digits + 3) log2 10) + 10 bits of the value, in fixed point, are
+    floored to decimal, the digit after the last is rounded half up, and
+    the point is fixed when the decimal exponent lies strictly between
+    min(-(digits // 3), -5) and digits, else written as an exponent.
+    mpmath first divides values beyond 2**(+-3500) by a rounded power of
+    ten; this port stays exact there, so the last digit may differ.
+    """
+    if not x:
+        return "0.0"
+    sign, x, p = "-" if x < 0 else "", abs(x), g.precision
+    # math.log(10, 2), one ulp above math.log2(10), is the constant mpmath uses
+    bitprec = int((digits + 3) * math.log(10, 2)) + 10
+    fixprec = max(bitprec - x.bit_length() + p, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    shift = fixprec - p
+    fixed = x << shift if shift >= 0 else x >> -shift
+    # Decimal, unlike str, converts integers of any length
+    lead = str(Decimal(fixed * 10**fixdps >> fixprec))
+    exponent = len(lead) - fixdps - 1
+    if len(lead) > digits and lead[digits] in "56789":
+        head = lead[:digits].rstrip("9")
+        if head:
+            lead = head[:-1] + chr(ord(head[-1]) + 1)
+        else:
+            lead, exponent = "1", exponent + 1
+    lead, split = lead[:digits], 1
+    if min(-(digits // 3), -5) < exponent < digits:
+        lead = "0" * -exponent + lead if exponent < 0 else lead.ljust(exponent + 1, "0")
+        split, exponent = max(exponent, 0) + 1, 0
+    frac = lead[split:].rstrip("0") or "0"
+    return f"{sign}{lead[:split]}.{frac}" + (f"e{exponent:+d}" if exponent else "")
 
 
 def inner(g: GramForm, u: Sequence[int], v: Sequence[int]) -> int:
@@ -475,7 +513,7 @@ def is_zero(g: GramForm, value: int) -> bool:
     if mag >= AMBIGUITY_SPAN * g.tolerance:
         return False
     raise AmbiguousZero(
-        f"|{mp.nstr(as_real(g, value), 8)}| is inside the ambiguous zero band at {g.precision} bits"
+        f"|{grid_str(g, value, 8)}| is inside the ambiguous zero band at {g.precision} bits"
     )
 
 
@@ -487,7 +525,7 @@ def is_nonneg(g: GramForm, value: int) -> bool:
     if value <= -(AMBIGUITY_SPAN * g.tolerance):
         return False
     raise AmbiguousSign(
-        f"{mp.nstr(as_real(g, value), 8)} is inside the ambiguous sign band at {g.precision} bits"
+        f"{grid_str(g, value, 8)} is inside the ambiguous sign band at {g.precision} bits"
     )
 
 

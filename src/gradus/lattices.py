@@ -7,7 +7,7 @@ and fraction-free LDL data, and the Fincke-Pohst searches run on that data,
 with mu and the centres in fixed point on the grid 2**(-FP_BITS) Z.  Each
 node widens its range by a proven bound on that rounding, so every search
 is complete by proof (see `_fincke_pohst`) and its callers decide the
-points exactly.  mpmath only prints a bound in an error message.
+points exactly.
 
 Provides LLL reduction of the standard basis, one Fincke-Pohst enumeration
 kernel (short vectors around the origin, and the centred ball of the
@@ -28,8 +28,6 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from mpmath import mp
-
 from .errors import (
     AmbiguousZero,
     EnumerationBudgetExceeded,
@@ -49,7 +47,7 @@ from .intlinalg import (
 from .embeddings import (
     AMBIGUITY_SPAN,
     GramForm,
-    as_real,
+    grid_str,
     inner,
     is_nonneg,
     is_zero,
@@ -265,8 +263,7 @@ def enumerate_up_to(g: GramForm, limit: int, cap: int = 10**6) -> list[Vec]:
                 found.append((q, vec_neg(v) if v < zero else v))
                 if len(found) > cap:
                     raise EnumerationBudgetExceeded(
-                        f"more than {cap} short vectors below bound "
-                        f"{mp.nstr(as_real(g, limit), 8)}"
+                        f"more than {cap} short vectors below bound {grid_str(g, limit, 8)}"
                     )
         return False
 

@@ -16,6 +16,7 @@ torsion group of that rank, which fast powering tests in O(log L) products.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from math import lcm
@@ -168,9 +169,10 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     def run(g: GramForm):
         floor = (n << g.precision) - g.tolerance
         pool = enumerate_up_to(g, n << g.precision, config.enumeration_cap)
-        cands = [v for v in pool if norm(g, v) >= floor]
+        # the pool is sorted by exact norm, so the candidates are a suffix
+        start = bisect.bisect_left(pool, floor, key=functools.partial(norm, g))
         found = {}
-        for v in cands:
+        for v in pool[start:]:
             for s in (v, vec_neg(v)):
                 k = element_order(a, s)
                 if k is not None:

@@ -551,6 +551,16 @@ def real(g, x):
         return mp.ldexp(x, -g.precision)
 
 
+def mpf_grid_point(x, precision):
+    """A Gram entry (str, int or float) on the grid 2**(-p)Z the way
+    `gram_from_strings` read it through mpmath: rounded to p significant
+    bits, then to the nearest grid point."""
+    from mpmath import mp, mpf
+
+    with mp.workprec(precision):
+        return int(mp.nint(mp.ldexp(mpf(x), precision)))
+
+
 def oracle_inner(entries, u, v):
     """<u, v> over a real Gram matrix the way `embeddings.inner` computed it
     on mpf entries: u_i times one `mp.fsum` per row, at the working

@@ -265,6 +265,9 @@ MALFORMED_SIZE = [
         {"gram": [["nan"]]},
         {"gram": [[float("inf")]]},
         *MALFORMED_SIZE,
+        {"gram": [["abc"]]},
+        {"gram": [["1/3"]]},
+        {"gram": [[""]]},
     ],
 )
 def test_decompose_rejects_malformed_gram(tmp_path, capsys, doc):
@@ -275,6 +278,35 @@ def test_decompose_rejects_malformed_gram(tmp_path, capsys, doc):
     want = "ValidationError" if doc in MALFORMED_SIZE else "ValueError"
     assert json.loads(err)["error"] == want
     assert out == ""
+
+
+def test_cli_runs_without_mpmath(tmp_path):
+    # numbers are read and printed with the standard library alone: in a
+    # fresh interpreter no subcommand imports mpmath
+    import gradus
+
+    code = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from gradus.cli import main
+order, gram = sys.argv[2], sys.argv[3]
+codes = [main([cmd, order]) for cmd in ("grade", "units", "idempotents")]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(main(["analyze", order, "--format", "json"]))
+with open(gram, "w") as fh:
+    json.dump(json.loads(out.getvalue())["gram"], fh)
+codes += [main(["decompose", gram]), main(["grade", order, "--cap", "3"])]
+assert codes == [0, 0, 0, 0, 0, 4], codes
+assert "mpmath" not in sys.modules
+"""
+    src = str(pathlib.Path(gradus.__file__).parent.parent)
+    order = write_order(tmp_path, "kummer6")
+    done = subprocess.run(
+        [sys.executable, "-c", code, src, order, str(tmp_path / "gram.json")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_example_list_and_emit(tmp_path, capsys):

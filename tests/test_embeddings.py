@@ -1,4 +1,6 @@
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,11 @@ from sympy import Matrix, symbols
 
 import gradus.embeddings as embeddings
 from gradus.embeddings import (
+    GramForm,
     compute_embeddings,
     gram,
     gram_from_strings,
+    grid_str,
     is_nonneg,
     is_zero,
     norm,
@@ -22,7 +26,6 @@ from gradus.orders import (
     is_reduced,
     group_ring,
     monogenic_order,
-    nilradical,
     quotient_order,
     regular_matrix,
     trace_vector,
@@ -33,6 +36,7 @@ from gradus.units import roots_of_unity
 from helpers import (
     SMALL_RINGS,
     as_mpc,
+    mpf_grid_point,
     oracle_embeddings,
     oracle_gram,
     oracle_hom_residual,
@@ -199,6 +203,124 @@ def test_gram_from_strings_validation():
         gram_from_strings([["1", "2"], ["3", "4"]])
     with pytest.raises(ValueError):
         gram_from_strings([["1", "2", "0"], ["2", "1", "0"]])
+
+
+# ----------------------------------------- reading and printing grid values
+
+GRID_BITS = st.sampled_from([64, 192, 768, 3072])
+
+
+def entry_grid(x, p):
+    return gram_from_strings([[x]], precision=p).entries[0][0]
+
+
+@st.composite
+def dyadic_decimals(draw, p):
+    # m * 2**e with |m| < 2**p, written out exactly as a decimal string;
+    # e = -p - 1 puts odd m on a tie between two grid points
+    m = draw(st.integers(-(1 << p) + 1, (1 << p) - 1))
+    e = draw(st.one_of(st.integers(-p - 40, 40), st.just(-p - 1)))
+    return str(m << e) if e >= 0 else f"{m * 5**-e}e{e}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), GRID_BITS)
+def test_entries_are_read_onto_the_nearest_grid_point(data, p):
+    # one exact rounding, ties to even; where the value has at most p
+    # significant bits it is also what the mpf reader gave
+    x = data.draw(
+        st.one_of(
+            st.integers(-(1 << p) + 1, (1 << p) - 1),
+            st.floats(allow_nan=False, allow_infinity=False),
+            dyadic_decimals(p),
+        )
+    )
+    got = entry_grid(x, p)
+    assert got == round(Fraction(Decimal(x)) * (1 << p))
+    assert got == mpf_grid_point(x, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.decimals(allow_nan=False, allow_infinity=False), GRID_BITS)
+def test_long_decimals_stay_within_a_grid_step_of_the_mpf_reader(d, p):
+    # the mpf reader rounded to p significant bits first: the two differ
+    # only beyond p bits, by at most one step plus that relative rounding
+    got = entry_grid(str(d), p)
+    assert got == round(Fraction(d) * (1 << p))
+    old = mpf_grid_point(str(d), p)
+    assert abs(got - old) <= 1 + (abs(old) >> (p - 1))
+
+
+def test_tiny_entries_read_as_zero_without_their_power_of_ten():
+    assert gram_from_strings([["1e-999999999"]]).entries == ((0,),)
+    assert gram_from_strings([["-7e-193"]], precision=192).entries == ((0,),)
+    want = round(Fraction(1, 10**57) * 2**192)
+    assert gram_from_strings([["1e-57"]], precision=192).entries == ((want,),)
+
+
+def test_symmetry_is_checked_on_the_grid_points():
+    # 1e-80 is under half a step of the grid at 192 bits
+    assert gram_from_strings([["1", "1e-80"], ["0", "1"]]).entries == ((1 << 192, 0), (0, 1 << 192))
+    with pytest.raises(ValueError):
+        gram_from_strings([["1", "1e-50"], ["0", "1"]])
+
+
+def half_point(rng, p, digits, bits):
+    # the grid point at +-1 from (k + 1/2) * 10**e, k of `digits` digits,
+    # near 2**bits on the grid: the digit after the last printed one is a 5
+    k = rng.randrange(10 ** (digits - 1), 10**digits)
+    e = int((bits - p) * 0.30103) - digits + 1
+    num, den = (2 * k + 1) * 10 ** max(e, 0), 2 * 10 ** max(-e, 0)
+    return (num << p) // den + rng.randrange(-1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(GRID_BITS, st.booleans(), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+def test_grid_str_prints_as_mpmath_nstr(p, wide, half, negative, rng):
+    # mpmath is the oracle.  x has a uniform number of bits up to p + 3000,
+    # inside 2**(+-3500), where mpmath prints without first dividing by a
+    # rounded power of ten, or just over digits * log2(10) bits, where the
+    # printed digits depend on its last bits
+    digits = max(8, int(0.301 * p) - 8) if wide else 8
+    span = int(digits * 3.33)
+    bits = rng.choice([rng.randrange(1, p + 3000), rng.randrange(span, span + 60)])
+    x = half_point(rng, p, digits, bits) if half else rng.getrandbits(bits) | 1 << (bits - 1)
+    x = -x if negative else x
+    g = GramForm(0, (), p, 0)
+    assert grid_str(g, x, digits) == mp.nstr(real(g, x), digits)
+
+
+@pytest.mark.parametrize("p", [64, 192, 768])
+def test_grid_str_near_its_bit_and_layout_thresholds(p):
+    # every bit length around digits * log2(10), where the printed digits
+    # depend on the last bits mpmath keeps, and every decimal exponent
+    # around the edges of the fixed-point layout
+    rng = random.Random(p)
+    g = GramForm(0, (), p, 0)
+    for digits in (8, max(8, int(0.301 * p) - 8)):
+        span = int(digits * 3.33)
+        bits = [b for b in range(span - 10, span + 60) for _ in range(4)]
+        xs = [half_point(rng, p, digits, b) for b in bits]
+        for e in (-(digits // 3), -5, digits - 1, digits):
+            xs += [round(Fraction(3, 2) * Fraction(10) ** (e + dx) * 2**p) for dx in (-1, 0, 1)]
+        for x in xs:
+            assert grid_str(g, x, digits) == mp.nstr(real(g, x), digits)
+
+
+def test_grid_str_formats():
+    g = GramForm(0, (), 64, 0)
+    assert grid_str(g, 0, 8) == "0.0"
+    assert grid_str(g, 5 << 64, 8) == "5.0"
+    assert grid_str(g, -(3 << 62), 8) == "-0.75"
+    assert grid_str(g, (10**8 - 1) << 64, 8) == "99999999.0"
+    assert grid_str(g, 10**8 << 64, 8) == "1.0e+8"
+    assert grid_str(g, 1, 8) == "5.4210109e-20"
+    # more digits than int and str convert by default: 1 - 10**(-5200)
+    # rounds up through 5,109 nines
+    g = GramForm(0, (), 17300, 0)
+    x = (10**5200 - 1 << 17300) // 10**5200
+    assert grid_str(g, x, 5109) == mp.nstr(real(g, x), 5109) == "1.0"
+    assert grid_str(g, -x // 3, 5109) == mp.nstr(real(g, -x // 3), 5109)
 
 
 def test_embeddings_retry_when_qr_does_not_converge():
@@ -492,27 +614,3 @@ def test_cube_root_beyond_double_range_is_certified():
         cube = mpf(10) ** 200
         for row in rows.sigma:
             assert abs(row[1] ** 3 - cube) <= cube * mpf(2) ** -150
-
-
-def test_embeddings_make_no_mpmath_call(monkeypatch):
-    # the embeddings and their Gram form are integer arithmetic after the
-    # double-precision proposals: with mpmath's names in the module
-    # replaced, every form comes out the same
-    class NoMpmath:
-        def __getattr__(self, name):
-            raise AssertionError(f"mpmath attribute {name} used by the embeddings")
-
-        def __call__(self, *args):
-            raise AssertionError("mpmath number built by the embeddings")
-
-    names = ("z", "zsqrt2", "golden", "zeta5", "kummer6", "parity5")
-    orders = [example_order(name) for name in names] + [rebased(group_ring([6])[0], "zc6")]
-    want = [gram(compute_embeddings(a)) for a in orders]
-    embeddings.numeric_context.cache_clear()
-    nilradical.cache_clear()
-    monkeypatch.setattr(embeddings, "mp", NoMpmath())
-    monkeypatch.setattr(embeddings, "mpf", NoMpmath())
-    try:
-        assert [embeddings.numeric_context(a, 192, 0) for a in orders] == want
-    finally:
-        embeddings.numeric_context.cache_clear()
