@@ -12,10 +12,11 @@ JSON object.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .embeddings import gram_from_strings, grid_str, with_gram
 from .errors import (
     DegenerateSplitting,
@@ -35,7 +36,7 @@ from .orders import (
     order_to_json,
     quotient_order,
 )
-from .units import connected_on, idempotents, roots_of_unity
+from .units import idempotents, idempotents_on, roots_of_unity
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -43,7 +44,10 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
-def _emit(data: dict, args, text_lines) -> None:
+def _emit(data: dict, args, text_lines, note: str | None = None) -> None:
+    if note:
+        data["note"] = note
+        text_lines.append(f"note: {note}")
     if args.format == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
@@ -58,15 +62,14 @@ def _load_order(path: str) -> Order:
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(
-        precision=args.precision,
-        enumeration_cap=args.cap,
-        seed=args.seed,
-    )
+    # a subcommand has the flags of the fields it reads; the rest keep their
+    # defaults
+    fields = (f.name for f in dataclasses.fields(RunConfig))
+    return RunConfig(**{f: getattr(args, f) for f in fields if hasattr(args, f)})
 
 
 def _maybe_mod_nilradical(a: Order, args) -> tuple[Order, str | None]:
-    if not getattr(args, "mod_nilradical", False):
+    if not args.mod_nilradical:
         return a, None
     rad = nilradical(a)
     if rad.rank == 0:
@@ -121,7 +124,7 @@ def cmd_analyze(args, config: RunConfig) -> int:
         f"nilradical rank: {rad.rank}",
     ]
     if reduced and a.rank > 0:
-        connected, g = with_gram(a, config, lambda g: (connected_on(a, g), g))
+        connected, g = with_gram(a, config, lambda g: (len(idempotents_on(a, g)) == 2, g))
         data["connected"] = connected
         data["gram"] = _gram_json(g)
         lines.append(f"connected:       {'yes' if connected else 'no'}")
@@ -138,17 +141,13 @@ def cmd_grade(args, config: RunConfig) -> int:
     a, note = _maybe_mod_nilradical(a, args)
     graded = universal_grading(a, config)
     data = grading_to_json(graded.grading, graded.component_images)
-    if note:
-        data["note"] = note
     factors = list(graded.grading.group.invariant_factors)
     lines = [f"grading group invariant factors: {factors or 'trivial'}"]
     for elem, basis in graded.grading.pieces:
         lines.append(f"piece at {list(elem)}: rank {basis.rank}")
         for v in basis.vectors():
             lines.append(f"    {list(v)}")
-    if note:
-        lines.append(f"note: {note}")
-    _emit(data, args, lines)
+    _emit(data, args, lines, note)
     return 0
 
 
@@ -161,14 +160,10 @@ def cmd_units(args, config: RunConfig) -> int:
         "roots": [list(r) for r in report.roots],
         "orders": list(report.orders),
     }
-    if note:
-        data["note"] = note
     lines = [f"roots of unity: {report.count}"]
     for r, k in zip(report.roots, report.orders):
         lines.append(f"  {list(r)}  order {k}")
-    if note:
-        lines.append(f"note: {note}")
-    _emit(data, args, lines)
+    _emit(data, args, lines, note)
     return 0
 
 
@@ -177,12 +172,8 @@ def cmd_idempotents(args, config: RunConfig) -> int:
     a, note = _maybe_mod_nilradical(a, args)
     idem = idempotents(a, config)
     data = {"count": len(idem), "idempotents": [list(x) for x in idem]}
-    if note:
-        data["note"] = note
     lines = [f"idempotents: {len(idem)}"] + [f"  {list(x)}" for x in idem]
-    if note:
-        lines.append(f"note: {note}")
-    _emit(data, args, lines)
+    _emit(data, args, lines, note)
     return 0
 
 
@@ -229,61 +220,66 @@ def cmd_example(args, config: RunConfig) -> int:
     return 0
 
 
+# every flag of a subcommand; precision, seed and cap set the RunConfig
+# fields precision, seed and enumeration_cap
+FLAGS = {
+    "precision": dict(
+        type=int, default=DEFAULT_CONFIG.precision, help="working precision in bits"
+    ),
+    "seed": dict(type=int, default=DEFAULT_CONFIG.seed, help="seed for splitting elements"),
+    "cap": dict(
+        dest="enumeration_cap",
+        metavar="CAP",
+        type=int,
+        default=DEFAULT_CONFIG.enumeration_cap,
+        help="short-vector enumeration cap",
+    ),
+    "mod-nilradical": dict(
+        action="store_true", help="quotient by the nilradical before running"
+    ),
+    "list": dict(action="store_true", help="list available examples"),
+    "format": dict(choices=("text", "json"), default="text"),
+}
+
+# (name, handler, help, flags besides --format): each subcommand takes only
+# the flags it reads, and every one but example reads a file
+QUERY_FLAGS = ("precision", "seed", "cap", "mod-nilradical")
+COMMANDS = (
+    ("validate", cmd_validate, "check the ring axioms of an order file", ()),
+    ("analyze", cmd_analyze, "rank, reducedness, connectedness, Gram form", ("precision", "seed")),
+    ("grade", cmd_grade, "universal grading of a reduced order", QUERY_FLAGS),
+    ("units", cmd_units, "all roots of unity of a reduced order", QUERY_FLAGS),
+    (
+        "idempotents",
+        cmd_idempotents,
+        "all idempotents of a reduced order",
+        ("precision", "seed", "mod-nilradical"),
+    ),
+    (
+        "decompose",
+        cmd_decompose,
+        "finest orthogonal splitting of a Gram matrix",
+        ("precision", "cap"),
+    ),
+    ("example", cmd_example, "emit a named example order as JSON", ("list",)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradus",
         description="Universal gradings, idempotents, and torsion units of orders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_mod=False):
-        p.add_argument("--precision", type=int, default=192, help="working precision in bits")
-        p.add_argument("--seed", type=int, default=0, help="seed for splitting elements")
-        p.add_argument("--cap", type=int, default=10**6, help="short-vector enumeration cap")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if with_mod:
-            p.add_argument(
-                "--mod-nilradical",
-                action="store_true",
-                help="quotient by the nilradical before running",
-            )
-
-    p = sub.add_parser("validate", help="check the ring axioms of an order file")
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("analyze", help="rank, reducedness, connectedness, Gram form")
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("grade", help="universal grading of a reduced order")
-    p.add_argument("path")
-    common(p, with_mod=True)
-    p.set_defaults(func=cmd_grade)
-
-    p = sub.add_parser("units", help="all roots of unity of a reduced order")
-    p.add_argument("path")
-    common(p, with_mod=True)
-    p.set_defaults(func=cmd_units)
-
-    p = sub.add_parser("idempotents", help="all idempotents of a reduced order")
-    p.add_argument("path")
-    common(p, with_mod=True)
-    p.set_defaults(func=cmd_idempotents)
-
-    p = sub.add_parser("decompose", help="finest orthogonal splitting of a Gram matrix")
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("example", help="emit a named example order as JSON")
-    p.add_argument("name", nargs="?")
-    p.add_argument("--list", action="store_true", help="list available examples")
-    common(p)
-    p.set_defaults(func=cmd_example)
-
+    for name, func, summary, flags in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        if name == "example":
+            p.add_argument("name", nargs="?")
+        else:
+            p.add_argument("path")
+        for flag in (*flags, "format"):
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -12,22 +12,17 @@ class RunConfig:
     precision          working precision in bits for embeddings and Gram forms
     enumeration_cap    hard cap on the number of enumerated short vectors
     seed               seed for the deterministic choice of splitting elements
-    escalation_budget  how many times one query may double the precision in
-                       total, so no level exceeds precision * 2**budget
     """
 
     precision: int = 192
     enumeration_cap: int = 10**6
     seed: int = 0
-    escalation_budget: int = 4
 
     def __post_init__(self):
         if self.precision < 64:
             raise ValueError("precision must be at least 64 bits")
         if self.enumeration_cap < 1:
             raise ValueError("enumeration cap must be at least 1")
-        if self.escalation_budget < 0:
-            raise ValueError("escalation budget must be non-negative")
 
 
 DEFAULT_CONFIG = RunConfig()

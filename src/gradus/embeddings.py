@@ -72,6 +72,10 @@ NEWTON_EXTRA_STEPS = 8
 # precision
 FIXED_GUARD_BITS = 16
 
+# how many times one query may double the precision in total, so no level
+# exceeds precision * 2**ESCALATION_BUDGET
+ESCALATION_BUDGET = 4
+
 # Gram forms kept by numeric_context.  The queries on one order run back to
 # back, so a few entries give full reuse while bounding the memory held.
 CONTEXT_CACHE_SIZE = 4
@@ -540,13 +544,13 @@ def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
     """Run fn on the Gram form of a, doubling the precision on ambiguity.
 
     This is the pipeline's only precision loop: it tries config.precision
-    times 2**k for k = 0 .. config.escalation_budget, moving on whenever the
+    times 2**k for k = 0 .. ESCALATION_BUDGET, moving on whenever the
     embeddings or fn raise EscalationNeeded or DegenerateSplitting.  When
     every level fails, the last DegenerateSplitting is re-raised, and any
     other failure becomes PrecisionExhausted.
     """
     p = config.precision
-    for _ in range(config.escalation_budget + 1):
+    for _ in range(ESCALATION_BUDGET + 1):
         try:
             return fn(numeric_context(a, p, config.seed))
         except (EscalationNeeded, DegenerateSplitting) as exc:

@@ -6,7 +6,8 @@ never a wrong answer.
 
 Idempotents are exactly the lattice points e with <e, 1 - e> >= 0, that is
 the points of the centred ball |e - 1/2|^2 <= |1|^2 / 4, which one
-Fincke-Pohst search lists (see `_idempotents_on`).
+Fincke-Pohst search lists; `idempotents_on` certifies the set by its atoms,
+and every idempotent answer reads that one certified set.
 
 Roots of unity satisfy <z, z> = rank exactly, so the candidates are the
 vectors of that norm.  An exact exponent gate decides each: s is a root
@@ -23,10 +24,10 @@ from math import lcm
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .embeddings import GramForm, norm, with_gram
-from .errors import InternalInconsistency
-from .intlinalg import Vec, vec_neg, vec_sub
+from .errors import EscalationNeeded
+from .intlinalg import Vec, vec_add, vec_neg
 from .lattices import enumerate_up_to, search_centred_ball
-from .orders import Order, mul, power
+from .orders import Order, mul, power, trace_vector
 
 
 @dataclass(frozen=True)
@@ -86,22 +87,34 @@ def element_order(a: Order, x) -> int | None:
     return n
 
 
-def _idempotents_on(a: Order, g: GramForm) -> list[Vec]:
-    """All idempotents of a, from one centred Fincke-Pohst search.
+def idempotents_on(a: Order, g: GramForm) -> list[Vec]:
+    """All idempotents of a, from one centred Fincke-Pohst search on g,
+    certified to form a Boolean algebra.
 
-    <x, 1 - x> = |1|^2/4 - |x - 1/2|^2, and x is idempotent exactly when
-    <x, 1 - x> >= 0.  One way: sigma(e) is 0 or 1 for every embedding sigma,
-    so <e, 1 - e> = 0.  The other: a field factor of degree d contributes
-    Re Tr x - sum |sigma x|^2 over its d embeddings.  Where x is nonzero,
-    Re Tr x <= sqrt(d * sum |sigma x|^2) <= sum |sigma x|^2, the first step
-    by Cauchy-Schwarz and the second because sum |sigma x|^2 >= d (AM-GM
-    against the nonzero integral norm), with equality only at x = 1.  So
-    every factor contributes <= 0, a sum >= 0 makes each contribution 0, and
-    every component of x is 0 or 1.
+    Search.  <x, 1 - x> = |1|^2/4 - |x - 1/2|^2, and x is idempotent exactly
+    when <x, 1 - x> >= 0.  One way: sigma(e) is 0 or 1 for every embedding
+    sigma, so <e, 1 - e> = 0.  The other: a field factor of degree d
+    contributes Re Tr x - sum |sigma x|^2 over its d embeddings.  Where x is
+    nonzero, Re Tr x <= sqrt(d * sum |sigma x|^2) <= sum |sigma x|^2, the
+    first step by Cauchy-Schwarz and the second because sum |sigma x|^2 >= d
+    (AM-GM against the nonzero integral norm), with equality only at x = 1.
+    So every factor contributes <= 0, a sum >= 0 makes each contribution 0,
+    and every component of x is 0 or 1.  The idempotents are thus the lattice
+    points of the ball |x - 1/2|^2 <= |1|^2/4, which `search_centred_ball`
+    lists with a widened radius; each point is kept when x * x = x exactly.
 
-    The idempotents are thus the lattice points of the ball |x - 1/2|^2 <=
-    |1|^2/4, which `search_centred_ball` lists with a widened radius; each
-    point is kept when x * x = x exactly.
+    Certificate.  The idempotents form a Boolean algebra whose atoms are the
+    primitive idempotents.  The trace t . e (t = `trace_vector(a)`) counts
+    the embeddings at which e is 1, so an atom has a strictly smaller trace
+    than any other sum that contains it.  Walked by trace, keeping each
+    nonzero e orthogonal to every atom kept before it thus keeps exactly the
+    atoms of a Boolean algebra.  The set passes when it has 2^k elements for
+    k atoms, holds 1 and equals their subset sums, which are then distinct
+    and closed under products and 1 - e: exactly when it is a Boolean
+    subalgebra, the verdict of a closure check over all pairs, at
+    O(|found| k) products instead of O(|found|^2).  A failure comes from a
+    numeric fault and raises EscalationNeeded, so `with_gram` retries at
+    twice the bits.
     """
     found = []
 
@@ -111,44 +124,31 @@ def _idempotents_on(a: Order, g: GramForm) -> list[Vec]:
         return False
 
     search_centred_ball(g, a.one, keep)
-    return sorted(found)
+    t = trace_vector(a)
+    atoms = []
+    for e in sorted(found, key=lambda e: sum(i * j for i, j in zip(t, e))):
+        if any(e) and not any(any(mul(a, e, p)) for p in atoms):
+            atoms.append(e)
+    found.sort()
+    sums = [a.zero()]
+    for p in atoms if len(found) == 2 ** len(atoms) else ():  # <= |found| sums
+        sums += [vec_add(s, p) for s in sums]
+    if a.one not in found or sorted(sums) != found:
+        raise EscalationNeeded("the idempotents found are not a Boolean algebra")
+    return found
 
 
 def idempotents(a: Order, config: RunConfig | None = None) -> list[Vec]:
-    """All solutions of x*x = x (see `_idempotents_on`); 0 and 1 are always
-    present."""
+    """All solutions of x*x = x, 0 and 1 among them (see `idempotents_on`)."""
     config = config or DEFAULT_CONFIG
-    return with_gram(a, config, lambda g: _idempotents_on(a, g))
-
-
-def connected_on(a: Order, g: GramForm) -> bool:
-    """Connectedness of a decided on one Gram form of it: whether 0 and 1
-    are its only idempotents.
-
-    The idempotents of a reduced order form a finite Boolean algebra, so the
-    search result is cross-checked exactly: it must be nonempty and closed
-    under e*f and 1 - e, which makes it a Boolean subalgebra (holding 0 and
-    1).  A failure can only come from a numeric fault and raises
-    InternalInconsistency.
-    """
-    found = _idempotents_on(a, g)
-    if not found:
-        raise InternalInconsistency("the idempotent search found nothing")
-    members = set(found)
-    for i, e in enumerate(found):
-        if vec_sub(a.one, e) not in members:
-            raise InternalInconsistency("idempotents are not closed under 1 - e")
-        if any(mul(a, e, f) not in members for f in found[i + 1 :]):
-            raise InternalInconsistency("idempotents are not closed under products")
-    return len(found) == 2
+    return with_gram(a, config, lambda g: idempotents_on(a, g))
 
 
 def is_connected(a: Order, config: RunConfig | None = None) -> bool:
-    """Whether the only idempotents are 0 and 1 (see `connected_on`)."""
-    config = config or DEFAULT_CONFIG
+    """Whether 0 and 1 are the only idempotents (see `idempotents_on`)."""
     if a.rank == 0:
         raise ValueError("the zero ring is not eligible")
-    return with_gram(a, config, lambda g: connected_on(a, g))
+    return len(idempotents(a, config)) == 2
 
 
 def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport:

@@ -9,7 +9,7 @@ import pytest
 from gradus.cli import main
 from gradus.examples import example_order
 from gradus.grading import grading_from_json, verify_grading
-from gradus.orders import order_from_json, order_to_json
+from gradus.orders import monogenic_order, order_from_json, order_to_json
 
 
 def write_order(tmp_path, name, fname="order.json"):
@@ -159,6 +159,10 @@ def test_units_mod_nilradical_note(tmp_path, capsys):
     data = json.loads(out)
     assert data["count"] == 2
     assert "bijectively" in data["note"]
+    code, out, err = run_cli(capsys, "units", path, "--mod-nilradical")
+    assert code == 0
+    assert out.splitlines()[0] == "roots of unity: 2"
+    assert out.splitlines()[-1] == f"note: {data['note']}"
 
 
 def test_idempotents_product(tmp_path, capsys):
@@ -268,6 +272,7 @@ MALFORMED_SIZE = [
         {"gram": [["abc"]]},
         {"gram": [["1/3"]]},
         {"gram": [[""]]},
+        [["1"]],
     ],
 )
 def test_decompose_rejects_malformed_gram(tmp_path, capsys, doc):
@@ -275,9 +280,55 @@ def test_decompose_rejects_malformed_gram(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "decompose", str(path))
     assert code == 2
-    want = "ValidationError" if doc in MALFORMED_SIZE else "ValueError"
+    # a bare matrix is no Gram document
+    invalid = doc in MALFORMED_SIZE or isinstance(doc, list)
+    want = "ValidationError" if invalid else "ValueError"
     assert json.loads(err)["error"] == want
     assert out == ""
+
+
+def monogenic_file(tmp_path, coefficients):
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(order_to_json(monogenic_order(coefficients))))
+    return str(path)
+
+
+def test_huge_coefficients_end_with_a_typed_error(tmp_path, capsys):
+    # x^3 - 10^200 has embeddings, its pool fills the cap at once, and its
+    # roots of unity are +-1; x^2 - 10^310 has no positive definite form at
+    # any level of the precision budget
+    path = monogenic_file(tmp_path, [-(10**200), 0, 0, 1])
+    code, out, err = run_cli(capsys, "grade", path, "--cap", "1000")
+    assert (code, out, json.loads(err)["error"]) == (4, "", "EnumerationBudgetExceeded")
+    code, out, err = run_cli(capsys, "units", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["roots"] == [[-1, 0, 0], [1, 0, 0]]
+    path = monogenic_file(tmp_path, [-(10**310), 0, 1])
+    code, out, err = run_cli(capsys, "grade", path)
+    assert (code, out, json.loads(err)["error"]) == (3, "", "PrecisionExhausted")
+
+
+# each subcommand takes only the flags it reads
+UNREAD_FLAGS = [
+    ("validate", "--precision"),
+    ("validate", "--seed"),
+    ("validate", "--cap"),
+    ("example", "--precision"),
+    ("example", "--seed"),
+    ("example", "--cap"),
+    ("decompose", "--seed"),
+    ("analyze", "--cap"),
+    ("idempotents", "--cap"),
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_a_flag_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, command, flag):
+    path = write_order(tmp_path, "zc2")
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_cli_runs_without_mpmath(tmp_path):

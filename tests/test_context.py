@@ -63,6 +63,8 @@ def test_queries_on_one_order_share_one_context(monkeypatch, fresh_caches):
 def test_queries_on_the_zero_ring(fresh_caches):
     a = validate([], [])
     assert idempotents(a) == [()]
+    with pytest.raises(ValueError):
+        is_connected(a)
     assert roots_of_unity(a) == UnitGroupReport((), (), 0, True)
     go = universal_grading(a)
     assert go.grading.group.invariant_factors == ()
@@ -111,13 +113,16 @@ def ambiguous_idempotents(monkeypatch, tried):
 
 
 @pytest.mark.parametrize("query", [ambiguous_grading, ambiguous_idempotents])
-@pytest.mark.parametrize("config", [RunConfig(), RunConfig(precision=128, escalation_budget=2)])
+# (config, escalation budget)
+@pytest.mark.parametrize("config", [(RunConfig(), 4), (RunConfig(precision=128), 2)])
 def test_ambiguity_doubles_precision_up_to_the_budget(monkeypatch, fresh_caches, query, config):
+    config, budget = config
+    monkeypatch.setattr(embeddings, "ESCALATION_BUDGET", budget)
     tried = []
     run = query(monkeypatch, tried)
     with pytest.raises(PrecisionExhausted):
         run(example_order("zsqrt2"), config)
-    assert tried == [config.precision * 2**k for k in range(config.escalation_budget + 1)]
+    assert tried == [config.precision * 2**k for k in range(budget + 1)]
 
 
 def test_embedding_failures_share_the_budget(monkeypatch, fresh_caches):
@@ -136,7 +141,7 @@ def test_embedding_failures_share_the_budget(monkeypatch, fresh_caches):
     run = ambiguous_grading(monkeypatch, tried)
     with pytest.raises(PrecisionExhausted):
         run(example_order("zsqrt2"), config)
-    assert tried == [config.precision * 2**k for k in range(1, config.escalation_budget + 1)]
+    assert tried == [config.precision * 2**k for k in range(1, embeddings.ESCALATION_BUDGET + 1)]
 
 
 def test_degenerate_spectrum_at_every_level(monkeypatch, fresh_caches, tmp_path, capsys):

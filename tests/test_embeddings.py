@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -614,3 +615,13 @@ def test_cube_root_beyond_double_range_is_certified():
         cube = mpf(10) ** 200
         for row in rows.sigma:
             assert abs(row[1] ** 3 - cube) <= cube * mpf(2) ** -150
+
+
+@pytest.mark.parametrize("bits", [64, 192])
+def test_newton_gives_up_without_quadratic_convergence(bits):
+    # the double root of x^2 - 2x + 1 halves each step, so no full-grid step
+    # gets below 2^(-bits/2); at x^2 from 0, chi' vanishes at the start
+    assert embeddings._newton([1, -2, 1], 1.1, 0, bits) is None
+    assert embeddings._newton([1, 0, 0], 0.0, 0, bits) is None
+    root = embeddings._newton([1, 0, -2], 1.4, 0, bits)
+    assert root is not None and abs(root[0] - math.isqrt(2 << 2 * bits)) <= 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+import gradus.lattices as lattices
 from gradus.embeddings import (
     GramForm,
     compute_embeddings,
@@ -472,6 +473,25 @@ def test_centred_search_visits_every_ball_point(gm, scale, data):
     # v stays short because the oracle scans a box around v/2
     v = data.draw(st.tuples(*[st.integers(-2, 2)] * len(gm)))
     check_ball_search(gm, scale, v)
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(pd_grams(max_dim=4), st.integers(1, 8), SCALES, st.data())
+def test_searches_stay_complete_on_a_coarse_fixed_point_grid(bits, gm, bound, scale, data):
+    # on the grid 2^-1 or 2^-2 the widening delta is most of each radius, so
+    # many scanned x_i cost more than the remaining budget and are skipped;
+    # every point of the exact ball must still be visited
+    v = data.draw(st.tuples(*[st.integers(-2, 2)] * len(gm)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattices, "FP_BITS", bits)
+        _reduction.cache_clear()
+        try:
+            got = short_vectors(str_gram(gm), bound, cap=10**5)
+            assert got == oracle_short_vectors(gm, bound)
+            check_ball_search(gm, scale, v)
+        finally:
+            _reduction.cache_clear()
 
 
 @pytest.mark.parametrize("scale", [1, 1 << 64, 1 << 1200])

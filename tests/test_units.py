@@ -1,17 +1,18 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradus.units as units
+from gradus.cli import main
 from gradus.config import DEFAULT_CONFIG
-from gradus.embeddings import with_gram
-from gradus.errors import InternalInconsistency, NotReduced
+from gradus.embeddings import ESCALATION_BUDGET
+from gradus.errors import NotReduced, PrecisionExhausted
 from gradus.examples import example_order, natural_group_ring_grading
 from gradus.grading import homogeneous_parts, universal_grading
 from gradus.orders import group_ring, monogenic_order, mul, order_to_json, validate
 from gradus.units import (
-    connected_on,
     element_order,
     idempotents,
     is_connected,
@@ -176,17 +177,37 @@ def test_roots_homogeneous_when_identity_piece_connected():
         [(0, 1, 1)],
         [(1, 0, 0), (0, 1, 1)],
         list(itertools.product((0, 1), repeat=3)),
+        # leaves {0, (1, 0, 0)}: a Boolean algebra, but without 1
+        [e for e in itertools.product((0, 1), repeat=3) if e not in [(0, 0, 0), (1, 0, 0)]],
     ],
 )
-def test_connected_on_cross_checks_the_search(monkeypatch, drop):
-    # Z^3 has the 8 idempotents of {0, 1}^3
+def test_a_partial_idempotent_search_fails_the_certificate_at_every_level(
+    monkeypatch, tmp_path, capsys, drop
+):
+    # Z^3 has the 8 idempotents of {0, 1}^3; a search that misses some of
+    # them is no Boolean algebra, so every query escalates until the budget
+    # is spent
     a = integers_power(3)
-    real = units._idempotents_on
-    monkeypatch.setattr(
-        units, "_idempotents_on", lambda a, g: [e for e in real(a, g) if e not in drop]
-    )
-    with pytest.raises(InternalInconsistency):
-        with_gram(a, DEFAULT_CONFIG, lambda g: connected_on(a, g))
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(order_to_json(a)))
+    real = units.search_centred_ball
+    tried = []
+
+    def search(g, v, visit):
+        tried.append(g.precision)
+        return real(g, v, lambda x: x not in drop and visit(x))
+
+    monkeypatch.setattr(units, "search_centred_ball", search)
+    levels = [DEFAULT_CONFIG.precision * 2**k for k in range(ESCALATION_BUDGET + 1)]
+    for query in (idempotents, is_connected):
+        tried.clear()
+        with pytest.raises(PrecisionExhausted):
+            query(a)
+        assert tried == levels
+    tried.clear()
+    assert main(["analyze", str(path)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "PrecisionExhausted"
+    assert tried == levels
 
 
 # -------------------------------------------- searches against the oracles
