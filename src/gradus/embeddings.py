@@ -80,6 +80,12 @@ ESCALATION_BUDGET = 4
 # back, so a few entries give full reuse while bounding the memory held.
 CONTEXT_CACHE_SIZE = 4
 
+# the largest decimal exponent a Gram entry may have: |x| < 10**(E + 1).
+# The exact grid value of 10**E is an integer of about 3.3 E bits, so the
+# bound keeps reading one entry to milliseconds, far above the 10**310 of
+# the largest forms in use
+MAX_DECIMAL_EXPONENT = 10_000
+
 T = TypeVar("T")
 
 # a row on the grid 2**(-q) Z[i]: the real and the imaginary parts of its
@@ -423,10 +429,11 @@ def gram(e: EmbeddingMatrix) -> GramForm:
 def gram_from_strings(rows: Sequence[Sequence[str]], precision: int = 192) -> GramForm:
     """Gram form from decimal-string entries, as used in the JSON exchange
     format.  The matrix must be a list of rows, square and symmetric as
-    given, and each entry a string, int or float naming a finite real;
-    anything else raises ValueError.  Each entry is read exactly and put on
-    the nearest point of the grid 2**(-precision)Z (ties to even), and the
-    symmetry is checked on those grid points."""
+    given, and each entry a string, int or float naming a finite real below
+    10**(MAX_DECIMAL_EXPONENT + 1) in magnitude; anything else raises
+    ValueError.  Each entry is read exactly and put on the nearest point of
+    the grid 2**(-precision)Z (ties to even), and the symmetry is checked on
+    those grid points."""
     if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
         raise ValueError("gram matrix must be a list of rows")
     n = len(rows)
@@ -449,8 +456,11 @@ def _grid_point(x, precision: int) -> int:
         raise ValueError(f"gram entry {x!r} is not a finite real")
     # |d| < 10**(-precision) is under half a grid step: 0 without building
     # the power of ten of a tiny exponent
-    if d.adjusted() < -precision:
+    exponent = d.adjusted()
+    if exponent < -precision:
         return 0
+    if exponent > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"gram entry of order 10**{exponent} is above 10**{MAX_DECIMAL_EXPONENT}")
     return round(Fraction(d) * (1 << precision))
 
 

@@ -10,9 +10,13 @@ Fincke-Pohst search lists; `idempotents_on` certifies the set by its atoms,
 and every idempotent answer reads that one certified set.
 
 Roots of unity satisfy <z, z> = rank exactly, so the candidates are the
-vectors of that norm.  An exact exponent gate decides each: s is a root
-exactly when s^L = 1 for L = lcm{m : phi(m) <= rank}, the exponent of every
-torsion group of that rank, which fast powering tests in O(log L) products.
+vectors of that norm, one of each +- pair.  `element_order` decides each by
+exact products: it walks x, x^2, ... up to m* = max{m : phi(m) <= rank},
+drops x once some power has |Tr| > rank (a root's powers have eigenvalues
+on the unit circle), and past m* falls back to the exponent gate x^L = 1,
+L = lcm{m : phi(m) <= rank}.  L is even, so -v is a root exactly when v is,
+and its order follows from v's.  `group_closed` is certified by building
+the subgroup the roots generate, coset by coset, in O(|roots|) products.
 """
 
 from __future__ import annotations
@@ -71,20 +75,107 @@ def torsion_exponent(rank: int) -> int:
     return lcm(*_cyclotomic_orders(rank))
 
 
-def element_order(a: Order, x) -> int | None:
+@functools.lru_cache(maxsize=None)
+def walk_length(rank: int) -> int:
+    """m* = max{m : phi(m) <= rank}, the largest order of a root of unity
+    in a field of degree <= rank (1 for rank 0).  A product of fields can
+    hold roots of larger order: (zeta_7, zeta_5) in Z[zeta_7] x Z[zeta_5]
+    has order 35 and its negative 70, while m* = 30 at rank 10."""
+    return max(_cyclotomic_orders(rank), default=1)
+
+
+def element_order(a: Order, x, trace: Vec | None = None) -> int | None:
     """Least n >= 1 with x**n = 1, or None when x is not a root of unity.
 
-    The exponent gate x^L = 1 (L = `torsion_exponent(rank)`, by fast
-    powering) decides whether x is a root; the least order n then divides
-    L, and the walk x, x^2, ... reaches 1 after n - 1 products."""
+    Walk.  x, x^2, ... are formed up to x^(m*) (m* = `walk_length(rank)`),
+    and the first k with x^k = 1 is the answer.
+
+    Trace exit.  If x^m = 1 then M_x^m = I for the regular representation
+    M, so the eigenvalues of every M_(x^k) are roots of unity and
+    |Tr x^k| <= rank.  So x is dropped as soon as a formed power y has
+    |t . y| > rank, t = `trace_vector(a)` (pass it as `trace` to compute it
+    once per query).  The test is exact and holds in any order.
+
+    Gate.  m* bounds the order of a root only inside one field, so a walk
+    that reaches x^(m*) without meeting 1 decides by the exponent gate
+    x^L = 1 (L = `torsion_exponent(rank)`, by fast powering, under the same
+    trace exit), and a root then walks on to its least order, a divisor of
+    L."""
     x = tuple(x)
-    if power(a, x, torsion_exponent(a.rank)) != a.one:
-        return None
-    y, n = x, 1
+    t = trace_vector(a) if trace is None else trace
+    n = a.rank
+
+    def bounded(y):
+        return abs(sum(i * j for i, j in zip(t, y))) <= n
+
+    y, k, walk = x, 1, walk_length(n)
     while y != a.one:
+        if not bounded(y) or (k == walk and not _gate(a, x, bounded)):
+            return None
         y = mul(a, y, x)
-        n += 1
-    return n
+        k += 1
+    return k
+
+
+def _gate(a: Order, x: Vec, bounded) -> bool:
+    """Whether x^L = 1, L = `torsion_exponent(rank)`, by fast powering;
+    False as soon as a formed power fails `bounded`."""
+    out, base, e = a.one, x, torsion_exponent(a.rank)
+    while True:
+        if e & 1:
+            out = mul(a, out, base)
+            if not bounded(out):
+                return False
+        e >>= 1
+        if not e:
+            return out == a.one
+        base = mul(a, base, base)
+        if not bounded(base):
+            return False
+
+
+def _negated_order(a: Order, v: Vec, k: int) -> int:
+    """The order of -v, for a root v of order k.
+
+    (-v)^j = (-1)^j v^j.  For even j that is 1 exactly when k | j.  For odd
+    j it is 1 exactly when v^j = -1; the cyclic group <v> holds -1 only as
+    v^(k/2), for even k, and the exponents j = k/2 (mod k) are odd exactly
+    when k = 2 (mod 4).  So -v has order k/2 when k = 2 (mod 4) and
+    v^(k/2) = -1, and lcm(2, k) otherwise."""
+    if k % 4 == 2 and power(a, v, k // 2) == vec_neg(a.one):
+        return k // 2
+    return lcm(2, k)
+
+
+def is_subgroup(a: Order, roots) -> bool:
+    """Whether the roots of unity `roots` are closed under products, by
+    building the group H they generate: from H = {1}, each root s outside H
+    adds the cosets H s, H s^2, ... up to the first s^r in H, and every new
+    element must be one of `roots`.  The roots are then exactly H, a group,
+    while an element outside them is a product of roots that the set
+    misses.  This takes |H| - 1 + sum r products; the pairwise check takes
+    about |roots|^2 / 2.  An empty set is closed, and a set without 1 is
+    not (a root's powers reach 1)."""
+    members = set(roots)
+    if not members:
+        return True
+    if a.one not in members:
+        return False
+    group = [a.one]
+    seen = {a.one}
+    for s in roots:
+        # s^j lies in a coset H s^i (i < j) only if s^(j-i) lies in H, so
+        # the walk stops at the first power in the old H
+        y, size = s, len(group)
+        while y not in seen:
+            for h in group[:size]:
+                z = mul(a, h, y)
+                if z not in members:
+                    return False
+                group.append(z)
+                seen.add(z)
+            y = mul(a, y, s)
+    return True
 
 
 def idempotents_on(a: Order, g: GramForm) -> list[Vec]:
@@ -155,16 +246,14 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     """All elements of finite multiplicative order.
 
     Candidates are the lattice vectors of norm equal to the rank (within the
-    tolerance, compared on the grid of the form); each of v and -v goes
-    through the exact exponent gate of `element_order`.
-
-    group_closed checks x y for unordered pairs only, since `validate`
-    rejects non-commutative tables, and needs no inverse check: the inverse
-    x^(k-1) of a root of order k is a product of copies of x, so closure
-    under products gives it.
+    tolerance, compared on the grid of the form), one of each +- pair.  L is
+    even, so (-v)^L = v^L and -v is a root exactly when v is: one call of
+    `element_order` decides the pair, and `_negated_order` gives the order
+    of -v.  `is_subgroup` decides group_closed.
     """
     config = config or DEFAULT_CONFIG
     n = a.rank
+    t = trace_vector(a)
 
     def run(g: GramForm):
         floor = (n << g.precision) - g.tolerance
@@ -173,17 +262,13 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
         start = bisect.bisect_left(pool, floor, key=functools.partial(norm, g))
         found = {}
         for v in pool[start:]:
-            for s in (v, vec_neg(v)):
-                k = element_order(a, s)
-                if k is not None:
-                    found[s] = k
+            k = element_order(a, v, t)
+            if k is not None:
+                found[v] = k
+                found[vec_neg(v)] = _negated_order(a, v, k)
         return found
 
     found = with_gram(a, config, run)
     roots = tuple(sorted(found))
     orders = tuple(found[r] for r in roots)
-    root_set = set(roots)
-    closed = all(
-        mul(a, x, y) in root_set for i, x in enumerate(roots) for y in roots[i:]
-    )
-    return UnitGroupReport(roots, orders, len(roots), closed)
+    return UnitGroupReport(roots, orders, len(roots), is_subgroup(a, roots))

@@ -435,6 +435,26 @@ def oracle_roots(a):
     return with_gram(a, DEFAULT_CONFIG, run)
 
 
+def oracle_group_closed(a, roots):
+    """Whether every product of two of `roots` is one of them."""
+    from gradus.orders import mul
+
+    members = set(roots)
+    return all(mul(a, x, y) in members for x in members for y in members)
+
+
+def oracle_generated(a, gens):
+    """The set of all products of `gens` (roots of unity), and 1."""
+    from gradus.orders import mul
+
+    out, frontier = {a.one}, [a.one]
+    while frontier:
+        new = {mul(a, x, g) for x in frontier for g in gens} - out
+        out |= new
+        frontier = list(new)
+    return out
+
+
 class MpcEmbeddings(NamedTuple):
     """Embedding rows as mpc tuples: sigma[k][i] is the k-th homomorphism
     applied to basis vector i."""

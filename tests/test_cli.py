@@ -2,11 +2,13 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 import zipfile
 
 import pytest
 
 from gradus.cli import main
+from gradus.embeddings import MAX_DECIMAL_EXPONENT
 from gradus.examples import example_order
 from gradus.grading import grading_from_json, verify_grading
 from gradus.orders import monogenic_order, order_from_json, order_to_json
@@ -285,6 +287,22 @@ def test_decompose_rejects_malformed_gram(tmp_path, capsys, doc):
     want = "ValidationError" if invalid else "ValueError"
     assert json.loads(err)["error"] == want
     assert out == ""
+
+
+def test_decompose_bounds_the_decimal_exponent_of_an_entry(tmp_path, capsys):
+    # 10**(10**7) would be a 33M-bit grid value; past MAX_DECIMAL_EXPONENT
+    # the entry is refused before any power of ten is built
+    path = tmp_path / "gram.json"
+    for entry in ("1e10000000", "-1e10000000", f"1e{MAX_DECIMAL_EXPONENT + 1}"):
+        path.write_text(json.dumps({"gram": [[entry]]}))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert time.perf_counter() - t0 < 1
+        assert (code, out, json.loads(err)["error"]) == (2, "", "ValueError")
+    path.write_text(json.dumps({"gram": [[f"1e{MAX_DECIMAL_EXPONENT}"]]}))
+    code, out, err = run_cli(capsys, "decompose", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["components"] == [{"basis": [[1]]}]
 
 
 def monogenic_file(tmp_path, coefficients):

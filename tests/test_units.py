@@ -1,4 +1,5 @@
 import itertools
+import random
 import json
 
 import pytest
@@ -11,18 +12,30 @@ from gradus.embeddings import ESCALATION_BUDGET
 from gradus.errors import NotReduced, PrecisionExhausted
 from gradus.examples import example_order, natural_group_ring_grading
 from gradus.grading import homogeneous_parts, universal_grading
-from gradus.orders import group_ring, monogenic_order, mul, order_to_json, validate
+import gradus.orders as orders
+from gradus.orders import (
+    group_ring,
+    monogenic_order,
+    mul,
+    order_to_json,
+    product_order,
+    validate,
+)
 from gradus.units import (
     element_order,
     idempotents,
     is_connected,
+    is_subgroup,
     roots_of_unity,
     torsion_exponent,
+    walk_length,
 )
 
 from helpers import (
     SMALL_RINGS,
     brute_idempotents,
+    oracle_generated,
+    oracle_group_closed,
     oracle_idempotents,
     oracle_roots,
     rebased,
@@ -96,6 +109,87 @@ def test_element_order_of_primitive_twelfth_roots():
 
 def test_torsion_exponent_table():
     assert [torsion_exponent(n) for n in (0, 1, 2, 4, 6)] == [1, 2, 12, 120, 2520]
+
+
+def test_walk_length_table():
+    # the largest m with phi(m) <= rank
+    assert [walk_length(n) for n in (0, 1, 2, 4, 5, 6, 8, 10)] == [1, 2, 6, 12, 12, 18, 30, 30]
+
+
+def cyclotomic_product(*ms):
+    """Z[zeta_m1] x Z[zeta_m2] x ... for prime m, each on its power basis."""
+    a = monogenic_order([1] * ms[0])
+    for m in ms[1:]:
+        a = product_order(a, monogenic_order([1] * m))
+    return a
+
+
+def test_element_order_beyond_the_walk_length():
+    # (zeta_7, zeta_5) in rank 10 has order 35 > walk_length(10) = 30, so
+    # the walk alone does not decide it; its negative has order 70
+    a = cyclotomic_product(7, 5)
+    x = tuple(int(i in (1, 7)) for i in range(10))
+    assert element_order(a, x) == 35
+    assert element_order(a, tuple(-c for c in x)) == 70
+
+
+@pytest.mark.parametrize("ms, seed", [((5, 3), 7), ((7, 5), None)])
+def test_roots_of_products_with_orders_beyond_the_walk_length(ms, seed):
+    # Z[zeta_5] x Z[zeta_3] has roots of order 30 > walk_length(6) = 18, and
+    # Z[zeta_7] x Z[zeta_5] of orders 35 and 70 > walk_length(10) = 30
+    a = cyclotomic_product(*ms)
+    if seed is not None:
+        a = rebased(a, seed)
+    report = roots_of_unity(a)
+    assert dict(zip(report.roots, report.orders)) == oracle_roots(a)
+    assert max(report.orders) > walk_length(a.rank)
+    assert report.group_closed
+
+
+@pytest.mark.parametrize("name", ["z^3", "zc4", "zeta5", "z[zeta5]xz[zeta3]"])
+def test_subgroup_certificate_matches_pairwise_closure(name):
+    # subgroups generated by random roots, each also with one element
+    # removed and with one root added
+    a = {
+        "z^3": integers_power(3),
+        "zc4": group_ring([4])[0],
+        "zeta5": example_order("zeta5"),
+        "z[zeta5]xz[zeta3]": cyclotomic_product(5, 3),
+    }[name]
+    roots = list(roots_of_unity(a).roots)
+    rng = random.Random(name)
+    verdicts = set()
+    for _ in range(12):
+        group = oracle_generated(a, rng.sample(roots, rng.randint(0, 2)))
+        others = [r for r in roots if r not in group]
+        subsets = [group, group - {rng.choice(sorted(group))}]
+        if others:
+            subsets.append(group | {rng.choice(others)})
+        for subset in subsets:
+            subset = rng.sample(sorted(subset), len(subset))
+            want = oracle_group_closed(a, subset)
+            assert is_subgroup(a, subset) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    assert is_subgroup(a, []) and oracle_group_closed(a, [])
+
+
+def test_roots_of_z5_take_a_quarter_of_the_pairwise_products(monkeypatch):
+    # the walk with its trace exit, one gate per +- pair and the subgroup
+    # certificate take 161 products here; the exponent gate on v and -v and
+    # the pairwise closure check took 1791
+    a = rebased(integers_power(5), 0)
+    roots_of_unity(a)  # the numeric context, computed once
+    calls = []
+    real = orders._mul_raw
+
+    def counted(a, x, y):
+        calls.append(None)
+        return real(a, x, y)
+
+    monkeypatch.setattr(orders, "_mul_raw", counted)
+    assert roots_of_unity(a).count == 32
+    assert len(calls) == 161 <= 1791 // 4
 
 
 def test_torsion_order_bound_small_ranks():
