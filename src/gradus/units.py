@@ -84,7 +84,7 @@ def walk_length(rank: int) -> int:
     return max(_cyclotomic_orders(rank), default=1)
 
 
-def element_order(a: Order, x, trace: Vec | None = None) -> int | None:
+def element_order(a: Order, x) -> int | None:
     """Least n >= 1 with x**n = 1, or None when x is not a root of unity.
 
     Walk.  x, x^2, ... are formed up to x^(m*) (m* = `walk_length(rank)`),
@@ -92,46 +92,26 @@ def element_order(a: Order, x, trace: Vec | None = None) -> int | None:
 
     Trace exit.  If x^m = 1 then M_x^m = I for the regular representation
     M, so the eigenvalues of every M_(x^k) are roots of unity and
-    |Tr x^k| <= rank.  So x is dropped as soon as a formed power y has
-    |t . y| > rank, t = `trace_vector(a)` (pass it as `trace` to compute it
-    once per query).  The test is exact and holds in any order.
+    |Tr x^k| <= rank.  So the walk drops x as soon as a formed power y has
+    |t . y| > rank, t = `trace_vector(a)`.  The test is exact and holds in
+    any order.
 
     Gate.  m* bounds the order of a root only inside one field, so a walk
     that reaches x^(m*) without meeting 1 decides by the exponent gate
-    x^L = 1 (L = `torsion_exponent(rank)`, by fast powering, under the same
-    trace exit), and a root then walks on to its least order, a divisor of
-    L."""
+    x^L = 1 (L = `torsion_exponent(rank)`, by fast powering), and a root
+    then walks on to its least order, a divisor of L."""
     x = tuple(x)
-    t = trace_vector(a) if trace is None else trace
+    t = trace_vector(a)
     n = a.rank
-
-    def bounded(y):
-        return abs(sum(i * j for i, j in zip(t, y))) <= n
-
     y, k, walk = x, 1, walk_length(n)
     while y != a.one:
-        if not bounded(y) or (k == walk and not _gate(a, x, bounded)):
+        if abs(sum(i * j for i, j in zip(t, y))) > n or (
+            k == walk and power(a, x, torsion_exponent(n)) != a.one
+        ):
             return None
         y = mul(a, y, x)
         k += 1
     return k
-
-
-def _gate(a: Order, x: Vec, bounded) -> bool:
-    """Whether x^L = 1, L = `torsion_exponent(rank)`, by fast powering;
-    False as soon as a formed power fails `bounded`."""
-    out, base, e = a.one, x, torsion_exponent(a.rank)
-    while True:
-        if e & 1:
-            out = mul(a, out, base)
-            if not bounded(out):
-                return False
-        e >>= 1
-        if not e:
-            return out == a.one
-        base = mul(a, base, base)
-        if not bounded(base):
-            return False
 
 
 def _negated_order(a: Order, v: Vec, k: int) -> int:
@@ -155,7 +135,11 @@ def is_subgroup(a: Order, roots) -> bool:
     while an element outside them is a product of roots that the set
     misses.  This takes |H| - 1 + sum r products; the pairwise check takes
     about |roots|^2 / 2.  An empty set is closed, and a set without 1 is
-    not (a root's powers reach 1)."""
+    not (a root's powers reach 1).
+
+    The cosets H s^i make up the group generated by H and s only when s
+    commutes with H, so the check assumes a commutative order, which
+    `orders.validate` guarantees."""
     members = set(roots)
     if not members:
         return True
@@ -253,7 +237,6 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     """
     config = config or DEFAULT_CONFIG
     n = a.rank
-    t = trace_vector(a)
 
     def run(g: GramForm):
         floor = (n << g.precision) - g.tolerance
@@ -262,7 +245,7 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
         start = bisect.bisect_left(pool, floor, key=functools.partial(norm, g))
         found = {}
         for v in pool[start:]:
-            k = element_order(a, v, t)
+            k = element_order(a, v)
             if k is not None:
                 found[v] = k
                 found[vec_neg(v)] = _negated_order(a, v, k)

@@ -96,6 +96,9 @@ def test_element_order_basics():
     assert element_order(z, (-1,)) == 2
     # norm 5 = rank, like the roots, but (2,1,0,0,0)^120 != 1
     assert element_order(integers_power(5), (2, 1, 0, 0, 0)) is None
+    # an idempotent is its own power with trace 1 <= rank, so neither the
+    # walk nor the trace exit drops it: the exponent gate does
+    assert element_order(integers_power(5), (1, 0, 0, 0, 0)) is None
 
 
 def test_element_order_of_primitive_twelfth_roots():
