@@ -49,6 +49,7 @@ from .errors import (
     NotReduced,
     PrecisionExhausted,
 )
+from .intlinalg import IntMatrix, inverse_unimodular
 from .orders import Order, charpoly_rows, is_reduced
 
 # |value| <= tol counts as zero, |value| >= AMBIGUITY_SPAN * tol as nonzero;
@@ -75,10 +76,6 @@ FIXED_GUARD_BITS = 16
 # how many times one query may double the precision in total, so no level
 # exceeds precision * 2**ESCALATION_BUDGET
 ESCALATION_BUDGET = 4
-
-# Gram forms kept by numeric_context.  The queries on one order run back to
-# back, so a few entries give full reuse while bounding the memory held.
-CONTEXT_CACHE_SIZE = 4
 
 # the largest decimal exponent a Gram entry may have: |x| < 10**(E + 1).
 # The exact grid value of 10**E is an integer of about 3.3 E bits, so the
@@ -124,6 +121,20 @@ class GramForm:
     precision: int
     tolerance: int
 
+    @functools.cached_property
+    def reduction(self) -> tuple:
+        """The LLL basis of the form (rows of an IntMatrix), the fixed-point
+        LDL data (D, M) of its Gram matrix on the grid of the form
+        (`lattices.lll_reduce`), and the inverse of the basis, which maps a
+        vector to its coordinates in that basis.  Computed once per form
+        object and shared by every enumeration and decomposition test on
+        it."""
+        from . import lattices  # lattices imports this module
+
+        rows, D, M = lattices.lll_reduce(self)
+        basis = IntMatrix.from_rows(rows, self.n)
+        return basis, D, M, inverse_unimodular(basis)
+
 
 def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> EmbeddingMatrix:
     """Compute the n embeddings of a reduced order at one precision, as rows
@@ -146,11 +157,11 @@ def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> Embeddi
     max|sigma|)^2.
 
     This is the pipeline's only reducedness check: every query reaches it
-    through `numeric_context`, which keeps only successes, so it runs once
-    per order and precision, and a non-reduced order raises NotReduced from
-    every query.  Raises DegenerateSplitting when no seeded splitting
-    element separates the eigenvalues and EscalationNeeded when the
-    homomorphism residual is too large; `with_gram` retries both at a
+    through `with_gram`, which keeps only successes, so it runs once per
+    order object, precision and seed, and a non-reduced order raises
+    NotReduced from every query.  Raises DegenerateSplitting when no seeded
+    splitting element separates the eigenvalues and EscalationNeeded when
+    the homomorphism residual is too large; `with_gram` retries both at a
     doubled precision.
     """
     if not is_reduced(a):
@@ -543,13 +554,6 @@ def is_nonneg(g: GramForm, value: int) -> bool:
     )
 
 
-@functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def numeric_context(a: Order, precision: int, seed: int) -> GramForm:
-    """Gram form of a at one precision, computed once and shared by every
-    query on the same (order, precision, seed)."""
-    return gram(compute_embeddings(a, precision, seed))
-
-
 def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
     """Run fn on the Gram form of a, doubling the precision on ambiguity.
 
@@ -558,11 +562,19 @@ def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
     embeddings or fn raise EscalationNeeded or DegenerateSplitting.  When
     every level fails, the last DegenerateSplitting is re-raised, and any
     other failure becomes PrecisionExhausted.
+
+    The form of each (precision, seed) is computed once per order object
+    and kept on it (successes only), so every query on that object shares
+    the embeddings, and through `GramForm.reduction` the LLL basis; an equal
+    but distinct order computes its own.
     """
     p = config.precision
     for _ in range(ESCALATION_BUDGET + 1):
+        key = ("gram", p, config.seed)
         try:
-            return fn(numeric_context(a, p, config.seed))
+            if key not in a.derived:
+                a.derived[key] = gram(compute_embeddings(a, p, config.seed))
+            return fn(a.derived[key])
         except (EscalationNeeded, DegenerateSplitting) as exc:
             last = exc
         p *= 2

@@ -163,20 +163,3 @@ def natural_group_ring_grading(factors: Sequence[int]) -> tuple[Order, Grading]:
     for i, e in enumerate(elems):
         rows_by.setdefault(to_canonical(e), []).append(order.unit(i))
     return order, make_grading(order, group, rows_by)
-
-
-def quadratic_grading(d: int) -> tuple[Order, Grading]:
-    """Z[sqrt(d)] with its splitting into 1-span and sqrt(d)-span."""
-    order = monogenic_order([-d, 0, 1])
-    group = FinAbGroup((2,))
-    grading = make_grading(order, group, {(0,): [(1, 0)], (1,): [(0, 1)]})
-    return order, grading
-
-
-def dual_numbers_grading() -> tuple[Order, Grading]:
-    """Dual numbers graded by residue of the exponent: constants at the
-    identity, the nilpotent line at the other element."""
-    order = monogenic_order([0, 0, 1])
-    group = FinAbGroup((2,))
-    grading = make_grading(order, group, {(0,): [(1, 0)], (1,): [(0, 1)]})
-    return order, grading

@@ -22,7 +22,6 @@ kept vectors under nonzero inner products span the answer.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -36,11 +35,9 @@ from .errors import (
     NoMorphism,
 )
 from .intlinalg import (
-    IntMatrix,
     SublatticeBasis,
     Vec,
     direct_sum_index,
-    inverse_unimodular,
     vec_neg,
     vec_sub,
 )
@@ -62,10 +59,6 @@ NOT_DEFINITE = "form is not positive definite at the working precision"
 # fractional bits of the fixed-point Fincke-Pohst data: mu and the centres
 # are kept on the grid 2**(-FP_BITS) Z
 FP_BITS = 64
-
-# Gram forms whose reduction is kept; the queries on one order share one
-# form, so a few entries suffice.
-REDUCTION_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -157,18 +150,6 @@ def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]
     return [tuple(row) for row in basis], D, M
 
 
-@functools.lru_cache(maxsize=REDUCTION_CACHE_SIZE)
-def _reduction(g: GramForm):
-    """LLL basis of g (rows of an IntMatrix), the fixed-point LDL data (D,
-    M) of its Gram matrix on the grid of g (`lll_reduce`), and the inverse
-    of the basis, which maps a vector to its coordinates in that basis.
-    Computed once per form and shared by every enumeration and
-    decomposition test on it."""
-    rows, D, M = lll_reduce(g)
-    basis = IntMatrix.from_rows(rows, g.n)
-    return basis, D, M, inverse_unimodular(basis)
-
-
 def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
     """Call visit(x) on every integer coordinate vector x in the reduced
     basis with Q(x - c) <= limit (on one of x and -x when c = 0), and
@@ -251,7 +232,7 @@ def enumerate_up_to(g: GramForm, limit: int, cap: int = 10**6) -> list[Vec]:
     if n == 0:
         return []
     limit += g.tolerance
-    basis, D, M, _ = _reduction(g)
+    basis, D, M, _ = g.reduction
     zero = (0,) * n
     found: list[tuple[int, Vec]] = []
 
@@ -292,7 +273,7 @@ def search_centred_ball(g: GramForm, v: Sequence[int], visit) -> bool:
     """
     if g.n == 0:
         return bool(visit(()))
-    basis, D, M, inverse = _reduction(g)
+    basis, D, M, inverse = g.reduction
     # v / 2 in the reduced basis, on the grid 2**(-FP_BITS) Z
     centre = [c << (FP_BITS - 1) for c in inverse.vec_mat(v)]
     # |v|^2 / 4 rounded up, on the grid of g
@@ -346,7 +327,7 @@ def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
     if n == 0:
         return SDecomposition(0, (), g)
     full = SublatticeBasis.full(n)
-    bound = max(norm(g, r) for r in _reduction(g)[0].entries)
+    bound = max(norm(g, r) for r in g.reduction[0].entries)
     indec: list[Vec] = []
     span = SublatticeBasis.zero(n)
     for v in enumerate_up_to(g, bound, cap):

@@ -9,7 +9,6 @@ the ring axioms.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -35,10 +34,6 @@ Table = tuple[tuple[Vec, ...], ...]
 # support[i][j]: the m with table[i][j][m] != 0
 Support = tuple[tuple[tuple[int, ...], ...], ...]
 
-# nilradicals kept by `nilradical`; a CLI run and a query on one order
-# both ask for the same one
-NILRADICAL_CACHE_SIZE = 4
-
 
 def _support(table: Table) -> Support:
     # equal supports share one tuple: most cells of a dense table have the
@@ -62,6 +57,9 @@ class Order:
     # the nonzero entries of each cell, derived once per order so that a
     # product skips the zeros of the table
     support: Support = field(init=False, repr=False, compare=False)
+    # what is derived from this order object, each entry under a key owned
+    # by the function that computes it; nothing in it refers to the order
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "support", _support(self.table))
@@ -228,18 +226,18 @@ def trace_gram(a: Order) -> IntMatrix:
     return IntMatrix.from_rows(rows, n)
 
 
-@functools.lru_cache(maxsize=NILRADICAL_CACHE_SIZE)
 def nilradical(a: Order) -> SublatticeBasis:
     """Basis of the ideal of nilpotent elements.
 
     Computed as the saturated kernel of the trace form; each basis vector is
     certified nilpotent by repeated squaring (the nilpotency index is at most
-    the rank).  Kept per order, so the CLI's report and the reducedness
-    check behind the embeddings share one computation.
+    the rank).  Kept on the order object, so the CLI's report and the
+    reducedness check behind the embeddings of one order share one
+    computation; an equal but distinct order computes its own.
     """
-    if a.rank == 0:
-        return SublatticeBasis.zero(0)
-    ker = kernel_saturated(trace_gram(a))
+    if "nilradical" in a.derived:
+        return a.derived["nilradical"]
+    ker = kernel_saturated(trace_gram(a)) if a.rank else SublatticeBasis.zero(0)
     for v in ker.vectors():
         w = v
         for _ in range(max(1, a.rank.bit_length() + 1)):
@@ -250,6 +248,7 @@ def nilradical(a: Order) -> SublatticeBasis:
             raise InternalInconsistency(
                 "trace-kernel vector is not nilpotent; the table is corrupt"
             )
+    a.derived["nilradical"] = ker
     return ker
 
 

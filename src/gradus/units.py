@@ -6,8 +6,8 @@ never a wrong answer.
 
 Idempotents are exactly the lattice points e with <e, 1 - e> >= 0, that is
 the points of the centred ball |e - 1/2|^2 <= |1|^2 / 4, which one
-Fincke-Pohst search lists; `idempotents_on` certifies the set by its atoms,
-and every idempotent answer reads that one certified set.
+Fincke-Pohst search lists; `idempotents_on` certifies the set by its atoms
+and keeps it on the order, and every idempotent answer reads that one set.
 
 Roots of unity satisfy <z, z> = rank exactly, so the candidates are the
 vectors of that norm, one of each +- pair.  `element_order` decides each by
@@ -189,8 +189,12 @@ def idempotents_on(a: Order, g: GramForm) -> list[Vec]:
     subalgebra, the verdict of a closure check over all pairs, at
     O(|found| k) products instead of O(|found|^2).  A failure comes from a
     numeric fault and raises EscalationNeeded, so `with_gram` retries at
-    twice the bits.
+    twice the bits.  A certified set is kept on the order object under its
+    form, so every idempotent query on that object and form searches once.
     """
+    key = ("idempotents", g)
+    if key in a.derived:
+        return list(a.derived[key])
     found = []
 
     def keep(x):
@@ -210,6 +214,7 @@ def idempotents_on(a: Order, g: GramForm) -> list[Vec]:
         sums += [vec_add(s, p) for s in sums]
     if a.one not in found or sorted(sums) != found:
         raise EscalationNeeded("the idempotents found are not a Boolean algebra")
+    a.derived[key] = tuple(found)
     return found
 
 

@@ -302,6 +302,27 @@ def rebased_samples():
     return out
 
 
+def quadratic_grading(d):
+    """Z[sqrt(d)] with its splitting into 1-span and sqrt(d)-span."""
+    from gradus.grading import FinAbGroup, make_grading
+    from gradus.orders import monogenic_order
+
+    order = monogenic_order([-d, 0, 1])
+    grading = make_grading(order, FinAbGroup((2,)), {(0,): [(1, 0)], (1,): [(0, 1)]})
+    return order, grading
+
+
+def dual_numbers_grading():
+    """Dual numbers graded by residue of the exponent: constants at the
+    identity, the nilpotent line at the other element."""
+    from gradus.grading import FinAbGroup, make_grading
+    from gradus.orders import monogenic_order
+
+    order = monogenic_order([0, 0, 1])
+    grading = make_grading(order, FinAbGroup((2,)), {(0,): [(1, 0)], (1,): [(0, 1)]})
+    return order, grading
+
+
 def random_hom(rng, source):
     """Seeded random homomorphism out of an invariant-factor group."""
     from gradus.grading import FinAbGroup, GroupHom

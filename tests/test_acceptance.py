@@ -19,11 +19,7 @@ from mpmath import mp
 from gradus.cli import main as cli_main
 from gradus.config import RunConfig
 from gradus.embeddings import compute_embeddings, gram, gram_from_strings, norm
-from gradus.examples import (
-    dual_numbers_grading,
-    example_order,
-    natural_group_ring_grading,
-)
+from gradus.examples import example_order, natural_group_ring_grading
 from gradus.grading import (
     FinAbGroup,
     find_morphism,
@@ -42,6 +38,7 @@ from gradus.units import idempotents, is_connected, roots_of_unity
 from helpers import (
     brute_idempotents,
     brute_roots_of_unity,
+    dual_numbers_grading,
     oracle_finest_orthogonal_partition,
     random_hom,
     real,

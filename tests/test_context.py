@@ -1,12 +1,18 @@
-"""One numeric context per order and one precision-escalation loop.
+"""One numeric context per order object and one precision-escalation loop.
 
 Every query on an order takes its Gram form from `embeddings.with_gram`,
-which computes the embeddings once per (order, precision, seed) and is the
-only code that doubles the precision.  Reducedness is proved once, by the
-embeddings behind that context.
+which computes the embeddings once per (precision, seed) and keeps the form
+on the order object, and is the only code that doubles the precision.  The
+LLL reduction is kept on the form, and the nilradical and the certified
+idempotents on the order.  Reducedness is proved once, by the embeddings
+behind that context.  Nothing is kept at module level: a test gets a fresh
+context by building a fresh order, and an order dropped by its caller is
+freed with everything derived from it.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -20,7 +26,7 @@ from gradus.config import RunConfig
 from gradus.errors import AmbiguousZero, DegenerateSplitting, PrecisionExhausted
 from gradus.examples import example_order
 from gradus.grading import universal_grading
-from gradus.orders import order_to_json, validate
+from gradus.orders import nilradical, order_to_json, validate
 from gradus.units import UnitGroupReport, idempotents, is_connected, roots_of_unity
 
 
@@ -36,17 +42,7 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-@pytest.fixture
-def fresh_caches():
-    caches = (embeddings.numeric_context, lattices._reduction, orders.nilradical)
-    for cached in caches:
-        cached.cache_clear()
-    yield
-    for cached in caches:
-        cached.cache_clear()
-
-
-def test_queries_on_one_order_share_one_context(monkeypatch, fresh_caches):
+def test_queries_on_one_order_share_one_context(monkeypatch):
     emb = counting(monkeypatch, embeddings, "compute_embeddings")
     lll = counting(monkeypatch, lattices, "lll_reduce")
     nil = counting(monkeypatch, orders, "nilradical")
@@ -60,7 +56,7 @@ def test_queries_on_one_order_share_one_context(monkeypatch, fresh_caches):
     assert len(nil) == 1
 
 
-def test_queries_on_the_zero_ring(fresh_caches):
+def test_queries_on_the_zero_ring():
     a = validate([], [])
     assert idempotents(a) == [()]
     with pytest.raises(ValueError):
@@ -72,7 +68,7 @@ def test_queries_on_the_zero_ring(fresh_caches):
     assert go.component_images == ()
 
 
-def test_analyze_computes_embeddings_once(monkeypatch, fresh_caches, tmp_path, capsys):
+def test_analyze_computes_embeddings_once(monkeypatch, tmp_path, capsys):
     emb = counting(monkeypatch, embeddings, "compute_embeddings")
     path = tmp_path / "order.json"
     path.write_text(json.dumps(order_to_json(example_order("zeta5"))))
@@ -84,7 +80,7 @@ def test_analyze_computes_embeddings_once(monkeypatch, fresh_caches, tmp_path, c
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["grade", "--mod-nilradical"]])
-def test_a_cli_run_computes_the_nilradical_once(monkeypatch, fresh_caches, tmp_path, command):
+def test_a_cli_run_computes_the_nilradical_once(monkeypatch, tmp_path, command):
     # the CLI's report and the reducedness check behind the embeddings
     # share one trace-form kernel
     kernels = counting(monkeypatch, orders, "kernel_saturated")
@@ -92,6 +88,44 @@ def test_a_cli_run_computes_the_nilradical_once(monkeypatch, fresh_caches, tmp_p
     path.write_text(json.dumps(order_to_json(example_order("kummer6"))))
     assert main([command[0], str(path), *command[1:]]) == 0
     assert len(kernels) == 1
+
+
+def test_idempotent_queries_search_once(monkeypatch, tmp_path, capsys):
+    # is_connected and idempotents read the certified set kept on the order,
+    # and analyze certifies it once on the order it reads
+    searches = counting(monkeypatch, units, "search_centred_ball")
+    a = example_order("zxz")
+    assert is_connected(a) is False
+    assert len(idempotents(a)) == 4
+    assert len(searches) == 1
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(order_to_json(a)))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["connected"] is False
+    assert len(searches) == 2
+
+
+def dropped_after(queries):
+    """A weak reference to an order that ran `queries` and was dropped."""
+    a = example_order("zc4")
+    for query in queries:
+        query(a)
+    return weakref.ref(a)
+
+
+def test_a_dropped_order_is_freed_with_its_context():
+    # the context hangs off the order and never refers back to it, so the
+    # order dies with its last reference; the search closures of the
+    # idempotent query form a cycle that only the cyclic collector frees
+    queries = [nilradical, universal_grading, roots_of_unity]
+    gc.disable()
+    try:
+        assert dropped_after(queries)() is None
+        freed = dropped_after(queries + [idempotents])
+    finally:
+        gc.enable()
+    gc.collect()
+    assert freed() is None
 
 
 def ambiguous_grading(monkeypatch, tried):
@@ -115,7 +149,7 @@ def ambiguous_idempotents(monkeypatch, tried):
 @pytest.mark.parametrize("query", [ambiguous_grading, ambiguous_idempotents])
 # (config, escalation budget)
 @pytest.mark.parametrize("config", [(RunConfig(), 4), (RunConfig(precision=128), 2)])
-def test_ambiguity_doubles_precision_up_to_the_budget(monkeypatch, fresh_caches, query, config):
+def test_ambiguity_doubles_precision_up_to_the_budget(monkeypatch, query, config):
     config, budget = config
     monkeypatch.setattr(embeddings, "ESCALATION_BUDGET", budget)
     tried = []
@@ -125,7 +159,7 @@ def test_ambiguity_doubles_precision_up_to_the_budget(monkeypatch, fresh_caches,
     assert tried == [config.precision * 2**k for k in range(budget + 1)]
 
 
-def test_embedding_failures_share_the_budget(monkeypatch, fresh_caches):
+def test_embedding_failures_share_the_budget(monkeypatch):
     # a residual too large at the first level costs one level of the same
     # budget, instead of opening an inner loop of its own
     real = embeddings._hom_residual
@@ -144,7 +178,7 @@ def test_embedding_failures_share_the_budget(monkeypatch, fresh_caches):
     assert tried == [config.precision * 2**k for k in range(1, embeddings.ESCALATION_BUDGET + 1)]
 
 
-def test_degenerate_spectrum_at_every_level(monkeypatch, fresh_caches, tmp_path, capsys):
+def test_degenerate_spectrum_at_every_level(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(embeddings, "_min_separation", lambda roots: 0)
     with pytest.raises(DegenerateSplitting):
         roots_of_unity(example_order("zsqrt2"))

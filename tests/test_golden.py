@@ -25,8 +25,6 @@ import tempfile
 
 import pytest
 
-import gradus.embeddings as embeddings
-import gradus.lattices as lattices
 from gradus.cli import main
 from gradus.examples import example_names, example_order
 from gradus.orders import is_reduced, order_to_json
@@ -45,10 +43,9 @@ GRAM_EXAMPLES = [n for n in example_names() if is_reduced(example_order(n))]
 
 
 def run_cli(path, argv):
-    """The CLI's (stdout, stderr, exit code) for one command on `path`, on a
-    fresh numeric context."""
-    embeddings.numeric_context.cache_clear()
-    lattices._reduction.cache_clear()
+    """The CLI's (stdout, stderr, exit code) for one command on `path`.  The
+    CLI reads the order (or the Gram document) from the file, so every run
+    computes its own numeric context."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([argv[0], str(path), *argv[1:]])

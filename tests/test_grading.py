@@ -2,18 +2,14 @@ import random
 
 import pytest
 
+from gradus.config import RunConfig
 from gradus.errors import (
     AmbiguousMorphism,
     InfiniteGroup,
     NoMorphism,
     NotReduced,
 )
-from gradus.examples import (
-    dual_numbers_grading,
-    example_order,
-    natural_group_ring_grading,
-    quadratic_grading,
-)
+from gradus.examples import example_order, natural_group_ring_grading
 from gradus.grading import (
     FinAbGroup,
     GroupHom,
@@ -32,7 +28,7 @@ from gradus.grading import (
 from gradus.intlinalg import SublatticeBasis
 from gradus.orders import nilradical
 
-from helpers import random_hom
+from helpers import dual_numbers_grading, quadratic_grading, random_hom
 
 
 def test_finabgroup_normalization():
@@ -102,6 +98,18 @@ def test_universal_grading_golden_is_trivial():
     go = universal_grading(example_order("golden"))
     assert go.grading.group.invariant_factors == ()
     assert [b.rank for _, b in go.grading.pieces] == [2]
+
+
+@pytest.mark.parametrize("name", ["kummer6", "golden", "zeta5"])
+def test_universal_grading_is_the_same_at_every_precision_and_seed(name):
+    a = example_order(name)
+    runs = [
+        universal_grading(a, RunConfig(precision=p, seed=seed)).grading
+        for p in (128, 192, 256, 512)
+        for seed in range(4)
+    ]
+    got = [(gr.group.invariant_factors, gr.pieces) for gr in runs]
+    assert got == got[:1] * len(got)
 
 
 def test_universal_grading_rejects_non_reduced():

@@ -35,7 +35,6 @@ from gradus.lattices import (
     is_indecomposable,
     LLL_DELTA,
     _fincke_pohst,
-    _reduction,
     lll_reduce,
     search_centred_ball,
     universal_s_decomposition,
@@ -483,15 +482,12 @@ def test_searches_stay_complete_on_a_coarse_fixed_point_grid(bits, gm, bound, sc
     # many scanned x_i cost more than the remaining budget and are skipped;
     # every point of the exact ball must still be visited
     v = data.draw(st.tuples(*[st.integers(-2, 2)] * len(gm)))
+    # each call builds its own form, so its reduction is made on this grid
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lattices, "FP_BITS", bits)
-        _reduction.cache_clear()
-        try:
-            got = short_vectors(str_gram(gm), bound, cap=10**5)
-            assert got == oracle_short_vectors(gm, bound)
-            check_ball_search(gm, scale, v)
-        finally:
-            _reduction.cache_clear()
+        got = short_vectors(str_gram(gm), bound, cap=10**5)
+        assert got == oracle_short_vectors(gm, bound)
+        check_ball_search(gm, scale, v)
 
 
 @pytest.mark.parametrize("scale", [1, 1 << 64, 1 << 1200])
@@ -505,7 +501,7 @@ def test_centred_search_reaches_every_point_on_the_sphere(scale):
 @given(pd_grams(max_dim=4), SCALES)
 def test_kernel_data_is_the_exact_ldl_on_the_grid(gm, scale):
     g = exact_form(gm, scale)
-    basis, D, M, _ = _reduction(g)
+    basis, D, M, _ = g.reduction
     rows = basis.entries
     h = [[dot_form(g.entries, u, w) for w in rows] for u in rows]
     d, mu = frac_ldl(h)
@@ -575,7 +571,7 @@ def test_exact_enumeration_matches_the_box_oracle(gm, bound):
 def test_origin_search_visits_one_point_of_each_pair(gm, scale, bound):
     # tolerance 0 and an exact form: the pairs on the sphere must be reached
     g = exact_form(gm, scale)
-    basis, D, M, _ = _reduction(g)
+    basis, D, M, _ = g.reduction
     visits = []
     _fincke_pohst(D, M, (0,) * len(gm), bound * scale, lambda x: visits.append(tuple(x)))
     seen = {basis.vec_mat(x) for x in visits}
