@@ -237,7 +237,7 @@ def nilradical(a: Order) -> SublatticeBasis:
     """
     if "nilradical" in a.derived:
         return a.derived["nilradical"]
-    ker = kernel_saturated(trace_gram(a)) if a.rank else SublatticeBasis.zero(0)
+    ker = kernel_saturated(trace_gram(a))
     for v in ker.vectors():
         w = v
         for _ in range(max(1, a.rank.bit_length() + 1)):
