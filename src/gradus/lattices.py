@@ -216,7 +216,12 @@ def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
                 return True
         return False
 
-    return limit >= 0 and descend(n - 1, limit, 0)
+    try:
+        return limit >= 0 and descend(n - 1, limit, 0)
+    finally:
+        # descend refers to itself; unbinding it frees visit and what visit
+        # holds now rather than at the next cyclic collection
+        del descend
 
 
 def enumerate_up_to(g: GramForm, limit: int, cap: int = 10**6) -> list[Vec]:

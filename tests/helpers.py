@@ -368,6 +368,27 @@ def brute_roots_of_unity(table, one, radius=3, max_order=72):
     return sorted(out)
 
 
+def oracle_nonassociative_triple(table):
+    """The first (i, j, k) in lexicographic order with
+    (e_i e_j) e_k != e_i (e_j e_k), or None: the naive triple loop of 2n^3
+    products of elements on the raw table."""
+    n = len(table)
+
+    def mul(x, y):
+        out = [0] * n
+        for i in range(n):
+            for j in range(n):
+                for m in range(n):
+                    out[m] += x[i] * y[j] * table[i][j][m]
+        return out
+
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if mul(table[i][j], units[k]) != mul(units[i], table[j][k]):
+            return (i, j, k)
+    return None
+
+
 def brute_idempotents(table, one, radius=3):
     """All x with x*x = x inside a small coordinate box; complete for the
     tiny fixtures it is used on."""

@@ -1,6 +1,10 @@
+import random
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradus.orders as orders
 from gradus.errors import BadIdentity, NotAssociative, NotCommutative, TorsionQuotient
 from gradus.intlinalg import SublatticeBasis, vec_add
 from gradus.orders import (
@@ -19,6 +23,7 @@ from gradus.orders import (
     trace_gram,
     validate,
 )
+from helpers import change_of_basis, oracle_nonassociative_triple, random_unimodular, rebased
 
 ZC2_TABLE = [
     [[1, 0], [0, 1]],
@@ -56,6 +61,89 @@ def test_validate_rejects_nonassociative():
     with pytest.raises(NotAssociative) as exc:
         validate(table, [1, 0, 0])
     assert exc.value.indices == (1, 1, 2)
+
+
+def test_validate_shape_and_type_checks():
+    # tuples pass like lists; a bool is not an integer, an int subclass is
+    assert validate((((1, 0), (0, 1)), ((0, 1), (1, 0))), (1, 0)).rank == 2
+    with pytest.raises(ValueError):
+        validate([[[True]]], [1])
+    with pytest.raises(ValueError):
+        validate([[[1]]], [True])
+    Unit = IntEnum("Unit", {"ONE": 1})
+    assert validate([[[Unit.ONE]]], [Unit.ONE]).one == (1,)
+
+
+# symmetric perturbations of a table cell: small ones, and ones that need a
+# wide packing digit
+PERTURBATIONS = [1, -1, 2, -2, 10**30, -(10**30), -(2**64)]
+
+
+@st.composite
+def perturbed_tables(draw):
+    """(table, identity) of a small order on a random basis, or of an
+    all-zero table, with 0-3 symmetric perturbations of its cells."""
+    kind = draw(st.sampled_from(["group ring", "monogenic", "zero"]))
+    if kind == "zero":
+        n = draw(st.integers(0, 3))
+        table = [[[0] * n for _ in range(n)] for _ in range(n)]
+        one = [int(i == 0) for i in range(n)]
+    else:
+        if kind == "group ring":
+            factors = draw(st.sampled_from([[1], [2], [3], [4], [5], [6], [2, 2], [2, 3]]))
+            a = group_ring(factors)[0]
+        else:
+            a = monogenic_order(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4)) + [1])
+        seed = draw(st.integers(0, 10**6))
+        b = change_of_basis(a, random_unimodular(random.Random(seed), a.rank))[0]
+        n = b.rank
+        table = [[list(cell) for cell in row] for row in b.table]
+        one = list(b.one)
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        i, j, m = (draw(st.integers(0, n - 1)) for _ in range(3))
+        d = draw(st.sampled_from(PERTURBATIONS))
+        table[i][j][m] += d
+        if i != j:
+            table[j][i][m] += d
+    return table, one
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_tables())
+def test_validate_agrees_with_the_triple_loop(case):
+    table, one = case
+    n = len(one)
+    triple = oracle_nonassociative_triple(table)
+    bad_identity = next(
+        (
+            k
+            for k in range(n)
+            if [sum(one[i] * table[i][k][m] for i in range(n)) for m in range(n)]
+            != [int(m == k) for m in range(n)]
+        ),
+        None,
+    )
+    if triple is not None:
+        with pytest.raises(NotAssociative) as exc:
+            validate(table, one)
+        assert exc.value.indices == triple
+    elif bad_identity is not None:
+        with pytest.raises(BadIdentity) as exc:
+            validate(table, one)
+        assert exc.value.indices == (bad_identity,)
+    else:
+        assert validate(table, one).table == tuple(tuple(map(tuple, row)) for row in table)
+
+
+def test_validate_multiplies_only_to_check_the_identity(monkeypatch):
+    # associativity needs no product of elements: the n products left are
+    # 1 * e_i, where the naive test made 2n^3 + n
+    a = rebased(group_ring([4, 4])[0], 16)
+    calls = []
+    real = orders._mul_raw
+    monkeypatch.setattr(orders, "_mul_raw", lambda *args: calls.append(args) or real(*args))
+    validate(a.table, a.one)
+    assert 0 < len(calls) <= a.rank == 16
 
 
 def test_validate_rejects_bad_identity():
