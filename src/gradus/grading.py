@@ -32,10 +32,8 @@ from .intlinalg import (
     Vec,
     direct_sum_index,
     hnf,
-    inverse_unimodular,
     snf,
     solve_left,
-    stack,
     vec_add,
     vec_scale,
 )
@@ -375,51 +373,66 @@ def universal_grading(a: Order, config: RunConfig | None = None) -> GradedOrder:
     """The grading of a reduced order that every grading factors through.
 
     Pipeline: embeddings -> Gram form -> finest orthogonal lattice splitting
-    -> relations from products of component vectors -> presented group ->
-    pieces summed per group element.  The result is verified exactly; any
-    inconsistency triggers a precision escalation and retry in `with_gram`.
+    -> relations from products of splitting vectors -> presented group ->
+    pieces summed per group element.  Each product is formed once, and the
+    same table of products certifies the result exactly (see
+    `_grading_from_gram`); a failed certificate triggers a precision
+    escalation and retry in `with_gram`.
     """
     config = config or DEFAULT_CONFIG
     return with_gram(a, config, lambda g: _grading_from_gram(a, g, config))
 
 
 def _grading_from_gram(a: Order, g, config: RunConfig) -> GradedOrder:
+    """The universal grading from the splitting of g, certified exactly.
+
+    Row m of the stacked splitting basis lies in component block[m].  Each
+    product of rows m <= m' is formed once (the order is commutative) and
+    read through `SDecomposition.inverse`: `met` records (block[m],
+    block[m'], s) for every component s it meets.  The relations
+    e_s1 + e_s2 - e_s3, one per recorded triple, present the group, and the
+    certificate checks on the same table that images[s1] + images[s2] =
+    images[s3] for every triple and that every component 1 meets maps to
+    the identity.  A failure raises EscalationNeeded.
+
+    The certificate gives the verdict of `verify_grading`:
+    - closure: a piece is the Z-span of the components mapped to its
+      element, so by bilinearity a product of two pieces is a Z-sum of
+      products of splitting vectors, each in the components it meets, and
+      these all map to the sum of the two elements;
+    - ranks add up and the index is 1: the pieces together have the rows of
+      the stack as a basis, and the stack is unimodular (it has an inverse);
+    - 1 lies in the identity piece: its coordinates are unique, and only
+      components mapped to the identity carry them.
+    The support generating the group is checked as before.
+    """
     dec = universal_s_decomposition(g, config.enumeration_cap)
     comps = dec.components
+    rows = [v for c in comps for v in c.vectors()]
+    block = [s for s, c in enumerate(comps) for _ in range(c.rank)]
+    met: set[tuple[int, int, int]] = set()
+    for i, x in enumerate(rows):
+        for j in range(i, len(rows)):
+            coeffs = dec.inverse.vec_mat(mul(a, x, rows[j]))
+            met.update((block[i], block[j], block[m]) for m, c in enumerate(coeffs) if c)
     k = len(comps)
-    if k == 0:
-        grading = Grading(a, FinAbGroup(()), ())
-        return GradedOrder(grading, dec, ())
-    # the components split the lattice with index 1, so the stacked basis
-    # is unimodular and one inverse gives the coordinates of every product
-    inverse = inverse_unimodular(stack([c.basis for c in comps], cols=a.rank))
-    offsets = [0]
-    for c in comps:
-        offsets.append(offsets[-1] + c.rank)
-    relations: set[tuple[int, ...]] = set()
-    for s1 in range(k):
-        for s2 in range(s1, k):
-            for x in comps[s1].vectors():
-                for y in comps[s2].vectors():
-                    coeffs = inverse.vec_mat(mul(a, x, y))
-                    for s3 in range(k):
-                        if any(coeffs[offsets[s3]:offsets[s3 + 1]]):
-                            row = [0] * k
-                            row[s1] += 1
-                            row[s2] += 1
-                            row[s3] -= 1
-                            relations.add(tuple(row))
+    relations = (
+        tuple(int(s == s1) + int(s == s2) - int(s == s3) for s in range(k))
+        for s1, s2, s3 in met
+    )
     try:
-        group, images = group_from_relations(k, sorted(relations))
+        group, images = group_from_relations(k, relations)
     except InfiniteGroup as exc:
         raise EscalationNeeded(f"relations of the splitting present an infinite group: {exc}") from exc
+    if any(group.add(images[s1], images[s2]) != images[s3] for s1, s2, s3 in met):
+        raise EscalationNeeded("the presented group fails the product certificate")
+    one = dec.inverse.vec_mat(a.one)
+    if any(c and images[block[m]] != group.identity for m, c in enumerate(one)):
+        raise EscalationNeeded("1 fails the certificate: it meets a component outside degree 0")
     rows_by: dict[GroupElem, list[Vec]] = {}
     for img, comp in zip(images, comps):
         rows_by.setdefault(img, []).extend(comp.vectors())
     grading = make_grading(a, group, rows_by)
-    report = verify_grading(a, grading)
-    if not report.ok:
-        raise EscalationNeeded(f"assembled grading failed exact verification: {report}")
     if not group.generated_by(grading.support()):
         raise EscalationNeeded("support of the assembled grading does not generate the group")
     return GradedOrder(grading, dec, images)

@@ -16,12 +16,15 @@ and holds the idempotents when v = 1), and the finest orthogonal splitting
 of the whole lattice into mutually orthogonal sublattices.  The splitting
 walks the vectors up to the largest reduced-basis norm in increasing norm,
 keeps an indecomposable one whenever it leaves the span of those kept so
-far, and stops once they span the lattice; the connected components of the
-kept vectors under nonzero inner products span the answer.
+far, merging on the way every class of kept vectors it has a nonzero inner
+product with, and stops once they span the lattice.  The classes span the
+answer, and one exact inverse of their stacked bases proves that they split
+the lattice with index 1 and gives the coordinates the grading reads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -31,13 +34,14 @@ from .errors import (
     AmbiguousZero,
     EnumerationBudgetExceeded,
     EscalationNeeded,
-    InfiniteIndex,
     NoMorphism,
 )
 from .intlinalg import (
+    IntMatrix,
     SublatticeBasis,
     Vec,
-    direct_sum_index,
+    inverse_unimodular,
+    stack,
     vec_neg,
     vec_sub,
 )
@@ -63,11 +67,21 @@ FP_BITS = 64
 
 @dataclass(frozen=True)
 class SDecomposition:
-    """Pairwise-orthogonal sublattices whose sum is the whole lattice."""
+    """Pairwise-orthogonal sublattices whose sum is the whole lattice.
+
+    Row m of the stacked component bases is vector m of the splitting, and
+    `inverse` maps an element to its coordinates on those rows."""
 
     ambient_rank: int
     components: tuple[SublatticeBasis, ...]
     gram: GramForm
+
+    @functools.cached_property
+    def inverse(self) -> IntMatrix:
+        """Inverse of the stacked component bases: x = c . stack exactly
+        when c = inverse.vec_mat(x).  Raises ValueError unless the
+        components split the lattice with index 1."""
+        return inverse_unimodular(stack([c.basis for c in self.components], self.ambient_rank))
 
 
 def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]]:
@@ -317,7 +331,9 @@ def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
     visited in increasing norm; a vector already in the Z-span of the
     indecomposables kept so far is skipped, any other is tested with
     `is_indecomposable` and kept when it passes, and the walk stops once the
-    kept span has index 1.
+    kept span has index 1.  A kept vector joins, in one class, every class
+    with a member it has a nonzero inner product with, so the classes are
+    the connected components of the kept vectors when the walk ends.
 
     The kept vectors span every visited vector: a decomposable v = x + y has
     |x|^2 = |v|^2 - |y|^2 - 2<x, y> <= |v|^2 - lambda_1 and likewise for y,
@@ -325,51 +341,35 @@ def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
     a vector reaching the test is indecomposable unless a numeric verdict
     went wrong.  The order only keeps the walk short: in any order, every
     visited vector ends in the final span, so the kept set generates the
-    lattice.  The exact index-1 check of the assembled components guards
-    against a wrong numeric verdict.
+    lattice.  The exact inverse of the stacked component bases
+    (`SDecomposition.inverse`), which exists exactly when the components
+    split the lattice with index 1, guards against a wrong numeric verdict.
     """
     n = g.n
-    if n == 0:
-        return SDecomposition(0, (), g)
     full = SublatticeBasis.full(n)
-    bound = max(norm(g, r) for r in g.reduction[0].entries)
-    indec: list[Vec] = []
+    bound = max((norm(g, r) for r in g.reduction[0].entries), default=0)
+    classes: list[list[Vec]] = []
     span = SublatticeBasis.zero(n)
     for v in enumerate_up_to(g, bound, cap):
         if span == full:
             break
         if not span.contains(v) and is_indecomposable(g, v):
-            indec.append(v)
+            met = [any(not is_zero(g, inner(g, u, v)) for u in c) for c in classes]
+            joined = [v] + [u for c, m in zip(classes, met) if m for u in c]
+            classes = [c for c, m in zip(classes, met) if not m] + [joined]
             span = SublatticeBasis.from_vectors(n, span.vectors() + (v,))
-    parent = list(range(len(indec)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(indec)):
-        for j in range(i + 1, len(indec)):
-            if find(i) != find(j) and not is_zero(g, inner(g, indec[i], indec[j])):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[Vec]] = {}
-    for i, v in enumerate(indec):
-        groups.setdefault(find(i), []).append(v)
-    components = [
-        SublatticeBasis.from_vectors(n, vs) for vs in groups.values()
-    ]
-    components.sort(key=lambda c: min(c.vectors()))
+    components = sorted(
+        (SublatticeBasis.from_vectors(n, c) for c in classes), key=lambda c: min(c.vectors())
+    )
+    dec = SDecomposition(n, tuple(components), g)
     try:
-        index = direct_sum_index(components, n)
-    except InfiniteIndex:
-        index = None
-    if index != 1:
+        dec.inverse  # exists exactly when the components split with index 1
+    except ValueError as exc:
         raise EscalationNeeded(
             "indecomposable vectors failed to split the lattice exactly; "
             "a zero test was likely misclassified"
-        )
-    return SDecomposition(n, tuple(components), g)
+        ) from exc
+    return dec
 
 
 def component_refinement_map(

@@ -339,12 +339,13 @@ def group_ring(cyclic_factors: Sequence[int]) -> tuple[Order, list[tuple[int, ..
     elements = list(itertools.product(*(range(k) for k in factors)))
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
-    table = [[None] * n for _ in range(n)]
-    for i, g in enumerate(elements):
-        for j, h in enumerate(elements):
-            s = tuple((gi + hi) % k for gi, hi, k in zip(g, h, factors))
-            table[i][j] = tuple(int(m == index[s]) for m in range(n))
-    one = tuple(int(i == index[tuple(0 for _ in factors)]) for i in range(n))
+    # one unit vector per group element, shared by every cell it fills
+    units = [tuple(int(m == i) for m in range(n)) for i in range(n)]
+    table = [
+        [units[index[tuple((gi + hi) % k for gi, hi, k in zip(g, h, factors))]] for h in elements]
+        for g in elements
+    ]
+    one = units[index[tuple(0 for _ in factors)]]
     labels = [_group_label(e, factors) for e in elements]
     return validate(table, one, labels), elements
 
@@ -483,6 +484,8 @@ def order_from_json(data: dict) -> Order:
     for key in ("rank", "one", "table"):
         if key not in data:
             raise ValueError(f"order document is missing '{key}'")
+    if isinstance(data["rank"], bool) or not isinstance(data["rank"], int):
+        raise ValueError("declared rank must be an integer")
     a = validate(data["table"], data["one"], data.get("labels"))
     if a.rank != data["rank"]:
         raise ValueError("declared rank does not match the data")

@@ -49,8 +49,19 @@ def test_validate_malformed_json(tmp_path, capsys):
         {"rank": 1, "one": [1], "table": [[[1]]], "labels": ["1", "x"]},
         {"rank": 1, "one": [1], "table": [[[1]]], "labels": "1"},
         {"rank": 1, "one": [1], "table": [[[True]]]},
+        {"rank": True, "one": [1], "table": [[[1]]]},
+        {"rank": 1.0, "one": [1], "table": [[[1]]]},
     ],
-    ids=["bare-one", "bare-cell", "float-one", "label-count", "label-string", "bool-cell"],
+    ids=[
+        "bare-one",
+        "bare-cell",
+        "float-one",
+        "label-count",
+        "label-string",
+        "bool-cell",
+        "rank-bool",
+        "rank-float",
+    ],
 )
 def test_validate_rejects_malformed_order(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

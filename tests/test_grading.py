@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from gradus import grading, orders
 from gradus.config import RunConfig
 from gradus.errors import (
     AmbiguousMorphism,
     InfiniteGroup,
     NoMorphism,
     NotReduced,
+    PrecisionExhausted,
 )
 from gradus.examples import example_order, natural_group_ring_grading
 from gradus.grading import (
@@ -26,9 +28,9 @@ from gradus.grading import (
     verify_grading,
 )
 from gradus.intlinalg import SublatticeBasis
-from gradus.orders import nilradical
+from gradus.orders import group_ring, nilradical
 
-from helpers import dual_numbers_grading, quadratic_grading, random_hom
+from helpers import dual_numbers_grading, quadratic_grading, random_hom, rebased
 
 
 def test_finabgroup_normalization():
@@ -115,6 +117,51 @@ def test_universal_grading_is_the_same_at_every_precision_and_seed(name):
 def test_universal_grading_rejects_non_reduced():
     with pytest.raises(NotReduced):
         universal_grading(example_order("dual"))
+
+
+REBASED_ORDERS = {
+    "zc8": lambda: group_ring([8])[0],
+    "zc3c3": lambda: group_ring([3, 3])[0],
+    "kummer6": lambda: example_order("kummer6"),
+    "zeta5": lambda: example_order("zeta5"),
+    "parity5": lambda: example_order("parity5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REBASED_ORDERS))
+def test_universal_grading_forms_each_product_of_splitting_vectors_once(monkeypatch, name):
+    a = rebased(REBASED_ORDERS[name](), name)
+    calls = []
+    raw = orders._mul_raw
+
+    def counted(*args):
+        calls.append(args)
+        return raw(*args)
+
+    monkeypatch.setattr(orders, "_mul_raw", counted)
+    go = universal_grading(a)
+    n = a.rank
+    assert len(calls) == n * (n + 1) // 2
+    assert verify_grading(a, go.grading).ok
+
+
+@pytest.mark.parametrize("name", ["zc4", "zc2c2", "kummer6", "zsqrt2"])
+def test_a_wrong_group_fails_the_certificate_at_every_precision(monkeypatch, name):
+    # rotating the component images by one breaks the product relations,
+    # and only the certificate on the product table can see that
+    a = rebased(example_order(name), name)
+    presented = grading.group_from_relations
+    calls = []
+
+    def rotated(num_gens, relations):
+        group, images = presented(num_gens, relations)
+        calls.append(num_gens)
+        return group, images[1:] + images[:1]
+
+    monkeypatch.setattr(grading, "group_from_relations", rotated)
+    with pytest.raises(PrecisionExhausted, match="certificate"):
+        universal_grading(a)
+    assert len(calls) == 5  # 192 bits doubled up to 3072
 
 
 def test_universal_grading_group_ring_is_natural():

@@ -34,6 +34,7 @@ from gradus.lattices import (
     is_decomposition,
     is_indecomposable,
     LLL_DELTA,
+    SDecomposition,
     _fincke_pohst,
     lll_reduce,
     search_centred_ball,
@@ -200,6 +201,19 @@ def test_universal_s_decomposition_a2_is_connected():
 def test_universal_s_decomposition_two_i():
     dec = universal_s_decomposition(TWO_I)
     assert [c.vectors() for c in dec.components] == [((0, 1),), ((1, 0),)]
+
+
+def test_decomposition_inverse_reads_splitting_coordinates():
+    dec = universal_s_decomposition(TWO_I)
+    # the stacked rows are (0, 1) and (1, 0)
+    assert dec.inverse.vec_mat((3, 5)) == (5, 3)
+    index_two = SDecomposition(
+        2,
+        (SublatticeBasis.from_vectors(2, [(2, 0)]), SublatticeBasis.from_vectors(2, [(0, 1)])),
+        TWO_I,
+    )
+    with pytest.raises(ValueError):
+        index_two.inverse
 
 
 def test_decomposition_invariants_on_fixtures():
