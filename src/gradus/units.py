@@ -7,16 +7,21 @@ never a wrong answer.
 Idempotents are exactly the lattice points e with <e, 1 - e> >= 0, that is
 the points of the centred ball |e - 1/2|^2 <= |1|^2 / 4, which one
 Fincke-Pohst search lists; `idempotents_on` certifies the set by its atoms
-and keeps it on the order, and every idempotent answer reads that one set.
+and keeps both on the order, and every idempotent answer reads that one set.
 
-Roots of unity satisfy <z, z> = rank exactly, so the candidates are the
-vectors of that norm, one of each +- pair.  `element_order` decides each by
-exact products: it walks x, x^2, ... up to m* = max{m : phi(m) <= rank},
-drops x once some power has |Tr| > rank (a root's powers have eigenvalues
-on the unit circle), and past m* falls back to the exponent gate x^L = 1,
+Roots of unity factor through those atoms e_1..e_k: a = e_1 a x ... x e_k a,
+so mu(a) is the set of sums of one root of each factor, and a root of e_i a
+has norm exactly r_i = rank(e_i a).  One search of the ball of norm
+<= max r_i on a's own form lists the candidates of every factor, the
+vectors of norm r_i with e_i v = v, one of each +- pair.  `element_order`
+decides each in a as v + 1 - e_i, whose order is v's order in e_i a: it
+walks x, x^2, ... up to m* = max{m : phi(m) <= rank}, drops x once some
+power has |Tr| > rank (a root's powers have eigenvalues on the unit
+circle), and past m* falls back to the exponent gate x^L = 1,
 L = lcm{m : phi(m) <= rank}.  L is even, so -v is a root exactly when v is,
-and its order follows from v's.  `group_closed` is certified by building
-the subgroup the roots generate, coset by coset, in O(|roots|) products.
+and its order follows from v's.  `group_closed` is certified per factor,
+by building the subgroup its roots generate, coset by coset, in
+O(sum |mu(e_i a)|) products.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from math import lcm
 from .config import DEFAULT_CONFIG, RunConfig
 from .embeddings import GramForm, norm, with_gram
 from .errors import EscalationNeeded
-from .intlinalg import Vec, vec_add, vec_neg
+from .intlinalg import Vec, vec_add, vec_neg, vec_sub
 from .lattices import enumerate_up_to, search_centred_ball
 from .orders import Order, mul, power, trace_vector
 
@@ -114,15 +119,16 @@ def element_order(a: Order, x) -> int | None:
     return k
 
 
-def _negated_order(a: Order, v: Vec, k: int) -> int:
-    """The order of -v, for a root v of order k.
+def _negated_order(a: Order, v: Vec, k: int, one: Vec) -> int:
+    """The order of -v, for a root v of order k in a ring with unit `one`
+    (a factor eA of a, with one = e).
 
-    (-v)^j = (-1)^j v^j.  For even j that is 1 exactly when k | j.  For odd
-    j it is 1 exactly when v^j = -1; the cyclic group <v> holds -1 only as
-    v^(k/2), for even k, and the exponents j = k/2 (mod k) are odd exactly
-    when k = 2 (mod 4).  So -v has order k/2 when k = 2 (mod 4) and
-    v^(k/2) = -1, and lcm(2, k) otherwise."""
-    if k % 4 == 2 and power(a, v, k // 2) == vec_neg(a.one):
+    (-v)^j = (-1)^j v^j.  For even j that is `one` exactly when k | j.  For
+    odd j it is `one` exactly when v^j = -one; the cyclic group <v> holds
+    -one only as v^(k/2), for even k, and the exponents j = k/2 (mod k) are
+    odd exactly when k = 2 (mod 4).  So -v has order k/2 when k = 2 (mod 4)
+    and v^(k/2) = -one, and lcm(2, k) otherwise."""
+    if k % 4 == 2 and power(a, v, k // 2) == vec_neg(one):
         return k // 2
     return lcm(2, k)
 
@@ -190,11 +196,20 @@ def idempotents_on(a: Order, g: GramForm) -> list[Vec]:
     O(|found| k) products instead of O(|found|^2).  A failure comes from a
     numeric fault and raises EscalationNeeded, so `with_gram` retries at
     twice the bits.  A certified set is kept on the order object under its
-    form, so every idempotent query on that object and form searches once.
+    form, with its atoms and their traces, in increasing trace, beside it
+    (`roots_of_unity` factors through them), so every idempotent and root
+    query on that object and form searches once.
     """
+    return list(_boolean_algebra_on(a, g)[0])
+
+
+def _boolean_algebra_on(a: Order, g: GramForm) -> tuple:
+    """(idempotents, atoms) of a on g, certified as in `idempotents_on`: the
+    sorted idempotents, and the pairs (e, t . e) of the atoms e in
+    increasing trace.  Computed once per order object and form."""
     key = ("idempotents", g)
     if key in a.derived:
-        return list(a.derived[key])
+        return a.derived[key]
     found = []
 
     def keep(x):
@@ -214,8 +229,8 @@ def idempotents_on(a: Order, g: GramForm) -> list[Vec]:
         sums += [vec_add(s, p) for s in sums]
     if a.one not in found or sorted(sums) != found:
         raise EscalationNeeded("the idempotents found are not a Boolean algebra")
-    a.derived[key] = tuple(found)
-    return found
+    a.derived[key] = (tuple(found), tuple((e, sum(i * j for i, j in zip(t, e))) for e in atoms))
+    return a.derived[key]
 
 
 def idempotents(a: Order, config: RunConfig | None = None) -> list[Vec]:
@@ -232,31 +247,79 @@ def is_connected(a: Order, config: RunConfig | None = None) -> bool:
 
 
 def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport:
-    """All elements of finite multiplicative order.
+    """All elements of finite multiplicative order, as the product of the
+    roots of the factors e_1 a, ..., e_k a at the primitive idempotents.
 
-    Candidates are the lattice vectors of norm equal to the rank (within the
-    tolerance, compared on the grid of the form), one of each +- pair.  L is
-    even, so (-v)^L = v^L and -v is a root exactly when v is: one call of
-    `element_order` decides the pair, and `_negated_order` gives the order
-    of -v.  `is_subgroup` decides group_closed.
+    Splitting.  The atoms e_1..e_k of `idempotents_on` sum to 1 and are
+    orthogonal, so a = e_1 a x ... x e_k a as rings, e_i a being the order
+    {v in a : e_i v = v} with unit e_i and rank r_i = t . e_i, the number of
+    embeddings at which e_i is 1.  A root of a is a sum sum_i z_i of roots
+    z_i = e_i z of the factors, and its order is the lcm of theirs, so the
+    roots of a are the sums of one root of each factor.  For k = 0 (the zero
+    ring, where 0 = 1) the empty sum 0 is its one root, of order 1.
+
+    Completeness.  A root z of e_i a has |sigma(z)| = 1 at the r_i embeddings
+    where e_i is 1 and sigma(z) = 0 at the others, so its norm under the
+    canonical form of a is exactly r_i.  So one search of the ball of norm
+    <= max r_i lists every candidate: those of factor i are the vectors of
+    norm r_i (within the tolerance, compared on the grid of the form) with
+    e_i v = v exactly, one of each +- pair.  For k = 1, e_1 = 1 and the test
+    is skipped.
+
+    Decision.  v (1 - e_i) = 0 and 1 - e_i is idempotent, so
+    (v + 1 - e_i)^m = v^m + (1 - e_i), which is 1 exactly when v^m = e_i: the
+    order of v + 1 - e_i in a, from one call of `element_order`, is the order
+    of v in e_i a.  L is even, so -v is a root exactly when v is, and
+    `_negated_order` with unit e_i gives the order of -v.
+
+    Certificate.  Sums multiply factor by factor, (sum z_i)(sum z'_i) =
+    sum z_i z'_i, so the set of sums is closed when every factor's set is.
+    Conversely, when it is closed and holds 1 = sum e_i, every factor's set
+    holds e_i, and z z' is the i-th part of the product of z + sum_(j != i) e_j
+    and z' + sum_(j != i) e_j.  Every factor has a root, e_i, so the set of
+    sums is a group exactly when every factor's set is.  z -> z + 1 - e_i is
+    multiplicative and one-to-one and sends e_i to 1, so a factor's set is a
+    group exactly when its shift is, and `is_subgroup` of the shifts decides
+    group_closed in O(sum_i |mu(e_i a)|) products.
     """
     config = config or DEFAULT_CONFIG
-    n = a.rank
 
     def run(g: GramForm):
-        floor = (n << g.precision) - g.tolerance
-        pool = enumerate_up_to(g, n << g.precision, config.enumeration_cap)
-        # the pool is sorted by exact norm, so the candidates are a suffix
-        start = bisect.bisect_left(pool, floor, key=functools.partial(norm, g))
-        found = {}
-        for v in pool[start:]:
-            k = element_order(a, v)
-            if k is not None:
-                found[v] = k
-                found[vec_neg(v)] = _negated_order(a, v, k)
-        return found
+        atoms = _boolean_algebra_on(a, g)[1]  # (e_i, r_i), r_i increasing
+        top = atoms[-1][1] if atoms else 0
+        pool = enumerate_up_to(g, top << g.precision, config.enumeration_cap)
+        key = functools.partial(norm, g)
+        factors = []
+        for e, r in atoms:
+            # the pool is sorted by exact norm, so the candidates are a slice,
+            # a suffix at the largest rank, where the pool ends
+            lo = bisect.bisect_left(pool, (r << g.precision) - g.tolerance, key=key)
+            hi = len(pool)
+            if r < top:
+                hi = bisect.bisect_right(pool, (r << g.precision) + g.tolerance, lo, key=key)
+            # z -> z + 1 - e, the identity when e = 1
+            lift = tuple if e == a.one else functools.partial(vec_add, vec_sub(a.one, e))
+            found = {}
+            for v in pool[lo:hi]:
+                if e != a.one and mul(a, e, v) != v:
+                    continue
+                k = element_order(a, lift(v))
+                if k is not None:
+                    found[v] = k
+                    found[vec_neg(v)] = _negated_order(a, v, k, e)
+            factors.append((found, lift))
+        return factors
 
-    found = with_gram(a, config, run)
+    factors = with_gram(a, config, run)
+    # the empty product is {0}, and a single factor is its own product
+    found = functools.reduce(_sums, [f for f, _ in factors]) if factors else {a.zero(): 1}
     roots = tuple(sorted(found))
     orders = tuple(found[r] for r in roots)
-    return UnitGroupReport(roots, orders, len(roots), is_subgroup(a, roots))
+    closed = all(is_subgroup(a, [lift(z) for z in sorted(f)]) for f, lift in factors)
+    return UnitGroupReport(roots, orders, len(roots), closed)
+
+
+def _sums(x: dict, y: dict) -> dict:
+    """{s + z: lcm of their orders} over the roots s of x and z of y, the
+    roots of a product of two factors."""
+    return {vec_add(s, z): lcm(k, m) for s, k in x.items() for z, m in y.items()}

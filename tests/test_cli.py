@@ -178,6 +178,16 @@ def test_units_mod_nilradical_note(tmp_path, capsys):
     assert out.splitlines()[-1] == f"note: {data['note']}"
 
 
+def test_units_of_the_zero_ring(tmp_path, capsys):
+    # rank 0: 0 = 1, the one root, of order 1
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"rank": 0, "one": [], "table": []}))
+    assert run_cli(capsys, "units", str(path)) == (0, "roots of unity: 1\n  []  order 1\n", "")
+    code, out, err = run_cli(capsys, "units", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"count": 1, "roots": [[]], "orders": [1]}
+
+
 def test_idempotents_product(tmp_path, capsys):
     path = write_order(tmp_path, "zxz")
     code, out, err = run_cli(capsys, "idempotents", path, "--format", "json")

@@ -56,12 +56,25 @@ def test_queries_on_one_order_share_one_context(monkeypatch):
     assert len(nil) == 1
 
 
+@pytest.mark.parametrize("name", ["zc4", "zxz"])
+def test_idempotent_and_root_queries_share_one_search(monkeypatch, name):
+    # the roots factor through the atoms that the certified idempotent
+    # search keeps on the order
+    searches = counting(monkeypatch, units, "search_centred_ball")
+    a = example_order(name)
+    connected = is_connected(a)
+    assert roots_of_unity(a).count == (8 if connected else 4)
+    assert len(idempotents(a)) == (2 if connected else 4)
+    assert len(searches) == 1
+
+
 def test_queries_on_the_zero_ring():
     a = validate([], [])
     assert idempotents(a) == [()]
     with pytest.raises(ValueError):
         is_connected(a)
-    assert roots_of_unity(a) == UnitGroupReport((), (), 0, True)
+    # the empty product of factors: 0 = 1 is the one root, of order 1
+    assert roots_of_unity(a) == UnitGroupReport(((),), (1,), 1, True)
     go = universal_grading(a)
     assert go.grading.group.invariant_factors == ()
     assert go.grading.pieces == ()

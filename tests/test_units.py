@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import json
@@ -177,10 +178,10 @@ def test_subgroup_certificate_matches_pairwise_closure(name):
     assert is_subgroup(a, []) and oracle_group_closed(a, [])
 
 
-def test_roots_of_z5_take_a_quarter_of_the_pairwise_products(monkeypatch):
-    # the walk with its trace exit, one gate per +- pair and the subgroup
-    # certificate take 161 products here; the exponent gate on v and -v and
-    # the pairwise closure check took 1791
+def test_roots_of_z5_take_38_products(monkeypatch):
+    # Z^5 is five copies of Z, each searched at norm 1: 25 products test
+    # e_i v = v on the five pool vectors, one walk and one sign gate take 3,
+    # and the certificate of {1, 1 - 2 e_i} takes 2 per factor
     a = rebased(integers_power(5), 0)
     roots_of_unity(a)  # the numeric context, computed once
     calls = []
@@ -192,7 +193,32 @@ def test_roots_of_z5_take_a_quarter_of_the_pairwise_products(monkeypatch):
 
     monkeypatch.setattr(orders, "_mul_raw", counted)
     assert roots_of_unity(a).count == 32
-    assert len(calls) == 161 <= 1791 // 4
+    assert len(calls) == 38
+
+
+def test_roots_of_z8_search_norm_one_only(monkeypatch):
+    # the factors of Z^8 have rank 1, so the pool holds the 8 pairs +-e_i
+    # and each factor sends its one candidate to the exact filter, not the
+    # 4,664 pairs of norm 8
+    a = rebased(integers_power(8), 0)
+    roots_of_unity(a)  # the numeric context, computed once
+    orders_walked, pools = [], []
+    real_order, real_pool = units.element_order, units.enumerate_up_to
+
+    def walked(a, x):
+        orders_walked.append(x)
+        return real_order(a, x)
+
+    def pooled(*args):
+        pools.append(real_pool(*args))
+        return pools[-1]
+
+    monkeypatch.setattr(units, "element_order", walked)
+    monkeypatch.setattr(units, "enumerate_up_to", pooled)
+    report = roots_of_unity(a)
+    assert report.count == 256 and report.group_closed
+    assert len(orders_walked) <= 8
+    assert [len(p) for p in pools] == [8]
 
 
 def test_torsion_order_bound_small_ranks():
@@ -309,12 +335,26 @@ def test_a_partial_idempotent_search_fails_the_certificate_at_every_level(
 
 # -------------------------------------------- searches against the oracles
 
-# products of up to rank 5, and the small group rings
+# the connected factors of the products below
+FACTORS = {
+    "z": monogenic_order(SMALL_RINGS["z"]),
+    "z[i]": monogenic_order(SMALL_RINGS["z[i]"]),
+    "z[w]": monogenic_order(SMALL_RINGS["z[w]"]),
+    "zc4": group_ring([4])[0],
+    "zeta5": example_order("zeta5"),
+}
+
+
+# products of up to rank 5, the small group rings, and products of rank 6
+# and 7 with factors of rank 2 and 4
 torsion_orders = st.one_of(
     st.lists(st.sampled_from(sorted(SMALL_RINGS)), min_size=1, max_size=3)
     .filter(lambda names: sum(2 - (n == "z") for n in names) <= 5)
     .map(small_ring_product),
     st.sampled_from([[2], [3], [4], [2, 2]]).map(lambda f: group_ring(f)[0]),
+    st.lists(st.sampled_from(sorted(FACTORS)), min_size=2, max_size=3)
+    .filter(lambda names: 6 <= sum(FACTORS[n].rank for n in names) <= 7)
+    .map(lambda names: functools.reduce(product_order, map(FACTORS.get, names))),
 )
 
 
@@ -333,4 +373,4 @@ def test_roots_of_unity_match_the_oracle(a, seed):
     a = rebased(a, seed)
     report = roots_of_unity(a)
     assert dict(zip(report.roots, report.orders)) == oracle_roots(a)
-    assert report.group_closed
+    assert report.group_closed == oracle_group_closed(a, report.roots)
