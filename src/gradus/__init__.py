@@ -68,9 +68,7 @@ from .intlinalg import (
 )
 from .lattices import (
     SDecomposition,
-    component_refinement_map,
     enumerate_up_to,
-    is_decomposition,
     is_indecomposable,
     lll_reduce,
     universal_s_decomposition,

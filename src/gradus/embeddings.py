@@ -121,6 +121,16 @@ class GramForm:
     precision: int
     tolerance: int
 
+    def __hash__(self) -> int:
+        # a form keys what is derived from it on the order object, and
+        # hashing its n^2 entries of a few hundred bits at every lookup
+        # would cost more than the lookup
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.entries, self.precision, self.tolerance))
+
     @functools.cached_property
     def reduction(self) -> tuple:
         """The LLL basis of the form (rows of an IntMatrix), the fixed-point
@@ -159,13 +169,19 @@ def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> Embeddi
     This is the pipeline's only reducedness check: every query reaches it
     through `with_gram`, which keeps only successes, so it runs once per
     order object, precision and seed, and a non-reduced order raises
-    NotReduced from every query.  Raises DegenerateSplitting when no seeded
-    splitting element separates the eigenvalues and EscalationNeeded when
-    the homomorphism residual is too large; `with_gram` retries both at a
-    doubled precision.
+    NotReduced from every query.  A squarefree chi proves reducedness by
+    itself: its n roots are distinct, so it is also the minimal polynomial
+    of M_z, the powers 1, z, ..., z^(n-1) are independent, and the n
+    dimensional algebra a (x) Q is Q[z] = Q[x]/(chi), a product of fields
+    by the Chinese remainder theorem, as the irreducible factors of chi are
+    distinct.  A subring of a reduced ring is reduced.  So the exact
+    nilradical (`orders.is_reduced`) is consulted only when every try has
+    failed: it raises NotReduced for a non-reduced order, whose chi is
+    never squarefree, and otherwise DegenerateSplitting.  Raises
+    DegenerateSplitting when no seeded splitting element separates the
+    eigenvalues and EscalationNeeded when the homomorphism residual is too
+    large; `with_gram` retries both at a doubled precision.
     """
-    if not is_reduced(a):
-        raise NotReduced("only reduced orders admit this computation")
     n = a.rank
     if n == 0:
         return EmbeddingMatrix(0, (), precision, 0)
@@ -197,6 +213,8 @@ def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> Embeddi
         if residual << (p // 2) <= n * ((1 << q) + biggest) ** 2:
             return EmbeddingMatrix(n, tuple(row for _, row in keyed), p, residual)
         raise EscalationNeeded(f"embedding residual is above threshold at {p} bits")
+    if not is_reduced(a):
+        raise NotReduced("only reduced orders admit this computation")
     raise DegenerateSplitting(
         f"no splitting element separated the spectrum after {SPLITTING_TRIES} tries at {p} bits"
     )

@@ -13,6 +13,7 @@ indices, and the quotient group of those relations grades the order.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Mapping, Sequence
@@ -387,9 +388,9 @@ def _grading_from_gram(a: Order, g, config: RunConfig) -> GradedOrder:
     """The universal grading from the splitting of g, certified exactly.
 
     Row m of the stacked splitting basis lies in component block[m].  Each
-    product of rows m <= m' is formed once (the order is commutative) and
-    read through `SDecomposition.inverse`: `met` records (block[m],
-    block[m'], s) for every component s it meets.  The relations
+    product of rows m <= m' is formed once (the order is commutative), on
+    the splitting, by `_product_table`: `met` records (block[m], block[m'],
+    s) for every component s it meets.  The relations
     e_s1 + e_s2 - e_s3, one per recorded triple, present the group, and the
     certificate checks on the same table that images[s1] + images[s2] =
     images[s3] for every triple and that every component 1 meets maps to
@@ -411,15 +412,19 @@ def _grading_from_gram(a: Order, g, config: RunConfig) -> GradedOrder:
     rows = [v for c in comps for v in c.vectors()]
     block = [s for s, c in enumerate(comps) for _ in range(c.rank)]
     met: set[tuple[int, int, int]] = set()
-    for i, x in enumerate(rows):
-        for j in range(i, len(rows)):
-            coeffs = dec.inverse.vec_mat(mul(a, x, rows[j]))
-            met.update((block[i], block[j], block[m]) for m, c in enumerate(coeffs) if c)
+    products, width = _product_table(a, rows, dec.inverse)
+    for i, row in enumerate(products):
+        for j, z in enumerate(row, i):
+            meets = _nonzero_digits(z, len(rows), width)
+            met.update((block[i], block[j], block[m]) for m in meets)
     k = len(comps)
-    relations = (
-        tuple(int(s == s1) + int(s == s2) - int(s == s3) for s in range(k))
-        for s1, s2, s3 in met
-    )
+    relations = []
+    for s1, s2, s3 in met:
+        rel = [0] * k
+        rel[s1] += 1
+        rel[s2] += 1
+        rel[s3] -= 1
+        relations.append(rel)
     try:
         group, images = group_from_relations(k, relations)
     except InfiniteGroup as exc:
@@ -436,6 +441,66 @@ def _grading_from_gram(a: Order, g, config: RunConfig) -> GradedOrder:
     if not group.generated_by(grading.support()):
         raise EscalationNeeded("support of the assembled grading does not generate the group")
     return GradedOrder(grading, dec, images)
+
+
+def _product_table(
+    a: Order, rows: Sequence[Vec], inverse: IntMatrix
+) -> tuple[list[list[int]], int]:
+    """The products of the splitting vectors on the splitting, packed:
+    entry [i][j] is sum_t c_t 2^(bt), c the coordinates of
+    rows[i] * rows[i + j] on the rows (the product times `inverse`, the
+    inverse of the stacked rows); returns the entries and the digit width b.
+
+    Row i costs one `_product_matrix` of rows[i], whose row l is
+    rows[i] e_l on the splitting, and then one row-vector product with it
+    per entry.  The order is commutative, so the entries j >= 0 are all of
+    them.  Packing is linear in c, so a row-vector product is n products of
+    integers.  A coordinate of x y on the splitting is at most
+    D = n V X^2 T in absolute value (X the largest |row|_1, T the largest
+    |table entry|, V the largest |inverse entry|), and b = bits(D) + 1 puts
+    every digit in [-2^(b-1), 2^(b-1)), where the packing is one-to-one
+    (see `_nonzero_digits`)."""
+    n = len(rows)
+    if n == 0:
+        return [], 1
+    cells = [cell for row in a.table for cell in row]
+    bound = n * max(max(map(max, inverse.entries)), -min(map(min, inverse.entries)))
+    bound *= max(sum(map(abs, x)) for x in rows) ** 2
+    bound *= max(max(map(max, cells)), -min(map(min, cells)))
+    width = bound.bit_length() + 1
+    shifts = range(0, width * n, width)
+    packed = [sum(map(operator.lshift, r, shifts)) for r in inverse.entries]
+    # columns[l][k] = e_k e_l on the splitting, packed
+    columns = [tuple(sum(map(operator.mul, cell, packed)) for cell in row) for row in a.table]
+    table = []
+    for i, x in enumerate(rows):
+        matrix = _product_matrix(x, columns)
+        table.append([sum(map(operator.mul, y, matrix)) for y in rows[i:]])
+    return table, width
+
+
+def _product_matrix(x: Vec, columns) -> list[int]:
+    """The rows x e_l = sum_k x_k e_k e_l, packed, of the product matrix of
+    x (see `_product_table`)."""
+    return [sum(map(operator.mul, x, col)) for col in columns]
+
+
+def _nonzero_digits(z: int, n: int, width: int) -> list[int]:
+    """The t with c_t != 0, for z = sum_t c_t 2^(width t) over t < n with
+    every c_t in [-2^(width-1), 2^(width-1)).
+
+    Adding h = sum_t 2^(width-1) 2^(width t) moves every digit into
+    [0, 2^width) without carries, and flipping bit width - 1 of each digit
+    (xor h) then leaves 0 exactly where c_t = 0."""
+    h = ((1 << (width * n)) - 1) // ((1 << width) - 1) << (width - 1)
+    u = (z + h) ^ h
+    out = []
+    while u:
+        t = ((u & -u).bit_length() - 1) // width
+        out.append(t)
+        u >>= width * (t + 1)
+        u <<= width * (t + 1)
+    return out
 
 
 def grading_to_json(gr: Grading, component_images: Sequence[GroupElem] | None = None) -> dict:

@@ -176,86 +176,110 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
     Returns (S, V) with S = U m V diagonal for a unimodular U that is not
     computed, V unimodular, and nonnegative diagonal entries satisfying
-    d1 | d2 | ...  Pivoting always selects the smallest nonzero entry, which
-    keeps coefficient growth tame at the ranks this library targets.
+    d1 | d2 | ...  Pivoting always selects the smallest nonzero entry (the
+    first in row-major order among equals), which keeps coefficient growth
+    tame at the ranks this library targets.
+
+    The rows of S are held sparse, as {column: entry}, and V by columns, so
+    the work follows the nonzero entries; a relation matrix of the grading
+    has three per row.  Before pivot t the first t rows and columns are
+    diagonal, so the pivot search sees rows t.. only; and a column
+    operation comes after column t is cleared below the pivot, so it
+    changes row t of S and V and nothing else.  A pivot of 1 divides every
+    entry, so its divisibility scan is skipped.  The operations and their
+    order are those of the dense elimination, so S and V are too.
     """
     nr, nc = m.rows, m.cols
-    s = [list(r) for r in m.entries]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    s = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
+    # vcols[j] is column j of V, as {row: entry}
+    vcols = [{j: 1} for j in range(nc)]
 
-    def row_sub(i, j, q):
-        s[i] = [a - q * b for a, b in zip(s[i], s[j])]
-
-    def col_sub(i, j, q):
-        for r in s:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-
-    def swap_cols(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+    def add_multiple(dst: dict, src: dict, q: int):
+        # dst += q src, dropping the entries that cancel
+        for j, x in src.items():
+            y = dst.get(j, 0) + q * x
+            if y:
+                dst[j] = y
+            else:
+                del dst[j]
 
     t = 0
     while t < min(nr, nc):
-        best = None
+        # the first row holding the smallest |entry|, and its first column
+        # holding it; no entry is below 1
+        least, i0 = 0, t
         for i in range(t, nr):
-            for j in range(t, nc):
-                if s[i][j] and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
-        while True:
-            if s[t][t] < 0:
-                s[t] = [-x for x in s[t]]
-            piv = s[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                if s[i][t]:
-                    row_sub(i, t, s[i][t] // piv)
-                    if s[i][t]:
-                        dirty = True
-            if dirty:
-                live = [i for i in range(t + 1, nr) if s[i][t]]
-                i0 = min(live, key=lambda i: abs(s[i][t]))
-                swap_rows(t, i0)
-                continue
-            for j in range(t + 1, nc):
-                if s[t][j]:
-                    col_sub(j, t, s[t][j] // piv)
-                    if s[t][j]:
-                        dirty = True
-            if dirty:
-                live = [j for j in range(t + 1, nc) if s[t][j]]
-                j0 = min(live, key=lambda j: abs(s[t][j]))
-                swap_cols(t, j0)
-                continue
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if s[i][j] % piv:
-                        offender = i
+            if s[i]:
+                x = min(map(abs, s[i].values()))
+                if not least or x < least:
+                    least, i0 = x, i
+                    if x == 1:
                         break
-                if offender is not None:
-                    break
+        if not least:
+            break
+        j0 = min(j for j, x in s[i0].items() if abs(x) == least)
+        while True:
+            if i0 != t:
+                s[t], s[i0] = s[i0], s[t]
+            if j0 != t:
+                for r in s[t:]:
+                    if t in r or j0 in r:
+                        x, y = r.pop(t, 0), r.pop(j0, 0)
+                        if y:
+                            r[t] = y
+                        if x:
+                            r[j0] = x
+                vcols[t], vcols[j0] = vcols[j0], vcols[t]
+            i0 = j0 = t
+            row = s[t]
+            if row[t] < 0:
+                for j in row:
+                    row[j] = -row[j]
+            piv = row[t]
+            live = []
+            for i in range(t + 1, nr):
+                x = s[i].get(t)
+                if x:
+                    q = x // piv
+                    if q:
+                        add_multiple(s[i], row, -q)
+                    if t in s[i]:
+                        live.append(i)
+            if live:
+                i0 = min(live, key=lambda i: abs(s[i][t]))
+                continue
+            for j in sorted(j for j in row if j > t):
+                q = row[j] // piv
+                if q:
+                    y = row[j] - q * piv
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                    add_multiple(vcols[j], vcols[t], -q)
+            live = sorted(j for j in row if j > t)
+            if live:
+                j0 = min(live, key=lambda j: abs(row[j]))
+                continue
+            if piv == 1:
+                break
+            offender = next(
+                (i for i in range(t + 1, nr) if any(x % piv for x in s[i].values())), None
+            )
             if offender is None:
                 break
             # pull the offending row up so the next pass shrinks the pivot
-            s[t] = [a + b for a, b in zip(s[t], s[offender])]
+            add_multiple(row, s[offender], 1)
         t += 1
-    return (
-        IntMatrix(tuple(tuple(r) for r in s), nc),
-        IntMatrix(tuple(tuple(r) for r in v), nc),
-    )
+    srows = [[0] * nc for _ in range(nr)]
+    for row, r in zip(srows, s):
+        for j, x in r.items():
+            row[j] = x
+    vrows = [[0] * nc for _ in range(nc)]
+    for j, c in enumerate(vcols):
+        for i, x in c.items():
+            vrows[i][j] = x
+    return IntMatrix(tuple(map(tuple, srows)), nc), IntMatrix(tuple(map(tuple, vrows)), nc)
 
 
 def rank(m: IntMatrix) -> int:
@@ -362,6 +386,71 @@ class SublatticeBasis:
 
     def is_saturated(self) -> bool:
         return self == self.saturation()
+
+
+class EchelonSpan:
+    """A growing sublattice of Z^n, held as rows in echelon form: one row
+    per pivot column, zero left of its positive pivot.
+
+    A vector is reduced against the rows in pivot order: at a pivot column
+    the row's coefficient is forced, so the vector is a member exactly when
+    each division there is exact and nothing is left.  Adding a vector
+    reduces it the same way, and where a division is not exact one extended
+    gcd step, a unimodular change of the two rows, leaves the gcd at the
+    pivot and clears the column of the vector, which goes on.  The span is
+    all of Z^n exactly when it has n pivots, all 1."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows: dict[int, list[int]] = {}
+        self.unit_pivots = 0
+
+    def _reduce(self, v: Sequence[int], insert: bool) -> bool:
+        t = list(v)
+        for c in range(self.n):
+            x = t[c]
+            if not x:
+                continue
+            row = self.rows.get(c)
+            if row is None:
+                if insert:
+                    self.rows[c] = t if x > 0 else [-a for a in t]
+                    self.unit_pivots += abs(x) == 1
+                return False
+            p = row[c]
+            q, r = divmod(x, p)
+            if r:
+                if not insert:
+                    return False
+                g, a, b = _xgcd(p, x)
+                self.rows[c] = [a * u + b * w for u, w in zip(row, t)]
+                self.unit_pivots += g == 1
+                p, q = p // g, x // g
+                t = [p * w - q * u for u, w in zip(row, t)]
+            else:
+                t = [w - q * u for u, w in zip(row, t)]
+        return True
+
+    def contains(self, v: Sequence[int]) -> bool:
+        return self._reduce(v, False)
+
+    def add(self, v: Sequence[int]) -> None:
+        self._reduce(v, True)
+
+    @property
+    def full(self) -> bool:
+        return self.unit_pivots == self.n
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x a + y b > 0."""
+    x, nx, y, ny = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+    return (a, x, y) if a > 0 else (-a, -x, -y)
 
 
 def kernel_saturated(m: IntMatrix) -> SublatticeBasis:

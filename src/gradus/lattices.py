@@ -30,13 +30,9 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    AmbiguousZero,
-    EnumerationBudgetExceeded,
-    EscalationNeeded,
-    NoMorphism,
-)
+from .errors import AmbiguousZero, EnumerationBudgetExceeded, EscalationNeeded
 from .intlinalg import (
+    EchelonSpan,
     IntMatrix,
     SublatticeBasis,
     Vec,
@@ -272,13 +268,6 @@ def enumerate_up_to(g: GramForm, limit: int, cap: int = 10**6) -> list[Vec]:
     return [v for _, v in found]
 
 
-def is_decomposition(g: GramForm, z: Sequence[int], x: Sequence[int], y: Sequence[int]) -> bool:
-    """Whether (x, y) decomposes z: z = x + y exactly and <x, y> >= 0."""
-    if tuple(z) != tuple(a + b for a, b in zip(x, y, strict=True)):
-        return False
-    return is_nonneg(g, inner(g, x, y))
-
-
 def search_centred_ball(g: GramForm, v: Sequence[int], visit) -> bool:
     """Call visit(x) on every lattice vector x with <x, v - x> >= 0, and
     possibly on a few more, until visit returns True; return whether it did.
@@ -331,9 +320,11 @@ def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
     visited in increasing norm; a vector already in the Z-span of the
     indecomposables kept so far is skipped, any other is tested with
     `is_indecomposable` and kept when it passes, and the walk stops once the
-    kept span has index 1.  A kept vector joins, in one class, every class
-    with a member it has a nonzero inner product with, so the classes are
-    the connected components of the kept vectors when the walk ends.
+    kept span has index 1.  The span is an `EchelonSpan`, so a kept vector
+    costs one insertion and a visited one a reduction.  A kept vector
+    joins, in one class, every class with a member it has a nonzero inner
+    product with, so the classes are the connected components of the kept
+    vectors when the walk ends.
 
     The kept vectors span every visited vector: a decomposable v = x + y has
     |x|^2 = |v|^2 - |y|^2 - 2<x, y> <= |v|^2 - lambda_1 and likewise for y,
@@ -346,18 +337,17 @@ def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
     split the lattice with index 1, guards against a wrong numeric verdict.
     """
     n = g.n
-    full = SublatticeBasis.full(n)
     bound = max((norm(g, r) for r in g.reduction[0].entries), default=0)
     classes: list[list[Vec]] = []
-    span = SublatticeBasis.zero(n)
+    span = EchelonSpan(n)
     for v in enumerate_up_to(g, bound, cap):
-        if span == full:
+        if span.full:
             break
         if not span.contains(v) and is_indecomposable(g, v):
             met = [any(not is_zero(g, inner(g, u, v)) for u in c) for c in classes]
             joined = [v] + [u for c, m in zip(classes, met) if m for u in c]
             classes = [c for c, m in zip(classes, met) if not m] + [joined]
-            span = SublatticeBasis.from_vectors(n, span.vectors() + (v,))
+            span.add(v)
     components = sorted(
         (SublatticeBasis.from_vectors(n, c) for c in classes), key=lambda c: min(c.vectors())
     )
@@ -370,29 +360,3 @@ def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
             "a zero test was likely misclassified"
         ) from exc
     return dec
-
-
-def component_refinement_map(
-    dec: SDecomposition, coarser: Sequence[SublatticeBasis]
-) -> list[int]:
-    """For each component of dec, the index of the coarser part containing
-    it; the coarser parts must each be the sum of the components they
-    receive.  This is the defining universality witness of the splitting."""
-    assignment = []
-    for comp in dec.components:
-        hits = [t for t, m in enumerate(coarser) if m.contains_sublattice(comp)]
-        if len(hits) != 1:
-            raise NoMorphism(
-                f"component is contained in {len(hits)} parts of the coarser splitting"
-            )
-        assignment.append(hits[0])
-    for t, m in enumerate(coarser):
-        rows = [
-            v
-            for s, comp in enumerate(dec.components)
-            if assignment[s] == t
-            for v in comp.vectors()
-        ]
-        if SublatticeBasis.from_vectors(dec.ambient_rank, rows) != m:
-            raise NoMorphism("coarser part is not the sum of the components mapped to it")
-    return assignment

@@ -252,9 +252,13 @@ def regular_matrix(a: Order, x: Sequence[int]) -> IntMatrix:
 
 def trace_vector(a: Order) -> Vec:
     """The trace functional t: t[m] is the trace of M_{e_m}, so that
-    t . coords(x) is the trace of M_x."""
-    n = a.rank
-    return tuple(sum(a.table[m][j][j] for j in range(n)) for m in range(n))
+    t . coords(x) is the trace of M_x.  Kept on the order object."""
+    if "trace_vector" not in a.derived:
+        n = a.rank
+        a.derived["trace_vector"] = tuple(
+            sum(a.table[m][j][j] for j in range(n)) for m in range(n)
+        )
+    return a.derived["trace_vector"]
 
 
 def charpoly_rows(a: Order, z: Sequence[int]) -> tuple[Vec, tuple[Vec, ...]]:

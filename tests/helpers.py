@@ -136,22 +136,40 @@ def oracle_short_vectors(gram, bound):
 
 
 def oracle_ball_points(gram, v):
-    """All integer x with <x, v - x> >= 0 under an integer form, by scanning
-    an explicit coordinate box: these are the points of the ball
-    |x - v/2|^2 <= |v|^2/4, whose i-th coordinate lies within
-    sqrt(|v|^2/4 * inv[i][i]) of v_i/2."""
+    """All integer x with <x, v - x> >= 0 under an integer form: the points
+    of the ball |x - v/2|^2 <= |v|^2/4, kept by that exact test from a scan
+    that covers the ball.
+
+    With the exact LDL data of the form (`frac_ldl`), y = x - v/2 has
+    |y|^2 = sum_j d_j (y_j + sum_{i>j} mu_ij y_i)^2.  The scan fixes x from
+    its last coordinate: once the coordinates above j are fixed, a point of
+    the ball has y_j within sqrt(R/d_j) of -sum_{i>j} mu_ij y_i, R the part
+    of the radius^2 that the fixed terms leave, and R never drops below 0.
+    So the scan is a box per coordinate, as wide as the ball's slice there
+    and not as the whole ball's shadow, which for a thin ball holds many
+    more lattice points than the ball."""
     n = len(gram)
-    inv = frac_inverse(gram)
-    r2 = Fraction(quad_form(gram, v), 4)
-    box = []
-    for i in range(n):
-        lim = isqrt(int(r2 * inv[i][i])) + 1
-        box.append(range(v[i] // 2 - lim, -(-v[i] // 2) + lim + 1))
-    return {
-        x
-        for x in itertools.product(*box)
-        if dot_form(gram, x, [a - b for a, b in zip(v, x)]) >= 0
-    }
+    d, mu = frac_ldl(gram)
+    c = [Fraction(a, 2) for a in v]
+    x = [0] * n
+    out = set()
+
+    def scan(j, budget):
+        if j < 0:
+            p = tuple(x)
+            if dot_form(gram, p, [a - b for a, b in zip(v, p)]) >= 0:
+                out.add(p)
+            return
+        centre = c[j] - sum(mu[i][j] * (x[i] - c[i]) for i in range(j + 1, n))
+        lim = isqrt(floor(budget / d[j])) + 1
+        for xj in range(floor(centre) - lim, floor(centre) + lim + 2):
+            rest = budget - d[j] * (xj - centre) ** 2
+            if rest >= 0:
+                x[j] = xj
+                scan(j - 1, rest)
+
+    scan(n - 1, Fraction(quad_form(gram, v), 4))
+    return out
 
 
 def frac_ldl(gram):
@@ -694,3 +712,125 @@ def oracle_lll(g):
         for i in range(n)
     ]
     return [tuple(row) for row in basis], D, M
+
+
+def dense_snf(m):
+    """Smith normal form on dense rows: the elimination of `intlinalg.snf`
+    (smallest pivot first in row-major order, rows then columns cleared,
+    offending rows pulled up), with every operation applied to the whole
+    matrix.  Returns (S, V) as IntMatrix values."""
+    from gradus.intlinalg import IntMatrix
+
+    nr, nc = m.rows, m.cols
+    s = [list(r) for r in m.entries]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_sub(i, j, q):
+        s[i] = [a - q * b for a, b in zip(s[i], s[j])]
+
+    def col_sub(i, j, q):
+        for r in s:
+            r[i] -= q * r[j]
+        for r in v:
+            r[i] -= q * r[j]
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+
+    def swap_cols(i, j):
+        for r in s:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    t = 0
+    while t < min(nr, nc):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if s[i][j] and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        if best[0] != t:
+            swap_rows(t, best[0])
+        if best[1] != t:
+            swap_cols(t, best[1])
+        while True:
+            if s[t][t] < 0:
+                s[t] = [-x for x in s[t]]
+            piv = s[t][t]
+            dirty = False
+            for i in range(t + 1, nr):
+                if s[i][t]:
+                    row_sub(i, t, s[i][t] // piv)
+                    if s[i][t]:
+                        dirty = True
+            if dirty:
+                live = [i for i in range(t + 1, nr) if s[i][t]]
+                swap_rows(t, min(live, key=lambda i: abs(s[i][t])))
+                continue
+            for j in range(t + 1, nc):
+                if s[t][j]:
+                    col_sub(j, t, s[t][j] // piv)
+                    if s[t][j]:
+                        dirty = True
+            if dirty:
+                live = [j for j in range(t + 1, nc) if s[t][j]]
+                swap_cols(t, min(live, key=lambda j: abs(s[t][j])))
+                continue
+            offender = next(
+                (i for i in range(t + 1, nr) for j in range(t + 1, nc) if s[i][j] % piv), None
+            )
+            if offender is None:
+                break
+            s[t] = [a + b for a, b in zip(s[t], s[offender])]
+        t += 1
+    return (
+        IntMatrix(tuple(tuple(r) for r in s), nc),
+        IntMatrix(tuple(tuple(r) for r in v), nc),
+    )
+
+
+def oracle_product_table(a, dec):
+    """The products of the splitting vectors of dec on the splitting, entry
+    [i][j] for rows i and i + j, each formed with `orders.mul` and mapped
+    by `SDecomposition.inverse`."""
+    from gradus.orders import mul
+
+    rows = [v for c in dec.components for v in c.vectors()]
+    return [[dec.inverse.vec_mat(mul(a, x, y)) for y in rows[i:]] for i, x in enumerate(rows)]
+
+
+def is_decomposition(g, z, x, y):
+    """Whether (x, y) decomposes z under the form g: z = x + y exactly and
+    <x, y> >= 0."""
+    from gradus.embeddings import inner, is_nonneg
+
+    if tuple(z) != tuple(a + b for a, b in zip(x, y, strict=True)):
+        return False
+    return is_nonneg(g, inner(g, x, y))
+
+
+def component_refinement_map(dec, coarser):
+    """For each component of dec, the index of the coarser part containing
+    it; the coarser parts must each be the sum of the components they
+    receive, else NoMorphism.  This is the universality witness of the
+    splitting."""
+    from gradus.errors import NoMorphism
+    from gradus.intlinalg import SublatticeBasis
+
+    assignment = []
+    for comp in dec.components:
+        hits = [t for t, m in enumerate(coarser) if m.contains_sublattice(comp)]
+        if len(hits) != 1:
+            raise NoMorphism(
+                f"component is contained in {len(hits)} parts of the coarser splitting"
+            )
+        assignment.append(hits[0])
+    for t, m in enumerate(coarser):
+        comps = [comp for s, comp in enumerate(dec.components) if assignment[s] == t]
+        rows = [v for comp in comps for v in comp.vectors()]
+        if SublatticeBasis.from_vectors(dec.ambient_rank, rows) != m:
+            raise NoMorphism("coarser part is not the sum of the components mapped to it")
+    return assignment

@@ -53,7 +53,9 @@ def test_queries_on_one_order_share_one_context(monkeypatch):
     assert len(idempotents(a)) == 2
     assert len(emb) == 1
     assert len(lll) == 1
-    assert len(nil) == 1
+    # a squarefree characteristic polynomial of the splitting element
+    # proves the order reduced, so no nilradical is computed
+    assert nil == []
 
 
 @pytest.mark.parametrize("name", ["zc4", "zxz"])

@@ -30,7 +30,13 @@ from gradus.grading import (
 from gradus.intlinalg import SublatticeBasis
 from gradus.orders import group_ring, nilradical
 
-from helpers import dual_numbers_grading, quadratic_grading, random_hom, rebased
+from helpers import (
+    dual_numbers_grading,
+    oracle_product_table,
+    quadratic_grading,
+    random_hom,
+    rebased,
+)
 
 
 def test_finabgroup_normalization():
@@ -128,21 +134,61 @@ REBASED_ORDERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REBASED_ORDERS))
-def test_universal_grading_forms_each_product_of_splitting_vectors_once(monkeypatch, name):
-    a = rebased(REBASED_ORDERS[name](), name)
+def counting(monkeypatch, module, name):
     calls = []
-    raw = orders._mul_raw
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
-        return raw(*args)
+        return real(*args)
 
-    monkeypatch.setattr(orders, "_mul_raw", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(REBASED_ORDERS))
+def test_universal_grading_forms_each_product_of_splitting_vectors_once(monkeypatch, name):
+    # one product matrix per splitting vector, every product read off one
+    # of them, and none formed in the order: a product formed twice would
+    # cost a second matrix or a call of the order's product
+    a = rebased(REBASED_ORDERS[name](), name)
+    matrices = counting(monkeypatch, grading, "_product_matrix")
+    products = counting(monkeypatch, orders, "_mul_raw")
     go = universal_grading(a)
-    n = a.rank
-    assert len(calls) == n * (n + 1) // 2
+    rows = [v for c in go.decomposition.components for v in c.vectors()]
+    assert sorted(x for x, _ in matrices) == sorted(rows)
+    assert len(matrices) == a.rank
+    assert products == []
     assert verify_grading(a, go.grading).ok
+
+
+def unpack(z, n, width):
+    """The balanced base-2^width digits of z, least significant first."""
+    out = []
+    for _ in range(n):
+        c = z % (1 << width)
+        if c >= 1 << (width - 1):
+            c -= 1 << width
+        out.append(c)
+        z = (z - c) >> width
+    assert z == 0
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_product_table_equals_the_products_formed_in_the_order(seed):
+    cases = [group_ring(group)[0] for group in ([8], [2, 2, 2], [3, 3], [2, 6])]
+    cases += [rebased(a, seed) for a in cases]
+    cases += [rebased(make(), seed) for make in REBASED_ORDERS.values()]
+    for a in cases:
+        dec = universal_grading(a).decomposition
+        rows = [v for c in dec.components for v in c.vectors()]
+        table, width = grading._product_table(a, rows, dec.inverse)
+        n = len(rows)
+        got = [[unpack(z, n, width) for z in row] for row in table]
+        assert got == oracle_product_table(a, dec)
+        supports = [[grading._nonzero_digits(z, n, width) for z in row] for row in table]
+        assert supports == [[[m for m, c in enumerate(p) if c] for p in row] for row in got]
 
 
 @pytest.mark.parametrize("name", ["zc4", "zc2c2", "kummer6", "zsqrt2"])

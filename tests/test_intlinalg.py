@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradus.errors import InfiniteIndex
 from gradus.intlinalg import (
+    EchelonSpan,
     IntMatrix,
     SublatticeBasis,
     direct_sum_index,
@@ -16,7 +17,13 @@ from gradus.intlinalg import (
     solve_left,
 )
 
-from helpers import matmul, oracle_hnf, oracle_invariant_factors, random_unimodular
+from helpers import (
+    dense_snf,
+    matmul,
+    oracle_hnf,
+    oracle_invariant_factors,
+    random_unimodular,
+)
 
 
 @st.composite
@@ -114,6 +121,76 @@ def test_snf_reconstructs_divides_and_matches_oracle(m):
         else:
             assert b == 0
     assert diag == oracle_invariant_factors(m.entries, m.cols)
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=8, max_cols=6):
+    """Mostly zero matrices, zero rows among them, whose entries often
+    leave a pivot that divides neither the rest of its row nor some later
+    row, so the elimination takes the offending-row path."""
+    r = draw(st.integers(0, max_rows))
+    c = draw(st.integers(1, max_cols))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, 4, -6, 9])
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    return IntMatrix.from_rows(rows, c)
+
+
+@st.composite
+def relation_matrices(draw, max_gens=7):
+    """Relation matrices of a universal grading: one row e_s1 + e_s2 - e_s3
+    per triple, which is 2 e_s - e_t or e_s when indices repeat, and some
+    rows twice."""
+    k = draw(st.integers(1, max_gens))
+    index = st.integers(0, k - 1)
+    rows = []
+    for s1, s2, s3 in draw(st.lists(st.tuples(index, index, index), max_size=14)):
+        rel = [0] * k
+        rel[s1] += 1
+        rel[s2] += 1
+        rel[s3] -= 1
+        rows.append(rel)
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return IntMatrix.from_rows(rows, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(max_dim=6), sparse_matrices(), relation_matrices()))
+@example(IntMatrix.from_rows([[2, 0], [0, 3]]))  # the offending row is pulled up
+@example(IntMatrix.from_rows([[0, 0, 0], [0, 4, 6], [0, 0, 0], [6, 0, 9]]))
+@example(IntMatrix.from_rows([[2, -1, 0], [2, -1, 0], [0, 2, -1], [-1, 0, 2]]))
+@example(IntMatrix.zeros(0, 3))
+def test_snf_equals_the_dense_elimination(m):
+    # the sparse elimination performs the dense one's operations in its
+    # order, so S and V (and with V every generator map) agree exactly
+    assert snf(m) == dense_snf(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_echelon_span_agrees_with_the_hermite_span(n, data):
+    vector = st.tuples(*[st.integers(-4, 4)] * n)
+    span, kept = EchelonSpan(n), []
+    full = SublatticeBasis.full(n)
+    for v in data.draw(st.lists(vector, max_size=8)):
+        ref = SublatticeBasis.from_vectors(n, kept)
+        for w in data.draw(st.lists(vector, max_size=4)) + [v, tuple(2 * x for x in v)]:
+            assert span.contains(w) == ref.contains(w)
+        assert span.full == (ref == full)
+        span.add(v)
+        kept.append(v)
+    ref = SublatticeBasis.from_vectors(n, kept)
+    assert span.full == (ref == full)
+    assert SublatticeBasis.from_vectors(n, span.rows.values()) == ref
+
+
+def test_echelon_span_fills_only_at_index_one():
+    span = EchelonSpan(2)
+    span.add((2, 0))
+    span.add((0, 1))
+    assert not span.full and not span.contains((1, 0))
+    span.add((3, 1))  # gcd(2, 3) = 1 at the first pivot
+    assert span.full and span.contains((1, 0))
 
 
 def test_kernel_trivial_cases():

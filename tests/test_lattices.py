@@ -29,9 +29,7 @@ from gradus.examples import example_names, example_order
 from gradus.intlinalg import SublatticeBasis
 from gradus.lattices import (
     FP_BITS,
-    component_refinement_map,
     enumerate_up_to,
-    is_decomposition,
     is_indecomposable,
     LLL_DELTA,
     SDecomposition,
@@ -45,8 +43,10 @@ from gradus.orders import group_ring, is_reduced
 from helpers import (
     SMALL_RINGS,
     as_mpc,
+    component_refinement_map,
     dot_form,
     frac_ldl,
+    is_decomposition,
     oracle_ball_points,
     oracle_finest_orthogonal_partition,
     oracle_gram_entries,
@@ -483,9 +483,17 @@ def check_ball_search(gm, scale, v):
 @given(pd_grams(max_dim=4), SCALES, st.data())
 def test_centred_search_visits_every_ball_point(gm, scale, data):
     # 0 and v lie exactly on the sphere, and tolerance 0 leaves no margin;
-    # v stays short because the oracle scans a box around v/2
+    # v stays short because the oracle scans boxes around v/2
     v = data.draw(st.tuples(*[st.integers(-2, 2)] * len(gm)))
     check_ball_search(gm, scale, v)
+
+
+@pytest.mark.parametrize("scale", [1, 1 << 64, 1 << 1200], ids=["1", "2^64", "2^1200"])
+def test_centred_search_visits_every_point_of_a_thin_ball(scale):
+    # a draw of the test above: the coordinate box around this ball holds
+    # about 786,000 points and the ball 1,976
+    gm = [[4, 4, 4, -2], [4, 5, 6, -1], [4, 6, 9, -2], [-2, -1, -2, 7]]
+    assert len(check_ball_search(gm, scale, (-2, -2, -1, -1))) == 1976
 
 
 @pytest.mark.parametrize("bits", [1, 2])
