@@ -193,7 +193,8 @@ def cmd_decompose(args, config: RunConfig) -> int:
     try:
         dec = universal_s_decomposition(g, config.enumeration_cap)
     except EscalationNeeded as exc:
-        # a raw Gram matrix cannot be recomputed at higher precision
+        # decompose reads the document once, at --precision, and does not
+        # escalate yet
         raise PrecisionExhausted(str(exc)) from exc
     data = {
         "ambient_rank": dec.ambient_rank,

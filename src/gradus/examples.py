@@ -24,32 +24,15 @@ from .orders import (
 
 
 def _tensor_order(a: Order, b: Order) -> Order:
-    """Tensor product over the integers on the paired basis (i, j) -> e_i x f_j."""
-    n, m = a.rank, b.rank
-    total = n * m
+    """Tensor product over the integers on the paired basis (i, j) -> e_i x f_j,
+    numbered i * b.rank + j, so every cell and the identity are Kronecker
+    products of those of the factors."""
 
-    def idx(i, j):
-        return i * m + j
+    def kron(u, v):
+        return tuple(x * y for x in u for y in v)
 
-    table = [[None] * total for _ in range(total)]
-    for i1 in range(n):
-        for j1 in range(m):
-            for i2 in range(n):
-                for j2 in range(m):
-                    cell = [0] * total
-                    ac = a.table[i1][i2]
-                    bc = b.table[j1][j2]
-                    for i3 in range(n):
-                        if not ac[i3]:
-                            continue
-                        for j3 in range(m):
-                            if bc[j3]:
-                                cell[idx(i3, j3)] = ac[i3] * bc[j3]
-                    table[idx(i1, j1)][idx(i2, j2)] = tuple(cell)
-    one = [0] * total
-    for i in range(n):
-        for j in range(m):
-            one[idx(i, j)] = a.one[i] * b.one[j]
+    pairs = [(i, j) for i in range(a.rank) for j in range(b.rank)]
+    table = [[kron(a.table[i1][i2], b.table[j1][j2]) for i2, j2 in pairs] for i1, j1 in pairs]
     labels = None
     if a.labels and b.labels:
         labels = [
@@ -57,7 +40,7 @@ def _tensor_order(a: Order, b: Order) -> Order:
             for la in a.labels
             for lb in b.labels
         ]
-    return validate(table, one, labels)
+    return validate(table, kron(a.one, b.one), labels)
 
 
 def _integers() -> Order:

@@ -32,7 +32,6 @@ from .intlinalg import (
     SublatticeBasis,
     Vec,
     direct_sum_index,
-    hnf,
     snf,
     solve_left,
     vec_add,
@@ -97,13 +96,16 @@ class FinAbGroup:
 
     def generated_by(self, elems: Iterable[Sequence[int]]) -> bool:
         r = len(self.invariant_factors)
-        if r == 0:
-            return True
-        rows = [tuple(e) for e in elems]
-        rows += [vec_scale(d, g) for d, g in zip(self.invariant_factors, self.generators())]
-        h, _ = hnf(IntMatrix.from_rows(rows, r))
-        pivots = [next((x for x in row if x), 0) for row in h.entries if any(row)]
-        return len(pivots) == r and prod(pivots) == 1
+        span = SublatticeBasis.from_vectors(r, _relation_rows(self, elems))
+        return span == SublatticeBasis.full(r)
+
+
+def _relation_rows(group: FinAbGroup, elems: Iterable[Sequence[int]]) -> list[Vec]:
+    """The elements as integer rows, then d_i g_i per invariant factor d_i:
+    their integer span is the preimage in Z^r of the subgroup the elements
+    generate."""
+    rows = [tuple(e) for e in elems]
+    return rows + [vec_scale(d, g) for d, g in zip(group.invariant_factors, group.generators())]
 
 
 @dataclass(frozen=True)
@@ -343,11 +345,7 @@ def find_morphism(u: GradedOrder, c: Grading) -> GroupHom:
     if r == 0:
         images: tuple[GroupElem, ...] = ()
     else:
-        rows = [tuple(e) for e in support]
-        rows += [
-            vec_scale(d, g) for d, g in zip(gam.invariant_factors, gam.generators())
-        ]
-        m = IntMatrix.from_rows(rows, r)
+        m = IntMatrix.from_rows(_relation_rows(gam, support), r)
         image_list = []
         for gen in gam.generators():
             sol = solve_left(m, gen)

@@ -35,10 +35,6 @@ def vec_scale(k: int, u: Sequence[int]) -> Vec:
     return tuple(k * a for a in u)
 
 
-def is_zero_vec(u: Sequence[int]) -> bool:
-    return not any(u)
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable row-major integer matrix.
@@ -92,30 +88,6 @@ class IntMatrix:
                 for j, r in enumerate(row):
                     out[j] += k * r
         return tuple(out)
-
-
-def stack(mats: Sequence[IntMatrix], cols: int | None = None) -> IntMatrix:
-    if mats:
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
-            raise ValueError("stacked matrices must share a column count")
-    elif cols is None:
-        raise ValueError("empty stack needs an explicit column count")
-    rows: list[Vec] = []
-    for m in mats:
-        rows.extend(m.entries)
-    return IntMatrix(tuple(rows), cols)
-
-
-def _pivots(h: IntMatrix) -> list[tuple[int, int]]:
-    """(row, col) of each pivot of a matrix in row echelon form."""
-    out = []
-    for i, r in enumerate(h.entries):
-        for j, x in enumerate(r):
-            if x:
-                out.append((i, j))
-                break
-    return out
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -282,28 +254,34 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix(tuple(map(tuple, srows)), nc), IntMatrix(tuple(map(tuple, vrows)), nc)
 
 
-def rank(m: IntMatrix) -> int:
-    h, _ = hnf(m)
-    return len(_pivots(h))
+def _hermite_coordinates(rows: Sequence[Vec], v: Sequence[int]) -> Vec | None:
+    """Coordinates of v on nonzero rows in Hermite form, or None when v is
+    not in their span.  Each coordinate is forced by its row's pivot: v is
+    reduced pivot by pivot, and it is a member exactly when nothing is
+    left."""
+    t = [int(x) for x in v]
+    coords = []
+    for row in rows:
+        c = next(j for j, x in enumerate(row) if x)
+        q = t[c] // row[c]
+        coords.append(q)
+        if q:
+            t = [a - q * b for a, b in zip(t, row)]
+    return None if any(t) else tuple(coords)
 
 
 def solve_left(m: IntMatrix, target: Sequence[int]) -> Vec | None:
-    """An integer row vector x with x m = target, or None."""
+    """An integer row vector x with x m = target, or None: target is
+    reduced on the nonzero rows of H = U m, and its coordinates y there
+    give x = y U."""
     if len(target) != m.cols:
         raise ValueError("target length does not match column count")
     h, u = hnf(m)
-    t = list(int(x) for x in target)
-    y = [0] * m.rows
-    for r, c in _pivots(h):
-        if t[c] % h.entries[r][c]:
-            return None
-        q = t[c] // h.entries[r][c]
-        if q:
-            y[r] = q
-            t = [a - q * b for a, b in zip(t, h.entries[r])]
-    if any(t):
+    rows = tuple(r for r in h.entries if any(r))
+    y = _hermite_coordinates(rows, target)
+    if y is None:
         return None
-    return u.vec_mat(y)
+    return u.vec_mat(y + (0,) * (m.rows - len(rows)))
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
@@ -353,20 +331,10 @@ class SublatticeBasis:
 
     def coordinates_of(self, v: Sequence[int]) -> Vec | None:
         """Coordinates of v on the basis rows, or None when v is not in the
-        sublattice.  The rows are in Hermite form, so each coordinate is
-        forced by its row's pivot: v is reduced pivot by pivot, and it is a
-        member exactly when nothing is left."""
+        sublattice."""
         if len(v) != self.ambient_rank:
             raise ValueError("vector length does not match the ambient rank")
-        t = [int(x) for x in v]
-        coords = []
-        for row in self.basis.entries:
-            c = next(j for j, x in enumerate(row) if x)
-            q = t[c] // row[c]
-            coords.append(q)
-            if q:
-                t = [a - q * b for a, b in zip(t, row)]
-        return None if any(t) else tuple(coords)
+        return _hermite_coordinates(self.basis.entries, v)
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coordinates_of(v) is not None
@@ -456,7 +424,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def kernel_saturated(m: IntMatrix) -> SublatticeBasis:
     """Basis of {v : v m = 0}; such a kernel is saturated automatically."""
     h, u = hnf(m)
-    rows = [u.entries[i] for i in range(m.rows) if is_zero_vec(h.entries[i])]
+    rows = [u.entries[i] for i in range(m.rows) if not any(h.entries[i])]
     return SublatticeBasis.from_vectors(m.rows, rows)
 
 
@@ -474,9 +442,8 @@ def direct_sum_index(parts: Sequence[SublatticeBasis], ambient_rank: int) -> int
         raise InfiniteIndex(
             f"part ranks sum to {total}, ambient rank is {ambient_rank}"
         )
-    stacked = stack([p.basis for p in parts], cols=ambient_rank)
-    h, _ = hnf(stacked)
-    pivots = _pivots(h)
-    if len(pivots) != ambient_rank:
+    span = SublatticeBasis.from_vectors(ambient_rank, [v for p in parts for v in p.vectors()])
+    if span.rank != ambient_rank:
         raise InfiniteIndex("sum of parts does not have full rank")
-    return prod(h.entries[r][c] for r, c in pivots)
+    # at full rank the Hermite pivots are the diagonal
+    return prod(span.basis.entries[i][i] for i in range(ambient_rank))

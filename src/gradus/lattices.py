@@ -30,6 +30,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
+from .config import DEFAULT_CONFIG
 from .errors import AmbiguousZero, EnumerationBudgetExceeded, EscalationNeeded
 from .intlinalg import (
     EchelonSpan,
@@ -37,7 +38,6 @@ from .intlinalg import (
     SublatticeBasis,
     Vec,
     inverse_unimodular,
-    stack,
     vec_neg,
     vec_sub,
 )
@@ -70,14 +70,14 @@ class SDecomposition:
 
     ambient_rank: int
     components: tuple[SublatticeBasis, ...]
-    gram: GramForm
 
     @functools.cached_property
     def inverse(self) -> IntMatrix:
         """Inverse of the stacked component bases: x = c . stack exactly
         when c = inverse.vec_mat(x).  Raises ValueError unless the
         components split the lattice with index 1."""
-        return inverse_unimodular(stack([c.basis for c in self.components], self.ambient_rank))
+        rows = [v for c in self.components for v in c.vectors()]
+        return inverse_unimodular(IntMatrix.from_rows(rows, self.ambient_rank))
 
 
 def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]]:
@@ -234,7 +234,9 @@ def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
         del descend
 
 
-def enumerate_up_to(g: GramForm, limit: int, cap: int = 10**6) -> list[Vec]:
+def enumerate_up_to(
+    g: GramForm, limit: int, cap: int = DEFAULT_CONFIG.enumeration_cap
+) -> list[Vec]:
     """All nonzero vectors v with norm(g, v) <= limit + tolerance, for an
     integer limit on the grid of g, one representative per +/- pair (the
     lexicographically positive one), in increasing norm and
@@ -309,7 +311,9 @@ def is_indecomposable(g: GramForm, v: Sequence[int]) -> bool:
     return not search_centred_ball(g, v, splits)
 
 
-def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
+def universal_s_decomposition(
+    g: GramForm, cap: int = DEFAULT_CONFIG.enumeration_cap
+) -> SDecomposition:
     """Finest splitting of the lattice into pairwise-orthogonal sublattices.
 
     The finest orthogonal splitting is unique (Eichler), and every
@@ -351,7 +355,7 @@ def universal_s_decomposition(g: GramForm, cap: int = 10**6) -> SDecomposition:
     components = sorted(
         (SublatticeBasis.from_vectors(n, c) for c in classes), key=lambda c: min(c.vectors())
     )
-    dec = SDecomposition(n, tuple(components), g)
+    dec = SDecomposition(n, tuple(components))
     try:
         dec.inverse  # exists exactly when the components split with index 1
     except ValueError as exc:

@@ -77,6 +77,30 @@ def oracle_invariant_factors(rows, cols):
     return out
 
 
+def oracle_det(rows):
+    """Determinant of a square integer matrix by the Leibniz sum."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def oracle_subgroup(group, elems):
+    """The subgroup of a FinAbGroup generated by `elems`, by closure."""
+    gens = [group.reduce(e) for e in elems]
+    out, frontier = {group.identity}, [group.identity]
+    while frontier:
+        new = {group.add(x, g) for x in frontier for g in gens} - out
+        out |= new
+        frontier = list(new)
+    return out
+
+
 def frac_inverse(mat):
     """Exact inverse of a rational square matrix via Gaussian elimination."""
     n = len(mat)

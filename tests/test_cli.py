@@ -242,8 +242,9 @@ def test_decompose_bad_size(tmp_path, capsys):
 
 
 def test_decompose_ambiguous_entry_exits_precision_exhausted(tmp_path, capsys):
-    # off-diagonal inside the ambiguous zero band; a raw matrix cannot be
-    # recomputed at higher precision, so the verdict is exit code 3
+    # off-diagonal inside the ambiguous zero band; decompose reads the
+    # document once, at --precision, and does not escalate yet, so the
+    # verdict is exit code 3
     tiny = "2.3283064365386962890625e-10"  # 2^-32, band at 128 bits is [2^-42, 2^-26]
     doc = {"n": 2, "gram": [["1.0", tiny], [tiny, "1.0"]]}
     path = tmp_path / "gram.json"
@@ -255,10 +256,11 @@ def test_decompose_ambiguous_entry_exits_precision_exhausted(tmp_path, capsys):
 
 def test_decompose_tiny_pivot_against_a_huge_entry_exits_precision_exhausted(tmp_path, capsys):
     # [[2, 1], [1, 2e30 + 1]] is positive definite, but its first pivot, 2,
-    # is below the zero tolerance 2**(-p/3) max|entry| of the form, and a
-    # raw Gram matrix is not recomputed at a higher precision.  The exact
-    # integral Gram form for integer documents (ROADMAP item 4) is meant to
-    # change this expectation to one component.
+    # is below the zero tolerance 2**(-p/3) max|entry| of the form, and
+    # decompose reads the document once, at --precision, and does not
+    # escalate yet.  The exact integral Gram form for integer documents
+    # (ROADMAP item 12), with the splitting of item 5, is meant to change
+    # this expectation to one component.
     doc = {"gram": [["2", "1"], ["1", "2000000000000000000000000000001"]]}
     path = tmp_path / "gram.json"
     path.write_text(json.dumps(doc))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradus import grading, orders
 from gradus.config import RunConfig
@@ -32,6 +33,7 @@ from gradus.orders import group_ring, nilradical
 
 from helpers import (
     dual_numbers_grading,
+    oracle_subgroup,
     oracle_product_table,
     quadratic_grading,
     random_hom,
@@ -56,6 +58,21 @@ def test_finabgroup_arithmetic():
     assert g.smul(3, (1, 2)) == (1, 2)
     assert g.generated_by([(1, 0), (0, 1)])
     assert not g.generated_by([(0, 2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(), (2,), (6,), (2, 4), (3, 3), (2, 2, 2)]).flatmap(
+        lambda f: st.tuples(
+            st.just(f),
+            st.lists(st.tuples(*[st.integers(-7, 7)] * len(f)), max_size=3),
+        )
+    )
+)
+def test_generated_by_agrees_with_the_closure(case):
+    factors, elems = case
+    group = FinAbGroup(factors)
+    assert group.generated_by(elems) == (len(oracle_subgroup(group, elems)) == group.order())
 
 
 def test_grouphom_validation():

@@ -12,7 +12,6 @@ from gradus.intlinalg import (
     hnf,
     inverse_unimodular,
     kernel_saturated,
-    rank,
     snf,
     solve_left,
 )
@@ -20,6 +19,7 @@ from gradus.intlinalg import (
 from helpers import (
     dense_snf,
     matmul,
+    oracle_det,
     oracle_hnf,
     oracle_invariant_factors,
     random_unimodular,
@@ -206,7 +206,7 @@ def test_kernel_annihilates_and_is_maximal(m):
     k = kernel_saturated(m)
     for v in k.vectors():
         assert all(x == 0 for x in m.vec_mat(v))
-    assert k.rank == m.rows - rank(m)
+    assert k.rank == m.rows - SublatticeBasis.from_vectors(m.cols, m.entries).rank
     assert k.is_saturated()
 
 
@@ -220,6 +220,39 @@ def test_direct_sum_index_examples():
         direct_sum_index([e1], 2)
     with pytest.raises(InfiniteIndex):
         direct_sum_index([e1, e1], 2)
+
+
+@st.composite
+def parts_of(draw, max_n=4):
+    """Parts of Z^n, either spans of random vectors or the spans of the
+    consecutive row blocks of a random n x n matrix, whose ranks often add
+    up to n."""
+    n = draw(st.integers(1, max_n))
+    vector = st.tuples(*[st.integers(-3, 3)] * n)
+    if draw(st.booleans()):
+        blocks = draw(st.lists(st.lists(vector, max_size=3), min_size=1, max_size=4))
+    else:
+        rows = draw(st.lists(vector, min_size=n, max_size=n))
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+        bounds = [0, *cuts, n]
+        blocks = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+    return n, [SublatticeBasis.from_vectors(n, b) for b in blocks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts_of())
+@example((2, [SublatticeBasis.from_vectors(2, [(1, 1)]), SublatticeBasis.from_vectors(2, [(2, 2)])]))
+@example((3, [SublatticeBasis.from_vectors(3, [(2, 0, 0), (0, 3, 0)]),
+              SublatticeBasis.from_vectors(3, [(1, 1, 5)])]))
+def test_direct_sum_index_is_the_determinant_of_the_stacked_parts(case):
+    n, parts = case
+    stacked = [v for p in parts for v in p.vectors()]
+    det = oracle_det(stacked) if len(stacked) == n else 0
+    if det:
+        assert direct_sum_index(parts, n) == abs(det)
+    else:
+        with pytest.raises(InfiniteIndex):
+            direct_sum_index(parts, n)
 
 
 def test_solve_left():

@@ -210,7 +210,6 @@ def test_decomposition_inverse_reads_splitting_coordinates():
     index_two = SDecomposition(
         2,
         (SublatticeBasis.from_vectors(2, [(2, 0)]), SublatticeBasis.from_vectors(2, [(0, 1)])),
-        TWO_I,
     )
     with pytest.raises(ValueError):
         index_two.inverse

@@ -255,6 +255,21 @@ def test_integers_roots():
     assert set(report.orders) == {1, 2}
 
 
+def test_sqrt_of_a_mersenne_prime_is_answered_although_every_chi_is_singular_mod_it():
+    # in Z[sqrt P], P = 2^61 - 1, every chi_z = (x - a)^2 - b^2 P has the
+    # discriminant 4 b^2 P = 0 mod P, so a squarefreeness test done only
+    # mod P would skip every splitting element; the test over Q answers
+    p = 2**61 - 1
+    a = monogenic_order([-p, 0, 1])
+    for z in [(3, 1), (-5, 2), (0, 7)]:
+        chi, _ = orders.charpoly_rows(a, z)
+        assert chi[0] == 1 and (chi[1] ** 2 - 4 * chi[2]) % p == 0
+    assert sorted(idempotents(a)) == [(0, 0), (1, 0)]
+    report = roots_of_unity(a)
+    assert set(report.roots) == {(1, 0), (-1, 0)}
+    assert report.group_closed
+
+
 def test_roots_contain_plus_minus_one_and_even_count():
     for name in ["z", "zsqrt2", "golden", "zc3", "zeta5"]:
         a = example_order(name)
