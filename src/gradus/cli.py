@@ -191,7 +191,7 @@ def cmd_decompose(args, config: RunConfig) -> int:
             raise ValidationError("declared size does not match the matrix")
     g = gram_from_strings(rows, precision=config.precision)
     try:
-        dec = universal_s_decomposition(g, config.enumeration_cap)
+        dec = universal_s_decomposition(g)
     except EscalationNeeded as exc:
         # decompose reads the document once, at --precision, and does not
         # escalate yet
@@ -222,7 +222,8 @@ def cmd_example(args, config: RunConfig) -> int:
 
 
 # every flag of a subcommand; precision, seed and cap set the RunConfig
-# fields precision, seed and enumeration_cap
+# fields precision, seed and enumeration_cap (only the roots of unity
+# enumerate, so only units reads the cap)
 FLAGS = {
     "precision": dict(
         type=int, default=DEFAULT_CONFIG.precision, help="working precision in bits"
@@ -244,12 +245,12 @@ FLAGS = {
 
 # (name, handler, help, flags besides --format): each subcommand takes only
 # the flags it reads, and every one but example reads a file
-QUERY_FLAGS = ("precision", "seed", "cap", "mod-nilradical")
+QUERY_FLAGS = ("precision", "seed", "mod-nilradical")
 COMMANDS = (
     ("validate", cmd_validate, "check the ring axioms of an order file", ()),
     ("analyze", cmd_analyze, "rank, reducedness, connectedness, Gram form", ("precision", "seed")),
     ("grade", cmd_grade, "universal grading of a reduced order", QUERY_FLAGS),
-    ("units", cmd_units, "all roots of unity of a reduced order", QUERY_FLAGS),
+    ("units", cmd_units, "all roots of unity of a reduced order", (*QUERY_FLAGS, "cap")),
     (
         "idempotents",
         cmd_idempotents,
@@ -260,7 +261,7 @@ COMMANDS = (
         "decompose",
         cmd_decompose,
         "finest orthogonal splitting of a Gram matrix",
-        ("precision", "cap"),
+        ("precision",),
     ),
     ("example", cmd_example, "emit a named example order as JSON", ("list",)),
 )

@@ -10,7 +10,7 @@ class RunConfig:
     """Knobs for every numeric computation.
 
     precision          working precision in bits for embeddings and Gram forms
-    enumeration_cap    hard cap on the number of enumerated short vectors
+    enumeration_cap    hard cap on the short vectors roots_of_unity enumerates
     seed               seed for the deterministic choice of splitting elements
     """
 

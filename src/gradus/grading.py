@@ -32,6 +32,7 @@ from .intlinalg import (
     SublatticeBasis,
     Vec,
     direct_sum_index,
+    hnf,
     snf,
     solve_left,
     vec_add,
@@ -342,20 +343,20 @@ def find_morphism(u: GradedOrder, c: Grading) -> GroupHom:
         placement[elem] = hits[0]
     r = len(gam.invariant_factors)
     support = list(placement)
-    if r == 0:
-        images: tuple[GroupElem, ...] = ()
-    else:
-        m = IntMatrix.from_rows(_relation_rows(gam, support), r)
-        image_list = []
-        for gen in gam.generators():
-            sol = solve_left(m, gen)
-            if sol is None:
-                raise NoMorphism("support of the grading does not generate its group")
-            img = delta.identity
-            for coeff, s in zip(sol[: len(support)], support):
-                img = delta.add(img, delta.smul(coeff, placement[s]))
-            image_list.append(img)
-        images = tuple(image_list)
+    # the generators are the unit rows e_i; the support generates the group
+    # exactly when the relation rows span Z^r, that is when their Hermite
+    # form H = U m starts with the identity, and then row i of U solves
+    # x m = e_i
+    h, u = hnf(IntMatrix.from_rows(_relation_rows(gam, support), r))
+    if h.entries[:r] != IntMatrix.identity(r).entries:
+        raise NoMorphism("support of the grading does not generate its group")
+    image_list = []
+    for sol in u.entries[:r]:
+        img = delta.identity
+        for coeff, s in zip(sol[: len(support)], support):
+            img = delta.add(img, delta.smul(coeff, placement[s]))
+        image_list.append(img)
+    images = tuple(image_list)
     try:
         f = GroupHom(gam, delta, images)
     except ValueError as exc:
@@ -379,10 +380,10 @@ def universal_grading(a: Order, config: RunConfig | None = None) -> GradedOrder:
     escalation and retry in `with_gram`.
     """
     config = config or DEFAULT_CONFIG
-    return with_gram(a, config, lambda g: _grading_from_gram(a, g, config))
+    return with_gram(a, config, lambda g: _grading_from_gram(a, g))
 
 
-def _grading_from_gram(a: Order, g, config: RunConfig) -> GradedOrder:
+def _grading_from_gram(a: Order, g) -> GradedOrder:
     """The universal grading from the splitting of g, certified exactly.
 
     Row m of the stacked splitting basis lies in component block[m].  Each
@@ -405,7 +406,7 @@ def _grading_from_gram(a: Order, g, config: RunConfig) -> GradedOrder:
       components mapped to the identity carry them.
     The support generating the group is checked as before.
     """
-    dec = universal_s_decomposition(g, config.enumeration_cap)
+    dec = universal_s_decomposition(g)
     comps = dec.components
     rows = [v for c in comps for v in c.vectors()]
     block = [s for s, c in enumerate(comps) for _ in range(c.rank)]

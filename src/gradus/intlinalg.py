@@ -356,71 +356,6 @@ class SublatticeBasis:
         return self == self.saturation()
 
 
-class EchelonSpan:
-    """A growing sublattice of Z^n, held as rows in echelon form: one row
-    per pivot column, zero left of its positive pivot.
-
-    A vector is reduced against the rows in pivot order: at a pivot column
-    the row's coefficient is forced, so the vector is a member exactly when
-    each division there is exact and nothing is left.  Adding a vector
-    reduces it the same way, and where a division is not exact one extended
-    gcd step, a unimodular change of the two rows, leaves the gcd at the
-    pivot and clears the column of the vector, which goes on.  The span is
-    all of Z^n exactly when it has n pivots, all 1."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: dict[int, list[int]] = {}
-        self.unit_pivots = 0
-
-    def _reduce(self, v: Sequence[int], insert: bool) -> bool:
-        t = list(v)
-        for c in range(self.n):
-            x = t[c]
-            if not x:
-                continue
-            row = self.rows.get(c)
-            if row is None:
-                if insert:
-                    self.rows[c] = t if x > 0 else [-a for a in t]
-                    self.unit_pivots += abs(x) == 1
-                return False
-            p = row[c]
-            q, r = divmod(x, p)
-            if r:
-                if not insert:
-                    return False
-                g, a, b = _xgcd(p, x)
-                self.rows[c] = [a * u + b * w for u, w in zip(row, t)]
-                self.unit_pivots += g == 1
-                p, q = p // g, x // g
-                t = [p * w - q * u for u, w in zip(row, t)]
-            else:
-                t = [w - q * u for u, w in zip(row, t)]
-        return True
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return self._reduce(v, False)
-
-    def add(self, v: Sequence[int]) -> None:
-        self._reduce(v, True)
-
-    @property
-    def full(self) -> bool:
-        return self.unit_pivots == self.n
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) = x a + y b > 0."""
-    x, nx, y, ny = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-    return (a, x, y) if a > 0 else (-a, -x, -y)
-
-
 def kernel_saturated(m: IntMatrix) -> SublatticeBasis:
     """Basis of {v : v m = 0}; such a kernel is saturated automatically."""
     h, u = hnf(m)

@@ -4,22 +4,22 @@ Inner products, norms and the zero and sign verdicts on them are exact
 integers on the grid of the form (see `embeddings.GramForm`).  LLL is
 integral: it reduces the exact grid Gram matrix through its leading minors
 and fraction-free LDL data, and the Fincke-Pohst searches run on that data,
-with mu and the centres in fixed point on the grid 2**(-FP_BITS) Z.  Each
-node widens its range by a proven bound on that rounding, so every search
-is complete by proof (see `_fincke_pohst`) and its callers decide the
-points exactly.
+with mu and the centres in fixed point on the grid 2**(-K) Z, K =
+`_grid_bits(D)` read off the pivots.  Each node widens its range by a
+proven bound on that rounding, so every search is complete by proof (see
+`_fincke_pohst`) and its callers decide the points exactly.
 
 Provides LLL reduction of the standard basis, one Fincke-Pohst enumeration
 kernel (short vectors around the origin, and the centred ball of the
 lattice points x with <x, v - x> >= 0, which decides whether v decomposes
 and holds the idempotents when v = 1), and the finest orthogonal splitting
 of the whole lattice into mutually orthogonal sublattices.  The splitting
-walks the vectors up to the largest reduced-basis norm in increasing norm,
-keeps an indecomposable one whenever it leaves the span of those kept so
-far, merging on the way every class of kept vectors it has a nonzero inner
-product with, and stops once they span the lattice.  The classes span the
-answer, and one exact inverse of their stacked bases proves that they split
-the lattice with index 1 and gives the coordinates the grading reads.
+splits each reduced-basis vector into indecomposables, one centred search
+per vector, each part strictly shorter than its whole; the indecomposables
+reached sum to the basis, so they generate the lattice, and their classes
+under "nonzero inner product" span the parts.  One exact inverse of the
+stacked class bases proves that they split the lattice with index 1 and
+gives the coordinates the grading reads.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Sequence
 from .config import DEFAULT_CONFIG
 from .errors import AmbiguousZero, EnumerationBudgetExceeded, EscalationNeeded
 from .intlinalg import (
-    EchelonSpan,
     IntMatrix,
     SublatticeBasis,
     Vec,
@@ -56,8 +55,8 @@ LLL_DELTA = (99, 100)
 
 NOT_DEFINITE = "form is not positive definite at the working precision"
 
-# fractional bits of the fixed-point Fincke-Pohst data: mu and the centres
-# are kept on the grid 2**(-FP_BITS) Z
+# fractional bits of the fixed-point Fincke-Pohst data when the pivots of
+# the basis have equal bit lengths (see `_grid_bits`)
 FP_BITS = 64
 
 
@@ -78,6 +77,23 @@ class SDecomposition:
         components split the lattice with index 1."""
         rows = [v for c in self.components for v in c.vectors()]
         return inverse_unimodular(IntMatrix.from_rows(rows, self.ambient_rank))
+
+
+def _grid_bits(D: Sequence[int]) -> int:
+    """The fractional bits K of the fixed-point Fincke-Pohst data over the
+    pivots D: FP_BITS plus the spread of their bit lengths.
+
+    Any K >= 1 keeps a search complete (see `_fincke_pohst`); K sets how
+    far it scans beyond the exact ball.  A node of pivot d_i hands its
+    child up to about 4 delta_i sqrt(B_i d_i) 2**(-K) more budget than the
+    exact remainder, and a node of pivot d_j below scans that surplus over
+    a range of about sqrt(surplus / d_j).  On the grid 2**(-FP_BITS) alone
+    a huge pivot swamps a tiny one: around e_1/2 under diag(3, 3 2**200,
+    3 2**400) the surplus of d_1 is near d_1 2**(-63), which the pivot 3
+    scans over more than 2**69 values for a ball of two points.  Widening
+    the grid by the ratio of the largest pivot to the smallest keeps every
+    surplus as small against min D as 2**(-FP_BITS) is against max D."""
+    return FP_BITS + max(D, default=0).bit_length() - min(D, default=0).bit_length()
 
 
 def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]]:
@@ -101,11 +117,11 @@ def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]
     falls by that factor with every swap.
 
     Returns the basis rows, D_i = floor(d_i) and M[i] = (M_ji for j > i)
-    with M_ji = round(mu_ji 2**FP_BITS) (half up).  Raises AmbiguousZero,
-    which callers treat as a request for more precision, when a pivot of
-    the standard basis has d_i <= g.tolerance (checked during the
-    elimination, so no division by a minor <= 0 happens) or one of the
-    final basis has D_i <= g.tolerance, which includes D_i = 0.
+    with M_ji = round(mu_ji 2**K) (half up), K = `_grid_bits(D)`.  Raises
+    AmbiguousZero, which callers treat as a request for more precision,
+    when a pivot of the standard basis has d_i <= g.tolerance (checked
+    during the elimination, so no division by a minor <= 0 happens) or one
+    of the final basis has D_i <= g.tolerance, which includes D_i = 0.
     """
     n = g.n
     tol = g.tolerance
@@ -150,9 +166,10 @@ def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]
     D = [delta[i + 1] // delta[i] for i in range(n)]
     if any(x <= tol for x in D):
         raise AmbiguousZero(NOT_DEFINITE)
+    K = _grid_bits(D)
     M = [
         tuple(
-            ((lam[j][i] << (FP_BITS + 1)) + delta[i + 1]) // (2 * delta[i + 1])
+            ((lam[j][i] << (K + 1)) + delta[i + 1]) // (2 * delta[i + 1])
             for j in range(i + 1, n)
         )
         for i in range(n)
@@ -168,9 +185,9 @@ def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
 
     Q(y) = y H y^T for H the exact Gram matrix of the basis on the grid of
     the form, written through its LDL data as Q(y) = sum_i d_i (y_i + sum_{j>i}
-    mu_ji y_j)^2; D, M are those of `lll_reduce`, and C_i = c_i 2**K with K =
-    FP_BITS is the centre on the grid 2**(-K) Z.  Depth-first from the last
-    coordinate (Fincke-Pohst), in integers only.  `x` is reused between
+    mu_ji y_j)^2; D, M are those of `lll_reduce`, and C_i = c_i 2**K with
+    K = `_grid_bits(D)` is the centre on the grid 2**(-K) Z.  Depth-first
+    from the last coordinate (Fincke-Pohst), in integers only.  `x` is reused between
     calls: copy what is kept.
 
     Completeness.  Given x_j for j > i, Q(x - c) <= limit requires
@@ -199,7 +216,8 @@ def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
     pair of the exact ball is visited, and 0 once.
     """
     n = len(D)
-    two_k = 2 * FP_BITS
+    K = _grid_bits(D)
+    two_k = 2 * K
     origin = not any(C)
     x = [0] * n
     y = [0] * n
@@ -207,15 +225,15 @@ def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
     def descend(i, budget, spread):
         # spread = sum_{j>i} |y_j|, which at the origin is 0 exactly when
         # every coordinate above i is 0
-        t = C[i] - (sum(map(operator.mul, M[i], y[i + 1 :])) >> FP_BITS)
-        delta = (spread >> (FP_BITS + 1)) + 2
+        t = C[i] - (sum(map(operator.mul, M[i], y[i + 1 :])) >> K)
+        delta = (spread >> (K + 1)) + 2
         d = D[i]
         radius = math.isqrt((budget << two_k) // d) + 1 + delta
-        low = -((radius - t) >> FP_BITS)
+        low = -((radius - t) >> K)
         if origin and not spread:
             low = max(low, 0)
-        for xi in range(low, ((t + radius) >> FP_BITS) + 1):
-            fixed = xi << FP_BITS
+        for xi in range(low, ((t + radius) >> K) + 1):
+            fixed = xi << K
             e = abs(fixed - t) - delta
             spent = (d * e * e) >> two_k if e > 0 else 0
             if spent > budget:
@@ -284,74 +302,84 @@ def search_centred_ball(g: GramForm, v: Sequence[int], visit) -> bool:
     if g.n == 0:
         return bool(visit(()))
     basis, D, M, inverse = g.reduction
-    # v / 2 in the reduced basis, on the grid 2**(-FP_BITS) Z
-    centre = [c << (FP_BITS - 1) for c in inverse.vec_mat(v)]
+    # v / 2 in the reduced basis, on the grid 2**(-K) Z of the search
+    K = _grid_bits(D)
+    centre = [c << (K - 1) for c in inverse.vec_mat(v)]
     # |v|^2 / 4 rounded up, on the grid of g
     limit = -(-norm(g, v) // 4) + AMBIGUITY_SPAN * g.tolerance
     return _fincke_pohst(D, M, centre, limit, lambda x: visit(basis.vec_mat(x)))
 
 
+def _split(g: GramForm, v: Vec) -> Vec | None:
+    """The first point x of `search_centred_ball` other than 0 and v with
+    <x, v - x> >= 0, which splits v into x + (v - x), or None when v is
+    indecomposable.  One inside the ambiguous band raises AmbiguousSign."""
+    found = []
+
+    def splits(x):
+        if any(x) and x != v and is_nonneg(g, inner(g, x, vec_sub(v, x))):
+            found.append(x)
+            return True
+        return False
+
+    search_centred_ball(g, v, splits)
+    return found[0] if found else None
+
+
 def is_indecomposable(g: GramForm, v: Sequence[int]) -> bool:
     """Whether v admits no decomposition v = x + (v - x) into two nonzero
-    parts with <x, v - x> >= 0.
-
-    The candidates x are the points of `search_centred_ball` other than 0
-    and v; one inside the ambiguous band raises AmbiguousSign.  The search
-    stops at the first x accepted.
-    """
+    parts with <x, v - x> >= 0 (see `_split`)."""
     v = tuple(v)
     if not any(v):
         raise ValueError("the zero vector is not eligible")
-
-    def splits(x):
-        if not any(x) or x == v:
-            return False
-        return is_nonneg(g, inner(g, x, vec_sub(v, x)))
-
-    return not search_centred_ball(g, v, splits)
+    return _split(g, v) is None
 
 
-def universal_s_decomposition(
-    g: GramForm, cap: int = DEFAULT_CONFIG.enumeration_cap
-) -> SDecomposition:
+def universal_s_decomposition(g: GramForm) -> SDecomposition:
     """Finest splitting of the lattice into pairwise-orthogonal sublattices.
 
     The finest orthogonal splitting is unique (Eichler), and every
     indecomposable vector lies in exactly one of its parts, so the classes
     of *any* generating set of indecomposables under "nonzero inner
-    product" span the parts.  Such a set is found by a walk: the vectors up
-    to the largest reduced-basis norm (which generate the lattice) are
-    visited in increasing norm; a vector already in the Z-span of the
-    indecomposables kept so far is skipped, any other is tested with
-    `is_indecomposable` and kept when it passes, and the walk stops once the
-    kept span has index 1.  The span is an `EchelonSpan`, so a kept vector
-    costs one insertion and a visited one a reduction.  A kept vector
-    joins, in one class, every class with a member it has a nonzero inner
-    product with, so the classes are the connected components of the kept
-    vectors when the walk ends.
+    product" span the parts.  Such a set comes from the reduced basis: each
+    basis vector v is split by `_split` into x + (v - x), the parts are split
+    in turn, and a vector that does not split is a leaf, kept once per +/-
+    pair.  Every basis vector is a signed sum of the leaves below it, so the
+    leaves generate the lattice.  A vector met again up to sign is searched
+    only once: the leaves below its first meeting sum to it as well.
 
-    The kept vectors span every visited vector: a decomposable v = x + y has
-    |x|^2 = |v|^2 - |y|^2 - 2<x, y> <= |v|^2 - lambda_1 and likewise for y,
-    so x and y were visited before v and lie in the span by induction.  So
-    a vector reaching the test is indecomposable unless a numeric verdict
-    went wrong.  The order only keeps the walk short: in any order, every
-    visited vector ends in the final span, so the kept set generates the
-    lattice.  The exact inverse of the stacked component bases
-    (`SDecomposition.inverse`), which exists exactly when the components
-    split the lattice with index 1, guards against a wrong numeric verdict.
+    Termination: |x|^2 + |v - x|^2 = |v|^2 - 2<x, v - x> <= |v|^2, so both
+    parts are strictly shorter than v, and the norms on the exact grid form,
+    which `lll_reduce` proved positive definite, are positive integers.  A
+    part that is not strictly shorter can only come from a wrong numeric
+    verdict and raises EscalationNeeded.  A leaf joins, in one class, every
+    class with a member it has a nonzero inner product with, so the classes
+    are the connected components of the leaves.  The exact inverse of the
+    stacked component bases (`SDecomposition.inverse`), which exists
+    exactly when the components split the lattice with index 1, guards
+    against a wrong numeric verdict.
     """
     n = g.n
-    bound = max((norm(g, r) for r in g.reduction[0].entries), default=0)
     classes: list[list[Vec]] = []
-    span = EchelonSpan(n)
-    for v in enumerate_up_to(g, bound, cap):
-        if span.full:
-            break
-        if not span.contains(v) and is_indecomposable(g, v):
-            met = [any(not is_zero(g, inner(g, u, v)) for u in c) for c in classes]
-            joined = [v] + [u for c, m in zip(classes, met) if m for u in c]
-            classes = [c for c, m in zip(classes, met) if not m] + [joined]
-            span.add(v)
+    seen: set[Vec] = set()
+    stack = list(g.reduction[0].entries)
+    while stack:
+        v = stack.pop()
+        key = max(v, vec_neg(v))  # of +/-v, the one with a positive first entry
+        if key in seen:
+            continue
+        seen.add(key)
+        x = _split(g, v)
+        if x is not None:
+            y = vec_sub(v, x)
+            q = norm(g, v)
+            if not (norm(g, x) < q and norm(g, y) < q):
+                raise EscalationNeeded("a splitting of a vector has a part no shorter than it")
+            stack += [x, y]
+            continue
+        met = [any(not is_zero(g, inner(g, u, key)) for u in c) for c in classes]
+        joined = [key] + [u for c, m in zip(classes, met) if m for u in c]
+        classes = [c for c, m in zip(classes, met) if not m] + [joined]
     components = sorted(
         (SublatticeBasis.from_vectors(n, c) for c in classes), key=lambda c: min(c.vectors())
     )

@@ -706,7 +706,8 @@ def oracle_lll(g):
     after every size-reduction step and every swap.  Same reduction order
     (b_k against b_(k-1), ..., b_0, then the Lovasz test), same tie rule
     (round(mu) half to even) and delta = 99/100.  Returns the basis rows,
-    D_i = floor(d_i) and M[i] = (round(mu_ji 2**FP_BITS), half up, for j > i)."""
+    D_i = floor(d_i) and M[i] = (round(mu_ji 2**K), half up, for j > i), K =
+    FP_BITS plus the spread of the bit lengths of D."""
     from gradus.lattices import FP_BITS, LLL_DELTA
 
     n = g.n
@@ -731,8 +732,9 @@ def oracle_lll(g):
             d, mu = ldl()
             k = max(k - 1, 1)
     D = [x.numerator // x.denominator for x in d]
+    K = FP_BITS + max(D, default=0).bit_length() - min(D, default=0).bit_length()
     M = [
-        tuple(floor(mu[j][i] * 2**FP_BITS + Fraction(1, 2)) for j in range(i + 1, n))
+        tuple(floor(mu[j][i] * 2**K + Fraction(1, 2)) for j in range(i + 1, n))
         for i in range(n)
     ]
     return [tuple(row) for row in basis], D, M

@@ -139,7 +139,7 @@ def integeric_gram(name, config=None):
 def check_oracle_agreement(name, oracle_blocks, config=None):
     config = config or RunConfig()
     a, g, gm = integeric_gram(name, config)
-    dec = universal_s_decomposition(g, config.enumeration_cap)
+    dec = universal_s_decomposition(g)
     want = sorted(
         (SublatticeBasis.from_vectors(a.rank, block) for block in oracle_blocks),
         key=lambda s: s.basis.entries,
@@ -319,7 +319,6 @@ def _battery(config):
                     [[str(x) for x in row] for row in gm],
                     precision=config.precision,
                 ),
-                config.enumeration_cap,
             ).components
         )
     return summary

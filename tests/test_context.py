@@ -141,7 +141,7 @@ def test_a_dropped_order_is_freed_with_its_context():
 
 
 def ambiguous_grading(monkeypatch, tried):
-    def decompose(g, cap):
+    def decompose(g):
         tried.append(g.precision)
         raise AmbiguousZero("forced ambiguous verdict")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -328,6 +329,19 @@ def test_find_morphism_rejects_inconsistent_placement():
     )
     with pytest.raises(NoMorphism):
         find_morphism(go, shuffled)
+
+
+def test_find_morphism_rejects_a_support_that_does_not_generate():
+    # Z[sqrt2] with its pieces at 0 and 2 of C4: the support generates 2C4,
+    # so no generator of C4 has a preimage to read off
+    go = universal_grading(example_order("zsqrt2"))
+    a = go.grading.order
+    pieces = dict(go.grading.pieces)
+    coarse = make_grading(
+        a, FinAbGroup((4,)), {(0,): pieces[(0,)].vectors(), (2,): pieces[(1,)].vectors()}
+    )
+    with pytest.raises(NoMorphism, match="does not generate"):
+        find_morphism(dataclasses.replace(go, grading=coarse), go.grading)
 
 
 def test_homogeneous_parts_of_one_and_zero():

@@ -1,0 +1,68 @@
+"""Orders with huge coefficients grade under a counted work bound.
+
+Each grading splits the reduced basis with a few centred searches of a few
+visits each, whatever the size of the lattice's short-vector pool (x^4 - 1000
+has 66,462 vectors up to its largest reduced-basis norm).  The bounds count
+work, not time: a search that visits more points than the bound stops at
+once and fails the test."""
+
+import pytest
+
+import gradus.lattices as lattices
+from gradus.grading import universal_grading
+from gradus.intlinalg import SublatticeBasis
+from gradus.orders import monogenic_order
+
+# (coefficients of the monic polynomial, low degree first; invariant factors)
+HARD = {
+    "x2-10^20": ([-(10**20), 0, 1], (2,)),
+    "x2-x-10^30": ([-(10**30), -1, 1], ()),
+    "x3-2*10^12": ([-2 * 10**12, 0, 0, 1], (3,)),
+    "x3-10^200": ([-(10**200), 0, 0, 1], (3,)),
+    "x4-1000": ([-1000, 0, 0, 0, 1], (4,)),
+}
+
+
+def counted_searches(monkeypatch, max_searches, max_visits):
+    """Counts of the centred searches and their visits; past either bound
+    the search fails the test."""
+    count = {"searches": 0, "visits": 0}
+    real = lattices.search_centred_ball
+
+    def search(g, v, visit):
+        count["searches"] += 1
+        if count["searches"] > max_searches:
+            raise AssertionError(f"more than {max_searches} centred searches")
+
+        def counted(x):
+            count["visits"] += 1
+            if count["visits"] > max_visits:
+                raise AssertionError(f"more than {max_visits} visits")
+            return visit(x)
+
+        return real(g, v, counted)
+
+    def pool(*args, **kwargs):
+        raise AssertionError("the grading enumerated a short-vector pool")
+
+    monkeypatch.setattr(lattices, "search_centred_ball", search)
+    monkeypatch.setattr(lattices, "enumerate_up_to", pool)
+    return count
+
+
+@pytest.mark.parametrize("name", list(HARD))
+def test_huge_coefficients_grade_under_a_work_bound(monkeypatch, name):
+    # a cyclic answer is the grading with x^k in degree k; the trivial one
+    # has the whole order as its one piece
+    coefficients, factors = HARD[name]
+    n = len(coefficients) - 1
+    count = counted_searches(monkeypatch, 3 * n, 20 * n)
+    go = universal_grading(monogenic_order(coefficients))
+    assert go.grading.group.invariant_factors == factors
+    if factors:
+        unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        want = {(k,): SublatticeBasis.from_vectors(n, [unit[k]]) for k in range(n)}
+    else:
+        want = {(): SublatticeBasis.full(n)}
+    assert dict(go.grading.pieces) == want
+    assert count["searches"] >= n

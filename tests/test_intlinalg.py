@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from gradus.errors import InfiniteIndex
 from gradus.intlinalg import (
-    EchelonSpan,
     IntMatrix,
     SublatticeBasis,
     direct_sum_index,
@@ -164,33 +163,6 @@ def test_snf_equals_the_dense_elimination(m):
     # the sparse elimination performs the dense one's operations in its
     # order, so S and V (and with V every generator map) agree exactly
     assert snf(m) == dense_snf(m)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 5), st.data())
-def test_echelon_span_agrees_with_the_hermite_span(n, data):
-    vector = st.tuples(*[st.integers(-4, 4)] * n)
-    span, kept = EchelonSpan(n), []
-    full = SublatticeBasis.full(n)
-    for v in data.draw(st.lists(vector, max_size=8)):
-        ref = SublatticeBasis.from_vectors(n, kept)
-        for w in data.draw(st.lists(vector, max_size=4)) + [v, tuple(2 * x for x in v)]:
-            assert span.contains(w) == ref.contains(w)
-        assert span.full == (ref == full)
-        span.add(v)
-        kept.append(v)
-    ref = SublatticeBasis.from_vectors(n, kept)
-    assert span.full == (ref == full)
-    assert SublatticeBasis.from_vectors(n, span.rows.values()) == ref
-
-
-def test_echelon_span_fills_only_at_index_one():
-    span = EchelonSpan(2)
-    span.add((2, 0))
-    span.add((0, 1))
-    assert not span.full and not span.contains((1, 0))
-    span.add((3, 1))  # gcd(2, 3) = 1 at the first pivot
-    assert span.full and span.contains((1, 0))
 
 
 def test_kernel_trivial_cases():

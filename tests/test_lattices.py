@@ -518,6 +518,24 @@ def test_centred_search_reaches_every_point_on_the_sphere(scale):
     assert len(check_ball_search([[2, 1, 0], [1, 2, 1], [0, 1, 1]], scale, (1, 0, 1))) == 8
 
 
+def test_grid_is_fine_enough_for_pivots_of_very_different_size():
+    # the ball around e_1/2 holds 0 and e_1 only; on a grid 2**-64 for every
+    # pivot the budget that the huge pivot 3 * 2**200 leaves over from its
+    # rounding margin is near 2**138, which the pivot 3 scans over more than
+    # 2**69 values of the first coordinate
+    g = exact_form([[3, 0, 0], [0, 3 << 200, 0], [0, 0, 3 << 400]])
+    visits = []
+
+    def visit(x):
+        visits.append(x)
+        assert len(visits) < 10**4, "the search does not stop"
+        return False
+
+    search_centred_ball(g, (0, 1, 0), visit)
+    assert {(0, 0, 0), (0, 1, 0)} <= set(visits) and len(visits) <= 4
+    assert is_indecomposable(g, (0, 1, 0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(pd_grams(max_dim=4), SCALES)
 def test_kernel_data_is_the_exact_ldl_on_the_grid(gm, scale):
@@ -526,10 +544,12 @@ def test_kernel_data_is_the_exact_ldl_on_the_grid(gm, scale):
     rows = basis.entries
     h = [[dot_form(g.entries, u, w) for w in rows] for u in rows]
     d, mu = frac_ldl(h)
+    exact_D = [x.numerator // x.denominator for x in d]
+    K = FP_BITS + max(exact_D).bit_length() - min(exact_D).bit_length()
     for i in range(g.n):
-        assert D[i] == d[i].numerator // d[i].denominator
+        assert D[i] == exact_D[i]
         for j in range(i + 1, g.n):
-            assert abs(M[i][j - i - 1] - mu[j][i] * 2**FP_BITS) <= Fraction(1, 2)
+            assert abs(M[i][j - i - 1] - mu[j][i] * 2**K) <= Fraction(1, 2)
 
 
 @pytest.mark.parametrize(

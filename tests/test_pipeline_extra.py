@@ -225,14 +225,14 @@ def test_radical_cubic_with_wide_norm_spread_grades_in_any_basis():
 @pytest.mark.parametrize(
     "a",
     # Z[C8] has Gram form 8 * identity on the group basis; Z[X]/(X^3 - 1000)
-    # has a pool of hundreds of vectors below its largest reduced norm
+    # has hundreds of vectors below its largest reduced norm
     [group_ring([8])[0], monogenic_order([-1000, 0, 0, 1])],
     ids=["zc8", "x3-1000"],
 )
-def test_splitting_walk_tests_at_most_rank_vectors(monkeypatch, a):
-    # every vector the walk tests is indecomposable and enlarges the span of
-    # those kept, so a presentation whose first indecomposables have index 1
-    # costs at most rank tests
+def test_splitting_takes_one_centred_search_per_basis_vector(monkeypatch, a):
+    # the reduced basis of a lattice that splits into rank-1 parts is, up to
+    # sign, the indecomposables themselves, so each basis vector is a leaf
+    # after one search and the splitting costs exactly rank searches
     from helpers import random_unimodular
 
     import gradus.lattices as lattices
@@ -240,14 +240,16 @@ def test_splitting_walk_tests_at_most_rank_vectors(monkeypatch, a):
     from gradus.lattices import universal_s_decomposition
 
     b, _ = change_of_basis(a, random_unimodular(random.Random(8), a.rank))
+    g = gram(compute_embeddings(b))
+    g.reduction  # the LLL basis is made before counting
     calls = []
-    real = lattices.is_indecomposable
+    real = lattices.search_centred_ball
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counted(g, v, visit):
+        calls.append(v)
+        return real(g, v, visit)
 
-    monkeypatch.setattr(lattices, "is_indecomposable", counted)
-    dec = universal_s_decomposition(gram(compute_embeddings(b)))
+    monkeypatch.setattr(lattices, "search_centred_ball", counted)
+    dec = universal_s_decomposition(g)
     assert len(dec.components) == a.rank
-    assert len(calls) <= a.rank
+    assert len(calls) == a.rank
