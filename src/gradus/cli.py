@@ -26,7 +26,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .examples import EXAMPLE_SUMMARIES, example_names, example_order
+from .examples import EXAMPLES, example_names, example_order
 from .grading import grading_to_json, universal_grading
 from .lattices import universal_s_decomposition
 from .orders import (
@@ -212,8 +212,8 @@ def cmd_decompose(args, config: RunConfig) -> int:
 
 def cmd_example(args, config: RunConfig) -> int:
     if args.list or args.name is None:
-        data = {"examples": {n: EXAMPLE_SUMMARIES[n] for n in example_names()}}
-        lines = [f"{n:10s} {EXAMPLE_SUMMARIES[n]}" for n in example_names()]
+        data = {"examples": {n: EXAMPLES[n][0] for n in example_names()}}
+        lines = [f"{n:10s} {EXAMPLES[n][0]}" for n in example_names()]
         _emit(data, args, lines)
         return 0
     a = example_order(args.name)
@@ -251,12 +251,7 @@ COMMANDS = (
     ("analyze", cmd_analyze, "rank, reducedness, connectedness, Gram form", ("precision", "seed")),
     ("grade", cmd_grade, "universal grading of a reduced order", QUERY_FLAGS),
     ("units", cmd_units, "all roots of unity of a reduced order", (*QUERY_FLAGS, "cap")),
-    (
-        "idempotents",
-        cmd_idempotents,
-        "all idempotents of a reduced order",
-        ("precision", "seed", "mod-nilradical"),
-    ),
+    ("idempotents", cmd_idempotents, "all idempotents of a reduced order", QUERY_FLAGS),
     (
         "decompose",
         cmd_decompose,
@@ -290,13 +285,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, _config(args))
-    except (EnumerationBudgetExceeded,) as exc:
+    except EnumerationBudgetExceeded as exc:
         return _fail(4, type(exc).__name__, str(exc))
     except (PrecisionExhausted, DegenerateSplitting) as exc:
         return _fail(3, type(exc).__name__, str(exc))
-    except (ValidationError, json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
-        return _fail(2, type(exc).__name__, str(exc))
-    except GradusError as exc:
+    except (GradusError, KeyError, ValueError, OSError) as exc:
         return _fail(2, type(exc).__name__, str(exc))
 
 

@@ -40,7 +40,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     AmbiguousSign,
     AmbiguousZero,
@@ -121,16 +121,6 @@ class GramForm:
     precision: int
     tolerance: int
 
-    def __hash__(self) -> int:
-        # a form keys what is derived from it on the order object, and
-        # hashing its n^2 entries of a few hundred bits at every lookup
-        # would cost more than the lookup
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.n, self.entries, self.precision, self.tolerance))
-
     @functools.cached_property
     def reduction(self) -> tuple:
         """The LLL basis of the form (rows of an IntMatrix), the fixed-point
@@ -146,7 +136,9 @@ class GramForm:
         return basis, D, M, inverse_unimodular(basis)
 
 
-def compute_embeddings(a: Order, precision: int = 192, seed: int = 0) -> EmbeddingMatrix:
+def compute_embeddings(
+    a: Order, precision: int = DEFAULT_CONFIG.precision, seed: int = DEFAULT_CONFIG.seed
+) -> EmbeddingMatrix:
     """Compute the n embeddings of a reduced order at one precision, as rows
     of Gaussian integers on the grid 2**(-q) Z[i], q = p + 16.
 
@@ -455,7 +447,9 @@ def gram(e: EmbeddingMatrix) -> GramForm:
     return GramForm(n, tuple(map(tuple, entries)), p, _tolerance(entries, p))
 
 
-def gram_from_strings(rows: Sequence[Sequence[str]], precision: int = 192) -> GramForm:
+def gram_from_strings(
+    rows: Sequence[Sequence[str]], precision: int = DEFAULT_CONFIG.precision
+) -> GramForm:
     """Gram form from decimal-string entries, as used in the JSON exchange
     format.  The matrix must be a list of rows, square and symmetric as
     given, and each entry a string, int or float naming a finite real below

@@ -1,24 +1,24 @@
 """Named example orders used by the CLI, the test suite, and the scripts.
 
-The registry mixes constructor-built orders (group rings, monogenic rings,
-quotients) with one explicit-table fixture, the rank-5 parity subring of
-Z^5, which ships as JSON.
+Every order of the registry is built in code by the constructors of
+`orders`: group rings, monogenic rings, products, quotients, a tensor
+product, and the rank-5 parity subring of Z^5.
 """
 
 from __future__ import annotations
 
-import json
-from importlib import resources
+import functools
 from typing import Callable, Sequence
 
 from .grading import FinAbGroup, Grading, group_from_relations, make_grading
+from .intlinalg import SublatticeBasis
 from .orders import (
     Order,
     group_ring,
     monogenic_order,
-    order_from_json,
     product_order,
     quotient_order,
+    subring_order,
     validate,
 )
 
@@ -47,15 +47,8 @@ def _integers() -> Order:
     return monogenic_order([-1, 1]).with_labels(["1"])
 
 
-def _group_ring_order(factors: Sequence[int]) -> Order:
-    return group_ring(factors)[0]
-
-
 def _zeta5() -> Order:
-    zc5, elems = group_ring([5])
-    total = tuple(1 for _ in elems)
-    q, _ = quotient_order(zc5, [total])
-    return q
+    return quotient_order(group_ring([5])[0], [(1,) * 5])[0]
 
 
 def _kummer6() -> Order:
@@ -65,62 +58,40 @@ def _kummer6() -> Order:
 
 
 def _parity5() -> Order:
-    data = json.loads(
-        resources.files("gradus").joinpath("fixtures/parity5.json").read_text()
-    )
-    return order_from_json(data)
+    z5 = functools.reduce(product_order, [_integers()] * 5)
+    twice = [tuple(2 * (i == j) for j in range(5)) for i in range(1, 5)]
+    order, _ = subring_order(z5, SublatticeBasis.from_vectors(5, [(1,) * 5, *twice]))
+    return order.with_labels(["u", "2e1", "2e2", "2e3", "2e4"])
 
 
-def _zxz() -> Order:
-    return product_order(_integers(), _integers())
-
-
-_BUILDERS: dict[str, Callable[[], Order]] = {
-    "z": _integers,
-    "zxz": _zxz,
-    "zc2": lambda: _group_ring_order([2]),
-    "zc3": lambda: _group_ring_order([3]),
-    "zc4": lambda: _group_ring_order([4]),
-    "zc5": lambda: _group_ring_order([5]),
-    "zc6": lambda: _group_ring_order([6]),
-    "zc2c2": lambda: _group_ring_order([2, 2]),
-    "zsqrt2": lambda: monogenic_order([-2, 0, 1]),
-    "zsqrtm1": lambda: monogenic_order([1, 0, 1]),
-    "zsqrt5": lambda: monogenic_order([-5, 0, 1]),
-    "golden": lambda: monogenic_order([-1, -1, 1]),
-    "zeta5": _zeta5,
-    "kummer6": _kummer6,
-    "parity5": _parity5,
-    "dual": lambda: monogenic_order([0, 0, 1]),
-}
-
-EXAMPLE_SUMMARIES = {
-    "z": "the integers",
-    "zxz": "product ring Z x Z",
-    "zc2": "group ring of the cyclic group of order 2",
-    "zc3": "group ring of the cyclic group of order 3",
-    "zc4": "group ring of the cyclic group of order 4",
-    "zc5": "group ring of the cyclic group of order 5",
-    "zc6": "group ring of the cyclic group of order 6",
-    "zc2c2": "group ring of the Klein four-group",
-    "zsqrt2": "Z[sqrt(2)]",
-    "zsqrtm1": "Gaussian integers Z[i]",
-    "zsqrt5": "Z[sqrt(5)] (non-maximal quadratic order)",
-    "golden": "Z[(1+sqrt(5))/2]",
-    "zeta5": "Z[zeta_5] as the group ring of C5 modulo the sum of the group",
-    "kummer6": "Z[w, c] with w^2+w+1 = 0 and c^3 = 2, rank 6",
-    "parity5": "subring of Z^5 of vectors with all coordinates of equal parity",
-    "dual": "dual numbers Z[X]/(X^2), not reduced",
+# name -> (summary, builder)
+EXAMPLES: dict[str, tuple[str, Callable[[], Order]]] = {
+    "z": ("the integers", _integers),
+    "zxz": ("product ring Z x Z", lambda: product_order(_integers(), _integers())),
+    "zc2": ("group ring of the cyclic group of order 2", lambda: group_ring([2])[0]),
+    "zc3": ("group ring of the cyclic group of order 3", lambda: group_ring([3])[0]),
+    "zc4": ("group ring of the cyclic group of order 4", lambda: group_ring([4])[0]),
+    "zc5": ("group ring of the cyclic group of order 5", lambda: group_ring([5])[0]),
+    "zc6": ("group ring of the cyclic group of order 6", lambda: group_ring([6])[0]),
+    "zc2c2": ("group ring of the Klein four-group", lambda: group_ring([2, 2])[0]),
+    "zsqrt2": ("Z[sqrt(2)]", lambda: monogenic_order([-2, 0, 1])),
+    "zsqrtm1": ("Gaussian integers Z[i]", lambda: monogenic_order([1, 0, 1])),
+    "zsqrt5": ("Z[sqrt(5)] (non-maximal quadratic order)", lambda: monogenic_order([-5, 0, 1])),
+    "golden": ("Z[(1+sqrt(5))/2]", lambda: monogenic_order([-1, -1, 1])),
+    "zeta5": ("Z[zeta_5] as the group ring of C5 modulo the sum of the group", _zeta5),
+    "kummer6": ("Z[w, c] with w^2+w+1 = 0 and c^3 = 2, rank 6", _kummer6),
+    "parity5": ("subring of Z^5 of vectors with all coordinates of equal parity", _parity5),
+    "dual": ("dual numbers Z[X]/(X^2), not reduced", lambda: monogenic_order([0, 0, 1])),
 }
 
 
 def example_names() -> list[str]:
-    return sorted(_BUILDERS)
+    return sorted(EXAMPLES)
 
 
 def example_order(name: str) -> Order:
     try:
-        builder = _BUILDERS[name]
+        _, builder = EXAMPLES[name]
     except KeyError:
         raise KeyError(
             f"unknown example '{name}'; available: {', '.join(example_names())}"

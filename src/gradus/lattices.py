@@ -276,7 +276,7 @@ def enumerate_up_to(
             v = basis.vec_mat(x)
             q = norm(g, v)
             if q <= limit:
-                found.append((q, vec_neg(v) if v < zero else v))
+                found.append((q, max(v, vec_neg(v))))
                 if len(found) > cap:
                     raise EnumerationBudgetExceeded(
                         f"more than {cap} short vectors below bound {grid_str(g, limit, 8)}"

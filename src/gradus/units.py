@@ -7,7 +7,8 @@ never a wrong answer.
 Idempotents are exactly the lattice points e with <e, 1 - e> >= 0, that is
 the points of the centred ball |e - 1/2|^2 <= |1|^2 / 4, which one
 Fincke-Pohst search lists; `idempotents_on` certifies the set by its atoms
-and keeps both on the order, and every idempotent answer reads that one set.
+and keeps both on the order object, and every idempotent answer on it, at
+any precision or seed, reads that one set.
 
 Roots of unity factor through those atoms e_1..e_k: a = e_1 a x ... x e_k a,
 so mu(a) is the set of sums of one root of each factor, and a root of e_i a
@@ -195,21 +196,21 @@ def idempotents_on(a: Order, g: GramForm) -> list[Vec]:
     subalgebra, the verdict of a closure check over all pairs, at
     O(|found| k) products instead of O(|found|^2).  A failure comes from a
     numeric fault and raises EscalationNeeded, so `with_gram` retries at
-    twice the bits.  A certified set is kept on the order object under its
-    form, with its atoms and their traces, in increasing trace, beside it
-    (`roots_of_unity` factors through them), so every idempotent and root
-    query on that object and form searches once.
+    twice the bits.  A certified set is exact, so it is kept once per order
+    object, with its atoms and their traces, in increasing trace, beside it
+    (`roots_of_unity` factors through them): every idempotent and root query
+    on that object searches once, whatever its precision and seed.
     """
     return list(_boolean_algebra_on(a, g)[0])
 
 
 def _boolean_algebra_on(a: Order, g: GramForm) -> tuple:
-    """(idempotents, atoms) of a on g, certified as in `idempotents_on`: the
-    sorted idempotents, and the pairs (e, t . e) of the atoms e in
-    increasing trace.  Computed once per order object and form."""
-    key = ("idempotents", g)
-    if key in a.derived:
-        return a.derived[key]
+    """(idempotents, atoms) of a, certified as in `idempotents_on` from a
+    search on g: the sorted idempotents, and the pairs (e, t . e) of the
+    atoms e in increasing trace.  Computed once per order object: the
+    certified set is exact, so a query at any precision or seed reads it."""
+    if "idempotents" in a.derived:
+        return a.derived["idempotents"]
     found = []
 
     def keep(x):
@@ -218,19 +219,19 @@ def _boolean_algebra_on(a: Order, g: GramForm) -> tuple:
         return False
 
     search_centred_ball(g, a.one, keep)
+    found.sort()
     t = trace_vector(a)
     atoms = []
-    for e in sorted(found, key=lambda e: sum(i * j for i, j in zip(t, e))):
-        if any(e) and not any(any(mul(a, e, p)) for p in atoms):
-            atoms.append(e)
-    found.sort()
+    for r, e in sorted((sum(i * j for i, j in zip(t, e)), e) for e in found):
+        if any(e) and not any(any(mul(a, e, p)) for p, _ in atoms):
+            atoms.append((e, r))
     sums = [a.zero()]
-    for p in atoms if len(found) == 2 ** len(atoms) else ():  # <= |found| sums
+    for p, _ in atoms if len(found) == 2 ** len(atoms) else ():  # <= |found| sums
         sums += [vec_add(s, p) for s in sums]
     if a.one not in found or sorted(sums) != found:
         raise EscalationNeeded("the idempotents found are not a Boolean algebra")
-    a.derived[key] = (tuple(found), tuple((e, sum(i * j for i, j in zip(t, e))) for e in atoms))
-    return a.derived[key]
+    a.derived["idempotents"] = (tuple(found), tuple(atoms))
+    return a.derived["idempotents"]
 
 
 def idempotents(a: Order, config: RunConfig | None = None) -> list[Vec]:

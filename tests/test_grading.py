@@ -331,6 +331,21 @@ def test_find_morphism_rejects_inconsistent_placement():
         find_morphism(go, shuffled)
 
 
+def test_find_morphism_rejects_a_placement_no_homomorphism_follows():
+    # Z[C3] with its pieces at 1 and 2 swapped into 2 and 1 of C6: the
+    # generator's image 2 defines a homomorphism, 1 -> 2, but it sends the
+    # piece at 2 to 4, so its push-forward is not the target
+    go = universal_grading(example_order("zc3"))
+    pieces = dict(go.grading.pieces)
+    swapped = make_grading(
+        go.grading.order,
+        FinAbGroup((6,)),
+        {(0,): pieces[(0,)].vectors(), (2,): pieces[(1,)].vectors(), (1,): pieces[(2,)].vectors()},
+    )
+    with pytest.raises(NoMorphism, match="does not reproduce"):
+        find_morphism(go, swapped)
+
+
 def test_find_morphism_rejects_a_support_that_does_not_generate():
     # Z[sqrt2] with its pieces at 0 and 2 of C4: the support generates 2C4,
     # so no generator of C4 has a preimage to read off

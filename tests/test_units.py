@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradus.units as units
 from gradus.cli import main
-from gradus.config import DEFAULT_CONFIG
+from gradus.config import DEFAULT_CONFIG, RunConfig
 from gradus.embeddings import ESCALATION_BUDGET
 from gradus.errors import NotReduced, PrecisionExhausted
 from gradus.examples import example_order, natural_group_ring_grading
@@ -85,6 +85,24 @@ def test_is_connected():
     assert is_connected(example_order("parity5"))
     # integral group rings are connected: (1 +- g)/2 is not integral
     assert is_connected(example_order("zc2"))
+
+
+def test_a_second_precision_and_seed_read_the_certified_idempotents(monkeypatch):
+    # the idempotents are exact, so one order object searches for them once,
+    # and queries at another precision and seed give the same answers
+    a = example_order("zxz")
+    first = (idempotents(a), is_connected(a), roots_of_unity(a))
+    real = units.search_centred_ball
+    searches = []
+
+    def counted(*args):
+        searches.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(units, "search_centred_ball", counted)
+    config = RunConfig(precision=2 * DEFAULT_CONFIG.precision, seed=DEFAULT_CONFIG.seed + 1)
+    assert (idempotents(a, config), is_connected(a, config), roots_of_unity(a, config)) == first
+    assert searches == []
 
 
 def test_element_order_basics():
