@@ -3,8 +3,10 @@
 Subcommands: validate, analyze, grade, units, idempotents, decompose,
 example.  Orders travel as JSON files; Gram matrices use decimal strings so
 output is identical across platforms, read and printed exactly by
-`embeddings.gram_from_strings` and `embeddings.grid_str`.  Exit codes: 0
-success, 2 input or validation failure, 3 precision exhausted, 4
+`embeddings.gram_from_strings` and `embeddings.grid_str`.  Every
+subcommand with --precision, decompose included, starts there and doubles
+the precision on an ambiguous verdict in `embeddings.escalate`.  Exit
+codes: 0 success, 2 input or validation failure, 3 precision exhausted, 4
 enumeration budget exceeded.  Errors are reported on stderr as a single
 JSON object.
 """
@@ -17,11 +19,10 @@ import json
 import sys
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .embeddings import gram_from_strings, grid_str, with_gram
+from .embeddings import escalate, gram_from_strings, grid_str, with_gram
 from .errors import (
     DegenerateSplitting,
     EnumerationBudgetExceeded,
-    EscalationNeeded,
     GradusError,
     PrecisionExhausted,
     ValidationError,
@@ -189,13 +190,11 @@ def cmd_decompose(args, config: RunConfig) -> int:
             raise ValidationError("declared size 'n' must be an integer")
         if isinstance(rows, list) and n != len(rows):
             raise ValidationError("declared size does not match the matrix")
-    g = gram_from_strings(rows, precision=config.precision)
-    try:
-        dec = universal_s_decomposition(g)
-    except EscalationNeeded as exc:
-        # decompose reads the document once, at --precision, and does not
-        # escalate yet
-        raise PrecisionExhausted(str(exc)) from exc
+    g, dec = escalate(
+        config.precision,
+        lambda p: gram_from_strings(rows, p),
+        lambda g: (g, universal_s_decomposition(g)),
+    )
     data = {
         "ambient_rank": dec.ambient_rank,
         "components": [
@@ -226,7 +225,7 @@ def cmd_example(args, config: RunConfig) -> int:
 # enumerate, so only units reads the cap)
 FLAGS = {
     "precision": dict(
-        type=int, default=DEFAULT_CONFIG.precision, help="working precision in bits"
+        type=int, default=DEFAULT_CONFIG.precision, help="starting precision in bits"
     ),
     "seed": dict(type=int, default=DEFAULT_CONFIG.seed, help="seed for splitting elements"),
     "cap": dict(

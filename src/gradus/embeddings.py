@@ -566,30 +566,43 @@ def is_nonneg(g: GramForm, value: int) -> bool:
     )
 
 
-def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
-    """Run fn on the Gram form of a, doubling the precision on ambiguity.
+def escalate(precision: int, form: Callable[[int], GramForm], fn: Callable[[GramForm], T]) -> T:
+    """Run fn on form(p), doubling p on ambiguity.
 
-    This is the pipeline's only precision loop: it tries config.precision
-    times 2**k for k = 0 .. ESCALATION_BUDGET, moving on whenever the
-    embeddings or fn raise EscalationNeeded or DegenerateSplitting.  When
-    every level fails, the last DegenerateSplitting is re-raised, and any
-    other failure becomes PrecisionExhausted.
-
-    The form of each (precision, seed) is computed once per order object
-    and kept on it (successes only), so every query on that object shares
-    the embeddings, and through `GramForm.reduction` the LLL basis; an equal
-    but distinct order computes its own.
+    This is the pipeline's only precision loop: it tries precision times
+    2**k for k = 0 .. ESCALATION_BUDGET, moving on whenever form or fn
+    raise EscalationNeeded or DegenerateSplitting.  When every level fails,
+    the last DegenerateSplitting is re-raised, and any other failure becomes
+    PrecisionExhausted.  form(p) is the Gram form on the grid 2**(-p) Z: the
+    embeddings form of an order (`with_gram`), or a document read again
+    (`gram_from_strings` is exact, so each level reads it afresh).
     """
-    p = config.precision
+    p = precision
     for _ in range(ESCALATION_BUDGET + 1):
-        key = ("gram", p, config.seed)
         try:
-            if key not in a.derived:
-                a.derived[key] = gram(compute_embeddings(a, p, config.seed))
-            return fn(a.derived[key])
+            return fn(form(p))
         except (EscalationNeeded, DegenerateSplitting) as exc:
             last = exc
         p *= 2
     if isinstance(last, DegenerateSplitting):
         raise last
     raise PrecisionExhausted(f"numeric verdicts stayed ambiguous up to {p // 2} bits: {last}")
+
+
+def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
+    """Run fn on the Gram form of a, through `escalate` from
+    config.precision.
+
+    The form of each (precision, seed) is computed once per order object
+    and kept on it (successes only), so every query on that object shares
+    the embeddings, and through `GramForm.reduction` the LLL basis; an equal
+    but distinct order computes its own.
+    """
+
+    def form(p: int) -> GramForm:
+        key = ("gram", p, config.seed)
+        if key not in a.derived:
+            a.derived[key] = gram(compute_embeddings(a, p, config.seed))
+        return a.derived[key]
+
+    return escalate(config.precision, form, fn)

@@ -50,7 +50,7 @@ class EnumerationBudgetExceeded(GradusError):
 class EscalationNeeded(GradusError):
     """Internal: a numeric verdict cannot be trusted at the working precision.
 
-    `embeddings.with_gram` owns the only precision loop: it catches this and
+    `embeddings.escalate` owns the only precision loop: it catches this and
     retries with twice the bits, and converts it into PrecisionExhausted once
     the escalation budget is spent.
     """

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Sequence
 
-from .grading import FinAbGroup, Grading, group_from_relations, make_grading
+from .grading import Grading, group_from_relations, make_grading
 from .intlinalg import SublatticeBasis
 from .orders import (
     Order,
@@ -105,15 +105,8 @@ def natural_group_ring_grading(factors: Sequence[int]) -> tuple[Order, Grading]:
     order, elems = group_ring(factors)
     r = len(factors)
     diag = [[factors[i] * int(i == j) for j in range(r)] for i in range(r)]
-    group, gen_images = group_from_relations(r, diag) if r else (FinAbGroup(()), ())
-
-    def to_canonical(e: Sequence[int]) -> tuple[int, ...]:
-        out = group.identity
-        for c, img in zip(e, gen_images):
-            out = group.add(out, group.smul(c, img))
-        return out
-
+    group, gen_images = group_from_relations(r, diag)
     rows_by = {}
     for i, e in enumerate(elems):
-        rows_by.setdefault(to_canonical(e), []).append(order.unit(i))
+        rows_by.setdefault(group.combination(e, gen_images), []).append(order.unit(i))
     return order, make_grading(order, group, rows_by)

@@ -91,6 +91,11 @@ class FinAbGroup:
     def smul(self, k: int, a: Sequence[int]) -> GroupElem:
         return self.reduce(vec_scale(k, a))
 
+    def combination(self, coeffs: Sequence[int], elems: Sequence[Sequence[int]]) -> GroupElem:
+        """sum_i coeffs[i] elems[i]: the columns summed, then reduced once."""
+        terms = [vec_scale(c, e) for c, e in zip(coeffs, elems, strict=True)]
+        return self.reduce(tuple(map(sum, zip(self.identity, *terms))))
+
     def generators(self) -> tuple[GroupElem, ...]:
         r = len(self.invariant_factors)
         return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
@@ -136,10 +141,7 @@ class GroupHom:
         return cls(source, target, tuple(target.identity for _ in source.invariant_factors))
 
     def apply(self, e: Sequence[int]) -> GroupElem:
-        out = self.target.identity
-        for c, img in zip(e, self.images, strict=True):
-            out = self.target.add(out, self.target.smul(c, img))
-        return out
+        return self.target.combination(e, self.images)
 
     def is_bijective(self) -> bool:
         if self.source.order() != self.target.order():
@@ -244,13 +246,9 @@ def verify_grading(a: Order, gr: Grading) -> GradingReport:
         index = direct_sum_index([b for _, b in gr.pieces], a.rank)
     except InfiniteIndex:
         index = None
-    if a.rank == 0:
-        identity_ok = True
-        index = 1 if index is None else index
-        ranks_additive = True
-    else:
-        idp = gr.piece(gr.group.identity)
-        identity_ok = idp is not None and idp.contains(a.one)
+    idp = gr.piece(gr.group.identity)
+    # at rank 0, 1 = 0 lies in every piece, even when there is none
+    identity_ok = a.rank == 0 or (idp is not None and idp.contains(a.one))
     failures = []
     for (e1, p1), (e2, p2) in itertools.combinations_with_replacement(gr.pieces, 2):
         target = gr.group.add(e1, e2)
@@ -355,13 +353,8 @@ def find_morphism(u: GradedOrder, c: Grading) -> GroupHom:
     h, u = hnf(IntMatrix.from_rows(_relation_rows(gam, support), r))
     if h.entries[:r] != IntMatrix.identity(r).entries:
         raise NoMorphism("support of the grading does not generate its group")
-    image_list = []
-    for sol in u.entries[:r]:
-        img = delta.identity
-        for coeff, s in zip(sol[: len(support)], support):
-            img = delta.add(img, delta.smul(coeff, placement[s]))
-        image_list.append(img)
-    images = tuple(image_list)
+    placed = list(placement.values())
+    images = tuple(delta.combination(sol[: len(placed)], placed) for sol in u.entries[:r])
     try:
         f = GroupHom(gam, delta, images)
     except ValueError as exc:

@@ -235,9 +235,11 @@ def _boolean_algebra_on(a: Order, g: GramForm) -> tuple:
 
 
 def idempotents(a: Order, config: RunConfig | None = None) -> list[Vec]:
-    """All solutions of x*x = x, 0 and 1 among them (see `idempotents_on`)."""
-    config = config or DEFAULT_CONFIG
-    return with_gram(a, config, lambda g: idempotents_on(a, g))
+    """All solutions of x*x = x, 0 and 1 among them (see `idempotents_on`).
+    A set already certified on a is exact and read without a form."""
+    if "idempotents" in a.derived:
+        return list(a.derived["idempotents"][0])
+    return with_gram(a, config or DEFAULT_CONFIG, lambda g: idempotents_on(a, g))
 
 
 def is_connected(a: Order, config: RunConfig | None = None) -> bool:

@@ -236,33 +236,48 @@ def test_decompose_bad_size(tmp_path, capsys):
     assert code == 2
 
 
-def test_decompose_ambiguous_entry_exits_precision_exhausted(tmp_path, capsys):
-    # off-diagonal inside the ambiguous zero band; decompose reads the
-    # document once, at --precision, and does not escalate yet, so the
-    # verdict is exit code 3
-    tiny = "2.3283064365386962890625e-10"  # 2^-32, band at 128 bits is [2^-42, 2^-26]
+def test_decompose_escalates_past_an_ambiguous_entry(tmp_path, capsys):
+    # the off-diagonal 2^-32 is inside the ambiguous zero band at 128 bits
+    # ([2^-42, 2^-26]) and a clear nonzero at 256, where the document is read
+    # again: one component
+    tiny = "2.3283064365386962890625e-10"
     doc = {"n": 2, "gram": [["1.0", tiny], [tiny, "1.0"]]}
     path = tmp_path / "gram.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "decompose", str(path), "--precision", "128")
-    assert code == 3
-    assert json.loads(err)["error"] == "PrecisionExhausted"
+    argv = ("decompose", str(path), "--precision", "128", "--format", "json")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["components"] == [{"basis": [[1, 0], [0, 1]]}]
+    assert data["precision"] == 256
 
 
-def test_decompose_tiny_pivot_against_a_huge_entry_exits_precision_exhausted(tmp_path, capsys):
-    # [[2, 1], [1, 2e30 + 1]] is positive definite, but its first pivot, 2,
-    # is below the zero tolerance 2**(-p/3) max|entry| of the form, and
-    # decompose reads the document once, at --precision, and does not
-    # escalate yet.  The exact integral Gram form for integer documents
-    # (ROADMAP item 12), with the splitting of item 5, is meant to change
-    # this expectation to one component.
+def test_decompose_escalates_past_a_tiny_pivot_against_a_huge_entry(tmp_path, capsys):
+    # [[2, 1], [1, 2e30 + 1]] is positive definite, but at 192 bits its first
+    # pivot, 2, is below the zero tolerance 2**(-p/3) max|entry| of the form;
+    # at 384 bits it is not.  The form is indecomposable: its minimum is 2, at
+    # e1, and its odd determinant rules out an orthogonal basis diag(2, b)
     doc = {"gram": [["2", "1"], ["1", "2000000000000000000000000000001"]]}
     path = tmp_path / "gram.json"
     path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "decompose", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["components"] == [{"basis": [[1, 0], [0, 1]]}]
+    assert data["precision"] == 384
+
+
+def test_decompose_exhausts_the_escalation_budget(tmp_path, capsys):
+    # the tolerance of [[2, 1], [1, 1e1000]] stays above the pivot 2 up to
+    # 192 * 16 bits
+    doc = {"gram": [["2", "1"], ["1", "1e1000"]]}
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "decompose", str(path))
-    assert code == 3
-    assert json.loads(err)["error"] == "PrecisionExhausted"
-    assert out == ""
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    assert error["error"] == "PrecisionExhausted"
+    assert "up to 3072 bits" in error["message"]
 
 
 # a declared size must be an integer (not a bool, float, string or null)
@@ -341,6 +356,20 @@ def test_huge_coefficients_end_with_a_typed_error(tmp_path, capsys):
     path = monogenic_file(tmp_path, [-(10**310), 0, 1])
     code, out, err = run_cli(capsys, "grade", path)
     assert (code, out, json.loads(err)["error"]) == (3, "", "PrecisionExhausted")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("grade", "--precision", "63"), "precision must be at least 64 bits"),
+        (("units", "--cap", "0"), "enumeration cap must be at least 1"),
+    ],
+)
+def test_a_config_out_of_range_exits_2(tmp_path, capsys, argv, message):
+    path = write_order(tmp_path, "zc2")
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
 # each subcommand takes only the flags it reads

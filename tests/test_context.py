@@ -1,8 +1,9 @@
 """One numeric context per order object and one precision-escalation loop.
 
-Every query on an order takes its Gram form from `embeddings.with_gram`,
-which computes the embeddings once per (precision, seed) and keeps the form
-on the order object, and is the only code that doubles the precision.  The
+Every query on an order that needs a Gram form takes it from
+`embeddings.with_gram`, which computes the embeddings once per (precision,
+seed) and keeps the form on the order object; `embeddings.escalate`, the
+loop behind it, is the only code that doubles the precision.  The
 LLL reduction is kept on the form, and the nilradical and the certified
 idempotents on the order.  Reducedness is proved once, by the embeddings
 behind that context.  Nothing is kept at module level: a test gets a fresh

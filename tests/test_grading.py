@@ -57,6 +57,8 @@ def test_finabgroup_arithmetic():
     assert g.add((1, 3), (1, 2)) == (0, 1)
     assert g.neg((1, 1)) == (1, 3)
     assert g.smul(3, (1, 2)) == (1, 2)
+    assert g.combination((3, -1), [(1, 2), (1, 1)]) == (0, 1)
+    assert g.combination((), []) == g.identity
     assert g.generated_by([(1, 0), (0, 1)])
     assert not g.generated_by([(0, 2)])
 
@@ -81,6 +83,8 @@ def test_grouphom_validation():
     c2 = FinAbGroup((2,))
     f = GroupHom(c4, c2, ((1,),))
     assert f.apply((3,)) == (1,)
+    with pytest.raises(ValueError):
+        f.apply((3, 1))  # one coefficient per source generator
     with pytest.raises(ValueError):
         GroupHom(c2, c4, ((1,),))  # 2*(1,) != 0 in C4
     ident = GroupHom.identity(c4)
@@ -228,6 +232,34 @@ def test_a_wrong_group_fails_the_certificate_at_every_precision(monkeypatch, nam
     assert len(calls) == 5  # 192 bits doubled up to 3072
 
 
+def test_an_infinite_presented_group_exhausts_the_precision(monkeypatch):
+    calls = []
+
+    def infinite(num_gens, relations):
+        calls.append(num_gens)
+        raise InfiniteGroup("presentation has a free quotient")
+
+    monkeypatch.setattr(grading, "group_from_relations", infinite)
+    with pytest.raises(PrecisionExhausted, match="infinite group"):
+        universal_grading(example_order("zsqrt2"))
+    assert len(calls) == 5
+
+
+def test_a_support_that_does_not_generate_exhausts_the_precision(monkeypatch):
+    # C2 with every component at 0 passes the product certificate, but its
+    # support {0} does not generate C2
+    calls = []
+
+    def collapsed(num_gens, relations):
+        calls.append(num_gens)
+        return FinAbGroup((2,)), ((0,),) * num_gens
+
+    monkeypatch.setattr(grading, "group_from_relations", collapsed)
+    with pytest.raises(PrecisionExhausted, match="does not generate"):
+        universal_grading(example_order("zsqrt2"))
+    assert len(calls) == 5
+
+
 def test_universal_grading_group_ring_is_natural():
     a, natural = natural_group_ring_grading([2, 2])
     go = universal_grading(a)
@@ -261,6 +293,15 @@ def test_verify_trivial_grading_passes():
         a = example_order(name)
         gr = make_grading(a, FinAbGroup(()), {(): a.basis()})
         assert verify_grading(a, gr).ok
+
+
+def test_verify_passes_the_universal_grading_of_the_zero_ring():
+    # no pieces: the ranks add up to 0, the index of the empty sum is 1, and
+    # 1 = 0 lies in the identity piece although there is none
+    a = orders.validate([], [])
+    report = verify_grading(a, universal_grading(a).grading)
+    assert report.ok
+    assert (report.identity_ok, report.ranks_additive, report.index) == (True, True, 1)
 
 
 def test_verify_reports_missing_sum():

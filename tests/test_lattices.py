@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -8,9 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import gradus.lattices as lattices
+from gradus.config import DEFAULT_CONFIG
 from gradus.embeddings import (
+    ESCALATION_BUDGET,
     GramForm,
     compute_embeddings,
+    escalate,
     gram,
     gram_from_strings,
     inner,
@@ -24,9 +28,10 @@ from gradus.errors import (
     EnumerationBudgetExceeded,
     EscalationNeeded,
     NoMorphism,
+    PrecisionExhausted,
 )
 from gradus.examples import example_names, example_order
-from gradus.intlinalg import SublatticeBasis
+from gradus.intlinalg import SublatticeBasis, vec_neg
 from gradus.lattices import (
     FP_BITS,
     enumerate_up_to,
@@ -253,6 +258,65 @@ def test_ambiguous_entry_triggers_escalation_request():
     g = gram_from_strings([["1", tiny], [tiny, "1"]], precision=128)
     with pytest.raises(EscalationNeeded):
         universal_s_decomposition(g)
+
+
+def test_splitting_recurses_into_the_parts_of_a_basis_vector(monkeypatch):
+    # with swaps turned off (delta = 0), LLL keeps e1, of norm 2, in the basis
+    # of [[2, 1, 0], [1, 1, 0], [0, 0, 1]]; the search kernel is complete on
+    # any basis.  e1 splits into (1, -1, 0) + (0, 1, 0), and (0, 1, 0), a
+    # basis vector met again, is searched only once: 4 searches in all
+    monkeypatch.setattr(lattices, "LLL_DELTA", (0, 1))
+    gm = [[2, 1, 0], [1, 1, 0], [0, 0, 1]]
+    g = str_gram(gm)
+    assert (1, 0, 0) in g.reduction[0].entries
+    searched = []
+    real = lattices.search_centred_ball
+
+    def counted(g, v, visit):
+        searched.append(v)
+        return real(g, v, visit)
+
+    monkeypatch.setattr(lattices, "search_centred_ball", counted)
+    dec = universal_s_decomposition(g)
+    assert sorted(searched) == [(0, 0, 1), (0, 1, 0), (1, -1, 0), (1, 0, 0)]
+    want = [SublatticeBasis.from_vectors(3, b) for b in oracle_finest_orthogonal_partition(gm)]
+    assert len(dec.components) == len(want) == 3
+    assert set(dec.components) == set(want)
+
+
+def decompose_through_the_loop(gm):
+    """The splitting of an integral form through the precision loop, read
+    again at each level, as `gradus decompose` runs it."""
+    rows = [[str(x) for x in row] for row in gm]
+    form = functools.partial(gram_from_strings, rows)
+    return escalate(DEFAULT_CONFIG.precision, form, universal_s_decomposition)
+
+
+def test_a_part_no_shorter_than_its_whole_exhausts_the_precision(monkeypatch):
+    # a faulty splitting that returns -v, so the other part is 2v
+    calls = []
+
+    def faulty(g, v):
+        calls.append(v)
+        return vec_neg(v)
+
+    monkeypatch.setattr(lattices, "_split", faulty)
+    with pytest.raises(PrecisionExhausted, match="no shorter"):
+        decompose_through_the_loop([[2, 1], [1, 2]])
+    assert len(calls) == ESCALATION_BUDGET + 1
+
+
+def test_a_splitting_without_an_integer_inverse_exhausts_the_precision(monkeypatch):
+    calls = []
+
+    def singular(m):
+        calls.append(m)
+        raise ValueError("matrix is not unimodular")
+
+    monkeypatch.setattr(lattices, "inverse_unimodular", singular)
+    with pytest.raises(PrecisionExhausted, match="failed to split the lattice exactly"):
+        decompose_through_the_loop([[2, 0], [0, 3]])
+    assert len(calls) == ESCALATION_BUDGET + 1
 
 
 def test_norms_in_band_are_counted_inside_bound():

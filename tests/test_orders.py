@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradus.orders as orders
 from gradus.errors import BadIdentity, NotAssociative, NotCommutative, TorsionQuotient
-from gradus.intlinalg import SublatticeBasis, vec_add
+from gradus.intlinalg import IntMatrix, SublatticeBasis, vec_add
 from gradus.orders import (
     group_ring,
     is_reduced,
@@ -234,6 +234,30 @@ def test_quotient_order_zc2_augmentation():
     assert mul(q, q.one, q.one) == q.one
     assert proj.vec_mat(zc2.one) == q.one
     assert proj.vec_mat((1, 1)) == (0,)
+
+
+def test_quotient_order_closes_the_ideal_in_a_second_pass():
+    # the span of 1 - g^2 alone is not an ideal: one pass adds g - g^3, and
+    # a second finds that span of rank 2 closed.  Z[C4] / (1 - g^2) is Z[C2],
+    # with g mapped to an element g' of square 1 such that 1, g' is a basis
+    a, _ = group_ring([4])
+    gens = [(1, 0, -1, 0)]
+    assert orders.ideal_closure(a, gens) == SublatticeBasis.from_vectors(
+        4, [(1, 0, -1, 0), (0, 1, 0, -1)]
+    )
+    b, proj = quotient_order(a, gens)
+    assert b.rank == 2
+    g = proj.vec_mat(a.unit(1))
+    assert proj.vec_mat(a.one) == b.one
+    assert mul(b, g, g) == b.one
+    assert SublatticeBasis.from_vectors(2, [b.one, g]) == SublatticeBasis.full(2)
+
+
+def test_quotient_by_the_zero_ideal_is_the_order():
+    a, _ = group_ring([4])
+    b, proj = quotient_order(a, [])
+    assert b is a
+    assert proj == IntMatrix.identity(4)
 
 
 def test_quotient_order_torsion_rejected():

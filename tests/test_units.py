@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradus.embeddings as embeddings
 import gradus.units as units
 from gradus.cli import main
 from gradus.config import DEFAULT_CONFIG, RunConfig
@@ -89,20 +90,30 @@ def test_is_connected():
 
 def test_a_second_precision_and_seed_read_the_certified_idempotents(monkeypatch):
     # the idempotents are exact, so one order object searches for them once,
-    # and queries at another precision and seed give the same answers
+    # and queries at another precision and seed give the same answers;
+    # idempotents and is_connected read the kept set without a form, and
+    # roots_of_unity computes the form of its new config for its pool
     a = example_order("zxz")
     first = (idempotents(a), is_connected(a), roots_of_unity(a))
-    real = units.search_centred_ball
-    searches = []
+    searches, forms = [], []
 
-    def counted(*args):
-        searches.append(None)
-        return real(*args)
+    def counted(log, real):
+        def wrapper(*args):
+            log.append(None)
+            return real(*args)
 
-    monkeypatch.setattr(units, "search_centred_ball", counted)
-    config = RunConfig(precision=2 * DEFAULT_CONFIG.precision, seed=DEFAULT_CONFIG.seed + 1)
-    assert (idempotents(a, config), is_connected(a, config), roots_of_unity(a, config)) == first
-    assert searches == []
+        return wrapper
+
+    monkeypatch.setattr(units, "search_centred_ball", counted(searches, units.search_centred_ball))
+    monkeypatch.setattr(
+        embeddings, "compute_embeddings", counted(forms, embeddings.compute_embeddings)
+    )
+    configs = [RunConfig(precision=384, seed=1), RunConfig(precision=256, seed=2)]
+    for config in configs:
+        assert (idempotents(a, config), is_connected(a, config)) == first[:2]
+    assert (searches, forms) == ([], [])
+    assert roots_of_unity(a, configs[0]) == first[2]
+    assert (searches, forms) == ([], [None])
 
 
 def test_element_order_basics():
