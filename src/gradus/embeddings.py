@@ -255,19 +255,52 @@ def _roots(chi: Sequence[int], bits: int, floor: int) -> list[tuple[int, int]] |
     real, so a root nearer to its own conjugate than the roots are to one
     another is real and is returned with imaginary part exactly 0; the
     others come in conjugate pairs, and one of each pair is returned.
+
+    Newton refines one start per conjugate pair.  A start x below the real
+    axis is skipped when another start y lies nearer to its conjugate than
+    x does, |y - conj x| < 2 |Im x|: y stands for conj x, and x for the
+    root of the pair that is not returned.  The test is needed because a
+    real root's start often has a tiny negative imaginary part, and it then
+    has no such neighbour.  The refined roots are classified as above, and
+    they are accepted when the real ones and the upper ones with their
+    conjugates, the n roots the rows are built from, number n and are
+    pairwise farther apart than the floor: the conditions every start's
+    refinement must meet, checked on the roots used.  Otherwise the
+    skipped starts are refined too and all n are decided as if none had
+    been skipped, so no verdict is worse than refining every start.
     """
     proposal = _aberth(chi)
     if proposal is None:
         return None
     scale, starts = proposal
-    roots = [_newton(chi, x, scale, bits) for x in starts]
-    if any(r is None for r in roots) or len(roots) > 1 and _min_separation(roots) <= floor**2:
+    n = len(starts)
+    mirrored = [
+        x.imag < 0
+        and any(abs(y - x.conjugate()) < -2 * x.imag for j, y in enumerate(starts) if j != i)
+        for i, x in enumerate(starts)
+    ]
+    roots = {i: _newton(chi, x, scale, bits) for i, x in enumerate(starts) if not mirrored[i]}
+    if None in roots.values():
         return None
-    real = [(re, 0) for re, im in roots if 2 * abs(im) < floor]
-    upper = [r for r in roots if 2 * r[1] >= floor]
-    if len(real) + 2 * len(upper) == len(roots):
+    real, upper = _real_and_upper(roots.values(), floor)
+    used = real + upper + [(re, -im) for re, im in upper]
+    if len(used) == n and (n == 1 or _min_separation(used) > floor**2):
+        return real + upper
+    roots = [roots[i] if i in roots else _newton(chi, x, scale, bits) for i, x in enumerate(starts)]
+    if None in roots or n > 1 and _min_separation(roots) <= floor**2:
+        return None
+    real, upper = _real_and_upper(roots, floor)
+    if len(real) + 2 * len(upper) == n:
         return real + upper
     return None
+
+
+def _real_and_upper(roots, floor: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The roots nearer to the real axis than half the floor, with imaginary
+    part set to 0, and those at least that far above it."""
+    real = [(re, 0) for re, im in roots if 2 * abs(im) < floor]
+    upper = [r for r in roots if 2 * r[1] >= floor]
+    return real, upper
 
 
 def _aberth(chi: Sequence[int]) -> tuple[int, list[complex]] | None:

@@ -14,10 +14,11 @@ kernel (short vectors around the origin, and the centred ball of the
 lattice points x with <x, v - x> >= 0, which decides whether v decomposes
 and holds the idempotents when v = 1), and the finest orthogonal splitting
 of the whole lattice into mutually orthogonal sublattices.  The splitting
-splits each reduced-basis vector into indecomposables, one centred search
-per vector, each part strictly shorter than its whole; the indecomposables
-reached sum to the basis, so they generate the lattice, and their classes
-under "nonzero inner product" span the parts.  One exact inverse of the
+splits each reduced-basis vector into indecomposables, at most one centred
+search per vector and none below a bound the pivots give, each part
+strictly shorter than its whole; the indecomposables reached sum to the
+basis, so they generate the lattice, and their classes under "nonzero
+inner product" span the parts.  One exact inverse of the
 stacked class bases proves that they split the lattice with index 1 and
 gives the coordinates the grading reads.
 """
@@ -348,6 +349,16 @@ def universal_s_decomposition(g: GramForm) -> SDecomposition:
     leaves generate the lattice.  A vector met again up to sign is searched
     only once: the leaves below its first meeting sum to it as well.
 
+    A vector v with |v|^2 < 2 min D - 2 AMBIGUITY_SPAN tol, D the pivots of
+    the reduced basis and tol the tolerance, is a leaf with no search.  A
+    nonzero lattice vector x = sum_i x_i b_i with x_k its last nonzero
+    coordinate has |x|^2 >= x_k^2 d_k >= D_k, so lambda_1 >= min D.  The
+    search accepts, or finds ambiguous, only a pair x, v - x of nonzero
+    vectors with <x, v - x> > -AMBIGUITY_SPAN tol (see `is_nonneg`), and
+    then 2 min D <= |x|^2 + |v - x|^2 = |v|^2 - 2<x, v - x> < |v|^2 + 2
+    AMBIGUITY_SPAN tol.  So below the bound the search would find no split
+    and raise nothing: the leaf is its verdict.
+
     Termination: |x|^2 + |v - x|^2 = |v|^2 - 2<x, v - x> <= |v|^2, so both
     parts are strictly shorter than v, and the norms on the exact grid form,
     which `lll_reduce` proved positive definite, are positive integers.  A
@@ -362,17 +373,20 @@ def universal_s_decomposition(g: GramForm) -> SDecomposition:
     n = g.n
     classes: list[list[Vec]] = []
     seen: set[Vec] = set()
-    stack = list(g.reduction[0].entries)
+    basis, D, _, _ = g.reduction
+    # a vector below this norm is a leaf without a search
+    leaf_below = 2 * min(D, default=0) - 2 * AMBIGUITY_SPAN * g.tolerance
+    stack = list(basis.entries)
     while stack:
         v = stack.pop()
         key = max(v, vec_neg(v))  # of +/-v, the one with a positive first entry
         if key in seen:
             continue
         seen.add(key)
-        x = _split(g, v)
+        q = norm(g, v)
+        x = None if q < leaf_below else _split(g, v)
         if x is not None:
             y = vec_sub(v, x)
-            q = norm(g, v)
             if not (norm(g, x) < q and norm(g, y) < q):
                 raise EscalationNeeded("a splitting of a vector has a part no shorter than it")
             stack += [x, y]

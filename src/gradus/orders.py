@@ -13,6 +13,7 @@ products of elements.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -292,13 +293,9 @@ def charpoly_rows(a: Order, z: Sequence[int]) -> tuple[Vec, tuple[Vec, ...]]:
 
 def trace_gram(a: Order) -> IntMatrix:
     """Integer Gram matrix of the trace form (x, y) -> trace of M_{x*y}."""
-    n = a.rank
     tr = trace_vector(a)
-    rows = [
-        [sum(a.table[i][j][m] * tr[m] for m in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    return IntMatrix.from_rows(rows, n)
+    rows = [[sum(map(operator.mul, cell, tr)) for cell in row] for row in a.table]
+    return IntMatrix.from_rows(rows, a.rank)
 
 
 def nilradical(a: Order) -> SublatticeBasis:

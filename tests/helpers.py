@@ -860,3 +860,56 @@ def component_refinement_map(dec, coarser):
         if SublatticeBasis.from_vectors(dec.ambient_rank, rows) != m:
             raise NoMorphism("coarser part is not the sum of the components mapped to it")
     return assignment
+
+
+def reference_s_decomposition(g):
+    """The finest orthogonal splitting with a centred search on every vector
+    popped, the oracle of `lattices.universal_s_decomposition`, which skips
+    the search below a bound.  Returns (components, searched vectors); a
+    part no shorter than its whole raises AssertionError."""
+    from gradus.embeddings import inner, is_zero, norm
+    from gradus.intlinalg import SublatticeBasis, vec_neg, vec_sub
+    from gradus.lattices import _split
+
+    classes, seen, searched = [], set(), []
+    stack = list(g.reduction[0].entries)
+    while stack:
+        v = stack.pop()
+        key = max(v, vec_neg(v))
+        if key in seen:
+            continue
+        seen.add(key)
+        searched.append(v)
+        x = _split(g, v)
+        if x is not None:
+            y = vec_sub(v, x)
+            assert norm(g, x) < norm(g, v) and norm(g, y) < norm(g, v)
+            stack += [x, y]
+            continue
+        met = [any(not is_zero(g, inner(g, u, key)) for u in c) for c in classes]
+        classes = [c for c, m in zip(classes, met) if not m] + [
+            [key] + [u for c, m in zip(classes, met) if m for u in c]
+        ]
+    components = sorted(
+        (SublatticeBasis.from_vectors(g.n, c) for c in classes), key=lambda c: min(c.vectors())
+    )
+    return tuple(components), searched
+
+
+def reference_roots(chi, bits, floor):
+    """`embeddings._roots` refining every Aberth start: the real roots and
+    the upper ones, or None when a start fails to refine, two refined roots
+    lie within the floor, or the real roots and the pairs do not account
+    for every root."""
+    from gradus import embeddings
+
+    proposal = embeddings._aberth(chi)
+    if proposal is None:
+        return None
+    scale, starts = proposal
+    roots = [embeddings._newton(chi, x, scale, bits) for x in starts]
+    if None in roots or len(roots) > 1 and embeddings._min_separation(roots) <= floor**2:
+        return None
+    real = [(re, 0) for re, im in roots if 2 * abs(im) < floor]
+    upper = [r for r in roots if 2 * r[1] >= floor]
+    return real + upper if len(real) + 2 * len(upper) == len(roots) else None

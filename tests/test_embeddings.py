@@ -44,6 +44,7 @@ from helpers import (
     real,
     rebased,
     rebased_samples,
+    reference_roots,
     small_ring_product,
 )
 
@@ -625,3 +626,84 @@ def test_newton_gives_up_without_quadratic_convergence(bits):
     assert embeddings._newton([1, 0, 0], 0.0, 0, bits) is None
     root = embeddings._newton([1, 0, -2], 1.4, 0, bits)
     assert root is not None and abs(root[0] - math.isqrt(2 << 2 * bits)) <= 1
+
+
+# chi (leading coefficient first), real roots, conjugate pairs
+ROOT_CASES = {
+    # (x - 10^6)^2 + 1: the pair 10^6 +- i lies a millionth of its size off
+    # the real axis, and its two starts are each other's mirror images
+    "pair-near-axis": ([1, -2 * 10**6, 10**12 + 1], 0, 1),
+    # one real root and one pair, beyond double range
+    "x3-10^200": ([1, 0, 0, -(10**200)], 1, 1),
+    # x^4 - 2: the start of the real root -2^(1/4) has Im < 0 and no mirror,
+    # so a plain Im >= 0 filter would miss it and refine all four starts
+    "x4-2": ([1, 0, 0, 0, -2], 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(ROOT_CASES))
+def test_newton_refines_one_start_per_conjugate_pair(monkeypatch, name):
+    chi, n_real, n_pairs = ROOT_CASES[name]
+    p = 192
+    bits = p + 64
+    floor = 1 << (bits - p // 4)
+    want = reference_roots(chi, bits, floor)
+    starts = embeddings._aberth(chi)[1]
+    if name == "x4-2":
+        assert any(-1e-10 < x.imag < 0 for x in starts)
+    calls = []
+    real_newton = embeddings._newton
+    monkeypatch.setattr(
+        embeddings, "_newton", lambda chi, x, *rest: calls.append(x) or real_newton(chi, x, *rest)
+    )
+    got = embeddings._roots(chi, bits, floor)
+    assert got == want
+    assert sum(im == 0 for _, im in got) == n_real and len(got) == n_real + n_pairs
+    assert len(calls) == n_real + n_pairs
+
+
+def test_skipped_starts_are_refined_when_the_kept_ones_do_not_account_for_every_root(
+    monkeypatch,
+):
+    # x^2 - 2 from two made-up starts (the roots are 2 * start): the upper
+    # start lies nearer to the lower one's conjugate than the lower one
+    # does, so the lower one is skipped, but the upper one refines to the
+    # real root +sqrt2 alone; then the skipped start, and only it, is
+    # refined, to -sqrt2, and the answer is the reference's
+    chi = [1, 0, -2]
+    monkeypatch.setattr(embeddings, "_aberth", lambda chi: (1, [0.1 + 0.5j, -0.4 - 0.5j]))
+    bits, floor = 128, 1 << 80
+    want = reference_roots(chi, bits, floor)
+    calls = []
+    real_newton = embeddings._newton
+    monkeypatch.setattr(
+        embeddings, "_newton", lambda chi, x, *rest: calls.append(x) or real_newton(chi, x, *rest)
+    )
+    got = embeddings._roots(chi, bits, floor)
+    assert got == want
+    assert [(re > 0, im) for re, im in got] == [(True, 0), (False, 0)]
+    assert calls == [0.1 + 0.5j, -0.4 - 0.5j]
+
+
+@pytest.mark.parametrize(
+    "a",
+    [example_order(name) for name in example_names()]
+    + [rebased(group_ring(f)[0], 0) for f in ([8], [3, 3], [12], [2, 2, 2])],
+    ids=example_names() + ["zc8", "zc3c3", "zc12", "zc2c2c2"],
+)
+def test_roots_match_the_reference_that_refines_every_start(monkeypatch, a):
+    seen = []
+    real_roots = embeddings._roots
+
+    def roots(chi, bits, floor):
+        got = real_roots(chi, bits, floor)
+        seen.append((chi, bits, floor, got))
+        return got
+
+    monkeypatch.setattr(embeddings, "_roots", roots)
+    try:
+        compute_embeddings(a)
+    except NotReduced:
+        assert not seen  # no chi of a non-reduced order is squarefree
+    for chi, bits, floor, got in seen:
+        assert got == reference_roots(chi, bits, floor)

@@ -2,9 +2,11 @@
 
 Each grading splits the reduced basis with a few centred searches of a few
 visits each, whatever the size of the lattice's short-vector pool (x^4 - 1000
-has 66,462 vectors up to its largest reduced-basis norm).  The bounds count
-work, not time: a search that visits more points than the bound stops at
-once and fails the test."""
+has 66,462 vectors up to its largest reduced-basis norm), and a basis vector
+shorter than twice the least pivot of the reduced basis is a leaf with no
+search at all; each input's number of searches is pinned exactly.  The
+bounds count work, not time: a search that visits more points than the
+bound stops at once and fails the test."""
 
 import pytest
 
@@ -13,13 +15,14 @@ from gradus.grading import universal_grading
 from gradus.intlinalg import SublatticeBasis
 from gradus.orders import monogenic_order
 
-# (coefficients of the monic polynomial, low degree first; invariant factors)
+# (coefficients of the monic polynomial, low degree first; invariant
+# factors; centred searches of the splitting)
 HARD = {
-    "x2-10^20": ([-(10**20), 0, 1], (2,)),
-    "x2-x-10^30": ([-(10**30), -1, 1], ()),
-    "x3-2*10^12": ([-2 * 10**12, 0, 0, 1], (3,)),
-    "x3-10^200": ([-(10**200), 0, 0, 1], (3,)),
-    "x4-1000": ([-1000, 0, 0, 0, 1], (4,)),
+    "x2-10^20": ([-(10**20), 0, 1], (2,), 1),
+    "x2-x-10^30": ([-(10**30), -1, 1], (), 1),
+    "x3-2*10^12": ([-2 * 10**12, 0, 0, 1], (3,), 3),
+    "x3-10^200": ([-(10**200), 0, 0, 1], (3,), 2),
+    "x4-1000": ([-1000, 0, 0, 0, 1], (4,), 3),
 }
 
 
@@ -54,7 +57,7 @@ def counted_searches(monkeypatch, max_searches, max_visits):
 def test_huge_coefficients_grade_under_a_work_bound(monkeypatch, name):
     # a cyclic answer is the grading with x^k in degree k; the trivial one
     # has the whole order as its one piece
-    coefficients, factors = HARD[name]
+    coefficients, factors, searches = HARD[name]
     n = len(coefficients) - 1
     count = counted_searches(monkeypatch, 3 * n, 20 * n)
     go = universal_grading(monogenic_order(coefficients))
@@ -65,4 +68,4 @@ def test_huge_coefficients_grade_under_a_work_bound(monkeypatch, name):
     else:
         want = {(): SublatticeBasis.full(n)}
     assert dict(go.grading.pieces) == want
-    assert count["searches"] >= n
+    assert count["searches"] == searches

@@ -43,7 +43,7 @@ from gradus.lattices import (
     search_centred_ball,
     universal_s_decomposition,
 )
-from gradus.orders import group_ring, is_reduced
+from gradus.orders import group_ring, is_reduced, monogenic_order
 
 from helpers import (
     SMALL_RINGS,
@@ -65,6 +65,7 @@ from helpers import (
     real,
     rebased,
     rebased_samples,
+    reference_s_decomposition,
     small_ring_product,
 )
 
@@ -293,7 +294,8 @@ def decompose_through_the_loop(gm):
 
 
 def test_a_part_no_shorter_than_its_whole_exhausts_the_precision(monkeypatch):
-    # a faulty splitting that returns -v, so the other part is 2v
+    # a faulty splitting that returns -v, so the other part is 2v; e2, of
+    # norm 3 >= 2 min D = 2, is the vector searched at each level
     calls = []
 
     def faulty(g, v):
@@ -302,8 +304,32 @@ def test_a_part_no_shorter_than_its_whole_exhausts_the_precision(monkeypatch):
 
     monkeypatch.setattr(lattices, "_split", faulty)
     with pytest.raises(PrecisionExhausted, match="no shorter"):
-        decompose_through_the_loop([[2, 1], [1, 2]])
-    assert len(calls) == ESCALATION_BUDGET + 1
+        decompose_through_the_loop([[1, 0], [0, 3]])
+    assert calls == [(0, 1)] * (ESCALATION_BUDGET + 1)
+
+
+@pytest.mark.parametrize(
+    "gm, searched, ranks",
+    # diag(1, 3): min D = 1, so e1 (norm 1 < 2) is a leaf unsearched and e2
+    # (norm 3) is searched; A2: min D = 3/2, and both basis vectors, of
+    # norm 2 < 3, are leaves unsearched
+    [([[1, 0], [0, 3]], [(0, 1)], [1, 1]), ([[2, 1], [1, 2]], [], [2])],
+    ids=["diag(1,3)", "a2"],
+)
+def test_basis_vectors_below_twice_the_least_pivot_are_not_searched(
+    monkeypatch, gm, searched, ranks
+):
+    calls = []
+    real = lattices.search_centred_ball
+
+    def counted(g, v, visit):
+        calls.append(v)
+        return real(g, v, visit)
+
+    monkeypatch.setattr(lattices, "search_centred_ball", counted)
+    dec = decompose_through_the_loop(gm)
+    assert calls == searched
+    assert [c.rank for c in dec.components] == ranks
 
 
 def test_a_splitting_without_an_integer_inverse_exhausts_the_precision(monkeypatch):
@@ -420,6 +446,63 @@ def test_splitting_of_rebased_block_sums_matches_oracle(gm):
     want = [SublatticeBasis.from_vectors(n, b) for b in oracle_finest_orthogonal_partition(gm)]
     assert len(dec.components) == len(want)
     assert set(dec.components) == set(want)
+
+
+GROUP_RINGS = ([2], [3], [4], [2, 2], [5], [6], [8], [2, 4], [3, 3])
+
+
+def order_form(a, seed):
+    return gram(compute_embeddings(rebased(a, seed)))
+
+
+def rebased_form(gm, seed):
+    n = len(gm)
+    u = random_unimodular(random.Random(seed), n, steps=6)
+    ug = [[sum(u[i][a] * gm[a][b] for a in range(n)) for b in range(n)] for i in range(n)]
+    return str_gram([[sum(x * y for x, y in zip(r, w)) for w in u] for r in ug])
+
+
+seeds = st.integers(0, 2**16)
+splitting_forms = st.one_of(
+    # rebased group rings, x^n - c and block-diagonal forms
+    st.builds(order_form, st.sampled_from(GROUP_RINGS).map(lambda f: group_ring(f)[0]), seeds),
+    st.builds(
+        order_form,
+        st.builds(
+            lambda n, c: monogenic_order([c] + [0] * (n - 1) + [1]),
+            st.integers(2, 4),
+            st.integers(-(10**6), 10**6).filter(bool),
+        ),
+        seeds,
+    ),
+    st.builds(
+        rebased_form,
+        st.lists(pd_grams(max_dim=2), min_size=1, max_size=3).map(lambda bs: block_sum(*bs)),
+        seeds,
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(splitting_forms)
+def test_splitting_matches_the_search_on_every_vector(g):
+    # skipping the search below 2 min D - 2 AMBIGUITY_SPAN tol changes no
+    # component; the vectors still searched are among the reference's
+    want, all_searched = reference_s_decomposition(g)
+    calls = []
+    real = lattices.search_centred_ball
+
+    def counted(g, v, visit):
+        calls.append(v)
+        return real(g, v, visit)
+
+    lattices.search_centred_ball = counted
+    try:
+        dec = universal_s_decomposition(g)
+    finally:
+        lattices.search_centred_ball = real
+    assert dec.components == want
+    assert set(calls) <= set(all_searched)
 
 
 def check_pool_less_indecomposability(gm):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradus.orders as orders
 from gradus.errors import BadIdentity, NotAssociative, NotCommutative, TorsionQuotient
+from gradus.examples import example_names, example_order
 from gradus.intlinalg import IntMatrix, SublatticeBasis, vec_add
 from gradus.orders import (
     group_ring,
@@ -21,6 +22,7 @@ from gradus.orders import (
     regular_matrix,
     subring_order,
     trace_gram,
+    trace_vector,
     validate,
 )
 from helpers import change_of_basis, oracle_nonassociative_triple, random_unimodular, rebased
@@ -186,6 +188,19 @@ def test_nilradical_zsqrt2_empty():
     assert trace_gram(a).entries == ((2, 0), (0, 4))
     assert nilradical(a).rank == 0
     assert is_reduced(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [example_order(name) for name in example_names()]
+    + [rebased(example_order("kummer6"), 1), rebased(group_ring([2, 4])[0], 1)],
+    ids=example_names() + ["kummer6-rebased", "zc2c4-rebased"],
+)
+def test_trace_gram_is_the_entrywise_trace_of_each_product(a):
+    # entry (i, j) is sum_m T_ijm tr_m for the trace vector tr, summed term by term
+    n, tr = a.rank, trace_vector(a)
+    want = [[sum(a.table[i][j][m] * tr[m] for m in range(n)) for j in range(n)] for i in range(n)]
+    assert trace_gram(a) == IntMatrix.from_rows(want, n)
 
 
 def test_nilradical_product_empty():

@@ -223,25 +223,29 @@ def test_radical_cubic_with_wide_norm_spread_grades_in_any_basis():
 
 
 @pytest.mark.parametrize(
-    "a",
-    # Z[C8] has Gram form 8 * identity on the group basis; Z[X]/(X^3 - 1000)
-    # has hundreds of vectors below its largest reduced norm
-    [group_ring([8])[0], monogenic_order([-1000, 0, 0, 1])],
+    "a, searches",
+    # Z[C8] has Gram form 8 * identity on the group basis, so every basis
+    # vector has norm 8 < 2 min D = 16; Z[X]/(X^3 - 1000) has norms 3, 300
+    # and 30000 on its power basis, and only the first is below 2 min D = 6
+    [(group_ring([8])[0], 0), (monogenic_order([-1000, 0, 0, 1]), 2)],
     ids=["zc8", "x3-1000"],
 )
-def test_splitting_takes_one_centred_search_per_basis_vector(monkeypatch, a):
+def test_splitting_searches_each_basis_vector_at_or_above_the_bound_once(
+    monkeypatch, a, searches
+):
     # the reduced basis of a lattice that splits into rank-1 parts is, up to
-    # sign, the indecomposables themselves, so each basis vector is a leaf
-    # after one search and the splitting costs exactly rank searches
+    # sign, the indecomposables themselves, so each basis vector is a leaf:
+    # after one search when its norm is at least 2 min D - 2 AMBIGUITY_SPAN
+    # tol, and with none below
     from helpers import random_unimodular
 
     import gradus.lattices as lattices
-    from gradus.embeddings import compute_embeddings, gram
+    from gradus.embeddings import AMBIGUITY_SPAN, compute_embeddings, gram, norm
     from gradus.lattices import universal_s_decomposition
 
     b, _ = change_of_basis(a, random_unimodular(random.Random(8), a.rank))
     g = gram(compute_embeddings(b))
-    g.reduction  # the LLL basis is made before counting
+    basis, D, _, _ = g.reduction  # the LLL basis is made before counting
     calls = []
     real = lattices.search_centred_ball
 
@@ -252,4 +256,6 @@ def test_splitting_takes_one_centred_search_per_basis_vector(monkeypatch, a):
     monkeypatch.setattr(lattices, "search_centred_ball", counted)
     dec = universal_s_decomposition(g)
     assert len(dec.components) == a.rank
-    assert len(calls) == a.rank
+    assert len(calls) == searches
+    bound = 2 * min(D) - 2 * AMBIGUITY_SPAN * g.tolerance
+    assert sorted(calls) == sorted(v for v in basis.entries if norm(g, v) >= bound)
