@@ -85,6 +85,10 @@ def _maybe_mod_nilradical(a: Order, args) -> tuple[Order, str | None]:
 
 
 def _gram_digits(g) -> int:
+    if not g.tolerance:
+        # an exact form has integer entries: print all their digits
+        biggest = max((abs(x) for row in g.entries for x in row), default=0)
+        return max(8, int(biggest.bit_length() * 0.30103) + 1)
     # stay well inside the certified accuracy so noise digits never print
     return max(8, int(g.precision * 0.301) - 8)
 

@@ -25,6 +25,10 @@ owns number input and output: `gram_from_strings` reads decimal entries
 exactly (`decimal`, `fractions`) onto the grid, and `grid_str` prints grid
 values.  LLL and the Fincke-Pohst searches of `lattices` run on exact
 integer data.
+
+When every embedding is real the form is exactly the integer trace form
+Tr(xy), and `trace_form` gives it on the grid p = 0 with tolerance 0, with
+no embeddings at all; `with_gram` tries it before the numeric levels.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .intlinalg import IntMatrix, inverse_unimodular
-from .orders import Order, charpoly_rows, is_reduced
+from .orders import Order, charpoly_rows, is_reduced, trace_vector
 
 # |value| <= tol counts as zero, |value| >= AMBIGUITY_SPAN * tol as nonzero;
 # anything in between needs more precision.
@@ -158,18 +162,21 @@ def compute_embeddings(
     homomorphism residual of the rows must then be at most 2**(-p/2) n (1 +
     max|sigma|)^2.
 
-    This is the pipeline's only reducedness check: every query reaches it
-    through `with_gram`, which keeps only successes, so it runs once per
-    order object, precision and seed, and a non-reduced order raises
-    NotReduced from every query.  A squarefree chi proves reducedness by
-    itself: its n roots are distinct, so it is also the minimal polynomial
-    of M_z, the powers 1, z, ..., z^(n-1) are independent, and the n
-    dimensional algebra a (x) Q is Q[z] = Q[x]/(chi), a product of fields
-    by the Chinese remainder theorem, as the irreducible factors of chi are
-    distinct.  A subring of a reduced ring is reduced.  So the exact
-    nilradical (`orders.is_reduced`) is consulted only when every try has
-    failed: it raises NotReduced for a non-reduced order, whose chi is
-    never squarefree, and otherwise DegenerateSplitting.  Raises
+    This is one of the pipeline's two reducedness checks.  The other is the
+    positive-definite trace form of `trace_form`, which `with_gram` tries
+    first and which proves a totally real order reduced; a non-reduced
+    order never passes it, so every query on one reaches this check, which
+    `with_gram` runs once per order object, precision and seed (it keeps
+    only successes), and raises NotReduced.  A squarefree chi proves
+    reducedness by itself: its n roots are distinct, so it is also the
+    minimal polynomial of M_z, the powers 1, z, ..., z^(n-1) are
+    independent, and the n dimensional algebra a (x) Q is Q[z] =
+    Q[x]/(chi), a product of fields by the Chinese remainder theorem, as
+    the irreducible factors of chi are distinct.  A subring of a reduced
+    ring is reduced.  So the exact nilradical (`orders.is_reduced`) is
+    consulted only when every try has failed: it raises NotReduced for a
+    non-reduced order, whose chi is never squarefree, and otherwise
+    DegenerateSplitting.  Raises
     DegenerateSplitting when no seeded splitting element separates the
     eigenvalues and EscalationNeeded when the homomorphism residual is too
     large; `with_gram` retries both at a doubled precision.
@@ -599,10 +606,66 @@ def is_nonneg(g: GramForm, value: int) -> bool:
     )
 
 
-def escalate(precision: int, form: Callable[[int], GramForm], fn: Callable[[GramForm], T]) -> T:
-    """Run fn on form(p), doubling p on ambiguity.
+def trace_form(a: Order) -> GramForm | None:
+    """The canonical form of a totally real order, exactly: the trace form
+    Tr(xy) with its integer entries on the grid p = 0 and tolerance 0, or
+    None when the trace form is not positive definite.  Decided once per
+    order object and kept on it, the "no" included.
 
-    This is the pipeline's only precision loop: it tries precision times
+    Why it is the canonical form.  When every embedding sigma is real,
+    sum_sigma sigma(x) conj sigma(y) = sum_sigma sigma(xy) = Tr(xy).  The
+    test needs no embeddings, since the trace form is positive definite
+    exactly when a is reduced and totally real.  A nilpotent x has a
+    nilpotent M_(x x), so Tr(x x) = 0: a positive-definite trace form
+    proves a reduced.  For reduced a, a (x) R is R^r1 x C^r2, and the trace
+    form of each C, 2 Re(zw), has signature (1, 1), so the form is
+    positive definite exactly when r2 = 0 (Conner-Perlis, A Survey of Trace
+    Forms of Algebraic Number Fields, 1984).
+
+    The test is Sylvester's criterion by fraction-free (Bareiss)
+    elimination, the one that opens `lattices.lll_reduce`: the leading
+    minors Delta_i of the form must all be positive.  Row i, (Tr(e_i e_j))
+    for j <= i, is formed only when Delta_(i-1) > 0, so an order that is
+    not totally real pays for the rows up to its first pivot <= 0.
+    """
+    if "trace_form" not in a.derived:
+        a.derived["trace_form"] = _positive_trace_form(a)
+    return a.derived["trace_form"]
+
+
+def _positive_trace_form(a: Order) -> GramForm | None:
+    n, t = a.rank, trace_vector(a)
+    rows: list[list[int]] = []
+    lam: list[list[int]] = []
+    delta = [1]  # delta[i + 1] = Delta_i
+    for i in range(n):
+        rows.append([sum(map(operator.mul, cell, t)) for cell in a.table[i][: i + 1]])
+        li: list[int] = []
+        lam.append(li)
+        for j, u in enumerate(rows[i]):
+            lj = lam[j]
+            for s in range(j):
+                u = (delta[s + 1] * u - li[s] * lj[s]) // delta[s]
+            li.append(u)
+        if li[i] <= 0:
+            return None
+        delta.append(li[i])
+    entries = tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(n)) for i in range(n))
+    return GramForm(n, entries, 0, 0)
+
+
+def escalate(
+    precision: int,
+    form: Callable[[int], GramForm],
+    fn: Callable[[GramForm], T],
+    exact: GramForm | None = None,
+) -> T:
+    """Run fn on an exact form, then on form(p), doubling p on ambiguity.
+
+    This is the pipeline's only precision loop.  An exact form (tolerance
+    0), when the caller has one, is tried first and counts as no level:
+    its verdicts are exact, so EscalationNeeded from it comes only from a
+    fault, and moves on to the numeric levels.  These try precision times
     2**k for k = 0 .. ESCALATION_BUDGET, moving on whenever form or fn
     raise EscalationNeeded or DegenerateSplitting.  When every level fails,
     the last DegenerateSplitting is re-raised, and any other failure becomes
@@ -610,6 +673,11 @@ def escalate(precision: int, form: Callable[[int], GramForm], fn: Callable[[Gram
     embeddings form of an order (`with_gram`), or a document read again
     (`gram_from_strings` is exact, so each level reads it afresh).
     """
+    if exact is not None:
+        try:
+            return fn(exact)
+        except EscalationNeeded:
+            pass
     p = precision
     for _ in range(ESCALATION_BUDGET + 1):
         try:
@@ -626,10 +694,12 @@ def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
     """Run fn on the Gram form of a, through `escalate` from
     config.precision.
 
-    The form of each (precision, seed) is computed once per order object
-    and kept on it (successes only), so every query on that object shares
-    the embeddings, and through `GramForm.reduction` the LLL basis; an equal
-    but distinct order computes its own.
+    The exact form of a totally real order (`trace_form`) comes first, and
+    serves every query at any precision or seed.  Otherwise the form of
+    each (precision, seed) is computed once per order object and kept on it
+    (successes only).  Either way every query on that object shares the
+    form, and through `GramForm.reduction` the LLL basis; an equal but
+    distinct order computes its own.
     """
 
     def form(p: int) -> GramForm:
@@ -638,4 +708,4 @@ def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
             a.derived[key] = gram(compute_embeddings(a, p, config.seed))
         return a.derived[key]
 
-    return escalate(config.precision, form, fn)
+    return escalate(config.precision, form, fn, trace_form(a))

@@ -85,9 +85,6 @@ class FinAbGroup:
     def add(self, a: Sequence[int], b: Sequence[int]) -> GroupElem:
         return self.reduce(vec_add(a, b))
 
-    def neg(self, a: Sequence[int]) -> GroupElem:
-        return self.reduce(tuple(-c for c in a))
-
     def smul(self, k: int, a: Sequence[int]) -> GroupElem:
         return self.reduce(vec_scale(k, a))
 
@@ -406,7 +403,7 @@ def _grading_from_gram(a: Order, g) -> GradedOrder:
     """
     dec = universal_s_decomposition(g)
     comps = dec.components
-    rows = [v for c in comps for v in c.vectors()]
+    rows = _stack(comps)
     block = [s for s, c in enumerate(comps) for _ in range(c.rank)]
     met: set[tuple[int, int, int]] = set()
     products, width = _product_table(a, rows, dec.inverse)
@@ -422,13 +419,23 @@ def _grading_from_gram(a: Order, g) -> GradedOrder:
         raise EscalationNeeded(f"relations of the splitting present an infinite group: {exc}") from exc
     if any(group.add(images[s1], images[s2]) != images[s3] for s1, s2, s3 in met):
         raise EscalationNeeded("the presented group fails the product certificate")
-    rows_by: dict[GroupElem, list[Vec]] = {}
+    comps_by: dict[GroupElem, list[SublatticeBasis]] = {}
     for img, comp in zip(images, comps):
-        rows_by.setdefault(img, []).extend(comp.vectors())
-    grading = make_grading(a, group, rows_by)
+        comps_by.setdefault(img, []).append(comp)
+    # a lone component is in Hermite form already, and is its own piece
+    pieces = sorted(
+        (img, cs[0] if len(cs) == 1 else SublatticeBasis.from_vectors(a.rank, _stack(cs)))
+        for img, cs in comps_by.items()
+    )
+    grading = Grading(a, group, tuple(pieces))
     if not group.generated_by(grading.support()):
         raise EscalationNeeded("support of the assembled grading does not generate the group")
     return GradedOrder(grading, dec, images)
+
+
+def _stack(comps: Sequence[SublatticeBasis]) -> list[Vec]:
+    """The basis rows of the sublattices, one after another."""
+    return [v for c in comps for v in c.vectors()]
 
 
 def _product_table(

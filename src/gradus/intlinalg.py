@@ -310,8 +310,14 @@ class SublatticeBasis:
         m = IntMatrix.from_rows(vectors, ambient_rank)
         if m.cols != ambient_rank:
             raise ValueError("vectors do not live in the declared ambient lattice")
-        h, _ = hnf(m)
-        rows = tuple(r for r in h.entries if any(r))
+        if m.rows == 1:
+            # the Hermite form of one row: the row with a positive pivot
+            v = m.entries[0]
+            lead = next((x for x in v if x), 0)
+            rows = () if not lead else (v,) if lead > 0 else (vec_neg(v),)
+        else:
+            h, _ = hnf(m)
+            rows = tuple(r for r in h.entries if any(r))
         return cls(ambient_rank, IntMatrix(rows, ambient_rank))
 
     @classmethod

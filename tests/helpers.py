@@ -501,7 +501,7 @@ def oracle_roots(a):
     bound = torsion_order_bound(n)
 
     def run(g):
-        with mp.workprec(g.precision):
+        with mp.workprec(max(g.precision, 64)):
             floor = n - real(g, g.tolerance)
         pool = enumerate_up_to(g, n << g.precision)
         cands = [v for v in pool if real(g, norm(g, v)) >= floor]
@@ -648,10 +648,11 @@ def oracle_gram(e):
 def real(g, x):
     """A value on the grid 2**(-p)Z of the Gram form g (an entry, inner
     product, norm, tolerance or LDL pivot, as an integer or mpf) as the real
-    it stands for, an mpf at the precision p of g."""
+    it stands for, an mpf at the precision p of g, or at 64 bits for an
+    exact form (p = 0)."""
     from mpmath import mp
 
-    with mp.workprec(g.precision):
+    with mp.workprec(max(g.precision, 64)):
         return mp.ldexp(x, -g.precision)
 
 

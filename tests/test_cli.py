@@ -344,8 +344,9 @@ def monogenic_file(tmp_path, coefficients):
 
 def test_huge_coefficients_end_with_a_typed_error(tmp_path, capsys):
     # x^3 - 10^200 has embeddings, grades to C3 and its roots of unity are
-    # +-1; x^2 - 10^310 has no positive definite form at any level of the
-    # precision budget
+    # +-1; x^2 - 10^310 has no positive definite numeric form at any level
+    # of the precision budget, but it is totally real, and its exact trace
+    # form grades it to C2 with the roots +-1
     path = monogenic_file(tmp_path, [-(10**200), 0, 0, 1])
     code, out, err = run_cli(capsys, "grade", path, "--format", "json")
     assert (code, err) == (0, "")
@@ -354,8 +355,12 @@ def test_huge_coefficients_end_with_a_typed_error(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert json.loads(out)["roots"] == [[-1, 0, 0], [1, 0, 0]]
     path = monogenic_file(tmp_path, [-(10**310), 0, 1])
-    code, out, err = run_cli(capsys, "grade", path)
-    assert (code, out, json.loads(err)["error"]) == (3, "", "PrecisionExhausted")
+    code, out, err = run_cli(capsys, "grade", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["group"]["invariant_factors"] == [2]
+    code, out, err = run_cli(capsys, "units", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["roots"] == [[-1, 0], [1, 0]]
 
 
 @pytest.mark.parametrize(

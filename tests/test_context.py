@@ -1,14 +1,15 @@
 """One numeric context per order object and one precision-escalation loop.
 
 Every query on an order that needs a Gram form takes it from
-`embeddings.with_gram`, which computes the embeddings once per (precision,
-seed) and keeps the form on the order object; `embeddings.escalate`, the
+`embeddings.with_gram`, which tries the exact trace form of a totally real
+order first and otherwise computes the embeddings once per (precision,
+seed), and keeps the form on the order object; `embeddings.escalate`, the
 loop behind it, is the only code that doubles the precision.  The
 LLL reduction is kept on the form, and the nilradical and the certified
-idempotents on the order.  Reducedness is proved once, by the embeddings
-behind that context.  Nothing is kept at module level: a test gets a fresh
-context by building a fresh order, and an order dropped by its caller is
-freed with everything derived from it.
+idempotents on the order.  Reducedness is proved once, by the trace form or
+the embeddings behind that context.  Nothing is kept at module level: a
+test gets a fresh context by building a fresh order, and an order dropped
+by its caller is freed with everything derived from it.
 """
 
 import gc
@@ -168,7 +169,7 @@ def test_ambiguity_doubles_precision_up_to_the_budget(monkeypatch, query, config
     tried = []
     run = query(monkeypatch, tried)
     with pytest.raises(PrecisionExhausted):
-        run(example_order("zsqrt2"), config)
+        run(example_order("zsqrtm1"), config)
     assert tried == [config.precision * 2**k for k in range(budget + 1)]
 
 
@@ -187,15 +188,43 @@ def test_embedding_failures_share_the_budget(monkeypatch):
     tried = []
     run = ambiguous_grading(monkeypatch, tried)
     with pytest.raises(PrecisionExhausted):
-        run(example_order("zsqrt2"), config)
+        run(example_order("zsqrtm1"), config)
     assert tried == [config.precision * 2**k for k in range(1, embeddings.ESCALATION_BUDGET + 1)]
 
 
 def test_degenerate_spectrum_at_every_level(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(embeddings, "_min_separation", lambda roots: 0)
     with pytest.raises(DegenerateSplitting):
-        roots_of_unity(example_order("zsqrt2"))
+        roots_of_unity(example_order("zsqrtm1"))
     path = tmp_path / "order.json"
-    path.write_text(json.dumps(order_to_json(example_order("zsqrt2"))))
+    path.write_text(json.dumps(order_to_json(example_order("zsqrtm1"))))
     assert main(["analyze", str(path)]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "DegenerateSplitting"
+
+
+@pytest.mark.parametrize("query", [ambiguous_grading, ambiguous_idempotents])
+def test_the_exact_form_comes_first_and_the_numeric_ladder_follows(monkeypatch, query):
+    # on a totally real order the exact trace form is tried once, on the
+    # grid p = 0, and a failure there (only a fault can cause one) hands
+    # over to the unchanged numeric levels, which still have the whole budget
+    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    tried = []
+    run = query(monkeypatch, tried)
+    with pytest.raises(PrecisionExhausted):
+        run(example_order("zsqrt2"), RunConfig())
+    levels = [192 * 2**k for k in range(embeddings.ESCALATION_BUDGET + 1)]
+    assert tried == [0] + levels
+    assert [args[1] for args in emb] == levels
+
+
+def test_a_totally_real_order_computes_no_embeddings(monkeypatch):
+    # the exact form serves every query at every precision and seed
+    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    lll = counting(monkeypatch, lattices, "lll_reduce")
+    a = example_order("zxz")
+    for config in (RunConfig(), RunConfig(precision=384, seed=1)):
+        assert universal_grading(a, config).grading.group.invariant_factors == ()
+        assert roots_of_unity(a, config).count == 4
+        assert len(idempotents(a, config)) == 4
+    assert len(emb) == 0
+    assert len(lll) == 1

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from decimal import Decimal
@@ -18,21 +19,29 @@ from gradus.embeddings import (
     is_nonneg,
     is_zero,
     norm,
+    trace_form,
+    with_gram,
 )
 from gradus.errors import AmbiguousSign, AmbiguousZero, EscalationNeeded, NotReduced
 from gradus.examples import example_names, example_order
 from gradus.lattices import enumerate_up_to
+from gradus.config import DEFAULT_CONFIG
+from gradus.grading import universal_grading
 from gradus.orders import (
+    Order,
     charpoly_rows,
     is_reduced,
     group_ring,
     monogenic_order,
+    product_order,
     quotient_order,
     regular_matrix,
+    trace_gram,
     trace_vector,
     validate,
 )
-from gradus.units import roots_of_unity
+from gradus import grading, units
+from gradus.units import idempotents, roots_of_unity
 
 from helpers import (
     SMALL_RINGS,
@@ -707,3 +716,77 @@ def test_roots_match_the_reference_that_refines_every_start(monkeypatch, a):
         assert not seen  # no chi of a non-reduced order is squarefree
     for chi, bits, floor, got in seen:
         assert got == reference_roots(chi, bits, floor)
+
+
+# ------------------------------------------------ the exact trace form
+
+# x^2 - d, x^2 - x - d and Z, all totally real
+REAL_QUADRATICS = st.one_of(
+    st.integers(2, 60).filter(lambda d: math.isqrt(d) ** 2 != d).map(lambda d: [-d, 0, 1]),
+    st.integers(1, 60).map(lambda d: [-d, -1, 1]),
+    st.just([-1, 1]),
+)
+
+totally_real_orders = st.one_of(
+    st.lists(REAL_QUADRATICS, min_size=1, max_size=3).map(
+        lambda fs: functools.reduce(product_order, map(monogenic_order, fs))
+    ),
+    # of the group rings of 2-groups, those of exponent 2 are totally real
+    st.integers(1, 4).map(lambda k: group_ring([2] * k)[0]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(totally_real_orders, st.integers(0, 2**32))
+def test_the_exact_form_is_the_numeric_form_of_a_totally_real_order(a, seed):
+    # the trace form on the grid p = 0, moved onto the grid of the numeric
+    # form, is that form within its tolerance
+    a = rebased(a, seed)
+    exact = trace_form(a)
+    assert (exact.precision, exact.tolerance) == (0, 0)
+    assert exact.entries == trace_gram(a).entries
+    g = gram(compute_embeddings(a))
+    assert all(
+        abs(x - (y << g.precision)) <= g.tolerance
+        for row, erow in zip(g.entries, exact.entries)
+        for x, y in zip(row, erow)
+    )
+
+
+@pytest.mark.parametrize("name", ["zc3", "zc4", "zsqrtm1", "zeta5", "kummer6", "dual"])
+def test_an_order_that_is_not_totally_real_is_rejected_at_its_first_bad_pivot(name):
+    # the lazy test forms the rows of the trace form only up to the first
+    # leading minor <= 0, so no full trace Gram, and decides once per order
+    a = example_order(name)
+    trace_vector(a)  # reads every row; kept on the order
+    read = []
+
+    class Rows(tuple):
+        def __getitem__(self, i):
+            read.append(i)
+            return tuple.__getitem__(self, i)
+
+    b = Order(a.rank, Rows(a.table), a.one)
+    b.derived.update(a.derived)
+    assert trace_form(b) is None
+    assert trace_form(b) is None
+    t = Matrix(trace_gram(a).entries)
+    first_bad = next(k for k in range(1, a.rank + 1) if t[:k, :k].det() <= 0)
+    assert read == list(range(first_bad))
+
+
+@pytest.mark.parametrize("name", ["zc4", "zsqrtm1", "zeta5", "kummer6"])
+def test_an_order_that_is_not_totally_real_answers_on_its_numeric_form(monkeypatch, name):
+    # every query takes the numeric form it took before the exact form came
+    # first, and gives the answers read off that form
+    emb = []
+    real = embeddings.compute_embeddings
+    monkeypatch.setattr(
+        embeddings, "compute_embeddings", lambda *args: emb.append(args) or real(*args)
+    )
+    a = example_order(name)
+    g = gram(real(example_order(name)))
+    assert with_gram(a, DEFAULT_CONFIG, lambda form: form) == g
+    assert universal_grading(a) == grading._grading_from_gram(example_order(name), g)
+    assert idempotents(a) == units.idempotents_on(example_order(name), g)
+    assert len(emb) == 1

@@ -8,7 +8,9 @@ example.
 The grade, units and idempotents entries were written from commit b2e513b,
 before the embeddings were read off left eigenvectors and before LLL
 carried its own Gram matrix; the analyze and decompose entries from commit
-42caf6b, before the Gram form moved onto an integer grid.  Both by
+42caf6b, before the Gram form moved onto an integer grid, except the
+analyze entries of the eight totally real examples, whose tolerance and
+precision read 0 since they answer on their exact trace form.  All by
 
     PYTHONPATH=src python tests/test_golden.py --write
 

@@ -55,7 +55,6 @@ def test_finabgroup_normalization():
 def test_finabgroup_arithmetic():
     g = FinAbGroup((2, 4))
     assert g.add((1, 3), (1, 2)) == (0, 1)
-    assert g.neg((1, 1)) == (1, 3)
     assert g.smul(3, (1, 2)) == (1, 2)
     assert g.combination((3, -1), [(1, 2), (1, 1)]) == (0, 1)
     assert g.combination((), []) == g.identity
@@ -213,7 +212,7 @@ def test_product_table_equals_the_products_formed_in_the_order(seed):
         assert supports == [[[m for m, c in enumerate(p) if c] for p in row] for row in got]
 
 
-@pytest.mark.parametrize("name", ["zc4", "zc2c2", "kummer6", "zsqrt2"])
+@pytest.mark.parametrize("name", ["zc4", "zc6", "kummer6", "zsqrtm1"])
 def test_a_wrong_group_fails_the_certificate_at_every_precision(monkeypatch, name):
     # rotating the component images by one breaks the product relations,
     # and only the certificate on the product table can see that
@@ -232,6 +231,40 @@ def test_a_wrong_group_fails_the_certificate_at_every_precision(monkeypatch, nam
     assert len(calls) == 5  # 192 bits doubled up to 3072
 
 
+def test_a_certificate_failing_on_the_exact_form_hands_over_to_the_numeric_levels(monkeypatch):
+    # a totally real order: the exact trace form fails first, then each of
+    # the five numeric levels, 192 bits doubled up to 3072
+    a = rebased(example_order("zc2c2"), "zc2c2")
+    presented, split = grading.group_from_relations, grading.universal_s_decomposition
+    forms = []
+
+    def rotated(num_gens, relations):
+        group, images = presented(num_gens, relations)
+        return group, images[1:] + images[:1]
+
+    def decompose(g):
+        forms.append(g.precision)
+        return split(g)
+
+    monkeypatch.setattr(grading, "group_from_relations", rotated)
+    monkeypatch.setattr(grading, "universal_s_decomposition", decompose)
+    with pytest.raises(PrecisionExhausted, match="certificate"):
+        universal_grading(a)
+    assert forms == [0, 192, 384, 768, 1536, 3072]
+
+
+@pytest.mark.parametrize("name", ["zc2c2", "zc6", "kummer6", "parity5", "zxz"])
+def test_graded_pieces_are_those_of_make_grading(name):
+    # a lone component is its piece; the grading equals the one built from
+    # the rows of the components at each element
+    a = rebased(example_order(name), name)
+    go = universal_grading(a)
+    rows_by = {}
+    for img, comp in zip(go.component_images, go.decomposition.components):
+        rows_by.setdefault(img, []).extend(comp.vectors())
+    assert go.grading == make_grading(a, go.grading.group, rows_by)
+
+
 def test_an_infinite_presented_group_exhausts_the_precision(monkeypatch):
     calls = []
 
@@ -241,7 +274,7 @@ def test_an_infinite_presented_group_exhausts_the_precision(monkeypatch):
 
     monkeypatch.setattr(grading, "group_from_relations", infinite)
     with pytest.raises(PrecisionExhausted, match="infinite group"):
-        universal_grading(example_order("zsqrt2"))
+        universal_grading(example_order("zsqrtm1"))
     assert len(calls) == 5
 
 
@@ -256,7 +289,7 @@ def test_a_support_that_does_not_generate_exhausts_the_precision(monkeypatch):
 
     monkeypatch.setattr(grading, "group_from_relations", collapsed)
     with pytest.raises(PrecisionExhausted, match="does not generate"):
-        universal_grading(example_order("zsqrt2"))
+        universal_grading(example_order("zsqrtm1"))
     assert len(calls) == 5
 
 

@@ -1,19 +1,32 @@
-"""Orders with huge coefficients grade under a counted work bound.
+"""Hard inputs answer under a counted work bound.
 
-Each grading splits the reduced basis with a few centred searches of a few
-visits each, whatever the size of the lattice's short-vector pool (x^4 - 1000
-has 66,462 vectors up to its largest reduced-basis norm), and a basis vector
-shorter than twice the least pivot of the reduced basis is a leaf with no
-search at all; each input's number of searches is pinned exactly.  The
-bounds count work, not time: a search that visits more points than the
-bound stops at once and fails the test."""
+Each grading of an order with huge coefficients splits the reduced basis
+with a few centred searches of a few visits each, whatever the size of the
+lattice's short-vector pool (x^4 - 1000 has 66,462 vectors up to its largest
+reduced-basis norm), and a basis vector shorter than twice the least pivot
+of the reduced basis is a leaf with no search at all; each input's number
+of searches is pinned exactly.  The bounds count work, not time: a search
+that visits more points than the bound stops at once and fails the test.
+
+Totally real inputs whose embeddings are out of reach, Z[C2^6] (a degree-64
+characteristic polynomial with 64 integer roots of one parity) and
+x^2 - 10^310 (coefficients beyond a double), answer every query on their
+exact trace form, with no embeddings computed, in under 2 s each."""
+
+import functools
+import random
+import time
 
 import pytest
 
+import gradus.embeddings as embeddings
 import gradus.lattices as lattices
 from gradus.grading import universal_grading
 from gradus.intlinalg import SublatticeBasis
-from gradus.orders import monogenic_order
+from gradus.orders import Order, group_ring, monogenic_order
+from gradus.units import idempotents, roots_of_unity
+
+from helpers import change_of_basis, random_unimodular
 
 # (coefficients of the monic polynomial, low degree first; invariant
 # factors; centred searches of the splitting)
@@ -69,3 +82,48 @@ def test_huge_coefficients_grade_under_a_work_bound(monkeypatch, name):
         want = {(): SublatticeBasis.full(n)}
     assert dict(go.grading.pieces) == want
     assert count["searches"] == searches
+
+
+@functools.cache
+def exact_input(name):
+    if name == "x2-10^310":
+        return monogenic_order([-(10**310), 0, 1])
+    a = group_ring([2] * 6)[0]
+    if name == "Z[C2^6] dense":
+        # 4n elementary steps give table entries up to about 10^4
+        a = change_of_basis(a, random_unimodular(random.Random(name), 64, steps=256))[0]
+    return a
+
+
+# (name, query, its answer: the invariant factors, or the count)
+EXACT = [
+    (name, query, answer)
+    for name, factors, roots in [
+        ("Z[C2^6]", (2,) * 6, 128),
+        ("Z[C2^6] dense", (2,) * 6, 128),
+        ("x2-10^310", (2,), 2),
+    ]
+    for query, answer in [("grade", factors), ("idempotents", 2), ("units", roots)]
+]
+
+
+@pytest.mark.parametrize("name, query, answer", EXACT, ids=[f"{n}-{q}" for n, q, _ in EXACT])
+def test_totally_real_hard_inputs_answer_on_the_exact_form(monkeypatch, name, query, answer):
+    # a fresh order object on the same table: the query pays for its own
+    # trace form and LLL, but not for validating the table again
+    a = exact_input(name)
+    a = Order(a.rank, a.table, a.one)
+    calls = []
+    real = embeddings.compute_embeddings
+    monkeypatch.setattr(
+        embeddings, "compute_embeddings", lambda *args: calls.append(args) or real(*args)
+    )
+    run = {
+        "grade": lambda: universal_grading(a).grading.group.invariant_factors,
+        "idempotents": lambda: len(idempotents(a)),
+        "units": lambda: roots_of_unity(a).count,
+    }[query]
+    start = time.perf_counter()
+    assert run() == answer
+    assert time.perf_counter() - start < 2
+    assert calls == []

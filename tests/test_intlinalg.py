@@ -298,3 +298,13 @@ def test_coordinates_of_edge_cases():
     assert SublatticeBasis.from_vectors(2, [(2, 4)]).coordinates_of((1, 2)) is None
     with pytest.raises(ValueError):
         SublatticeBasis.full(2).coordinates_of((1, 2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=0, max_size=6))
+def test_one_vector_spans_its_hermite_form(v):
+    # the Hermite form of a single row is that row with a positive pivot,
+    # or no row at all
+    h, _ = hnf(IntMatrix.from_rows([v], len(v)))
+    want = tuple(r for r in h.entries if any(r))
+    assert SublatticeBasis.from_vectors(len(v), [v]).vectors() == want

@@ -92,7 +92,8 @@ def test_a_second_precision_and_seed_read_the_certified_idempotents(monkeypatch)
     # the idempotents are exact, so one order object searches for them once,
     # and queries at another precision and seed give the same answers;
     # idempotents and is_connected read the kept set without a form, and
-    # roots_of_unity computes the form of its new config for its pool
+    # roots_of_unity reads the exact trace form of the totally real zxz for
+    # its pool, at every config, so no embeddings are computed at all
     a = example_order("zxz")
     first = (idempotents(a), is_connected(a), roots_of_unity(a))
     searches, forms = [], []
@@ -113,7 +114,7 @@ def test_a_second_precision_and_seed_read_the_certified_idempotents(monkeypatch)
         assert (idempotents(a, config), is_connected(a, config)) == first[:2]
     assert (searches, forms) == ([], [])
     assert roots_of_unity(a, configs[0]) == first[2]
-    assert (searches, forms) == ([], [None])
+    assert (searches, forms) == ([], [])
 
 
 def test_element_order_basics():
@@ -351,11 +352,13 @@ def test_roots_homogeneous_when_identity_piece_connected():
 def test_a_partial_idempotent_search_fails_the_certificate_at_every_level(
     monkeypatch, tmp_path, capsys, drop
 ):
-    # Z^3 has the 8 idempotents of {0, 1}^3; a search that misses some of
-    # them is no Boolean algebra, so every query escalates until the budget
-    # is spent
-    a = integers_power(3)
-    path = tmp_path / "z3.json"
+    # Z x Z x Z[i] has the 8 idempotents (e, 0) of e in {0, 1}^3; a search
+    # that misses some of them is no Boolean algebra, so every query
+    # escalates until the budget is spent.  The order is not totally real,
+    # so it has no exact form, and the search runs at every numeric level
+    a = product_order(integers_power(2), monogenic_order(SMALL_RINGS["z[i]"]))
+    drop = [e + (0,) for e in drop]
+    path = tmp_path / "zzzi.json"
     path.write_text(json.dumps(order_to_json(a)))
     real = units.search_centred_ball
     tried = []
