@@ -5,8 +5,8 @@ by integer structure constants.  For reduced orders the package computes the
 canonical inner product numerically (with certified residuals), splits the
 lattice into its finest orthogonal components, and assembles the grading by
 a finite abelian group that every other grading of the order factors
-through.  Verification of gradings, idempotent and root-of-unity searches,
-and pushforwards along group homomorphisms are exact.
+through.  Verification of gradings, the idempotents, the root-of-unity
+search, and pushforwards along group homomorphisms are exact.
 """
 
 from .config import DEFAULT_CONFIG, RunConfig

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .examples import EXAMPLES, example_names, example_order
-from .grading import grading_to_json, universal_grading
+from .grading import graded_on, grading_to_json, universal_grading
 from .lattices import universal_s_decomposition
 from .orders import (
     Order,
@@ -37,7 +37,7 @@ from .orders import (
     order_to_json,
     quotient_order,
 )
-from .units import idempotents, idempotents_on, roots_of_unity
+from .units import idempotents, roots_of_unity
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -129,7 +129,7 @@ def cmd_analyze(args, config: RunConfig) -> int:
         f"nilradical rank: {rad.rank}",
     ]
     if reduced and a.rank > 0:
-        connected, g = with_gram(a, config, lambda g: (len(idempotents_on(a, g)) == 2, g))
+        connected, g = with_gram(a, config, lambda g: (len(graded_on(a, g).atoms) == 1, g))
         data["connected"] = connected
         data["gram"] = _gram_json(g)
         lines.append(f"connected:       {'yes' if connected else 'no'}")

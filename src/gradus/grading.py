@@ -7,7 +7,8 @@ homomorphisms, searches for the unique morphism relating two gradings, and
 computes the finest grading that every other grading factors through: the
 lattice of a reduced order splits into orthogonal components under its
 canonical form, products of components force relations between their
-indices, and the quotient group of those relations grades the order.
+indices, and the quotient group of those relations grades the order; the
+same products give its primitive idempotents.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .embeddings import with_gram
+from .embeddings import GramForm, with_gram
 from .errors import (
     AmbiguousMorphism,
     EscalationNeeded,
@@ -39,7 +40,7 @@ from .intlinalg import (
     vec_scale,
 )
 from .lattices import SDecomposition, universal_s_decomposition
-from .orders import Order, mul
+from .orders import Order, mul, trace_vector
 
 GroupElem = tuple[int, ...]
 
@@ -186,12 +187,14 @@ def make_grading(
 
 @dataclass(frozen=True)
 class GradedOrder:
-    """Universal grading together with the lattice splitting it came from
-    and the map sending each splitting component to its group element."""
+    """Universal grading together with the lattice splitting it came from,
+    the map sending each splitting component to its group element, and the
+    primitive idempotents e_i as the pairs (e_i, t . e_i), t . e_i rising."""
 
     grading: Grading
     decomposition: SDecomposition
     component_images: tuple[GroupElem, ...]
+    atoms: tuple[tuple[Vec, int], ...]
 
 
 @dataclass(frozen=True)
@@ -369,10 +372,25 @@ def universal_grading(a: Order, config: RunConfig | None = None) -> GradedOrder:
     pieces summed per group element.  Each product is formed once, and the
     same table of products certifies the result exactly (see
     `_grading_from_gram`); a failed certificate triggers a precision
-    escalation and retry in `with_gram`.
+    escalation and retry in `with_gram`.  The answer is kept on a (see
+    `graded_on`), and a kept one is read without a form.
     """
-    config = config or DEFAULT_CONFIG
-    return with_gram(a, config, lambda g: _grading_from_gram(a, g))
+    if "grading" not in a.derived:
+        return with_gram(a, config or DEFAULT_CONFIG, lambda g: graded_on(a, g))
+    group, pieces, *rest = a.derived["grading"]
+    return GradedOrder(Grading(a, group, pieces), *rest)
+
+
+def graded_on(a: Order, g: GramForm) -> GradedOrder:
+    """The universal grading of a from the splitting of g, kept once per
+    order object: its components are unique (Eichler) and sorted, so it does
+    not depend on the form, and every query on a reads it.  The entry holds
+    no reference to a, as nothing in `a.derived` may."""
+    if "grading" not in a.derived:
+        go = _grading_from_gram(a, g)
+        gr = go.grading
+        a.derived["grading"] = (gr.group, gr.pieces, go.decomposition, go.component_images, go.atoms)
+    return universal_grading(a)
 
 
 def _grading_from_gram(a: Order, g) -> GradedOrder:
@@ -430,7 +448,47 @@ def _grading_from_gram(a: Order, g) -> GradedOrder:
     grading = Grading(a, group, tuple(pieces))
     if not group.generated_by(grading.support()):
         raise EscalationNeeded("support of the assembled grading does not generate the group")
-    return GradedOrder(grading, dec, images)
+    return GradedOrder(grading, dec, images, _atoms(a, dec, rows, block, met))
+
+
+def _atoms(
+    a: Order, dec: SDecomposition, rows: Sequence[Vec], block: Sequence[int], met
+) -> tuple[tuple[Vec, int], ...]:
+    """The primitive idempotents of a as the pairs (e_i, t . e_i) in
+    increasing trace, from the product graph of the splitting dec: row m of
+    its stacked `rows` lies in component block[m], and every triple
+    (s1, s2, s3) of `met` is an edge s1 - s2.
+
+    Why.  The factors e_i a are orthogonal, as sigma(e_i e_j) = 0, so each
+    component lies in one of them (Eichler: the splitting into
+    indecomposables is unique), and no edge joins two factors.  Within a
+    factor the graph is connected: were S, T a split with no edge between
+    them, 1_S, the sum over S of the parts 1_c of 1 = sum_c 1_c, would act
+    as 1 on the span of S (x = x 1 = x 1_S) and as 0 on that of T, an
+    idempotent other than 0 and e_i.  So e_i is the sum of 1_c over class i.
+
+    Check.  The e_i sum to 1; each must be a nonzero idempotent and
+    annihilate the others, exactly, in O(k^2) products.  A graph that splits
+    a factor's class fails this, since the factor is connected, and a
+    failure raises EscalationNeeded.  One class needs neither sum nor
+    product: its e_1 is 1, of trace rank a."""
+    label = list(range(len(dec.components)))  # the class of each component
+    for s1, s2, _ in met:
+        if label[s1] != label[s2]:
+            old, new = label[s2], label[s1]
+            label = [new if c == old else c for c in label]
+    if len(set(label)) == 1:
+        return ((a.one, a.rank),)
+    sums = dict.fromkeys(label, a.zero())
+    for c, row, s in zip(dec.inverse.vec_mat(a.one), rows, block):
+        if c:
+            sums[label[s]] = vec_add(sums[label[s]], vec_scale(c, row))
+    atoms = list(sums.values())
+    for i, e in enumerate(atoms):
+        if not any(e) or mul(a, e, e) != e or any(any(mul(a, e, f)) for f in atoms[i + 1 :]):
+            raise EscalationNeeded("the product graph gives no primitive idempotents")
+    t = trace_vector(a)
+    return tuple((e, r) for r, e in sorted((sum(map(operator.mul, t, e)), e) for e in atoms))
 
 
 def _stack(comps: Sequence[SublatticeBasis]) -> list[Vec]:

@@ -11,8 +11,8 @@ proven bound on that rounding, so every search is complete by proof (see
 
 Provides LLL reduction of the standard basis, one Fincke-Pohst enumeration
 kernel (short vectors around the origin, and the centred ball of the
-lattice points x with <x, v - x> >= 0, which decides whether v decomposes
-and holds the idempotents when v = 1), and the finest orthogonal splitting
+lattice points x with <x, v - x> >= 0, which decides whether v
+decomposes), and the finest orthogonal splitting
 of the whole lattice into mutually orthogonal sublattices.  The splitting
 splits each reduced-basis vector into indecomposables, at most one centred
 search per vector and none below a bound the pivots give, each part

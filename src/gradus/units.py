@@ -1,18 +1,15 @@
 """Idempotents, connectedness, and roots of unity of reduced orders.
 
-Both searches run over lattice vectors under the canonical form and then
-filter with exact ring arithmetic, so numeric noise can only cost a retry,
-never a wrong answer.
+The primitive idempotents e_1..e_k come with the universal grading: its
+product graph joins the splitting components into the factors e_i a, each
+checked exactly (see `grading._atoms`), and the grading is kept once per
+order object.  The idempotents are the 2^k subset sums of the e_i, and a
+is connected when k = 1, so every idempotent answer on an order object, at
+any precision or seed, reads that one grading, and no search runs for it.
 
-Idempotents are exactly the lattice points e with <e, 1 - e> >= 0, that is
-the points of the centred ball |e - 1/2|^2 <= |1|^2 / 4, which one
-Fincke-Pohst search lists; `idempotents_on` certifies the set by its atoms
-and keeps both on the order object, and every idempotent answer on it, at
-any precision or seed, reads that one set.
-
-Roots of unity factor through those atoms e_1..e_k: a = e_1 a x ... x e_k a,
-so mu(a) is the set of sums of one root of each factor, and a root of e_i a
-has norm exactly r_i = rank(e_i a).  One search of the ball of norm
+Roots of unity factor through the e_i: a = e_1 a x ... x e_k a, so mu(a)
+is the set of sums of one root of each factor, and a root of e_i a has
+norm exactly r_i = rank(e_i a).  One search of the ball of norm
 <= max r_i on a's own form lists the candidates of every factor, the
 vectors of norm r_i with e_i v = v, one of each +- pair.  `element_order`
 decides each in a as v + 1 - e_i, whose order is v's order in e_i a: it
@@ -34,9 +31,9 @@ from math import lcm
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .embeddings import GramForm, norm, with_gram
-from .errors import EscalationNeeded
+from .grading import graded_on, universal_grading
 from .intlinalg import Vec, vec_add, vec_neg, vec_sub
-from .lattices import enumerate_up_to, search_centred_ball
+from .lattices import enumerate_up_to
 from .orders import Order, mul, power, trace_vector
 
 
@@ -169,92 +166,33 @@ def is_subgroup(a: Order, roots) -> bool:
     return True
 
 
-def idempotents_on(a: Order, g: GramForm) -> list[Vec]:
-    """All idempotents of a, from one centred Fincke-Pohst search on g,
-    certified to form a Boolean algebra.
-
-    Search.  <x, 1 - x> = |1|^2/4 - |x - 1/2|^2, and x is idempotent exactly
-    when <x, 1 - x> >= 0.  One way: sigma(e) is 0 or 1 for every embedding
-    sigma, so <e, 1 - e> = 0.  The other: a field factor of degree d
-    contributes Re Tr x - sum |sigma x|^2 over its d embeddings.  Where x is
-    nonzero, Re Tr x <= sqrt(d * sum |sigma x|^2) <= sum |sigma x|^2, the
-    first step by Cauchy-Schwarz and the second because sum |sigma x|^2 >= d
-    (AM-GM against the nonzero integral norm), with equality only at x = 1.
-    So every factor contributes <= 0, a sum >= 0 makes each contribution 0,
-    and every component of x is 0 or 1.  The idempotents are thus the lattice
-    points of the ball |x - 1/2|^2 <= |1|^2/4, which `search_centred_ball`
-    lists with a widened radius; each point is kept when x * x = x exactly.
-
-    Certificate.  The idempotents form a Boolean algebra whose atoms are the
-    primitive idempotents.  The trace t . e (t = `trace_vector(a)`) counts
-    the embeddings at which e is 1, so an atom has a strictly smaller trace
-    than any other sum that contains it.  Walked by trace, keeping each
-    nonzero e orthogonal to every atom kept before it thus keeps exactly the
-    atoms of a Boolean algebra.  The set passes when it has 2^k elements for
-    k atoms, holds 1 and equals their subset sums, which are then distinct
-    and closed under products and 1 - e: exactly when it is a Boolean
-    subalgebra, the verdict of a closure check over all pairs, at
-    O(|found| k) products instead of O(|found|^2).  A failure comes from a
-    numeric fault and raises EscalationNeeded, so `with_gram` retries at
-    twice the bits.  A certified set is exact, so it is kept once per order
-    object, with its atoms and their traces, in increasing trace, beside it
-    (`roots_of_unity` factors through them): every idempotent and root query
-    on that object searches once, whatever its precision and seed.
-    """
-    return list(_boolean_algebra_on(a, g)[0])
-
-
-def _boolean_algebra_on(a: Order, g: GramForm) -> tuple:
-    """(idempotents, atoms) of a, certified as in `idempotents_on` from a
-    search on g: the sorted idempotents, and the pairs (e, t . e) of the
-    atoms e in increasing trace.  Computed once per order object: the
-    certified set is exact, so a query at any precision or seed reads it."""
-    if "idempotents" in a.derived:
-        return a.derived["idempotents"]
-    found = []
-
-    def keep(x):
-        if mul(a, x, x) == x:
-            found.append(x)
-        return False
-
-    search_centred_ball(g, a.one, keep)
-    found.sort()
-    t = trace_vector(a)
-    atoms = []
-    for r, e in sorted((sum(i * j for i, j in zip(t, e)), e) for e in found):
-        if any(e) and not any(any(mul(a, e, p)) for p, _ in atoms):
-            atoms.append((e, r))
-    sums = [a.zero()]
-    for p, _ in atoms if len(found) == 2 ** len(atoms) else ():  # <= |found| sums
-        sums += [vec_add(s, p) for s in sums]
-    if a.one not in found or sorted(sums) != found:
-        raise EscalationNeeded("the idempotents found are not a Boolean algebra")
-    a.derived["idempotents"] = (tuple(found), tuple(atoms))
-    return a.derived["idempotents"]
-
-
 def idempotents(a: Order, config: RunConfig | None = None) -> list[Vec]:
-    """All solutions of x*x = x, 0 and 1 among them (see `idempotents_on`).
-    A set already certified on a is exact and read without a form."""
-    if "idempotents" in a.derived:
-        return list(a.derived["idempotents"][0])
-    return with_gram(a, config or DEFAULT_CONFIG, lambda g: idempotents_on(a, g))
+    """All solutions of x*x = x, 0 and 1 among them, sorted: the 2^k sums
+    of subsets of the primitive idempotents e_1..e_k, which the universal
+    grading reads off its product graph (see `grading._atoms`).  Distinct
+    subsets give distinct sums, since e_i is 0 on every other factor."""
+    sums = [a.zero()]
+    for e, _ in universal_grading(a, config).atoms:
+        sums += [vec_add(s, e) for s in sums]
+    return sorted(sums)
 
 
 def is_connected(a: Order, config: RunConfig | None = None) -> bool:
-    """Whether 0 and 1 are the only idempotents (see `idempotents_on`)."""
+    """Whether 0 and 1 are the only idempotents: whether the universal
+    grading finds one primitive idempotent."""
     if a.rank == 0:
         raise ValueError("the zero ring is not eligible")
-    return len(idempotents(a, config)) == 2
+    return len(universal_grading(a, config).atoms) == 1
 
 
 def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport:
     """All elements of finite multiplicative order, as the product of the
     roots of the factors e_1 a, ..., e_k a at the primitive idempotents.
 
-    Splitting.  The atoms e_1..e_k of `idempotents_on` sum to 1 and are
-    orthogonal, so a = e_1 a x ... x e_k a as rings, e_i a being the order
+    Splitting.  The primitive idempotents e_1..e_k, which the universal
+    grading reads off its product graph and keeps on a
+    (`grading.graded_on`), sum to 1 and are orthogonal, so
+    a = e_1 a x ... x e_k a as rings, e_i a being the order
     {v in a : e_i v = v} with unit e_i and rank r_i = t . e_i, the number of
     embeddings at which e_i is 1.  A root of a is a sum sum_i z_i of roots
     z_i = e_i z of the factors, and its order is the lcm of theirs, so the
@@ -288,7 +226,7 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     config = config or DEFAULT_CONFIG
 
     def run(g: GramForm):
-        atoms = _boolean_algebra_on(a, g)[1]  # (e_i, r_i), r_i increasing
+        atoms = graded_on(a, g).atoms  # (e_i, r_i), r_i increasing
         top = atoms[-1][1] if atoms else 0
         pool = enumerate_up_to(g, top << g.precision, config.enumeration_cap)
         key = functools.partial(norm, g)

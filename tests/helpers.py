@@ -475,6 +475,27 @@ def oracle_idempotents(a):
     return with_gram(a, DEFAULT_CONFIG, run)
 
 
+def oracle_atoms(a):
+    """The primitive idempotents of a as the pairs (e, t . e) in increasing
+    trace (t the trace functional), from `oracle_idempotents`.  t . e counts
+    the embeddings at which e is 1, so walked by trace, a nonzero e that
+    annihilates every atom kept before it is an atom; the idempotents must
+    then be the 2^k subset sums of the k atoms."""
+    from gradus.orders import mul, trace_vector
+
+    found = oracle_idempotents(a)
+    t = trace_vector(a)
+    atoms = []
+    for r, e in sorted((sum(i * j for i, j in zip(t, e)), e) for e in found):
+        if any(e) and not any(any(mul(a, e, p)) for p, _ in atoms):
+            atoms.append((e, r))
+    sums = [a.zero()]
+    for p, _ in atoms:
+        sums += [tuple(i + j for i, j in zip(s, p)) for s in sums]
+    assert sorted(sums) == found
+    return tuple(atoms)
+
+
 def torsion_order_bound(rank):
     """Safe upper bound on the multiplicative order of any root of unity in
     an order of the given rank: twice the square of the largest m with

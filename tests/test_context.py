@@ -6,8 +6,9 @@ order first and otherwise computes the embeddings once per (precision,
 seed), and keeps the form on the order object; `embeddings.escalate`, the
 loop behind it, is the only code that doubles the precision.  The
 LLL reduction is kept on the form, and the nilradical and the certified
-idempotents on the order.  Reducedness is proved once, by the trace form or
-the embeddings behind that context.  Nothing is kept at module level: a
+universal grading, with the primitive idempotents, on the order.
+Reducedness is proved once, by the trace form or the embeddings behind
+that context.  Nothing is kept at module level: a
 test gets a fresh context by building a fresh order, and an order dropped
 by its caller is freed with everything derived from it.
 """
@@ -22,7 +23,6 @@ import gradus.embeddings as embeddings
 import gradus.grading as grading
 import gradus.lattices as lattices
 import gradus.orders as orders
-import gradus.units as units
 from gradus.cli import main
 from gradus.config import RunConfig
 from gradus.errors import AmbiguousZero, DegenerateSplitting, PrecisionExhausted
@@ -60,16 +60,29 @@ def test_queries_on_one_order_share_one_context(monkeypatch):
     assert nil == []
 
 
+CONFIGS = (RunConfig(), RunConfig(precision=384, seed=1), RunConfig(precision=256, seed=2))
+
+
 @pytest.mark.parametrize("name", ["zc4", "zxz"])
 def test_idempotent_and_root_queries_share_one_search(monkeypatch, name):
-    # the roots factor through the atoms that the certified idempotent
-    # search keeps on the order
-    searches = counting(monkeypatch, units, "search_centred_ball")
+    # connectedness, the idempotents and the factors of the roots all read
+    # the primitive idempotents of the one grading kept on the order, at
+    # every config; only the roots' pool takes the form of each config,
+    # and the totally real zxz takes its exact form for it
+    gradings = counting(monkeypatch, grading, "_grading_from_gram")
+    emb = counting(monkeypatch, embeddings, "compute_embeddings")
     a = example_order(name)
-    connected = is_connected(a)
-    assert roots_of_unity(a).count == (8 if connected else 4)
-    assert len(idempotents(a)) == (2 if connected else 4)
-    assert len(searches) == 1
+    for config in CONFIGS:
+        connected = is_connected(a, config)
+        assert universal_grading(a, config).grading.group.invariant_factors == (
+            (4,) if connected else ()
+        )
+        assert roots_of_unity(a, config).count == (8 if connected else 4)
+        assert len(idempotents(a, config)) == (2 if connected else 4)
+    assert len(gradings) == 1
+    assert [args[1:] for args in emb] == (
+        [(c.precision, c.seed) for c in CONFIGS] if name == "zc4" else []
+    )
 
 
 def test_queries_on_the_zero_ring():
@@ -108,18 +121,18 @@ def test_a_cli_run_computes_the_nilradical_once(monkeypatch, tmp_path, command):
 
 
 def test_idempotent_queries_search_once(monkeypatch, tmp_path, capsys):
-    # is_connected and idempotents read the certified set kept on the order,
-    # and analyze certifies it once on the order it reads
-    searches = counting(monkeypatch, units, "search_centred_ball")
+    # is_connected and idempotents read the grading kept on the order, and
+    # analyze grades once the order it reads
+    gradings = counting(monkeypatch, grading, "_grading_from_gram")
     a = example_order("zxz")
     assert is_connected(a) is False
     assert len(idempotents(a)) == 4
-    assert len(searches) == 1
+    assert len(gradings) == 1
     path = tmp_path / "order.json"
     path.write_text(json.dumps(order_to_json(a)))
     assert main(["analyze", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["connected"] is False
-    assert len(searches) == 2
+    assert len(gradings) == 2
 
 
 def dropped_after(queries):
@@ -152,11 +165,8 @@ def ambiguous_grading(monkeypatch, tried):
 
 
 def ambiguous_idempotents(monkeypatch, tried):
-    def search(g, v, visit):
-        tried.append(g.precision)
-        raise AmbiguousZero("forced ambiguous verdict")
-
-    monkeypatch.setattr(units, "search_centred_ball", search)
+    # the idempotents are read off the grading, so they escalate with it
+    ambiguous_grading(monkeypatch, tried)
     return idempotents
 
 

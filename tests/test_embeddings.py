@@ -40,7 +40,7 @@ from gradus.orders import (
     trace_vector,
     validate,
 )
-from gradus import grading, units
+from gradus import grading
 from gradus.units import idempotents, roots_of_unity
 
 from helpers import (
@@ -787,6 +787,7 @@ def test_an_order_that_is_not_totally_real_answers_on_its_numeric_form(monkeypat
     a = example_order(name)
     g = gram(real(example_order(name)))
     assert with_gram(a, DEFAULT_CONFIG, lambda form: form) == g
-    assert universal_grading(a) == grading._grading_from_gram(example_order(name), g)
-    assert idempotents(a) == units.idempotents_on(example_order(name), g)
+    b = example_order(name)
+    assert universal_grading(a) == grading.graded_on(b, g)
+    assert idempotents(a) == idempotents(b)
     assert len(emb) == 1

@@ -131,13 +131,14 @@ def test_universal_grading_golden_is_trivial():
 
 @pytest.mark.parametrize("name", ["kummer6", "golden", "zeta5"])
 def test_universal_grading_is_the_same_at_every_precision_and_seed(name):
-    a = example_order(name)
+    # a fresh order per config, so that each run computes its own grading
+    # rather than reading the one kept on the order object
     runs = [
-        universal_grading(a, RunConfig(precision=p, seed=seed)).grading
+        universal_grading(example_order(name), RunConfig(precision=p, seed=seed))
         for p in (128, 192, 256, 512)
         for seed in range(4)
     ]
-    got = [(gr.group.invariant_factors, gr.pieces) for gr in runs]
+    got = [(go.grading.group.invariant_factors, go.grading.pieces, go.atoms) for go in runs]
     assert got == got[:1] * len(got)
 
 
@@ -171,7 +172,9 @@ def counting(monkeypatch, module, name):
 def test_universal_grading_forms_each_product_of_splitting_vectors_once(monkeypatch, name):
     # one product matrix per splitting vector, every product read off one
     # of them, and none formed in the order: a product formed twice would
-    # cost a second matrix or a call of the order's product
+    # cost a second matrix or a call of the order's product.  These orders
+    # are connected, so the check of their one primitive idempotent, 1,
+    # forms no product either
     a = rebased(REBASED_ORDERS[name](), name)
     matrices = counting(monkeypatch, grading, "_product_matrix")
     products = counting(monkeypatch, orders, "_mul_raw")
@@ -180,6 +183,7 @@ def test_universal_grading_forms_each_product_of_splitting_vectors_once(monkeypa
     assert sorted(x for x, _ in matrices) == sorted(rows)
     assert len(matrices) == a.rank
     assert products == []
+    assert go.atoms == ((a.one, a.rank),)
     assert verify_grading(a, go.grading).ok
 
 

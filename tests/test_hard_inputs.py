@@ -11,7 +11,8 @@ that visits more points than the bound stops at once and fails the test.
 Totally real inputs whose embeddings are out of reach, Z[C2^6] (a degree-64
 characteristic polynomial with 64 integer roots of one parity) and
 x^2 - 10^310 (coefficients beyond a double), answer every query on their
-exact trace form, with no embeddings computed, in under 2 s each."""
+exact trace form, with one grading and no embeddings computed, in under
+2 s each."""
 
 import functools
 import random
@@ -20,6 +21,7 @@ import time
 import pytest
 
 import gradus.embeddings as embeddings
+import gradus.grading as grading
 import gradus.lattices as lattices
 from gradus.grading import universal_grading
 from gradus.intlinalg import SublatticeBasis
@@ -110,13 +112,18 @@ EXACT = [
 @pytest.mark.parametrize("name, query, answer", EXACT, ids=[f"{n}-{q}" for n, q, _ in EXACT])
 def test_totally_real_hard_inputs_answer_on_the_exact_form(monkeypatch, name, query, answer):
     # a fresh order object on the same table: the query pays for its own
-    # trace form and LLL, but not for validating the table again
+    # trace form and LLL, but not for validating the table again; every
+    # query runs one grading, whose primitive idempotents the idempotent
+    # and root queries read
     a = exact_input(name)
     a = Order(a.rank, a.table, a.one)
-    calls = []
-    real = embeddings.compute_embeddings
+    calls, gradings = [], []
+    real, real_grading = embeddings.compute_embeddings, grading._grading_from_gram
     monkeypatch.setattr(
         embeddings, "compute_embeddings", lambda *args: calls.append(args) or real(*args)
+    )
+    monkeypatch.setattr(
+        grading, "_grading_from_gram", lambda *args: gradings.append(args) or real_grading(*args)
     )
     run = {
         "grade": lambda: universal_grading(a).grading.group.invariant_factors,
@@ -127,3 +134,4 @@ def test_totally_real_hard_inputs_answer_on_the_exact_form(monkeypatch, name, qu
     assert run() == answer
     assert time.perf_counter() - start < 2
     assert calls == []
+    assert len(gradings) == 1

@@ -4,9 +4,10 @@ import random
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gradus.embeddings as embeddings
+import gradus.grading as grading
 import gradus.units as units
 from gradus.cli import main
 from gradus.config import DEFAULT_CONFIG, RunConfig
@@ -36,6 +37,7 @@ from gradus.units import (
 from helpers import (
     SMALL_RINGS,
     brute_idempotents,
+    oracle_atoms,
     oracle_generated,
     oracle_group_closed,
     oracle_idempotents,
@@ -89,14 +91,15 @@ def test_is_connected():
 
 
 def test_a_second_precision_and_seed_read_the_certified_idempotents(monkeypatch):
-    # the idempotents are exact, so one order object searches for them once,
-    # and queries at another precision and seed give the same answers;
-    # idempotents and is_connected read the kept set without a form, and
-    # roots_of_unity reads the exact trace form of the totally real zxz for
-    # its pool, at every config, so no embeddings are computed at all
+    # the grading and its primitive idempotents are exact, so one order
+    # object grades once, and queries at another precision and seed give
+    # the same answers; idempotents and is_connected read the kept grading
+    # without a form, and roots_of_unity reads the exact trace form of the
+    # totally real zxz for its pool, at every config, so no embeddings are
+    # computed at all
     a = example_order("zxz")
     first = (idempotents(a), is_connected(a), roots_of_unity(a))
-    searches, forms = [], []
+    gradings, forms = [], []
 
     def counted(log, real):
         def wrapper(*args):
@@ -105,16 +108,16 @@ def test_a_second_precision_and_seed_read_the_certified_idempotents(monkeypatch)
 
         return wrapper
 
-    monkeypatch.setattr(units, "search_centred_ball", counted(searches, units.search_centred_ball))
+    monkeypatch.setattr(grading, "_grading_from_gram", counted(gradings, grading._grading_from_gram))
     monkeypatch.setattr(
         embeddings, "compute_embeddings", counted(forms, embeddings.compute_embeddings)
     )
     configs = [RunConfig(precision=384, seed=1), RunConfig(precision=256, seed=2)]
     for config in configs:
         assert (idempotents(a, config), is_connected(a, config)) == first[:2]
-    assert (searches, forms) == ([], [])
+    assert (gradings, forms) == ([], [])
     assert roots_of_unity(a, configs[0]) == first[2]
-    assert (searches, forms) == ([], [])
+    assert (gradings, forms) == ([], [])
 
 
 def test_element_order_basics():
@@ -338,36 +341,49 @@ def test_roots_homogeneous_when_identity_piece_connected():
             assert len(homogeneous_parts(go.grading, r)) == 1
 
 
+# the basis of Z x Z x Z[i]: the units of the two Z, then 1 and i of Z[i]
+E1, E2, ONE_I, I = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+
+
 @pytest.mark.parametrize(
     "drop",
     [
-        [(1, 0, 0)],
-        [(0, 1, 1)],
-        [(1, 0, 0), (0, 1, 1)],
-        list(itertools.product((0, 1), repeat=3)),
-        # leaves {0, (1, 0, 0)}: a Boolean algebra, but without 1
-        [e for e in itertools.product((0, 1), repeat=3) if e not in [(0, 0, 0), (1, 0, 0)]],
+        [(ONE_I, I)],
+        [(ONE_I, I), (I, I)],
+        [(ONE_I, I), (ONE_I, ONE_I)],
+        [(ONE_I, I), (E1, E1), (E2, E2)],
+        # every edge: each component is a class of its own
+        list(itertools.combinations_with_replacement([E1, E2, ONE_I, I], 2)),
     ],
 )
 def test_a_partial_idempotent_search_fails_the_certificate_at_every_level(
     monkeypatch, tmp_path, capsys, drop
 ):
-    # Z x Z x Z[i] has the 8 idempotents (e, 0) of e in {0, 1}^3; a search
-    # that misses some of them is no Boolean algebra, so every query
-    # escalates until the budget is spent.  The order is not totally real,
-    # so it has no exact form, and the search runs at every numeric level
+    # Z x Z x Z[i] splits into the 4 components spanned by its basis, and
+    # the edge 1 * i = i of the product graph joins the two of Z[i]; a
+    # graph without it splits Z[i]'s class, whose part without 1 sums to 0,
+    # so the atoms fail their check and every query escalates until the
+    # budget is spent.  The order is not totally real, so it has no exact
+    # form, and the grading runs at every numeric level
     a = product_order(integers_power(2), monogenic_order(SMALL_RINGS["z[i]"]))
-    drop = [e + (0,) for e in drop]
     path = tmp_path / "zzzi.json"
     path.write_text(json.dumps(order_to_json(a)))
-    real = units.search_centred_ball
+    real_decompose, real_atoms = grading.universal_s_decomposition, grading._atoms
     tried = []
 
-    def search(g, v, visit):
+    def decompose(g):
         tried.append(g.precision)
-        return real(g, v, lambda x: x not in drop and visit(x))
+        return real_decompose(g)
 
-    monkeypatch.setattr(units, "search_centred_ball", search)
+    def atoms(a, dec, rows, block, met):
+        def comp(v):
+            return next(s for s, c in enumerate(dec.components) if c.contains(v))
+
+        cut = [{comp(u), comp(v)} for u, v in drop]
+        return real_atoms(a, dec, rows, block, {t for t in met if {t[0], t[1]} not in cut})
+
+    monkeypatch.setattr(grading, "universal_s_decomposition", decompose)
+    monkeypatch.setattr(grading, "_atoms", atoms)
     levels = [DEFAULT_CONFIG.precision * 2**k for k in range(ESCALATION_BUDGET + 1)]
     for query in (idempotents, is_connected):
         tried.clear()
@@ -403,6 +419,31 @@ torsion_orders = st.one_of(
     .filter(lambda names: 6 <= sum(FACTORS[n].rank for n in names) <= 7)
     .map(lambda names: functools.reduce(product_order, map(FACTORS.get, names))),
 )
+
+
+# connected orders, whose products have the factors as their atoms
+CONNECTED = {
+    "z": lambda: monogenic_order(SMALL_RINGS["z"]),
+    "z[i]": lambda: monogenic_order(SMALL_RINGS["z[i]"]),
+    "zc2": lambda: group_ring([2])[0],
+    "z[sqrt2]": lambda: monogenic_order(SMALL_RINGS["z[sqrt2]"]),
+    "x^3-1000": lambda: monogenic_order([-1000, 0, 0, 1]),
+    "x^2-x-1": lambda: monogenic_order([-1, -1, 1]),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from(sorted(CONNECTED)), min_size=2, max_size=4), st.integers(0, 2))
+@example(["z"] * 8, 0)
+@example(["z", "z", "zc2", "z[i]"], 0)
+def test_atoms_of_the_product_graph_match_the_searched_atoms(names, seed):
+    # the primitive idempotents that the grading reads off its product
+    # graph are the atoms of the idempotents that the short-vector oracle
+    # finds
+    a = rebased(functools.reduce(product_order, [CONNECTED[n]() for n in names]), seed)
+    atoms = universal_grading(a).atoms
+    assert atoms == oracle_atoms(a)
+    assert len(atoms) == len(names)
 
 
 @settings(max_examples=25, deadline=None)
