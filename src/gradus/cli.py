@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: validate, analyze, grade, units, idempotents, decompose,
-example.  Orders travel as JSON files; Gram matrices use decimal strings so
-output is identical across platforms, read and printed exactly by
-`embeddings.gram_from_strings` and `embeddings.grid_str`.  Every
-subcommand with --precision, decompose included, starts there and doubles
-the precision on an ambiguous verdict in `embeddings.escalate`.  Exit
-codes: 0 success, 2 input or validation failure, 3 precision exhausted, 4
+example.  Orders travel as JSON files, Gram matrices as decimal strings
+that `embeddings.gram_from_strings` reads exactly and `embeddings.grid_str`
+prints rounded to the digits the precision certifies.  Every subcommand
+with --precision, decompose included, starts there and doubles the
+precision on an ambiguous verdict in `embeddings.escalate`.  Exit codes: 0
+success, 2 input or validation failure, 3 precision exhausted, 4
 enumeration budget exceeded.  Errors are reported on stderr as a single
 JSON object.
 """

@@ -21,10 +21,10 @@ wide ambiguous band in between: any value landing in the band aborts the
 computation so the caller can escalate the precision instead of guessing.
 The tolerance covers the rounding of the entries, so an exactly known form
 can carry tolerance 0, and its verdicts are then exact.  This module also
-owns number input and output: `gram_from_strings` reads decimal entries
-exactly (`decimal`, `fractions`) onto the grid, and `grid_str` prints grid
-values.  LLL and the Fincke-Pohst searches of `lattices` run on exact
-integer data.
+owns number input and output, with `decimal` and `fractions`:
+`gram_from_strings` reads decimal entries exactly onto the grid, and
+`grid_str` prints grid values correctly rounded.  LLL and the Fincke-Pohst
+searches of `lattices` run on exact integer data.
 
 When every embedding is real the form is exactly the integer trace form
 Tr(xy), and `trace_form` gives it on the grid p = 0 with tolerance 0, with
@@ -40,7 +40,7 @@ import operator
 import random
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
@@ -528,42 +528,17 @@ def _grid_point(x, precision: int) -> int:
 
 
 def grid_str(g: GramForm, x: int, digits: int) -> str:
-    """The value x * 2**(-p) on the grid of g as a decimal string of at most
-    `digits` (>= 1) significant digits, byte for byte as mpmath's `nstr`
-    prints it, so Gram documents and messages read as before.
-
-    The integer core of mpmath's `to_digits_exp` and `to_str`: the leading
-    int((digits + 3) log2 10) + 10 bits of the value, in fixed point, are
-    floored to decimal, the digit after the last is rounded half up, and
-    the point is fixed when the decimal exponent lies strictly between
-    min(-(digits // 3), -5) and digits, else written as an exponent.
-    mpmath first divides values beyond 2**(+-3500) by a rounded power of
-    ten; this port stays exact there, so the last digit may differ.
-    """
+    """The value x * 2**(-p) on the grid of g, rounded half away from zero
+    to `digits` (>= 1) significant digits, in mpmath's `nstr` layout: fixed
+    point when min(-(digits // 3), -5) < exponent < digits, and trailing
+    zeros cut down to at least one digit after the point."""
     if not x:
         return "0.0"
-    sign, x, p = "-" if x < 0 else "", abs(x), g.precision
-    # math.log(10, 2), one ulp above math.log2(10), is the constant mpmath uses
-    bitprec = int((digits + 3) * math.log(10, 2)) + 10
-    fixprec = max(bitprec - x.bit_length() + p, 0)
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    shift = fixprec - p
-    fixed = x << shift if shift >= 0 else x >> -shift
-    # Decimal, unlike str, converts integers of any length
-    lead = str(Decimal(fixed * 10**fixdps >> fixprec))
-    exponent = len(lead) - fixdps - 1
-    if len(lead) > digits and lead[digits] in "56789":
-        head = lead[:digits].rstrip("9")
-        if head:
-            lead = head[:-1] + chr(ord(head[-1]) + 1)
-        else:
-            lead, exponent = "1", exponent + 1
-    lead, split = lead[:digits], 1
-    if min(-(digits // 3), -5) < exponent < digits:
-        lead = "0" * -exponent + lead if exponent < 0 else lead.ljust(exponent + 1, "0")
-        split, exponent = max(exponent, 0) + 1, 0
-    frac = lead[split:].rstrip("0") or "0"
-    return f"{sign}{lead[:split]}.{frac}" + (f"e{exponent:+d}" if exponent else "")
+    ctx = Context(prec=digits, rounding=ROUND_HALF_UP)
+    d = ctx.divide(Decimal(x), 1 << g.precision).normalize(ctx)
+    fixed = min(-(digits // 3), -5) < d.adjusted() < digits
+    head, e, exponent = f"{d:{'f' if fixed else 'e'}}".partition("e")
+    return (head if "." in head else head + ".0") + e + exponent
 
 
 def inner(g: GramForm, u: Sequence[int], v: Sequence[int]) -> int:

@@ -86,7 +86,7 @@ def _grid_bits(D: Sequence[int]) -> int:
 
     Any K >= 1 keeps a search complete (see `_fincke_pohst`); K sets how
     far it scans beyond the exact ball.  A node of pivot d_i hands its
-    child up to about 4 delta_i sqrt(B_i d_i) 2**(-K) more budget than the
+    child up to about 4 delta_i sqrt(R_i d_i) 2**(-K) more budget than the
     exact remainder, and a node of pivot d_j below scans that surplus over
     a range of about sqrt(surplus / d_j).  On the grid 2**(-FP_BITS) alone
     a huge pivot swamps a tiny one: around e_1/2 under diag(3, 3 2**200,
@@ -197,15 +197,16 @@ def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
     exact remaining budget.  With y_j = x_j 2**K - C_j the node computes
     T_i = C_i - (sum_{j>i} M_ji y_j >> K); since |M_ji - mu_ji 2**K| <= 1/2
     and the shift floors, |T_i - t_i 2**K| <= sum_{j>i} |y_j| / 2**(K+1) + 1
-    <= delta_i = floor(sum_{j>i} |y_j| / 2**(K+1)) + 2.  The node holds a
-    budget B_i >= R_i (B = limit at the top).  Then every admissible x_i has
-    |x_i 2**K - t_i 2**K| <= sqrt(B_i 2**(2K) / D_i) < isqrt((B_i << 2K) //
-    D_i) + 1 (as D_i <= d_i), so |x_i 2**K - T_i| is below the radius
-    isqrt((B_i << 2K) // D_i) + 1 + delta_i, the range scanned.  Its exact
-    cost d_i (x_i - t_i)^2 is at least s_i = D_i max(0, |x_i 2**K - T_i| -
-    delta_i)^2 >> 2K, so s_i <= R_i <= B_i passes the test below, and the
-    child gets B_i - s_i >= R_i - d_i (x_i - t_i)^2 = R_{i-1}.  By induction
-    every point of the exact ball is visited.
+    <= delta_i = floor(sum_{j>i} |y_j| / 2**(K+1)) + 2.  The node holds an
+    integer budget B_i >= R_i 2**(2K) on the grid 2**(-2K) (B = limit << 2K
+    at the top).  Then every admissible x_i has |x_i 2**K - t_i 2**K| <=
+    sqrt(B_i / D_i) < isqrt(B_i // D_i) + 1 (as D_i <= d_i), so |x_i 2**K -
+    T_i| is below the radius isqrt(B_i // D_i) + 1 + delta_i, the range
+    scanned.  Its exact cost d_i (x_i - t_i)^2 2**(2K) on that grid is at
+    least s_i = D_i max(0, |x_i 2**K - T_i| - delta_i)^2, an integer charged
+    unrounded, so s_i <= R_i 2**(2K) <= B_i passes the test below, and the
+    child gets B_i - s_i >= (R_i - d_i (x_i - t_i)^2) 2**(2K) = R_{i-1}
+    2**(2K).  By induction every point of the exact ball is visited.
 
     Symmetry.  At the origin (C = 0) the ball is symmetric, and a node
     whose coordinates above it are all 0 scans x_i >= 0 only.  Of a pair x,
@@ -218,7 +219,6 @@ def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
     """
     n = len(D)
     K = _grid_bits(D)
-    two_k = 2 * K
     origin = not any(C)
     x = [0] * n
     y = [0] * n
@@ -229,14 +229,14 @@ def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
         t = C[i] - (sum(map(operator.mul, M[i], y[i + 1 :])) >> K)
         delta = (spread >> (K + 1)) + 2
         d = D[i]
-        radius = math.isqrt((budget << two_k) // d) + 1 + delta
+        radius = math.isqrt(budget // d) + 1 + delta
         low = -((radius - t) >> K)
         if origin and not spread:
             low = max(low, 0)
         for xi in range(low, ((t + radius) >> K) + 1):
             fixed = xi << K
             e = abs(fixed - t) - delta
-            spent = (d * e * e) >> two_k if e > 0 else 0
+            spent = d * e * e if e > 0 else 0
             if spent > budget:
                 continue
             x[i] = xi
@@ -246,7 +246,7 @@ def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
         return False
 
     try:
-        return limit >= 0 and descend(n - 1, limit, 0)
+        return limit >= 0 and descend(n - 1, limit << 2 * K, 0)
     finally:
         # descend refers to itself; unbinding it frees visit and what visit
         # holds now rather than at the next cyclic collection

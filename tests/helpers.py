@@ -313,6 +313,14 @@ def rebased(a, seed):
 SMALL_RINGS = {"z": [-1, 1], "z[i]": [1, 0, 1], "z[w]": [1, 1, 1], "z[sqrt2]": [-2, 0, 1]}
 
 
+def integers_power(k):
+    """Z^k with componentwise multiplication."""
+    from gradus.orders import validate
+
+    e = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    return validate([[e[i] if i == j else (0,) * k for j in range(k)] for i in range(k)], (1,) * k)
+
+
 def small_ring_product(names):
     """The product of the SMALL_RINGS named, in order."""
     from gradus.orders import monogenic_order, product_order
@@ -720,6 +728,31 @@ def oracle_verdict(entries, precision, value, sign=False):
         if abs(value) <= tol:
             return True
         return False if abs(value) >= AMBIGUITY_SPAN * tol else AmbiguousZero
+
+
+def oracle_grid_str(x, precision, digits):
+    """x * 2**(-precision) printed as `embeddings.grid_str` should: the
+    exact rational rounded half away from zero to `digits` significant
+    digits, in fixed point when min(-(digits // 3), -5) < exponent < digits
+    and as d.ddd e+-k otherwise, trailing zeros cut down to one."""
+    if not x:
+        return "0.0"
+    v = Fraction(abs(x), 1 << precision)
+    e = (abs(x).bit_length() - precision) * 3 // 10
+    while Fraction(10) ** e > v:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= v:
+        e += 1
+    # the leading `digits` digits, rounded: 10**(digits-1) <= k <= 10**digits
+    k = floor(v / Fraction(10) ** (e - digits + 1) + Fraction(1, 2))
+    if k == 10**digits:
+        k, e = k // 10, e + 1
+    lead, suffix = str(k), ""
+    if min(-(digits // 3), -5) < e < digits:
+        whole, frac = (lead[: e + 1], lead[e + 1 :]) if e >= 0 else ("0", "0" * (-e - 1) + lead)
+    else:
+        whole, frac, suffix = lead[0], lead[1:], f"e{e:+d}"
+    return f"{'-' if x < 0 else ''}{whole}.{frac.rstrip('0') or '0'}{suffix}"
 
 
 def oracle_lll(g):

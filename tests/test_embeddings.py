@@ -49,6 +49,7 @@ from helpers import (
     mpf_grid_point,
     oracle_embeddings,
     oracle_gram,
+    oracle_grid_str,
     oracle_hom_residual,
     real,
     rebased,
@@ -287,25 +288,21 @@ def half_point(rng, p, digits, bits):
 
 @settings(max_examples=200, deadline=None)
 @given(GRID_BITS, st.booleans(), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
-def test_grid_str_prints_as_mpmath_nstr(p, wide, half, negative, rng):
-    # mpmath is the oracle.  x has a uniform number of bits up to p + 3000,
-    # inside 2**(+-3500), where mpmath prints without first dividing by a
-    # rounded power of ten, or just over digits * log2(10) bits, where the
-    # printed digits depend on its last bits
+def test_grid_str_rounds_half_away_from_zero(p, wide, half, negative, rng):
+    # exact rationals are the oracle.  x has a uniform number of bits up to
+    # p + 3000, or sits within a grid step of a decimal tie, where a
+    # half-even, truncating or double rounding misprints the last digit
     digits = max(8, int(0.301 * p) - 8) if wide else 8
-    span = int(digits * 3.33)
-    bits = rng.choice([rng.randrange(1, p + 3000), rng.randrange(span, span + 60)])
+    bits = rng.randrange(1, p + 3000)
     x = half_point(rng, p, digits, bits) if half else rng.getrandbits(bits) | 1 << (bits - 1)
     x = -x if negative else x
-    g = GramForm(0, (), p, 0)
-    assert grid_str(g, x, digits) == mp.nstr(real(g, x), digits)
+    assert grid_str(GramForm(0, (), p, 0), x, digits) == oracle_grid_str(x, p, digits)
 
 
 @pytest.mark.parametrize("p", [64, 192, 768])
-def test_grid_str_near_its_bit_and_layout_thresholds(p):
-    # every bit length around digits * log2(10), where the printed digits
-    # depend on the last bits mpmath keeps, and every decimal exponent
-    # around the edges of the fixed-point layout
+def test_grid_str_near_ties_and_layout_edges(p):
+    # ties and their neighbours at every bit length around digits * log2(10),
+    # and every decimal exponent around the edges of the fixed-point layout
     rng = random.Random(p)
     g = GramForm(0, (), p, 0)
     for digits in (8, max(8, int(0.301 * p) - 8)):
@@ -314,8 +311,15 @@ def test_grid_str_near_its_bit_and_layout_thresholds(p):
         xs = [half_point(rng, p, digits, b) for b in bits]
         for e in (-(digits // 3), -5, digits - 1, digits):
             xs += [round(Fraction(3, 2) * Fraction(10) ** (e + dx) * 2**p) for dx in (-1, 0, 1)]
-        for x in xs:
-            assert grid_str(g, x, digits) == mp.nstr(real(g, x), digits)
+        for x in xs + [-x for x in xs]:
+            assert grid_str(g, x, digits) == oracle_grid_str(x, p, digits)
+    # a tie rounds away from zero, and a value a hair above the tie
+    # 1.00000005e-4 rounds up (mpmath's nstr, which floors its leading bits
+    # before rounding, prints 0.0001 at p = 64)
+    assert grid_str(g, 5 << (p - 2), 2) == "1.3"
+    assert grid_str(g, -5 << (p - 2), 2) == "-1.3"
+    x = -(-100000005 * 2**p // 10**12)
+    assert grid_str(g, x, 8) == oracle_grid_str(x, p, 8) == "0.00010000001"
 
 
 def test_grid_str_formats():

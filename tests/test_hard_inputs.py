@@ -12,7 +12,8 @@ Totally real inputs whose embeddings are out of reach, Z[C2^6] (a degree-64
 characteristic polynomial with 64 integer roots of one parity) and
 x^2 - 10^310 (coefficients beyond a double), answer every query on their
 exact trace form, with one grading and no embeddings computed, in under
-2 s each."""
+2 s each.  So does Z^14, whose roots of unity come from a search that
+visits about one point per pair +-e_i of its ball of norm 1."""
 
 import functools
 import random
@@ -28,7 +29,7 @@ from gradus.intlinalg import SublatticeBasis
 from gradus.orders import Order, group_ring, monogenic_order
 from gradus.units import idempotents, roots_of_unity
 
-from helpers import change_of_basis, random_unimodular
+from helpers import change_of_basis, integers_power, random_unimodular
 
 # (coefficients of the monic polynomial, low degree first; invariant
 # factors; centred searches of the splitting)
@@ -135,3 +136,31 @@ def test_totally_real_hard_inputs_answer_on_the_exact_form(monkeypatch, name, qu
     assert time.perf_counter() - start < 2
     assert calls == []
     assert len(gradings) == 1
+
+
+@pytest.mark.parametrize("k, visits", [(8, 9), (14, 15)])
+def test_roots_of_z_k_visit_about_one_point_per_pair(monkeypatch, k, visits):
+    # the budget of a Fincke-Pohst search is kept on its own grid 2**(-2K),
+    # so a coordinate of true cost 1 is charged in full: the ball of norm 1
+    # of Z^k is searched over its k pairs +-e_i and the origin
+    a = integers_power(k)
+    count, calls = [0], []
+    real_search, real_embeddings = lattices._fincke_pohst, embeddings.compute_embeddings
+
+    def search(D, M, C, limit, visit):
+        def counted(x):
+            count[0] += 1
+            return visit(x)
+
+        return real_search(D, M, C, limit, counted)
+
+    monkeypatch.setattr(lattices, "_fincke_pohst", search)
+    monkeypatch.setattr(
+        embeddings, "compute_embeddings", lambda *args: calls.append(args) or real_embeddings(*args)
+    )
+    start = time.perf_counter()
+    report = roots_of_unity(a)
+    assert time.perf_counter() - start < 2
+    assert report.count == 2**k and report.group_closed
+    assert count[0] == visits
+    assert calls == []

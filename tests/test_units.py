@@ -22,7 +22,6 @@ from gradus.orders import (
     mul,
     order_to_json,
     product_order,
-    validate,
 )
 from gradus.units import (
     element_order,
@@ -37,6 +36,7 @@ from gradus.units import (
 from helpers import (
     SMALL_RINGS,
     brute_idempotents,
+    integers_power,
     oracle_atoms,
     oracle_generated,
     oracle_group_closed,
@@ -46,11 +46,6 @@ from helpers import (
     small_ring_product,
     torsion_order_bound,
 )
-
-
-def integers_power(k):
-    e = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    return validate([[e[i] if i == j else (0,) * k for j in range(k)] for i in range(k)], (1,) * k)
 
 
 def test_idempotents_product_ring():
