@@ -6,9 +6,9 @@ that `embeddings.gram_from_strings` reads exactly and `embeddings.grid_str`
 prints rounded to the digits the precision certifies.  Every subcommand
 with --precision, decompose included, starts there and doubles the
 precision on an ambiguous verdict in `embeddings.escalate`.  Exit codes: 0
-success, 2 input or validation failure, 3 precision exhausted, 4
-enumeration budget exceeded.  Errors are reported on stderr as a single
-JSON object.
+success, 2 input or validation failure, 3 precision exhausted or a
+degenerate splitting, 4 enumeration budget exceeded.  Errors are reported
+on stderr as a single JSON object.
 """
 
 from __future__ import annotations

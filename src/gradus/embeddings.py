@@ -53,8 +53,8 @@ from .errors import (
     NotReduced,
     PrecisionExhausted,
 )
-from .intlinalg import IntMatrix, inverse_unimodular
-from .orders import Order, charpoly_rows, is_reduced, trace_vector
+from .intlinalg import IntMatrix, inverse_unimodular, leading_minors
+from .orders import Order, charpoly_rows, is_reduced, trace_gram, trace_vector
 
 # |value| <= tol counts as zero, |value| >= AMBIGUITY_SPAN * tol as nonzero;
 # anything in between needs more precision.
@@ -590,43 +590,24 @@ def trace_form(a: Order) -> GramForm | None:
     Why it is the canonical form.  When every embedding sigma is real,
     sum_sigma sigma(x) conj sigma(y) = sum_sigma sigma(xy) = Tr(xy).  The
     test needs no embeddings, since the trace form is positive definite
-    exactly when a is reduced and totally real.  A nilpotent x has a
-    nilpotent M_(x x), so Tr(x x) = 0: a positive-definite trace form
-    proves a reduced.  For reduced a, a (x) R is R^r1 x C^r2, and the trace
-    form of each C, 2 Re(zw), has signature (1, 1), so the form is
-    positive definite exactly when r2 = 0 (Conner-Perlis, A Survey of Trace
-    Forms of Algebraic Number Fields, 1984).
+    exactly when a is reduced and totally real.  A nilpotent x has Tr(x x)
+    = 0, so a positive-definite trace form proves a reduced.  For reduced
+    a, a (x) R is R^r1 x C^r2, and the trace form of each C, 2 Re(zw), has
+    signature (1, 1), so the form is positive definite exactly when r2 = 0
+    (Conner-Perlis, A Survey of Trace Forms of Algebraic Number Fields).
 
-    The test is Sylvester's criterion by fraction-free (Bareiss)
-    elimination, the one that opens `lattices.lll_reduce`: the leading
-    minors Delta_i of the form must all be positive.  Row i, (Tr(e_i e_j))
-    for j <= i, is formed only when Delta_(i-1) > 0, so an order that is
-    not totally real pays for the rows up to its first pivot <= 0.
+    The test is Sylvester's criterion by `intlinalg.leading_minors`, the
+    elimination `lattices.lll_reduce` opens with.  Row i, (Tr(e_i e_j)) for
+    j <= i, is formed only once the leading minor before it is positive, so
+    an order that is not totally real pays for the rows up to its first
+    pivot <= 0.  A form that passes takes its entries from `trace_gram`.
     """
     if "trace_form" not in a.derived:
-        a.derived["trace_form"] = _positive_trace_form(a)
+        t = trace_vector(a)
+        rows = ([sum(map(operator.mul, c, t)) for c in a.table[i][: i + 1]] for i in range(a.rank))
+        positive = leading_minors(rows) is not None
+        a.derived["trace_form"] = GramForm(a.rank, trace_gram(a).entries, 0, 0) if positive else None
     return a.derived["trace_form"]
-
-
-def _positive_trace_form(a: Order) -> GramForm | None:
-    n, t = a.rank, trace_vector(a)
-    rows: list[list[int]] = []
-    lam: list[list[int]] = []
-    delta = [1]  # delta[i + 1] = Delta_i
-    for i in range(n):
-        rows.append([sum(map(operator.mul, cell, t)) for cell in a.table[i][: i + 1]])
-        li: list[int] = []
-        lam.append(li)
-        for j, u in enumerate(rows[i]):
-            lj = lam[j]
-            for s in range(j):
-                u = (delta[s + 1] * u - li[s] * lj[s]) // delta[s]
-            li.append(u)
-        if li[i] <= 0:
-            return None
-        delta.append(li[i])
-    entries = tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(n)) for i in range(n))
-    return GramForm(n, entries, 0, 0)
 
 
 def escalate(
@@ -638,10 +619,11 @@ def escalate(
     """Run fn on an exact form, then on form(p), doubling p on ambiguity.
 
     This is the pipeline's only precision loop.  An exact form (tolerance
-    0), when the caller has one, is tried first and counts as no level:
-    its verdicts are exact, so EscalationNeeded from it comes only from a
-    fault, and moves on to the numeric levels.  These try precision times
-    2**k for k = 0 .. ESCALATION_BUDGET, moving on whenever form or fn
+    0), when the caller has one, is tried first and counts as no level: its
+    verdicts are exact, so EscalationNeeded from it comes from a fault or
+    from a reduced pivot below one grid unit (`lattices.lll_reduce`, as for
+    the E8 form), and moves on to the numeric levels.  These try precision
+    times 2**k for k = 0 .. ESCALATION_BUDGET, moving on whenever form or fn
     raise EscalationNeeded or DegenerateSplitting.  When every level fails,
     the last DegenerateSplitting is re-raised, and any other failure becomes
     PrecisionExhausted.  form(p) is the Gram form on the grid 2**(-p) Z: the

@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, saturated
-kernels, and canonical sublattice bases.
+kernels, canonical sublattice bases, and fraction-free leading minors.
 
 Everything here works on arbitrary-precision Python integers; no floating
 point is involved at any stage.  The Hermite form is row-style with positive
@@ -292,6 +292,32 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     if h != IntMatrix.identity(m.rows):
         raise ValueError("matrix is not unimodular")
     return u
+
+
+def leading_minors(rows: Iterable[Sequence[int]], floor: int = 0) -> tuple | None:
+    """Sylvester's test by fraction-free (Bareiss) elimination of a
+    symmetric integer matrix F, read row by row from entries 0..i of row i.
+
+    Returns (lam, delta): delta[i + 1] = Delta_i, the leading (i + 1)-minor
+    (delta[0] = 1), and lam[i][j] = Delta_j mu_ij for j <= i, where F = L
+    diag(d) L^T, L[i][j] = mu_ij and d_i = Delta_i / Delta_(i-1).  Returns
+    None at the first pivot d_i <= floor (floor >= 0), before row i + 1 is
+    read.  Each division is by a minor > 0 and exact by Sylvester's identity
+    (Bareiss, Math. Comp. 1968; Cohen, Alg. 2.2.6).
+    """
+    lam, delta = [], [1]
+    for i, row in enumerate(rows):
+        li: list[int] = []
+        lam.append(li)
+        for j in range(i + 1):
+            u, lj = row[j], lam[j]
+            for t in range(j):
+                u = (delta[t + 1] * u - li[t] * lj[t]) // delta[t]
+            li.append(u)
+        if li[i] <= floor * delta[i]:
+            return None
+        delta.append(li[i])
+    return lam, delta
 
 
 @dataclass(frozen=True)

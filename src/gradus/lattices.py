@@ -38,6 +38,7 @@ from .intlinalg import (
     SublatticeBasis,
     Vec,
     inverse_unimodular,
+    leading_minors,
     vec_neg,
     vec_sub,
 )
@@ -53,8 +54,6 @@ from .embeddings import (
 
 # the Lovasz constant delta = 99/100 of LLL, as (numerator, denominator)
 LLL_DELTA = (99, 100)
-
-NOT_DEFINITE = "form is not positive definite at the working precision"
 
 # fractional bits of the fixed-point Fincke-Pohst data when the pivots of
 # the basis have equal bit lengths (see `_grid_bits`)
@@ -102,15 +101,14 @@ def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]
     fixed-point LDL data (D, M) of its Gram matrix on the grid of g.
 
     Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.6.7) on the exact Gram matrix F = g.entries.  A fraction-free
-    (Bareiss) elimination of F gives the leading minors Delta_i (Delta_-1 =
-    1) and the integers lambda_ji = Delta_i mu_ji, so that the Gram matrix
-    of the basis is L diag(d) L^T with L[j][i] = mu_ji and d_i = Delta_i /
-    Delta_(i-1).  Size reduction subtracts round(mu_kj) b_j from b_k (a tie
-    rounds half to even), and a swap of b_(k-1) and b_k updates
-    Delta_(k-1) and lambda in O(n) exact divisions.  The Lovasz test with
-    delta = 99/100 is 100 (Delta_k Delta_(k-2) + lambda_k(k-1)^2) >= 99
-    Delta_(k-1)^2.
+    Alg. 2.6.7) on the exact Gram matrix F = g.entries.  `leading_minors`
+    of F gives the leading minors Delta_i (Delta_-1 = 1) and the integers
+    lambda_ji = Delta_i mu_ji, so that the Gram matrix of the basis is L
+    diag(d) L^T with L[j][i] = mu_ji and d_i = Delta_i / Delta_(i-1).  Size
+    reduction subtracts round(mu_kj) b_j from b_k (a tie rounds half to
+    even), and a swap of b_(k-1) and b_k updates Delta_(k-1) and lambda in
+    O(n) exact divisions.  The Lovasz test with delta = 99/100 is 100
+    (Delta_k Delta_(k-2) + lambda_k(k-1)^2) >= 99 Delta_(k-1)^2.
 
     Termination: every Delta_i is a positive integer, size reduction leaves
     them unchanged, and a swap replaces Delta_(k-1) by (Delta_k Delta_(k-2)
@@ -120,25 +118,17 @@ def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]
     Returns the basis rows, D_i = floor(d_i) and M[i] = (M_ji for j > i)
     with M_ji = round(mu_ji 2**K) (half up), K = `_grid_bits(D)`.  Raises
     AmbiguousZero, which callers treat as a request for more precision,
-    when a pivot of the standard basis has d_i <= g.tolerance (checked
-    during the elimination, so no division by a minor <= 0 happens) or one
-    of the final basis has D_i <= g.tolerance, which includes D_i = 0.
+    when a pivot of the standard basis has d_i <= g.tolerance, or, with its
+    own message, one of the final basis has D_i <= g.tolerance, which
+    includes D_i = 0 (the exact E8 form, with positive minors, has one).
     """
-    n = g.n
-    tol = g.tolerance
+    n, tol = g.n, g.tolerance
     num, den = LLL_DELTA
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    lam = [[0] * n for _ in range(n)]
-    delta = [1] * (n + 1)  # delta[i + 1] = Delta_i, the leading i + 1 minor
-    for i in range(n):
-        for j in range(i + 1):
-            u = g.entries[i][j]
-            for t in range(j):
-                u = (delta[t + 1] * u - lam[i][t] * lam[j][t]) // delta[t]
-            lam[i][j] = u
-        if lam[i][i] <= tol * delta[i]:
-            raise AmbiguousZero(NOT_DEFINITE)
-        delta[i + 1] = lam[i][i]
+    ldl = leading_minors(g.entries, tol)
+    if ldl is None:
+        raise AmbiguousZero("form is not positive definite at the working precision")
+    lam, delta = ldl  # delta[i + 1] = Delta_i; lam is lower triangular
     k = 1
     while k < n:
         row = lam[k]
@@ -166,7 +156,7 @@ def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]
         k = max(k - 1, 1)
     D = [delta[i + 1] // delta[i] for i in range(n)]
     if any(x <= tol for x in D):
-        raise AmbiguousZero(NOT_DEFINITE)
+        raise AmbiguousZero("a reduced pivot is less than one grid unit above the zero tolerance")
     K = _grid_bits(D)
     M = [
         tuple(

@@ -11,12 +11,14 @@ from gradus.intlinalg import (
     hnf,
     inverse_unimodular,
     kernel_saturated,
+    leading_minors,
     snf,
     solve_left,
 )
 
 from helpers import (
     dense_snf,
+    frac_ldl,
     matmul,
     oracle_det,
     oracle_hnf,
@@ -308,3 +310,48 @@ def test_one_vector_spans_its_hermite_form(v):
     h, _ = hnf(IntMatrix.from_rows([v], len(v)))
     want = tuple(r for r in h.entries if any(r))
     assert SublatticeBasis.from_vectors(len(v), [v]).vectors() == want
+
+
+@st.composite
+def symmetric_matrices(draw, max_dim=5):
+    """Symmetric integer matrices, positive definite or not: A A^T + s I
+    for a small integer A and shift s, or entries drawn at random."""
+    n = draw(st.integers(1, max_dim))
+    if draw(st.booleans()):
+        a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+        s = draw(st.integers(-2, 3))
+        return [[sum(x * y for x, y in zip(a[i], a[j])) + s * (i == j) for j in range(n)] for i in range(n)]
+    lower = [draw(st.lists(st.integers(-9, 9), min_size=i + 1, max_size=i + 1)) for i in range(n)]
+    return [[lower[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices(), st.integers(0, 4))
+@example([[2, -1], [-1, 2]], 0)
+@example([[1, 2], [2, 1]], 0)
+@example([[4, 2], [2, 4]], 3)
+def test_leading_minors_are_the_minors_up_to_the_first_pivot_at_most_floor(f, floor):
+    # Delta_i against the Leibniz determinant of each leading block, and
+    # lam[i][j] = Delta_j mu_ij against the exact LDL data; each row is
+    # handed over as its lower triangle, so an entry above the diagonal
+    # would be out of range, and no row after the first failing pivot is read
+    n = len(f)
+    minors = [1] + [oracle_det([r[:k] for r in f[:k]]) for k in range(1, n + 1)]
+    bad = next((i for i in range(n) if minors[i + 1] <= floor * minors[i]), None)
+    read = []
+
+    def rows():
+        for i, row in enumerate(f):
+            read.append(i)
+            yield row[: i + 1]
+
+    out = leading_minors(rows(), floor)
+    if bad is not None:
+        assert out is None
+        assert read == list(range(bad + 1))
+        return
+    lam, delta = out
+    assert delta == minors
+    _, mu = frac_ldl(f)
+    for i in range(n):
+        assert lam[i] == [minors[j + 1] * (mu[i][j] if j < i else 1) for j in range(i + 1)]

@@ -31,7 +31,7 @@ from gradus.errors import (
     PrecisionExhausted,
 )
 from gradus.examples import example_names, example_order
-from gradus.intlinalg import SublatticeBasis, vec_neg
+from gradus.intlinalg import SublatticeBasis, leading_minors, vec_neg
 from gradus.lattices import (
     FP_BITS,
     enumerate_up_to,
@@ -703,7 +703,7 @@ def test_kernel_data_is_the_exact_ldl_on_the_grid(gm, scale):
     "h", [[[1, 2], [2, 1]], [[1, 1], [1, 1]], [[-1]], [[2, 0, 0], [0, 1, 1], [0, 1, 1]]]
 )
 def test_kernel_data_rejects_a_form_that_is_not_positive_definite(h):
-    with pytest.raises(AmbiguousZero):
+    with pytest.raises(AmbiguousZero, match="form is not positive definite"):
         lll_reduce(exact_form(h))
 
 
@@ -720,8 +720,23 @@ def test_kernel_data_rejects_a_pivot_below_one_grid_unit():
     # E8 is even and unimodular, so every basis has d_0 >= 2 and prod d_i = 1:
     # its standard pivots are positive, but some pivot of the reduced basis
     # is below the unit of the grid
-    with pytest.raises(AmbiguousZero):
+    assert leading_minors(e8_gram()) is not None
+    with pytest.raises(AmbiguousZero, match="a reduced pivot is less than one grid unit"):
         lll_reduce(exact_form(e8_gram()))
+
+
+def test_a_reduced_pivot_below_one_grid_unit_hands_the_exact_form_to_the_numeric_levels():
+    # the exact E8 form fails only on its reduced pivots, and the first
+    # numeric level splits E8, which is indecomposable, into one component
+    doc = [[str(x) for x in row] for row in e8_gram()]
+    levels = []
+
+    def form(p):
+        levels.append(p)
+        return gram_from_strings(doc, p)
+
+    dec = escalate(64, form, universal_s_decomposition, exact_form(e8_gram(), precision=0))
+    assert (len(dec.components), levels) == (1, [64])
 
 
 @settings(max_examples=40, deadline=None)
