@@ -26,9 +26,17 @@ owns number input and output, with `decimal` and `fractions`:
 `grid_str` prints grid values correctly rounded.  LLL and the Fincke-Pohst
 searches of `lattices` run on exact integer data.
 
-When every embedding is real the form is exactly the integer trace form
-Tr(xy), and `trace_form` gives it on the grid p = 0 with tolerance 0, with
-no embeddings at all; `with_gram` tries it before the numeric levels.
+Two kinds of order have an exact form, on the grid p = 0 with tolerance
+0, which `with_gram` tries before the numeric levels.  When every
+embedding is real the form is the integer trace form Tr(xy), and
+`trace_form` gives it with no embeddings at all.  When a (x) Q is a
+product of totally real and CM fields (every group ring Z[G] of a finite
+abelian group, Z[i], Z[zeta_5], x^3 - 1000), the form is the integer form
+Tr(x i(y)), i complex conjugation: `cm_form` rounds the Gram form of the
+first level's rows to integers and certifies the result in O(n^3) integer
+operations, which is also a third proof of reducedness.  The homomorphism
+residual then belongs to the numeric levels only: an order whose integer
+form is certified never computes it.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import math
 import operator
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
@@ -53,8 +61,15 @@ from .errors import (
     NotReduced,
     PrecisionExhausted,
 )
-from .intlinalg import IntMatrix, inverse_unimodular, leading_minors
-from .orders import Order, charpoly_rows, is_reduced, trace_gram, trace_vector
+from .intlinalg import IntMatrix, Vec, inverse_unimodular, leading_minors, solve_definite
+from .orders import (
+    Order,
+    charpoly_rows,
+    is_reduced,
+    table_bound,
+    trace_gram,
+    trace_vector,
+)
 
 # |value| <= tol counts as zero, |value| >= AMBIGUITY_SPAN * tol as nonzero;
 # anything in between needs more precision.
@@ -101,16 +116,19 @@ class EmbeddingMatrix:
 
     rows[k] = (re, im) stands for the k-th homomorphism: sigma_k(e_i) is
     (re[i] + i im[i]) / 2**q.  Rows are sorted by the eigenvalue of the
-    splitting element, so the output is reproducible for a fixed seed, and
-    the row of a non-real eigenvalue and that of its conjugate are exact
-    conjugates.  residual is the homomorphism residual of the rows rounded
-    up to the grid 2**(-2q) Z, an integer in units of 2**(-2q).
+    splitting element, whose coordinates are `splitting`, so the output is
+    reproducible for a fixed seed, and the row of a non-real eigenvalue and
+    that of its conjugate are exact conjugates.  residual is the
+    homomorphism residual of the rows rounded up to the grid 2**(-2q) Z, an
+    integer in units of 2**(-2q), or None while it is not yet computed (see
+    `certified`).
     """
 
     n: int
     rows: tuple[Row, ...]
     precision: int
-    residual: int
+    residual: int | None
+    splitting: Vec = ()
 
 
 @dataclass(frozen=True)
@@ -129,19 +147,22 @@ class GramForm:
     def reduction(self) -> tuple:
         """The LLL basis of the form (rows of an IntMatrix), the fixed-point
         LDL data (D, M) of its Gram matrix on the grid of the form
-        (`lattices.lll_reduce`), and the inverse of the basis, which maps a
-        vector to its coordinates in that basis.  Computed once per form
-        object and shared by every enumeration and decomposition test on
-        it."""
+        (`lattices.lll_reduce`), the inverse of the basis, which maps a
+        vector to its coordinates in that basis, and the leading minors of
+        the basis.  Computed once per form object and shared by every
+        enumeration and decomposition test on it."""
         from . import lattices  # lattices imports this module
 
-        rows, D, M = lattices.lll_reduce(self)
+        rows, D, M, delta = lattices.lll_reduce(self)
         basis = IntMatrix.from_rows(rows, self.n)
-        return basis, D, M, inverse_unimodular(basis)
+        return basis, D, M, inverse_unimodular(basis), delta
 
 
 def compute_embeddings(
-    a: Order, precision: int = DEFAULT_CONFIG.precision, seed: int = DEFAULT_CONFIG.seed
+    a: Order,
+    precision: int = DEFAULT_CONFIG.precision,
+    seed: int = DEFAULT_CONFIG.seed,
+    certify: bool = True,
 ) -> EmbeddingMatrix:
     """Compute the n embeddings of a reduced order at one precision, as rows
     of Gaussian integers on the grid 2**(-q) Z[i], q = p + 16.
@@ -158,28 +179,33 @@ def compute_embeddings(
     chi'(lambda), which is nonzero because lambda is a simple root; so the
     row is a left eigenvector of M_z for lambda, scaled to sigma(1) = 1.
     (Equally: adj(lambda - M_z) = chi'(lambda) M_e for the idempotent e of
-    K (x) C belonging to lambda, and t . coords(e) = Tr(e) = 1.)  The exact
-    homomorphism residual of the rows must then be at most 2**(-p/2) n (1 +
-    max|sigma|)^2.
+    K (x) C belonging to lambda, and t . coords(e) = Tr(e) = 1.)  The rows
+    are then `certified`: their exact homomorphism residual must be at most
+    2**(-p/2) n (1 + max|sigma|)^2.  The residual belongs to the numeric
+    level only, so with certify=False the rows come back with residual None
+    and the caller certifies them once they become a numeric form:
+    `cm_form` reads the Gram form of uncertified rows, and needs no residual
+    when the integer form it rounds from them passes its own certificate.
 
-    This is one of the pipeline's two reducedness checks.  The other is the
-    positive-definite trace form of `trace_form`, which `with_gram` tries
-    first and which proves a totally real order reduced; a non-reduced
-    order never passes it, so every query on one reaches this check, which
-    `with_gram` runs once per order object, precision and seed (it keeps
-    only successes), and raises NotReduced.  A squarefree chi proves
-    reducedness by itself: its n roots are distinct, so it is also the
-    minimal polynomial of M_z, the powers 1, z, ..., z^(n-1) are
-    independent, and the n dimensional algebra a (x) Q is Q[z] =
-    Q[x]/(chi), a product of fields by the Chinese remainder theorem, as
+    This is one of the pipeline's three reducedness checks.  The others
+    are the positive-definite trace form of `trace_form`, which proves a
+    totally real order reduced, and the positive-definite form Tr(x i(y))
+    that `cm_form` certifies for an order of CM type.  `with_gram` tries
+    those first; a non-reduced order passes neither, so every query on one
+    reaches this check, which `with_gram` runs once per order object,
+    precision and seed (it keeps only successes), and raises NotReduced.  A
+    squarefree chi proves reducedness by itself: its n roots are distinct,
+    so it is also the minimal polynomial of M_z, the powers 1, z, ...,
+    z^(n-1) are independent, and the n dimensional algebra a (x) Q is Q[z]
+    = Q[x]/(chi), a product of fields by the Chinese remainder theorem, as
     the irreducible factors of chi are distinct.  A subring of a reduced
     ring is reduced.  So the exact nilradical (`orders.is_reduced`) is
     consulted only when every try has failed: it raises NotReduced for a
     non-reduced order, whose chi is never squarefree, and otherwise
-    DegenerateSplitting.  Raises
-    DegenerateSplitting when no seeded splitting element separates the
-    eigenvalues and EscalationNeeded when the homomorphism residual is too
-    large; `with_gram` retries both at a doubled precision.
+    DegenerateSplitting.  Raises DegenerateSplitting when no seeded
+    splitting element separates the eigenvalues and EscalationNeeded when
+    the homomorphism residual is too large; `with_gram` retries both at a
+    doubled precision.
     """
     n = a.rank
     if n == 0:
@@ -205,18 +231,30 @@ def compute_embeddings(
             if im:
                 keyed.append(((re, -im), (row[0], tuple(-y for y in row[1]))))
         keyed.sort(key=lambda item: item[0])
-        # a conjugate row has the same residual as its partner
-        residual = _hom_residual(a, rows, q)
-        biggest = math.isqrt(max(x * x + y * y for re, im in rows for x, y in zip(re, im)))
-        # residual <= 2**(-p/2) n (1 + max|sigma|)^2, in units of 2**(-2q)
-        if residual << (p // 2) <= n * ((1 << q) + biggest) ** 2:
-            return EmbeddingMatrix(n, tuple(row for _, row in keyed), p, residual)
-        raise EscalationNeeded(f"embedding residual is above threshold at {p} bits")
+        e = EmbeddingMatrix(n, tuple(row for _, row in keyed), p, None, tuple(coeffs))
+        return certified(a, e) if certify else e
     if not is_reduced(a):
         raise NotReduced("only reduced orders admit this computation")
     raise DegenerateSplitting(
         f"no splitting element separated the spectrum after {SPLITTING_TRIES} tries at {p} bits"
     )
+
+
+def certified(a: Order, e: EmbeddingMatrix) -> EmbeddingMatrix:
+    """e with its homomorphism residual, or EscalationNeeded when the
+    residual is above 2**(-p/2) n (1 + max|sigma|)^2.  A conjugate row has
+    the same residual as its partner, so only the rows whose imaginary part
+    is lexicographically at least its negative are checked: the real rows
+    and one row of each conjugate pair."""
+    p = e.precision
+    q = p + FIXED_GUARD_BITS
+    rows = [(re, im) for re, im in e.rows if im >= tuple(-y for y in im)]
+    residual = _hom_residual(a, rows, q)
+    biggest = math.isqrt(max(x * x + y * y for re, im in rows for x, y in zip(re, im)))
+    # residual <= 2**(-p/2) n (1 + max|sigma|)^2, in units of 2**(-2q)
+    if residual << (p // 2) <= e.n * ((1 << q) + biggest) ** 2:
+        return replace(e, residual=residual)
+    raise EscalationNeeded(f"embedding residual is above threshold at {p} bits")
 
 
 def _squarefree(chi: Sequence[int]) -> bool:
@@ -610,34 +648,162 @@ def trace_form(a: Order) -> GramForm | None:
     return a.derived["trace_form"]
 
 
+def cm_form(a: Order, precision: int, seed: int) -> GramForm | None:
+    """The canonical form of an order of CM type, exactly: the integer form
+    Tr(x i(y)), i complex conjugation, on the grid p = 0 with tolerance 0,
+    or None when the order is not of CM type, that is, when a (x) Q is not
+    a product of totally real and CM fields, or its form is not recognised
+    at this precision.  Decided once per order object, from the rows of
+    the first (precision, seed) that gives rows, and kept on it, the "no"
+    included.
+
+    Numerics propose: the Gram form F of the uncertified rows
+    (`compute_embeddings` with certify=False) must lie within 2**(p/2) of
+    2**p G for an integer matrix G, a test of O(n^2) that is all an order
+    that is not of CM type pays for.  Integers decide, in
+    `_cm_certificate`.  On a "no" the same rows are `certified` by their
+    residual and their form F is kept as the numeric level (precision,
+    seed), so that level computes no embeddings and no form of its own;
+    NotReduced, DegenerateSplitting and EscalationNeeded come out as they
+    would from that level.  Why a rational form of an order of CM type is
+    integral: each entry is a sum of products sigma(e_i) conj(sigma(e_j))
+    of algebraic integers, and rational.
+    """
+    if "cm_form" not in a.derived:
+        e = compute_embeddings(a, precision, seed, certify=False)
+        f = gram(e)
+        p = precision
+        half, slack = 1 << (p - 1), 1 << (p // 2)
+        entries = tuple(tuple((x + half) >> p for x in row) for row in f.entries)
+        near = all(
+            abs(x - (y << p)) <= slack
+            for row, rounded in zip(f.entries, entries)
+            for x, y in zip(row, rounded)
+        )
+        exact = near and _cm_certificate(a, e.splitting, entries)
+        a.derived["cm_form"] = GramForm(a.rank, entries, 0, 0) if exact else None
+        if not exact:
+            certified(a, e)
+            a.derived[("gram", precision, seed)] = f
+    return a.derived["cm_form"]
+
+
+def _cm_certificate(a: Order, z: Sequence[int], entries) -> bool:
+    """Whether the symmetric integer matrix G = entries is the canonical
+    form <x, y> = sum_sigma sigma(x) conj(sigma(y)) of a, given an element z
+    of a whose characteristic polynomial is squarefree.  Three checks, in
+    O(n^3) integer operations:
+
+    1. one G = t, the trace functional: <1, u> = Tr(u) for every u.
+    2. `leading_minors(G)` are positive: G is positive definite.
+    3. For w = y / d, integer y, check d M_z^T G = G M_y, that is <z x,
+       v> = <x, w v> for all x, v (M_x the matrix of multiplication by x,
+       M_x coords(v) = coords(x v)).  w is proposed as the solution of G w
+       = T z, T the trace form (`solve_definite` on the minors of check
+       2): when G is the canonical form, <e_k, i(z)> = Tr(i(e_k) i(z)) =
+       Tr(e_k z), so w = i(z); but any w that passes is a proof.  As G is
+       symmetric, G M_y is the transpose of M_y^T G, and row k of M_u^T G
+       is <u e_k, e_j> over j.
+       Each row of G is packed into one integer, a digit of b bits per
+       entry, and each cell e_k e_i of the table times those rows gives
+       <e_k e_i, e_j> over j, packed; a row of M_u^T G is then n products
+       of integers, O(n^3) in all and no matrix of multiplication.  Every
+       digit of d M_z^T G and of M_y^T G is below n^2 d max|z| B T or n^2
+       max|y| B T in absolute value (B the largest |entry| of G, T that of
+       the table), and b, a whole number of bytes above that bit length,
+       leaves a sign bit to spare: adding 2^(b-1) to every digit makes
+       each row the ordinary base-2^b expansion of its digits, as in
+       `orders.validate`, and the two sides are compared digit by digit
+       as byte blocks.
+
+    Why the checks prove it.  Write B(x, y) = x G y^T on A = a (x) Q.
+    - The x whose B-adjoint is a multiplication, B(x u, v) = B(u, i(x) v),
+      form a subalgebra: it contains 1 (i(1) = 1), and with x and x' it
+      contains x + x' and x x' (the adjoint of M_x M_x' is M_i(x') M_i(x),
+      as A is commutative).  Check 3 puts z in it, and z generates A, as
+      its chi is squarefree (see `compute_embeddings`).  So i is defined on
+      all of A, uniquely (M_b = M_b' gives b = b'), and it is an algebra
+      endomorphism.
+    - By check 1, B(x, y) = B(1, i(x) y) = Tr(i(x) y).  B is symmetric, so
+      Tr(i(i(x)) y) = Tr(i(x) i(y)) = Tr(i(x y)) = Tr(x y) for all y (put
+      u = x y in Tr(i(u)) = B(u, 1) = B(1, u) = Tr(u)), and the trace form
+      of the reduced A is non-degenerate: i is an involution.
+    - By check 2, Tr(i(x) x) > 0 for x != 0, also on A (x) R = R^r1 x C^r2:
+      i is a positive involution.  It permutes the factors, and fixes each
+      one, since i(f) = f' != f for idempotents f, f' of two factors would
+      give Tr(i(f) f) = Tr(f' f) = 0.  On R it is the identity, and on C
+      it is conjugation, since Tr(x x) = 2 Re(x^2) < 0 at x = sqrt(-1).
+      So i is complex conjugation, and B(x, y) = Tr(i(x) y) = sum_sigma
+      conj(sigma(x)) sigma(y), the canonical form.
+    - A positive-definite Tr(i(x) x) also proves a reduced: a nilpotent x
+      has i(x) x nilpotent, of trace 0.
+    """
+    n = a.rank
+    t = trace_vector(a)
+    one = [(i, c) for i, c in enumerate(a.one) if c]
+    if any(sum(c * entries[i][j] for i, c in one) != t[j] for j in range(n)):
+        return False
+    ldl = leading_minors(entries)
+    if ldl is None:
+        return False
+    # T z = (Tr(e_k z))_k
+    tz = [sum(zi * sum(map(operator.mul, cell, t)) for zi, cell in zip(z, row)) for row in a.table]
+    y, d = solve_definite(ldl, tz)
+    # packed[m] is row m of G, and h[k][i] = e_k e_i times it, packed: row
+    # k of M_u^T G, <u e_k, e_j> over j, is sum_i u_i h[k][i]
+    top = max(max(map(max, entries)), -min(map(min, entries))) * table_bound(a)
+    top *= n * n * max(d * max(map(abs, z)), max(map(abs, y)))
+    size = (top.bit_length() + 8) // 8  # bytes per digit
+    shifts = range(0, 8 * size * n, 8 * size)
+    packed = [sum(map(operator.lshift, row, shifts)) for row in entries]
+    h = [[sum(map(operator.mul, cell, packed)) for cell in row] for row in a.table]
+    offset = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * n, "little")
+
+    def blocks(u, scale):
+        # the rows of scale M_u^T G, each as its n digits of `size` bytes
+        out = []
+        for row in h:
+            digits = (scale * sum(map(operator.mul, u, row)) + offset).to_bytes(n * size, "little")
+            out.append(tuple([digits[t : t + size] for t in range(0, n * size, size)]))
+        return out
+
+    return blocks(z, d) == list(zip(*blocks(y, 1)))
+
+
 def escalate(
     precision: int,
     form: Callable[[int], GramForm],
     fn: Callable[[GramForm], T],
-    exact: GramForm | None = None,
+    exact: Callable[[int], GramForm | None] | None = None,
 ) -> T:
     """Run fn on an exact form, then on form(p), doubling p on ambiguity.
 
-    This is the pipeline's only precision loop.  An exact form (tolerance
-    0), when the caller has one, is tried first and counts as no level: its
-    verdicts are exact, so EscalationNeeded from it comes from a fault or
-    from a reduced pivot below one grid unit (`lattices.lll_reduce`, as for
-    the E8 form), and moves on to the numeric levels.  These try precision
-    times 2**k for k = 0 .. ESCALATION_BUDGET, moving on whenever form or fn
-    raise EscalationNeeded or DegenerateSplitting.  When every level fails,
-    the last DegenerateSplitting is re-raised, and any other failure becomes
-    PrecisionExhausted.  form(p) is the Gram form on the grid 2**(-p) Z: the
-    embeddings form of an order (`with_gram`), or a document read again
-    (`gram_from_strings` is exact, so each level reads it afresh).
+    This is the pipeline's only precision loop.  The levels try precision
+    times 2**k for k = 0 .. ESCALATION_BUDGET, moving on whenever form,
+    exact or fn raise EscalationNeeded or DegenerateSplitting.  When every
+    level fails, the last DegenerateSplitting is re-raised, and any other
+    failure becomes PrecisionExhausted.  form(p) is the Gram form on the
+    grid 2**(-p) Z: the embeddings form of an order (`with_gram`), or a
+    document read again (`gram_from_strings` is exact, so each level reads
+    it afresh).
+
+    exact(p), when the caller gives it, is the caller's exact form
+    (tolerance 0) or None, asked at each level until it gives a form; that
+    form is tried once, before form(p) of its level, and counts as no
+    level: its verdicts are exact, so EscalationNeeded from it comes from a
+    fault or from a reduced pivot below one grid unit (`lattices.lll_reduce`,
+    as for the E8 form), and moves on to form(p) of the same level.
     """
-    if exact is not None:
-        try:
-            return fn(exact)
-        except EscalationNeeded:
-            pass
     p = precision
     for _ in range(ESCALATION_BUDGET + 1):
         try:
+            g = exact(p) if exact else None
+            if g is not None:
+                exact = None
+                try:
+                    return fn(g)
+                except EscalationNeeded:
+                    pass
             return fn(form(p))
         except (EscalationNeeded, DegenerateSplitting) as exc:
             last = exc
@@ -651,12 +817,14 @@ def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
     """Run fn on the Gram form of a, through `escalate` from
     config.precision.
 
-    The exact form of a totally real order (`trace_form`) comes first, and
-    serves every query at any precision or seed.  Otherwise the form of
-    each (precision, seed) is computed once per order object and kept on it
-    (successes only).  Either way every query on that object shares the
-    form, and through `GramForm.reduction` the LLL basis; an equal but
-    distinct order computes its own.
+    The exact form comes first: the trace form of a totally real order
+    (`trace_form`), else the form of an order of CM type (`cm_form`,
+    decided from the rows of the first level).  Either serves every query
+    at any precision or seed.  Otherwise the form of each (precision, seed)
+    is computed once per order object and kept on it (successes only).
+    Either way every query on that object shares the form, and through
+    `GramForm.reduction` the LLL basis; an equal but distinct order
+    computes its own.
     """
 
     def form(p: int) -> GramForm:
@@ -665,4 +833,7 @@ def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
             a.derived[key] = gram(compute_embeddings(a, p, config.seed))
         return a.derived[key]
 
-    return escalate(config.precision, form, fn, trace_form(a))
+    def exact(p: int) -> GramForm | None:
+        return trace_form(a) or cm_form(a, p, config.seed)
+
+    return escalate(config.precision, form, fn, exact)

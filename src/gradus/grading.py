@@ -40,7 +40,7 @@ from .intlinalg import (
     vec_scale,
 )
 from .lattices import SDecomposition, universal_s_decomposition
-from .orders import Order, mul, trace_vector
+from .orders import Order, mul, table_bound, trace_vector
 
 GroupElem = tuple[int, ...]
 
@@ -516,10 +516,9 @@ def _product_table(
     n = len(rows)
     if n == 0:
         return [], 1
-    cells = [cell for row in a.table for cell in row]
     bound = n * max(max(map(max, inverse.entries)), -min(map(min, inverse.entries)))
     bound *= max(sum(map(abs, x)) for x in rows) ** 2
-    bound *= max(max(map(max, cells)), -min(map(min, cells)))
+    bound *= table_bound(a)
     width = bound.bit_length() + 1
     shifts = range(0, width * n, width)
     packed = [sum(map(operator.lshift, r, shifts)) for r in inverse.entries]

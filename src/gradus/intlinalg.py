@@ -11,7 +11,7 @@ structural equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .errors import InfiniteIndex
@@ -318,6 +318,35 @@ def leading_minors(rows: Iterable[Sequence[int]], floor: int = 0) -> tuple | Non
             return None
         delta.append(li[i])
     return lam, delta
+
+
+def solve_definite(ldl: tuple, target: Sequence[int]) -> tuple[Vec, int]:
+    """The solution x of F x^T = target^T, as (y, d) with x = y / d in
+    lowest terms and d > 0, from (lam, delta) = `leading_minors(F)` of a
+    positive-definite F, in O(n^2) exact operations.
+
+    With F = L diag(d) L^T, the elimination that gave lam, run on target
+    as one more column, gives B_i = Delta_(i-1) u_i for L u = target (a
+    minor of [F | target], so every division is exact), and back
+    substitution of L^T x = diag(d)^(-1) u reads x_i = (B_i - sum_{j>i}
+    lam_ji x_j) / Delta_i.  It runs on Y = Delta_(n-1) x = adj(F) target,
+    which is integral (Cramer's rule), so each of its divisions is exact
+    too.
+    """
+    lam, delta = ldl
+    n = len(lam)
+    b = list(target)
+    for i, li in enumerate(lam):
+        u = b[i]
+        for t in range(i):
+            u = (delta[t + 1] * u - li[t] * b[t]) // delta[t]
+        b[i] = u
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        rest = sum(lam[j][i] * y[j] for j in range(i + 1, n))
+        y[i] = (delta[n] * b[i] - rest) // delta[i + 1]
+    g = gcd(delta[n], *y)
+    return tuple(x // g for x in y), delta[n] // g
 
 
 @dataclass(frozen=True)

@@ -96,9 +96,12 @@ def _grid_bits(D: Sequence[int]) -> int:
     return FP_BITS + max(D, default=0).bit_length() - min(D, default=0).bit_length()
 
 
-def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]]:
+def lll_reduce(
+    g: GramForm,
+) -> tuple[list[Vec], list[int], list[tuple[int, ...]], list[int]]:
     """LLL-reduced basis of the standard lattice under the form g, with the
-    fixed-point LDL data (D, M) of its Gram matrix on the grid of g.
+    fixed-point LDL data (D, M) of its Gram matrix on the grid of g and its
+    leading minors.
 
     Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
     Alg. 2.6.7) on the exact Gram matrix F = g.entries.  `leading_minors`
@@ -115,8 +118,10 @@ def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]
     + lambda_k(k-1)^2) / Delta_(k-1) < 99/100 Delta_(k-1), so their product
     falls by that factor with every swap.
 
-    Returns the basis rows, D_i = floor(d_i) and M[i] = (M_ji for j > i)
-    with M_ji = round(mu_ji 2**K) (half up), K = `_grid_bits(D)`.  Raises
+    Returns the basis rows, D_i = floor(d_i), M[i] = (M_ji for j > i) with
+    M_ji = round(mu_ji 2**K) (half up), K = `_grid_bits(D)`, and the
+    leading minors delta of the basis (delta[i + 1] = Delta_i, delta[0] =
+    1), so that d_i = delta[i + 1] / delta[i] exactly.  Raises
     AmbiguousZero, which callers treat as a request for more precision,
     when a pivot of the standard basis has d_i <= g.tolerance, or, with its
     own message, one of the final basis has D_i <= g.tolerance, which
@@ -165,7 +170,7 @@ def lll_reduce(g: GramForm) -> tuple[list[Vec], list[int], list[tuple[int, ...]]
         )
         for i in range(n)
     ]
-    return [tuple(row) for row in basis], D, M
+    return [tuple(row) for row in basis], D, M, delta
 
 
 def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
@@ -258,7 +263,7 @@ def enumerate_up_to(
     if n == 0:
         return []
     limit += g.tolerance
-    basis, D, M, _ = g.reduction
+    basis, D, M, _, _ = g.reduction
     zero = (0,) * n
     found: list[tuple[int, Vec]] = []
 
@@ -292,7 +297,7 @@ def search_centred_ball(g: GramForm, v: Sequence[int], visit) -> bool:
     """
     if g.n == 0:
         return bool(visit(()))
-    basis, D, M, inverse = g.reduction
+    basis, D, M, inverse, _ = g.reduction
     # v / 2 in the reduced basis, on the grid 2**(-K) Z of the search
     K = _grid_bits(D)
     centre = [c << (K - 1) for c in inverse.vec_mat(v)]
@@ -339,15 +344,18 @@ def universal_s_decomposition(g: GramForm) -> SDecomposition:
     leaves generate the lattice.  A vector met again up to sign is searched
     only once: the leaves below its first meeting sum to it as well.
 
-    A vector v with |v|^2 < 2 min D - 2 AMBIGUITY_SPAN tol, D the pivots of
-    the reduced basis and tol the tolerance, is a leaf with no search.  A
-    nonzero lattice vector x = sum_i x_i b_i with x_k its last nonzero
-    coordinate has |x|^2 >= x_k^2 d_k >= D_k, so lambda_1 >= min D.  The
-    search accepts, or finds ambiguous, only a pair x, v - x of nonzero
-    vectors with <x, v - x> > -AMBIGUITY_SPAN tol (see `is_nonneg`), and
-    then 2 min D <= |x|^2 + |v - x|^2 = |v|^2 - 2<x, v - x> < |v|^2 + 2
-    AMBIGUITY_SPAN tol.  So below the bound the search would find no split
-    and raise nothing: the leaf is its verdict.
+    A vector v with |v|^2 + 2 AMBIGUITY_SPAN tol < 2 min d, d the exact
+    pivots Delta_i / Delta_(i-1) of the reduced basis and tol the
+    tolerance, is a leaf with no search.  A nonzero lattice vector x =
+    sum_i x_i b_i with x_k its last nonzero coordinate has |x|^2 >= x_k^2
+    d_k >= d_k, so lambda_1 >= min d.  The search accepts, or finds
+    ambiguous, only a pair x, v - x of nonzero vectors with <x, v - x> >
+    -AMBIGUITY_SPAN tol (see `is_nonneg`), and then 2 min d <= |x|^2 +
+    |v - x|^2 = |v|^2 - 2<x, v - x> < |v|^2 + 2 AMBIGUITY_SPAN tol.  So
+    below the bound the search would find no split and raise nothing: the
+    leaf is its verdict.  The bound is exact: on the grid p = 0 of an
+    exact form the floors D_i = floor(d_i) would lose up to one unit of
+    each pivot.
 
     Termination: |x|^2 + |v - x|^2 = |v|^2 - 2<x, v - x> <= |v|^2, so both
     parts are strictly shorter than v, and the norms on the exact grid form,
@@ -363,9 +371,14 @@ def universal_s_decomposition(g: GramForm) -> SDecomposition:
     n = g.n
     classes: list[list[Vec]] = []
     seen: set[Vec] = set()
-    basis, D, _, _ = g.reduction
-    # a vector below this norm is a leaf without a search
-    leaf_below = 2 * min(D, default=0) - 2 * AMBIGUITY_SPAN * g.tolerance
+    basis, _, _, _, delta = g.reduction
+    # the least pivot d_i = delta[i + 1] / delta[i], as num / den: v is a
+    # leaf without a search when (|v|^2 + band) den < 2 num
+    num, den = 1, 0
+    for hi, lo in zip(delta[1:], delta):
+        if hi * den < num * lo:
+            num, den = hi, lo
+    band = 2 * AMBIGUITY_SPAN * g.tolerance
     stack = list(basis.entries)
     while stack:
         v = stack.pop()
@@ -374,14 +387,16 @@ def universal_s_decomposition(g: GramForm) -> SDecomposition:
             continue
         seen.add(key)
         q = norm(g, v)
-        x = None if q < leaf_below else _split(g, v)
+        x = None if (q + band) * den < 2 * num else _split(g, v)
         if x is not None:
             y = vec_sub(v, x)
             if not (norm(g, x) < q and norm(g, y) < q):
                 raise EscalationNeeded("a splitting of a vector has a part no shorter than it")
             stack += [x, y]
             continue
-        met = [any(not is_zero(g, inner(g, u, key)) for u in c) for c in classes]
+        # F key^T, so that each <u, key> below is one dot product
+        column = [sum(map(operator.mul, row, key)) for row in g.entries]
+        met = [any(not is_zero(g, sum(map(operator.mul, u, column))) for u in c) for c in classes]
         joined = [key] + [u for c, m in zip(classes, met) if m for u in c]
         classes = [c for c, m in zip(classes, met) if not m] + [joined]
     components = sorted(

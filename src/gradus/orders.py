@@ -117,6 +117,17 @@ def _ints(values, what: str) -> Vec:
     return tuple(values)
 
 
+def table_bound(a: Order) -> int:
+    """The largest |entry| of the table of a, 0 for rank 0.  Kept on the
+    order object: `validate` reads it first, and later bounds of packed
+    products reuse it."""
+    if "table_bound" not in a.derived:
+        cells = [cell for row in a.table for cell in row]
+        top = max(max(map(max, cells), default=0), -min(map(min, cells), default=0))
+        a.derived["table_bound"] = top
+    return a.derived["table_bound"]
+
+
 def _nonassociative_triple(a: Order) -> tuple[int, int, int] | None:
     """The first (i, j, k) in lexicographic order with
     (e_i e_j) e_k != e_i (e_j e_k) in the commutative table of a, or None.
@@ -127,8 +138,7 @@ def _nonassociative_triple(a: Order) -> tuple[int, int, int] | None:
     S_j[k] decides associativity and why the packing is exact.
     """
     n, tab = a.rank, a.table
-    cells = [cell for row in tab for cell in row]
-    bound = max(max(map(max, cells), default=0), -min(map(min, cells), default=0))
+    bound = table_bound(a)
     width = ((n * bound * bound).bit_length() + 8) // 8  # bytes per digit
     half = 1 << (8 * width - 1)
     size = n * n * width

@@ -674,6 +674,59 @@ def oracle_gram(e):
     return GramForm(e.n, entries, p, _tolerance(entries, p))
 
 
+def oracle_cm_form(a, precision=384):
+    """The canonical form of an order of CM type as an integer matrix: the
+    Gram matrix of the mpmath embeddings (`oracle_embeddings`) at
+    `precision` bits, each entry rounded to the nearest integer, which it
+    lies within 2**(-precision/2) of."""
+    from mpmath import mp
+
+    entries = oracle_gram_entries(oracle_embeddings(a, precision), precision)
+    with mp.workprec(precision):
+        rounded = tuple(tuple(int(mp.nint(x)) for x in row) for row in entries)
+        slack = mp.ldexp(1, -(precision // 2))
+        assert all(abs(x - y) <= slack for r, s in zip(entries, rounded) for x, y in zip(r, s))
+    return rounded
+
+
+def oracle_cm_checks(a, z, entries):
+    """The three checks of `embeddings._cm_certificate` on the symmetric
+    integer matrix G = entries, by other means, in sympy rationals:
+    (one G = t, G positive definite, the G-adjoint A = G^-1 M_z^T G of
+    multiplication by z is multiplication by w = A coords(1))."""
+    from sympy import Matrix, zeros
+
+    from gradus.orders import regular_matrix, trace_vector
+
+    n = a.rank
+    g = Matrix(entries)
+    one = Matrix([list(a.one)])
+    adjoint = g.inv() * Matrix(regular_matrix(a, z).entries).T * g
+    w = adjoint * one.T
+    mw = zeros(n, n)
+    for i in range(n):
+        mw += w[i] * Matrix(regular_matrix(a, a.unit(i)).entries)
+    return list(one * g) == list(trace_vector(a)), g.is_positive_definite, adjoint == mw
+
+
+def cm_mutants(a, entries):
+    """Two wrong forms of a group ring on its group basis, from its
+    canonical form G = entries: G with the entries (1, 2) and (2, 1) raised
+    by 1, and G M_f for f = 1 + the sum of the group, the form scaled by
+    |G| + 1 on the trivial factor.  The first keeps row 0, the row of 1,
+    and passes checks 1 and 2 of the certificate; the second is <x, f y>,
+    with f fixed by conjugation, and passes checks 2 and 3."""
+    from gradus.orders import regular_matrix
+
+    pair = [list(row) for row in entries]
+    pair[1][2] += 1
+    pair[2][1] += 1
+    f = tuple(1 + (i == 0) for i in range(a.rank))
+    mf = regular_matrix(a, f).entries
+    scaled = [[sum(x * mf[k][j] for k, x in enumerate(row)) for j in range(a.rank)] for row in entries]
+    return tuple(map(tuple, pair)), tuple(map(tuple, scaled))
+
+
 def real(g, x):
     """A value on the grid 2**(-p)Z of the Gram form g (an entry, inner
     product, norm, tolerance or LDL pivot, as an integer or mpf) as the real
@@ -761,8 +814,9 @@ def oracle_lll(g):
     after every size-reduction step and every swap.  Same reduction order
     (b_k against b_(k-1), ..., b_0, then the Lovasz test), same tie rule
     (round(mu) half to even) and delta = 99/100.  Returns the basis rows,
-    D_i = floor(d_i) and M[i] = (round(mu_ji 2**K), half up, for j > i), K =
-    FP_BITS plus the spread of the bit lengths of D."""
+    D_i = floor(d_i), M[i] = (round(mu_ji 2**K), half up, for j > i), K =
+    FP_BITS plus the spread of the bit lengths of D, and the leading minors
+    [1, d_0, d_0 d_1, ...] of the basis."""
     from gradus.lattices import FP_BITS, LLL_DELTA
 
     n = g.n
@@ -792,7 +846,11 @@ def oracle_lll(g):
         tuple(floor(mu[j][i] * 2**K + Fraction(1, 2)) for j in range(i + 1, n))
         for i in range(n)
     ]
-    return [tuple(row) for row in basis], D, M
+    minors = [Fraction(1)]
+    for x in d:
+        minors.append(minors[-1] * x)
+    assert all(x.denominator == 1 for x in minors)
+    return [tuple(row) for row in basis], D, M, [int(x) for x in minors]
 
 
 def dense_snf(m):

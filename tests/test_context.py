@@ -2,13 +2,15 @@
 
 Every query on an order that needs a Gram form takes it from
 `embeddings.with_gram`, which tries the exact trace form of a totally real
-order first and otherwise computes the embeddings once per (precision,
-seed), and keeps the form on the order object; `embeddings.escalate`, the
-loop behind it, is the only code that doubles the precision.  The
-LLL reduction is kept on the form, and the nilradical and the certified
-universal grading, with the primitive idempotents, on the order.
-Reducedness is proved once, by the trace form or the embeddings behind
-that context.  Nothing is kept at module level: a
+order first, then the certified integer form of an order of CM type,
+decided from the rows of its first level, and otherwise computes the
+embeddings once per (precision, seed), and keeps the form on the order
+object; `embeddings.escalate`, the loop behind it, is the only code that
+doubles the precision.  The LLL reduction is kept on the form, and the
+nilradical and the certified universal grading, with the primitive
+idempotents, on the order.  Reducedness is proved once, by the trace
+form, the integer form or the embeddings behind that context.  Nothing is
+kept at module level: a
 test gets a fresh context by building a fresh order, and an order dropped
 by its caller is freed with everything derived from it.
 """
@@ -62,27 +64,36 @@ def test_queries_on_one_order_share_one_context(monkeypatch):
 
 CONFIGS = (RunConfig(), RunConfig(precision=384, seed=1), RunConfig(precision=256, seed=2))
 
+# name -> (connected, invariant factors, roots of unity, idempotents)
+FACTS = {
+    "zc4": (True, (4,), 8, 2),
+    "zeta5": (True, (), 10, 2),
+    "zxz": (False, (), 4, 4),
+    "kummer6": (True, (3,), 6, 2),
+}
 
-@pytest.mark.parametrize("name", ["zc4", "zxz"])
+
+@pytest.mark.parametrize("name", FACTS)
 def test_idempotent_and_root_queries_share_one_search(monkeypatch, name):
     # connectedness, the idempotents and the factors of the roots all read
     # the primitive idempotents of the one grading kept on the order, at
-    # every config; only the roots' pool takes the form of each config,
-    # and the totally real zxz takes its exact form for it
+    # every config; only the roots' pool takes the form of each config.
+    # The totally real zxz takes its exact trace form for it, and zc4 and
+    # zeta5, of CM type, their integer form, certified from the embeddings
+    # of the first config; kummer6, neither, computes the embeddings of
+    # each config
     gradings = counting(monkeypatch, grading, "_grading_from_gram")
     emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    connected, factors, roots, count = FACTS[name]
     a = example_order(name)
     for config in CONFIGS:
-        connected = is_connected(a, config)
-        assert universal_grading(a, config).grading.group.invariant_factors == (
-            (4,) if connected else ()
-        )
-        assert roots_of_unity(a, config).count == (8 if connected else 4)
-        assert len(idempotents(a, config)) == (2 if connected else 4)
+        assert is_connected(a, config) is connected
+        assert universal_grading(a, config).grading.group.invariant_factors == factors
+        assert roots_of_unity(a, config).count == roots
+        assert len(idempotents(a, config)) == count
     assert len(gradings) == 1
-    assert [args[1:] for args in emb] == (
-        [(c.precision, c.seed) for c in CONFIGS] if name == "zc4" else []
-    )
+    levels = {"zxz": (), "kummer6": CONFIGS}.get(name, CONFIGS[:1])
+    assert [args[1:3] for args in emb] == [(c.precision, c.seed) for c in levels]
 
 
 def test_queries_on_the_zero_ring():
@@ -101,11 +112,25 @@ def test_queries_on_the_zero_ring():
 def test_analyze_computes_embeddings_once(monkeypatch, tmp_path, capsys):
     emb = counting(monkeypatch, embeddings, "compute_embeddings")
     path = tmp_path / "order.json"
-    path.write_text(json.dumps(order_to_json(example_order("zeta5"))))
+    path.write_text(json.dumps(order_to_json(example_order("kummer6"))))
     assert main(["analyze", str(path), "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["connected"] is True
     assert data["gram"]["precision"] == 192
+    assert len(emb) == 1
+
+
+def test_analyze_of_an_order_of_cm_type_prints_its_integer_form(monkeypatch, tmp_path, capsys):
+    # the embeddings of the first level propose the form, and the certified
+    # integer form is what analyze prints, on the grid p = 0
+    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(order_to_json(example_order("zeta5"))))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["connected"] is True
+    assert (data["gram"]["precision"], data["gram"]["tolerance"]) == (0, "0.0")
+    assert data["gram"]["gram"][0] == ["4.0", "-1.0", "-1.0", "-1.0"]
     assert len(emb) == 1
 
 
@@ -179,7 +204,7 @@ def test_ambiguity_doubles_precision_up_to_the_budget(monkeypatch, query, config
     tried = []
     run = query(monkeypatch, tried)
     with pytest.raises(PrecisionExhausted):
-        run(example_order("zsqrtm1"), config)
+        run(example_order("kummer6"), config)
     assert tried == [config.precision * 2**k for k in range(budget + 1)]
 
 
@@ -198,8 +223,18 @@ def test_embedding_failures_share_the_budget(monkeypatch):
     tried = []
     run = ambiguous_grading(monkeypatch, tried)
     with pytest.raises(PrecisionExhausted):
-        run(example_order("zsqrtm1"), config)
+        run(example_order("kummer6"), config)
     assert tried == [config.precision * 2**k for k in range(1, embeddings.ESCALATION_BUDGET + 1)]
+
+
+@pytest.mark.parametrize("name, factors", [("zsqrtm1", (2,)), ("zc4", (4,))])
+def test_an_order_of_cm_type_needs_no_residual(monkeypatch, name, factors):
+    # its integer form is certified without the homomorphism residual, so
+    # a residual too large at every level changes nothing
+    monkeypatch.setattr(embeddings, "_hom_residual", lambda a, rows, q: 1 << (2 * q))
+    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    assert universal_grading(example_order(name)).grading.group.invariant_factors == factors
+    assert len(emb) == 1
 
 
 def test_degenerate_spectrum_at_every_level(monkeypatch, tmp_path, capsys):
@@ -227,6 +262,23 @@ def test_the_exact_form_comes_first_and_the_numeric_ladder_follows(monkeypatch, 
     assert [args[1] for args in emb] == levels
 
 
+@pytest.mark.parametrize("query", [ambiguous_grading, ambiguous_idempotents])
+@pytest.mark.parametrize("name", ["zsqrtm1", "zc4", "zeta5"])
+def test_the_cm_form_comes_first_and_the_numeric_ladder_follows(monkeypatch, query, name):
+    # on an order of CM type the first level's rows propose the integer
+    # form, which is tried once, on the grid p = 0; a failure there (only a
+    # fault can cause one) hands over to the numeric levels, which still
+    # have the whole budget.  The first of them certifies its rows afresh
+    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    tried = []
+    run = query(monkeypatch, tried)
+    with pytest.raises(PrecisionExhausted):
+        run(example_order(name), RunConfig())
+    levels = [192 * 2**k for k in range(embeddings.ESCALATION_BUDGET + 1)]
+    assert tried == [0] + levels
+    assert [args[1] for args in emb] == [192] + levels
+
+
 def test_a_totally_real_order_computes_no_embeddings(monkeypatch):
     # the exact form serves every query at every precision and seed
     emb = counting(monkeypatch, embeddings, "compute_embeddings")
@@ -238,3 +290,4 @@ def test_a_totally_real_order_computes_no_embeddings(monkeypatch):
         assert len(idempotents(a, config)) == 4
     assert len(emb) == 0
     assert len(lll) == 1
+

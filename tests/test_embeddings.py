@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from decimal import Decimal
@@ -46,7 +47,10 @@ from gradus.units import idempotents, roots_of_unity
 from helpers import (
     SMALL_RINGS,
     as_mpc,
+    cm_mutants,
     mpf_grid_point,
+    oracle_cm_checks,
+    oracle_cm_form,
     oracle_embeddings,
     oracle_gram,
     oracle_grid_str,
@@ -779,19 +783,134 @@ def test_an_order_that_is_not_totally_real_is_rejected_at_its_first_bad_pivot(na
     assert read == list(range(first_bad))
 
 
-@pytest.mark.parametrize("name", ["zc4", "zsqrtm1", "zeta5", "kummer6"])
+# reduced orders that are neither totally real nor of CM type: a (x) Q has
+# a factor that is neither totally real nor CM
+NOT_CM = {
+    "kummer6": lambda: example_order("kummer6"),
+    "x3-150": lambda: monogenic_order([-150, 0, 0, 1]),
+    "x4-20": lambda: monogenic_order([-20, 0, 0, 0, 1]),
+    "x4-1000": lambda: monogenic_order([-1000, 0, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", NOT_CM)
 def test_an_order_that_is_not_totally_real_answers_on_its_numeric_form(monkeypatch, name):
-    # every query takes the numeric form it took before the exact form came
-    # first, and gives the answers read off that form
+    # every query takes the numeric form it took before the exact forms
+    # came first, and gives the answers read off that form; the rows that
+    # failed to give an integer form are that form's rows
     emb = []
     real = embeddings.compute_embeddings
     monkeypatch.setattr(
-        embeddings, "compute_embeddings", lambda *args: emb.append(args) or real(*args)
+        embeddings,
+        "compute_embeddings",
+        lambda *args, **kwargs: emb.append(args) or real(*args, **kwargs),
     )
-    a = example_order(name)
-    g = gram(real(example_order(name)))
+    a = NOT_CM[name]()
+    g = gram(real(NOT_CM[name]()))
     assert with_gram(a, DEFAULT_CONFIG, lambda form: form) == g
-    b = example_order(name)
+    b = NOT_CM[name]()
     assert universal_grading(a) == grading.graded_on(b, g)
     assert idempotents(a) == idempotents(b)
     assert len(emb) == 1
+
+
+# ------------------------------------ the certified form of CM-type orders
+
+# reduced orders whose algebra is a product of totally real and CM fields,
+# and which are not totally real
+CM = {
+    **{name: (lambda name=name: example_order(name)) for name in ["zc3", "zc4", "zc5", "zc6"]},
+    "zsqrtm1": lambda: example_order("zsqrtm1"),
+    "zeta5": lambda: example_order("zeta5"),
+    "x3-1000": lambda: monogenic_order([-1000, 0, 0, 1]),
+    "x4-16": lambda: monogenic_order([-16, 0, 0, 0, 1]),
+    "zc3xzi": lambda: product_order(group_ring([3])[0], monogenic_order([1, 0, 1])),
+}
+
+
+@pytest.mark.parametrize("name", CM)
+def test_the_cm_form_is_the_rounded_oracle_form(name):
+    # the integer form is certified at 192 bits, and equals the mpmath Gram
+    # form at 384 bits rounded to integers
+    a = CM[name]()
+    g = embeddings.cm_form(a, 192, 0)
+    assert (g.precision, g.tolerance) == (0, 0)
+    assert g.entries == oracle_cm_form(a)
+
+
+CM_GROUPS = st.sampled_from([[3], [4], [5], [6], [8], [2, 4], [2, 3], [3, 3]])
+
+
+@settings(max_examples=12, deadline=None)
+@given(CM_GROUPS, st.integers(0, 2**32), st.integers(0, 3))
+def test_the_cm_form_of_a_rebased_group_ring_is_the_rounded_oracle_form(factors, seed, run_seed):
+    a = rebased(group_ring(factors)[0], seed)
+    g = embeddings.cm_form(a, 192, run_seed)
+    assert g is not None and g.entries == oracle_cm_form(a)
+
+
+@pytest.mark.parametrize("name", NOT_CM)
+def test_an_order_that_is_not_of_cm_type_is_rejected(name):
+    # no integer form: the rows stay the numeric form of their level, which
+    # their residual certified
+    a = NOT_CM[name]()
+    assert embeddings.cm_form(a, 192, 0) is None
+    assert a.derived[("gram", 192, 0)] == gram(compute_embeddings(NOT_CM[name]()))
+    assert embeddings.cm_form(a, 384, 1) is None  # decided once per order
+    assert ("gram", 384, 1) not in a.derived
+
+
+@pytest.mark.parametrize("name", ["zc3", "zc4", "zc5", "zc6"])
+def test_the_certificate_rejects_forms_that_are_not_canonical(name):
+    # each mutant passes every check but one, so the certificate needs all
+    # three: check 1 (<1, u> = Tr u), check 2 (G positive definite) and
+    # check 3 (the adjoint of z is a multiplication).  z = g - 1 has the
+    # distinct eigenvalues zeta^k - 1 and kills the trivial factor, on
+    # which the scaled mutant differs, so its w = G^-1 T z passes check 3;
+    # the trace form T is the form of the involution x -> x
+    a = example_order(name)
+    g = embeddings.cm_form(a, 192, 0).entries
+    pair, scaled = cm_mutants(a, g)
+    trace = trace_gram(a).entries
+    g_minus_1 = tuple(x - y for x, y in zip(a.unit(1), a.one))
+    for z in (compute_embeddings(a, 192, 0, certify=False).splitting, g_minus_1):
+        assert embeddings._cm_certificate(a, z, g)
+        assert oracle_cm_checks(a, z, g) == (True, True, True)
+        assert oracle_cm_checks(a, z, pair) == (True, True, False)
+        assert oracle_cm_checks(a, z, scaled) == (False, True, True)
+        assert oracle_cm_checks(a, z, trace) == (True, False, True)
+        assert not embeddings._cm_certificate(a, z, pair)
+        assert not embeddings._cm_certificate(a, z, scaled)
+        assert not embeddings._cm_certificate(a, z, trace)
+
+
+@pytest.mark.parametrize("name", ["zc4", "zsqrtm1", "zeta5"])
+def test_an_order_of_cm_type_answers_on_its_integer_form(monkeypatch, name):
+    # every query takes the certified integer form, and gives the answers
+    # read off it; the embeddings of the first level proposed it
+    emb = []
+    real = embeddings.compute_embeddings
+    monkeypatch.setattr(
+        embeddings,
+        "compute_embeddings",
+        lambda *args, **kwargs: emb.append(args) or real(*args, **kwargs),
+    )
+    a = example_order(name)
+    g = with_gram(a, DEFAULT_CONFIG, lambda form: form)
+    assert (g.precision, g.tolerance) == (0, 0)
+    b = example_order(name)
+    assert universal_grading(a) == grading.graded_on(b, g)
+    assert idempotents(a) == idempotents(b)
+    assert roots_of_unity(a) == roots_of_unity(b)
+    assert len(emb) == 2  # one for a, one for b
+
+
+def test_a_non_reduced_order_still_exits_2(tmp_path, capsys):
+    from gradus.cli import main
+    from gradus.orders import order_to_json
+
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(order_to_json(example_order("dual"))))
+    for command in ("grade", "units", "idempotents"):
+        assert main([command, str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "NotReduced"

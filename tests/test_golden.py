@@ -10,7 +10,9 @@ before the embeddings were read off left eigenvectors and before LLL
 carried its own Gram matrix; the analyze and decompose entries from commit
 42caf6b, before the Gram form moved onto an integer grid, except the
 analyze entries of the eight totally real examples, whose tolerance and
-precision read 0 since they answer on their exact trace form.  All by
+precision read 0 since they answer on their exact trace form, and those of
+the six examples of CM type (zc3, zc4, zc5, zc6, zeta5, zsqrtm1), which
+read 0 since they answer on their certified integer form.  All by
 
     PYTHONPATH=src python tests/test_golden.py --write
 

@@ -30,7 +30,7 @@ from gradus.grading import (
     verify_grading,
 )
 from gradus.intlinalg import SublatticeBasis
-from gradus.orders import group_ring, nilradical
+from gradus.orders import group_ring, monogenic_order, nilradical
 
 from helpers import (
     dual_numbers_grading,
@@ -216,11 +216,24 @@ def test_product_table_equals_the_products_formed_in_the_order(seed):
         assert supports == [[[m for m, c in enumerate(p) if c] for p in row] for row in got]
 
 
-@pytest.mark.parametrize("name", ["zc4", "zc6", "kummer6", "zsqrtm1"])
+# name -> (order, forms tried): the four orders that are neither totally
+# real nor of CM type try the five numeric levels, 192 bits doubled up to
+# 3072; those of CM type try their integer form first
+NUMERIC_LEVELS = {
+    "kummer6": (lambda: example_order("kummer6"), 5),
+    "x3-150": (lambda: monogenic_order([-150, 0, 0, 1]), 5),
+    "x4-20": (lambda: monogenic_order([-20, 0, 0, 0, 1]), 5),
+    "x4-1000": (lambda: monogenic_order([-1000, 0, 0, 0, 1]), 5),
+    **{name: (lambda name=name: example_order(name), 6) for name in ["zc4", "zc6", "zsqrtm1"]},
+}
+
+
+@pytest.mark.parametrize("name", NUMERIC_LEVELS)
 def test_a_wrong_group_fails_the_certificate_at_every_precision(monkeypatch, name):
     # rotating the component images by one breaks the product relations,
     # and only the certificate on the product table can see that
-    a = rebased(example_order(name), name)
+    build, forms = NUMERIC_LEVELS[name]
+    a = rebased(build(), name)
     presented = grading.group_from_relations
     calls = []
 
@@ -232,7 +245,7 @@ def test_a_wrong_group_fails_the_certificate_at_every_precision(monkeypatch, nam
     monkeypatch.setattr(grading, "group_from_relations", rotated)
     with pytest.raises(PrecisionExhausted, match="certificate"):
         universal_grading(a)
-    assert len(calls) == 5  # 192 bits doubled up to 3072
+    assert len(calls) == forms
 
 
 def test_a_certificate_failing_on_the_exact_form_hands_over_to_the_numeric_levels(monkeypatch):
@@ -277,9 +290,12 @@ def test_an_infinite_presented_group_exhausts_the_precision(monkeypatch):
         raise InfiniteGroup("presentation has a free quotient")
 
     monkeypatch.setattr(grading, "group_from_relations", infinite)
-    with pytest.raises(PrecisionExhausted, match="infinite group"):
-        universal_grading(example_order("zsqrtm1"))
-    assert len(calls) == 5
+    for name in ("x3-150", "zsqrtm1"):
+        build, forms = NUMERIC_LEVELS[name]
+        calls.clear()
+        with pytest.raises(PrecisionExhausted, match="infinite group"):
+            universal_grading(build())
+        assert len(calls) == forms
 
 
 def test_a_support_that_does_not_generate_exhausts_the_precision(monkeypatch):
@@ -292,9 +308,12 @@ def test_a_support_that_does_not_generate_exhausts_the_precision(monkeypatch):
         return FinAbGroup((2,)), ((0,),) * num_gens
 
     monkeypatch.setattr(grading, "group_from_relations", collapsed)
-    with pytest.raises(PrecisionExhausted, match="does not generate"):
-        universal_grading(example_order("zsqrtm1"))
-    assert len(calls) == 5
+    for name in ("x3-150", "zsqrtm1"):
+        build, forms = NUMERIC_LEVELS[name]
+        calls.clear()
+        with pytest.raises(PrecisionExhausted, match="does not generate"):
+            universal_grading(build())
+        assert len(calls) == forms
 
 
 def test_universal_grading_group_ring_is_natural():

@@ -147,8 +147,8 @@ def test_lll_basis_spans_and_does_not_grow(gm):
     # the standard basis are at most its diagonal.  The basis norms can
     # grow: the example reduces to a basis with a vector of norm 10 > 9.
     g = str_gram(gm)
-    red, D, M = lll_reduce(g)
-    assert (red, D, M) == oracle_lll(g)
+    red, D, M, minors = lll_reduce(g)
+    assert (red, D, M, minors) == oracle_lll(g)
     n = len(gm)
     assert SublatticeBasis.from_vectors(n, red) == SublatticeBasis.full(n)
     assert max(D) <= max(g.entries[i][i] for i in range(n))
@@ -687,7 +687,7 @@ def test_grid_is_fine_enough_for_pivots_of_very_different_size():
 @given(pd_grams(max_dim=4), SCALES)
 def test_kernel_data_is_the_exact_ldl_on_the_grid(gm, scale):
     g = exact_form(gm, scale)
-    basis, D, M, _ = g.reduction
+    basis, D, M, _, _ = g.reduction
     rows = basis.entries
     h = [[dot_form(g.entries, u, w) for w in rows] for u in rows]
     d, mu = frac_ldl(h)
@@ -735,7 +735,8 @@ def test_a_reduced_pivot_below_one_grid_unit_hands_the_exact_form_to_the_numeric
         levels.append(p)
         return gram_from_strings(doc, p)
 
-    dec = escalate(64, form, universal_s_decomposition, exact_form(e8_gram(), precision=0))
+    exact = exact_form(e8_gram(), precision=0)
+    dec = escalate(64, form, universal_s_decomposition, lambda p: exact)
     assert (len(dec.components), levels) == (1, [64])
 
 
@@ -745,7 +746,7 @@ def test_lll_basis_is_unimodular_size_reduced_and_lovasz(gm, scale):
     # checked in Fractions on B gm B^T, whose mu and Lovasz test do not
     # depend on the scale of the grid; det(B gm B^T) = det(gm) makes the
     # integer matrix B unimodular
-    rows, _, _ = lll_reduce(exact_form(gm, scale))
+    rows, _, _, _ = lll_reduce(exact_form(gm, scale))
     d, mu = frac_ldl([[dot_form(gm, u, v) for v in rows] for u in rows])
     assert math.prod(d) == math.prod(frac_ldl(gm)[0])
     dlt = Fraction(*LLL_DELTA)
@@ -774,7 +775,7 @@ def test_exact_enumeration_matches_the_box_oracle(gm, bound):
 def test_origin_search_visits_one_point_of_each_pair(gm, scale, bound):
     # tolerance 0 and an exact form: the pairs on the sphere must be reached
     g = exact_form(gm, scale)
-    basis, D, M, _ = g.reduction
+    basis, D, M, _, _ = g.reduction
     visits = []
     _fincke_pohst(D, M, (0,) * len(gm), bound * scale, lambda x: visits.append(tuple(x)))
     seen = {basis.vec_mat(x) for x in visits}

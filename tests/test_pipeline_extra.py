@@ -2,6 +2,7 @@
 non-cyclic groups beyond the acceptance list, and randomized orders."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -225,8 +226,8 @@ def test_radical_cubic_with_wide_norm_spread_grades_in_any_basis():
 @pytest.mark.parametrize(
     "a, searches",
     # Z[C8] has Gram form 8 * identity on the group basis, so every basis
-    # vector has norm 8 < 2 min D = 16; Z[X]/(X^3 - 1000) has norms 3, 300
-    # and 30000 on its power basis, and only the first is below 2 min D = 6
+    # vector has norm 8 < 2 min d = 16; Z[X]/(X^3 - 1000) has norms 3, 300
+    # and 30000 on its power basis, and only the first is below 2 min d = 6
     [(group_ring([8])[0], 0), (monogenic_order([-1000, 0, 0, 1]), 2)],
     ids=["zc8", "x3-1000"],
 )
@@ -235,8 +236,8 @@ def test_splitting_searches_each_basis_vector_at_or_above_the_bound_once(
 ):
     # the reduced basis of a lattice that splits into rank-1 parts is, up to
     # sign, the indecomposables themselves, so each basis vector is a leaf:
-    # after one search when its norm is at least 2 min D - 2 AMBIGUITY_SPAN
-    # tol, and with none below
+    # after one search when its norm is at least 2 min d - 2 AMBIGUITY_SPAN
+    # tol, d the exact pivots, and with none below
     from helpers import random_unimodular
 
     import gradus.lattices as lattices
@@ -245,7 +246,7 @@ def test_splitting_searches_each_basis_vector_at_or_above_the_bound_once(
 
     b, _ = change_of_basis(a, random_unimodular(random.Random(8), a.rank))
     g = gram(compute_embeddings(b))
-    basis, D, _, _ = g.reduction  # the LLL basis is made before counting
+    basis, _, _, _, delta = g.reduction  # the LLL basis is made before counting
     calls = []
     real = lattices.search_centred_ball
 
@@ -257,5 +258,26 @@ def test_splitting_searches_each_basis_vector_at_or_above_the_bound_once(
     dec = universal_s_decomposition(g)
     assert len(dec.components) == a.rank
     assert len(calls) == searches
-    bound = 2 * min(D) - 2 * AMBIGUITY_SPAN * g.tolerance
+    bound = 2 * min(map(Fraction, delta[1:], delta)) - 2 * AMBIGUITY_SPAN * g.tolerance
     assert sorted(calls) == sorted(v for v in basis.entries if norm(g, v) >= bound)
+
+
+def test_the_leaf_bound_is_exact_on_an_integer_form(monkeypatch):
+    # the reduced pivots of zeta5's integer form are 4, 15/4, 10/3 and 5/2,
+    # so its basis vectors, of norm 4, are below 2 min d = 5 and leaves
+    # without a search, as on its numeric form; the floors of the pivots,
+    # 2 min D = 4, would search each of them
+    import gradus.lattices as lattices
+    from gradus.embeddings import cm_form, compute_embeddings, gram
+    from gradus.lattices import universal_s_decomposition
+
+    a = example_order("zeta5")
+    forms = {"integer": cm_form(a, 192, 0), "numeric": gram(compute_embeddings(a))}
+    assert forms["integer"].reduction[1] == [4, 3, 3, 2]
+    calls = {}
+    real = lattices._split
+    for kind, g in forms.items():
+        calls[kind] = []
+        monkeypatch.setattr(lattices, "_split", lambda g, v, c=calls[kind]: c.append(v) or real(g, v))
+        assert len(universal_s_decomposition(g).components) == 1
+    assert len(calls["integer"]) == len(calls["numeric"]) == 0

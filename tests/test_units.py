@@ -336,33 +336,10 @@ def test_roots_homogeneous_when_identity_piece_connected():
             assert len(homogeneous_parts(go.grading, r)) == 1
 
 
-# the basis of Z x Z x Z[i]: the units of the two Z, then 1 and i of Z[i]
-E1, E2, ONE_I, I = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
-
-
-@pytest.mark.parametrize(
-    "drop",
-    [
-        [(ONE_I, I)],
-        [(ONE_I, I), (I, I)],
-        [(ONE_I, I), (ONE_I, ONE_I)],
-        [(ONE_I, I), (E1, E1), (E2, E2)],
-        # every edge: each component is a class of its own
-        list(itertools.combinations_with_replacement([E1, E2, ONE_I, I], 2)),
-    ],
-)
-def test_a_partial_idempotent_search_fails_the_certificate_at_every_level(
-    monkeypatch, tmp_path, capsys, drop
-):
-    # Z x Z x Z[i] splits into the 4 components spanned by its basis, and
-    # the edge 1 * i = i of the product graph joins the two of Z[i]; a
-    # graph without it splits Z[i]'s class, whose part without 1 sums to 0,
-    # so the atoms fail their check and every query escalates until the
-    # budget is spent.  The order is not totally real, so it has no exact
-    # form, and the grading runs at every numeric level
-    a = product_order(integers_power(2), monogenic_order(SMALL_RINGS["z[i]"]))
-    path = tmp_path / "zzzi.json"
-    path.write_text(json.dumps(order_to_json(a)))
+def cut_product_graph(monkeypatch, drop):
+    """Make the grading drop the edges between the components that hold
+    the pairs of basis vectors in `drop`; returns the list that records the
+    precision of every form the splitting runs on."""
     real_decompose, real_atoms = grading.universal_s_decomposition, grading._atoms
     tried = []
 
@@ -379,6 +356,39 @@ def test_a_partial_idempotent_search_fails_the_certificate_at_every_level(
 
     monkeypatch.setattr(grading, "universal_s_decomposition", decompose)
     monkeypatch.setattr(grading, "_atoms", atoms)
+    return tried
+
+
+# the basis of Z x Z x Z[c], c^3 = 150: the units of the two Z, then 1, c
+# and c^2 of Z[c]
+E1, E2, ONE_C, C, C2 = (tuple(int(i == j) for j in range(5)) for i in range(5))
+
+
+@pytest.mark.parametrize(
+    "drop",
+    [
+        [(ONE_C, C), (C, C2)],
+        [(ONE_C, C), (C, C2), (C, C)],
+        [(ONE_C, C), (C, C2), (ONE_C, ONE_C)],
+        [(ONE_C, C), (C, C2), (E1, E1), (E2, E2)],
+        # every edge: each component is a class of its own
+        list(itertools.combinations_with_replacement([E1, E2, ONE_C, C, C2], 2)),
+    ],
+)
+def test_a_partial_idempotent_search_fails_the_certificate_at_every_level(
+    monkeypatch, tmp_path, capsys, drop
+):
+    # Z x Z x Z[c] splits into the 5 components spanned by its basis, and
+    # the edges 1 * c = c and c * c^2 = 150 of the product graph join the
+    # component of c to the others of Z[c]; a graph without them splits
+    # Z[c]'s class, and the part {c}, without 1, sums to 0, so the atoms
+    # fail their check and every query escalates until the budget is spent.
+    # The order is neither totally real nor of CM type, so it has no exact
+    # form, and the grading runs at every numeric level
+    a = product_order(integers_power(2), monogenic_order([-150, 0, 0, 1]))
+    path = tmp_path / "zzzc.json"
+    path.write_text(json.dumps(order_to_json(a)))
+    tried = cut_product_graph(monkeypatch, drop)
     levels = [DEFAULT_CONFIG.precision * 2**k for k in range(ESCALATION_BUDGET + 1)]
     for query in (idempotents, is_connected):
         tried.clear()
@@ -389,6 +399,18 @@ def test_a_partial_idempotent_search_fails_the_certificate_at_every_level(
     assert main(["analyze", str(path)]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "PrecisionExhausted"
     assert tried == levels
+
+
+def test_a_partial_idempotent_search_fails_on_the_integer_form_first(monkeypatch):
+    # Z x Z x Z[i] is of CM type: without the edge 1 * i = i, which joins
+    # the two components of Z[i], its certified integer form fails first,
+    # on the grid p = 0, and then every numeric level
+    tried = cut_product_graph(monkeypatch, [((0, 0, 1, 0), (0, 0, 0, 1))])
+    a = product_order(integers_power(2), monogenic_order(SMALL_RINGS["z[i]"]))
+    with pytest.raises(PrecisionExhausted):
+        idempotents(a)
+    levels = [DEFAULT_CONFIG.precision * 2**k for k in range(ESCALATION_BUDGET + 1)]
+    assert tried == [0] + levels
 
 
 # -------------------------------------------- searches against the oracles
