@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 import random
@@ -65,9 +66,11 @@ from .intlinalg import IntMatrix, Vec, inverse_unimodular, leading_minors, solve
 from .orders import (
     Order,
     charpoly_rows,
+    Packing,
     is_reduced,
+    product_matrix,
     table_bound,
-    trace_gram,
+    table_times,
     trace_vector,
 )
 
@@ -162,7 +165,6 @@ def compute_embeddings(
     a: Order,
     precision: int = DEFAULT_CONFIG.precision,
     seed: int = DEFAULT_CONFIG.seed,
-    certify: bool = True,
 ) -> EmbeddingMatrix:
     """Compute the n embeddings of a reduced order at one precision, as rows
     of Gaussian integers on the grid 2**(-q) Z[i], q = p + 16.
@@ -181,11 +183,7 @@ def compute_embeddings(
     (Equally: adj(lambda - M_z) = chi'(lambda) M_e for the idempotent e of
     K (x) C belonging to lambda, and t . coords(e) = Tr(e) = 1.)  The rows
     are then `certified`: their exact homomorphism residual must be at most
-    2**(-p/2) n (1 + max|sigma|)^2.  The residual belongs to the numeric
-    level only, so with certify=False the rows come back with residual None
-    and the caller certifies them once they become a numeric form:
-    `cm_form` reads the Gram form of uncertified rows, and needs no residual
-    when the integer form it rounds from them passes its own certificate.
+    2**(-p/2) n (1 + max|sigma|)^2.
 
     This is one of the pipeline's three reducedness checks.  The others
     are the positive-definite trace form of `trace_form`, which proves a
@@ -207,9 +205,15 @@ def compute_embeddings(
     the homomorphism residual is too large; `with_gram` retries both at a
     doubled precision.
     """
+    return certified(a, _proposed_embeddings(a, precision, seed))
+
+
+def _proposed_embeddings(a: Order, precision: int, seed: int) -> EmbeddingMatrix:
+    """The rows of `compute_embeddings` with residual None, for `cm_form`,
+    whose certified integer form needs no residual."""
     n = a.rank
     if n == 0:
-        return EmbeddingMatrix(0, (), precision, 0)
+        return EmbeddingMatrix(0, (), precision, None)
     p = precision
     q = p + FIXED_GUARD_BITS
     for attempt in range(SPLITTING_TRIES):
@@ -231,8 +235,7 @@ def compute_embeddings(
             if im:
                 keyed.append(((re, -im), (row[0], tuple(-y for y in row[1]))))
         keyed.sort(key=lambda item: item[0])
-        e = EmbeddingMatrix(n, tuple(row for _, row in keyed), p, None, tuple(coeffs))
-        return certified(a, e) if certify else e
+        return EmbeddingMatrix(n, tuple(row for _, row in keyed), p, None, tuple(coeffs))
     if not is_reduced(a):
         raise NotReduced("only reduced orders admit this computation")
     raise DegenerateSplitting(
@@ -250,7 +253,7 @@ def certified(a: Order, e: EmbeddingMatrix) -> EmbeddingMatrix:
     q = p + FIXED_GUARD_BITS
     rows = [(re, im) for re, im in e.rows if im >= tuple(-y for y in im)]
     residual = _hom_residual(a, rows, q)
-    biggest = math.isqrt(max(x * x + y * y for re, im in rows for x, y in zip(re, im)))
+    biggest = math.isqrt(max((x * x + y * y for re, im in rows for x, y in zip(re, im)), default=0))
     # residual <= 2**(-p/2) n (1 + max|sigma|)^2, in units of 2**(-2q)
     if residual << (p // 2) <= e.n * ((1 << q) + biggest) ** 2:
         return replace(e, residual=residual)
@@ -635,16 +638,15 @@ def trace_form(a: Order) -> GramForm | None:
     (Conner-Perlis, A Survey of Trace Forms of Algebraic Number Fields).
 
     The test is Sylvester's criterion by `intlinalg.leading_minors`, the
-    elimination `lattices.lll_reduce` opens with.  Row i, (Tr(e_i e_j)) for
-    j <= i, is formed only once the leading minor before it is positive, so
-    an order that is not totally real pays for the rows up to its first
-    pivot <= 0.  A form that passes takes its entries from `trace_gram`.
+    elimination `lattices.lll_reduce` opens with.  Row i of the trace form,
+    from `orders.table_times`, is formed only once the leading minor before
+    it is positive, so an order that is not totally real pays for the rows
+    up to its first pivot <= 0.  A form that passes keeps the rows formed.
     """
     if "trace_form" not in a.derived:
-        t = trace_vector(a)
-        rows = ([sum(map(operator.mul, c, t)) for c in a.table[i][: i + 1]] for i in range(a.rank))
+        rows, kept = itertools.tee(table_times(a, trace_vector(a)))
         positive = leading_minors(rows) is not None
-        a.derived["trace_form"] = GramForm(a.rank, trace_gram(a).entries, 0, 0) if positive else None
+        a.derived["trace_form"] = GramForm(a.rank, tuple(map(tuple, kept)), 0, 0) if positive else None
     return a.derived["trace_form"]
 
 
@@ -657,20 +659,19 @@ def cm_form(a: Order, precision: int, seed: int) -> GramForm | None:
     the first (precision, seed) that gives rows, and kept on it, the "no"
     included.
 
-    Numerics propose: the Gram form F of the uncertified rows
-    (`compute_embeddings` with certify=False) must lie within 2**(p/2) of
-    2**p G for an integer matrix G, a test of O(n^2) that is all an order
-    that is not of CM type pays for.  Integers decide, in
-    `_cm_certificate`.  On a "no" the same rows are `certified` by their
-    residual and their form F is kept as the numeric level (precision,
-    seed), so that level computes no embeddings and no form of its own;
+    Numerics propose: the Gram form F of the uncertified rows must lie
+    within 2**(p/2) of 2**p G for an integer matrix G, a test of O(n^2)
+    that is all an order that is not of CM type pays for.  Integers
+    decide, in `_cm_certificate`.  On a "no" the same rows are `certified`
+    and their form F is kept as the numeric level (precision, seed), so
+    that level computes no embeddings and no form of its own;
     NotReduced, DegenerateSplitting and EscalationNeeded come out as they
     would from that level.  Why a rational form of an order of CM type is
     integral: each entry is a sum of products sigma(e_i) conj(sigma(e_j))
     of algebraic integers, and rational.
     """
     if "cm_form" not in a.derived:
-        e = compute_embeddings(a, precision, seed, certify=False)
+        e = _proposed_embeddings(a, precision, seed)
         f = gram(e)
         p = precision
         half, slack = 1 << (p - 1), 1 << (p // 2)
@@ -684,7 +685,7 @@ def cm_form(a: Order, precision: int, seed: int) -> GramForm | None:
         a.derived["cm_form"] = GramForm(a.rank, entries, 0, 0) if exact else None
         if not exact:
             certified(a, e)
-            a.derived[("gram", precision, seed)] = f
+            _numeric_form(a, precision, seed, f)
     return a.derived["cm_form"]
 
 
@@ -704,17 +705,13 @@ def _cm_certificate(a: Order, z: Sequence[int], entries) -> bool:
        Tr(e_k z), so w = i(z); but any w that passes is a proof.  As G is
        symmetric, G M_y is the transpose of M_y^T G, and row k of M_u^T G
        is <u e_k, e_j> over j.
-       Each row of G is packed into one integer, a digit of b bits per
-       entry, and each cell e_k e_i of the table times those rows gives
-       <e_k e_i, e_j> over j, packed; a row of M_u^T G is then n products
-       of integers, O(n^3) in all and no matrix of multiplication.  Every
-       digit of d M_z^T G and of M_y^T G is below n^2 d max|z| B T or n^2
-       max|y| B T in absolute value (B the largest |entry| of G, T that of
-       the table), and b, a whole number of bytes above that bit length,
-       leaves a sign bit to spare: adding 2^(b-1) to every digit makes
-       each row the ordinary base-2^b expansion of its digits, as in
-       `orders.validate`, and the two sides are compared digit by digit
-       as byte blocks.
+       The table times the rows of G, packed (`orders.Packing`), gives
+       <e_k e_i, e_j> over j, packed, and the rows of M_u^T G are the
+       `product_matrix` of u: O(n^3) products of integers and no matrix of
+       multiplication.  The digits of d M_z^T G and M_y^T G are at most
+       n^2 d max|z| B T and n^2 max|y| B T in absolute value (B the largest
+       |entry| of G, T that of the table), and the two sides are compared
+       digit by digit as byte blocks.
 
     Why the checks prove it.  Write B(x, y) = x G y^T on A = a (x) Q.
     - The x whose B-adjoint is a multiplication, B(x u, v) = B(u, i(x) v),
@@ -740,34 +737,20 @@ def _cm_certificate(a: Order, z: Sequence[int], entries) -> bool:
     """
     n = a.rank
     t = trace_vector(a)
-    one = [(i, c) for i, c in enumerate(a.one) if c]
-    if any(sum(c * entries[i][j] for i, c in one) != t[j] for j in range(n)):
+    if tuple(product_matrix(a.one, zip(*entries))) != t:
         return False
     ldl = leading_minors(entries)
     if ldl is None:
         return False
     # T z = (Tr(e_k z))_k
-    tz = [sum(zi * sum(map(operator.mul, cell, t)) for zi, cell in zip(z, row)) for row in a.table]
-    y, d = solve_definite(ldl, tz)
-    # packed[m] is row m of G, and h[k][i] = e_k e_i times it, packed: row
-    # k of M_u^T G, <u e_k, e_j> over j, is sum_i u_i h[k][i]
+    y, d = solve_definite(ldl, product_matrix(z, table_times(a, t)))
     top = max(max(map(max, entries)), -min(map(min, entries))) * table_bound(a)
     top *= n * n * max(d * max(map(abs, z)), max(map(abs, y)))
-    size = (top.bit_length() + 8) // 8  # bytes per digit
-    shifts = range(0, 8 * size * n, 8 * size)
-    packed = [sum(map(operator.lshift, row, shifts)) for row in entries]
-    h = [[sum(map(operator.mul, cell, packed)) for cell in row] for row in a.table]
-    offset = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * n, "little")
-
-    def blocks(u, scale):
-        # the rows of scale M_u^T G, each as its n digits of `size` bytes
-        out = []
-        for row in h:
-            digits = (scale * sum(map(operator.mul, u, row)) + offset).to_bytes(n * size, "little")
-            out.append(tuple([digits[t : t + size] for t in range(0, n * size, size)]))
-        return out
-
-    return blocks(z, d) == list(zip(*blocks(y, 1)))
+    packing = Packing(n, top)
+    # row k of M_u^T G, <u e_k, e_j> over j, packed, is sum_i u_i h[k][i]
+    h = list(table_times(a, [packing.pack(row) for row in entries]))
+    left = packing.blocks([d * x for x in product_matrix(z, h)])
+    return left == list(zip(*packing.blocks(product_matrix(y, h))))
 
 
 def escalate(
@@ -827,13 +810,16 @@ def with_gram(a: Order, config: RunConfig, fn: Callable[[GramForm], T]) -> T:
     computes its own.
     """
 
-    def form(p: int) -> GramForm:
-        key = ("gram", p, config.seed)
-        if key not in a.derived:
-            a.derived[key] = gram(compute_embeddings(a, p, config.seed))
-        return a.derived[key]
-
     def exact(p: int) -> GramForm | None:
         return trace_form(a) or cm_form(a, p, config.seed)
 
-    return escalate(config.precision, form, fn, exact)
+    return escalate(config.precision, lambda p: _numeric_form(a, p, config.seed), fn, exact)
+
+
+def _numeric_form(a: Order, precision: int, seed: int, f: GramForm | None = None) -> GramForm:
+    """The Gram form of the certified embeddings of a at (precision, seed),
+    kept on a; `cm_form` passes the form f of rows it certified itself."""
+    key = ("gram", precision, seed)
+    if key not in a.derived:
+        a.derived[key] = f or gram(compute_embeddings(a, precision, seed))
+    return a.derived[key]

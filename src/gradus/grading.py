@@ -40,7 +40,7 @@ from .intlinalg import (
     vec_scale,
 )
 from .lattices import SDecomposition, universal_s_decomposition
-from .orders import Order, mul, table_bound, trace_vector
+from .orders import Order, Packing, mul, product_matrix, table_bound, table_times, trace_vector
 
 GroupElem = tuple[int, ...]
 
@@ -424,11 +424,10 @@ def _grading_from_gram(a: Order, g) -> GradedOrder:
     rows = _stack(comps)
     block = [s for s, c in enumerate(comps) for _ in range(c.rank)]
     met: set[tuple[int, int, int]] = set()
-    products, width = _product_table(a, rows, dec.inverse)
+    products, packing = _product_table(a, rows, dec.inverse)
     for i, row in enumerate(products):
         for j, z in enumerate(row, i):
-            meets = _nonzero_digits(z, len(rows), width)
-            met.update((block[i], block[j], block[m]) for m in meets)
+            met.update((block[i], block[j], block[m]) for m in packing.nonzero(z))
     k = len(comps)
     relations = [[(t == s1) + (t == s2) - (t == s3) for t in range(k)] for s1, s2, s3 in met]
     try:
@@ -498,61 +497,29 @@ def _stack(comps: Sequence[SublatticeBasis]) -> list[Vec]:
 
 def _product_table(
     a: Order, rows: Sequence[Vec], inverse: IntMatrix
-) -> tuple[list[list[int]], int]:
+) -> tuple[list[list[int]], Packing]:
     """The products of the splitting vectors on the splitting, packed:
-    entry [i][j] is sum_t c_t 2^(bt), c the coordinates of
-    rows[i] * rows[i + j] on the rows (the product times `inverse`, the
-    inverse of the stacked rows); returns the entries and the digit width b.
+    entry [i][j] packs the coordinates of rows[i] * rows[i + j] on the
+    rows (the product times `inverse`, the inverse of the stacked rows);
+    returns the entries and their `orders.Packing`.
 
-    Row i costs one `_product_matrix` of rows[i], whose row l is
-    rows[i] e_l on the splitting, and then one row-vector product with it
-    per entry.  The order is commutative, so the entries j >= 0 are all of
-    them.  Packing is linear in c, so a row-vector product is n products of
-    integers.  A coordinate of x y on the splitting is at most
-    D = n V X^2 T in absolute value (X the largest |row|_1, T the largest
-    |table entry|, V the largest |inverse entry|), and b = bits(D) + 1 puts
-    every digit in [-2^(b-1), 2^(b-1)), where the packing is one-to-one
-    (see `_nonzero_digits`)."""
+    Row i costs one `product_matrix` of rows[i], whose row l is rows[i] e_l
+    on the splitting, and one row-vector product with it per entry; the
+    order is commutative, so the entries j >= 0 are all of them.  A digit
+    is at most n V X^2 T in absolute value (X the largest |row|_1, T the
+    largest |table entry|, V the largest |inverse entry|)."""
     n = len(rows)
-    if n == 0:
-        return [], 1
-    bound = n * max(max(map(max, inverse.entries)), -min(map(min, inverse.entries)))
-    bound *= max(sum(map(abs, x)) for x in rows) ** 2
+    bound = n * max(map(abs, itertools.chain.from_iterable(inverse.entries)), default=0)
+    bound *= max((sum(map(abs, x)) for x in rows), default=0) ** 2
     bound *= table_bound(a)
-    width = bound.bit_length() + 1
-    shifts = range(0, width * n, width)
-    packed = [sum(map(operator.lshift, r, shifts)) for r in inverse.entries]
-    # columns[l][k] = e_k e_l on the splitting, packed
-    columns = [tuple(sum(map(operator.mul, cell, packed)) for cell in row) for row in a.table]
+    packing = Packing(n, bound)
+    # columns[l][k] = e_l e_k on the splitting, packed
+    columns = list(table_times(a, [packing.pack(r) for r in inverse.entries]))
     table = []
     for i, x in enumerate(rows):
-        matrix = _product_matrix(x, columns)
+        matrix = product_matrix(x, columns)
         table.append([sum(map(operator.mul, y, matrix)) for y in rows[i:]])
-    return table, width
-
-
-def _product_matrix(x: Vec, columns) -> list[int]:
-    """The rows x e_l = sum_k x_k e_k e_l, packed, of the product matrix of
-    x (see `_product_table`)."""
-    return [sum(map(operator.mul, x, col)) for col in columns]
-
-
-def _nonzero_digits(z: int, n: int, width: int) -> list[int]:
-    """The t with c_t != 0, for z = sum_t c_t 2^(width t) over t < n with
-    every c_t in [-2^(width-1), 2^(width-1)).
-
-    Adding h = sum_t 2^(width-1) 2^(width t) moves every digit into
-    [0, 2^width) without carries, and flipping bit width - 1 of each digit
-    (xor h) then leaves 0 exactly where c_t = 0."""
-    h = ((1 << (width * n)) - 1) // ((1 << width) - 1) << (width - 1)
-    u = (z + h) ^ h
-    out = []
-    while u:
-        t = ((u & -u).bit_length() - 1) // width
-        out.append(t)
-        u >>= width * (t + 1)
-        u <<= width * (t + 1)
-    return out
+    return table, packing
 
 
 def grading_to_json(gr: Grading, component_images: Sequence[GroupElem] | None = None) -> dict:

@@ -47,7 +47,7 @@ def counting(monkeypatch, module, name):
 
 
 def test_queries_on_one_order_share_one_context(monkeypatch):
-    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    emb = counting(monkeypatch, embeddings, "_proposed_embeddings")
     lll = counting(monkeypatch, lattices, "lll_reduce")
     nil = counting(monkeypatch, orders, "nilradical")
     a = example_order("zc4")
@@ -83,7 +83,7 @@ def test_idempotent_and_root_queries_share_one_search(monkeypatch, name):
     # of the first config; kummer6, neither, computes the embeddings of
     # each config
     gradings = counting(monkeypatch, grading, "_grading_from_gram")
-    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    emb = counting(monkeypatch, embeddings, "_proposed_embeddings")
     connected, factors, roots, count = FACTS[name]
     a = example_order(name)
     for config in CONFIGS:
@@ -110,7 +110,7 @@ def test_queries_on_the_zero_ring():
 
 
 def test_analyze_computes_embeddings_once(monkeypatch, tmp_path, capsys):
-    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    emb = counting(monkeypatch, embeddings, "_proposed_embeddings")
     path = tmp_path / "order.json"
     path.write_text(json.dumps(order_to_json(example_order("kummer6"))))
     assert main(["analyze", str(path), "--format", "json"]) == 0
@@ -123,7 +123,7 @@ def test_analyze_computes_embeddings_once(monkeypatch, tmp_path, capsys):
 def test_analyze_of_an_order_of_cm_type_prints_its_integer_form(monkeypatch, tmp_path, capsys):
     # the embeddings of the first level propose the form, and the certified
     # integer form is what analyze prints, on the grid p = 0
-    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    emb = counting(monkeypatch, embeddings, "_proposed_embeddings")
     path = tmp_path / "order.json"
     path.write_text(json.dumps(order_to_json(example_order("zeta5"))))
     assert main(["analyze", str(path), "--format", "json"]) == 0
@@ -232,7 +232,7 @@ def test_an_order_of_cm_type_needs_no_residual(monkeypatch, name, factors):
     # its integer form is certified without the homomorphism residual, so
     # a residual too large at every level changes nothing
     monkeypatch.setattr(embeddings, "_hom_residual", lambda a, rows, q: 1 << (2 * q))
-    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    emb = counting(monkeypatch, embeddings, "_proposed_embeddings")
     assert universal_grading(example_order(name)).grading.group.invariant_factors == factors
     assert len(emb) == 1
 
@@ -252,7 +252,7 @@ def test_the_exact_form_comes_first_and_the_numeric_ladder_follows(monkeypatch, 
     # on a totally real order the exact trace form is tried once, on the
     # grid p = 0, and a failure there (only a fault can cause one) hands
     # over to the unchanged numeric levels, which still have the whole budget
-    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    emb = counting(monkeypatch, embeddings, "_proposed_embeddings")
     tried = []
     run = query(monkeypatch, tried)
     with pytest.raises(PrecisionExhausted):
@@ -269,7 +269,7 @@ def test_the_cm_form_comes_first_and_the_numeric_ladder_follows(monkeypatch, que
     # form, which is tried once, on the grid p = 0; a failure there (only a
     # fault can cause one) hands over to the numeric levels, which still
     # have the whole budget.  The first of them certifies its rows afresh
-    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    emb = counting(monkeypatch, embeddings, "_proposed_embeddings")
     tried = []
     run = query(monkeypatch, tried)
     with pytest.raises(PrecisionExhausted):
@@ -281,7 +281,7 @@ def test_the_cm_form_comes_first_and_the_numeric_ladder_follows(monkeypatch, que
 
 def test_a_totally_real_order_computes_no_embeddings(monkeypatch):
     # the exact form serves every query at every precision and seed
-    emb = counting(monkeypatch, embeddings, "compute_embeddings")
+    emb = counting(monkeypatch, embeddings, "_proposed_embeddings")
     lll = counting(monkeypatch, lattices, "lll_reduce")
     a = example_order("zxz")
     for config in (RunConfig(), RunConfig(precision=384, seed=1)):

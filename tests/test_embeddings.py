@@ -798,15 +798,13 @@ def test_an_order_that_is_not_totally_real_answers_on_its_numeric_form(monkeypat
     # every query takes the numeric form it took before the exact forms
     # came first, and gives the answers read off that form; the rows that
     # failed to give an integer form are that form's rows
+    g = gram(compute_embeddings(NOT_CM[name]()))
     emb = []
-    real = embeddings.compute_embeddings
+    real = embeddings._proposed_embeddings
     monkeypatch.setattr(
-        embeddings,
-        "compute_embeddings",
-        lambda *args, **kwargs: emb.append(args) or real(*args, **kwargs),
+        embeddings, "_proposed_embeddings", lambda *args: emb.append(args) or real(*args)
     )
     a = NOT_CM[name]()
-    g = gram(real(NOT_CM[name]()))
     assert with_gram(a, DEFAULT_CONFIG, lambda form: form) == g
     b = NOT_CM[name]()
     assert universal_grading(a) == grading.graded_on(b, g)
@@ -873,7 +871,7 @@ def test_the_certificate_rejects_forms_that_are_not_canonical(name):
     pair, scaled = cm_mutants(a, g)
     trace = trace_gram(a).entries
     g_minus_1 = tuple(x - y for x, y in zip(a.unit(1), a.one))
-    for z in (compute_embeddings(a, 192, 0, certify=False).splitting, g_minus_1):
+    for z in (compute_embeddings(a, 192, 0).splitting, g_minus_1):
         assert embeddings._cm_certificate(a, z, g)
         assert oracle_cm_checks(a, z, g) == (True, True, True)
         assert oracle_cm_checks(a, z, pair) == (True, True, False)
@@ -889,11 +887,9 @@ def test_an_order_of_cm_type_answers_on_its_integer_form(monkeypatch, name):
     # every query takes the certified integer form, and gives the answers
     # read off it; the embeddings of the first level proposed it
     emb = []
-    real = embeddings.compute_embeddings
+    real = embeddings._proposed_embeddings
     monkeypatch.setattr(
-        embeddings,
-        "compute_embeddings",
-        lambda *args, **kwargs: emb.append(args) or real(*args, **kwargs),
+        embeddings, "_proposed_embeddings", lambda *args: emb.append(args) or real(*args)
     )
     a = example_order(name)
     g = with_gram(a, DEFAULT_CONFIG, lambda form: form)

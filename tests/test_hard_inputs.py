@@ -119,9 +119,9 @@ def test_totally_real_hard_inputs_answer_on_the_exact_form(monkeypatch, name, qu
     a = exact_input(name)
     a = Order(a.rank, a.table, a.one)
     calls, gradings = [], []
-    real, real_grading = embeddings.compute_embeddings, grading._grading_from_gram
+    real, real_grading = embeddings._proposed_embeddings, grading._grading_from_gram
     monkeypatch.setattr(
-        embeddings, "compute_embeddings", lambda *args: calls.append(args) or real(*args)
+        embeddings, "_proposed_embeddings", lambda *args: calls.append(args) or real(*args)
     )
     monkeypatch.setattr(
         grading, "_grading_from_gram", lambda *args: gradings.append(args) or real_grading(*args)
@@ -145,7 +145,7 @@ def test_roots_of_z_k_visit_about_one_point_per_pair(monkeypatch, k, visits):
     # of Z^k is searched over its k pairs +-e_i and the origin
     a = integers_power(k)
     count, calls = [0], []
-    real_search, real_embeddings = lattices._fincke_pohst, embeddings.compute_embeddings
+    real_search, real_embeddings = lattices._fincke_pohst, embeddings._proposed_embeddings
 
     def search(D, M, C, limit, visit):
         def counted(x):
@@ -156,7 +156,7 @@ def test_roots_of_z_k_visit_about_one_point_per_pair(monkeypatch, k, visits):
 
     monkeypatch.setattr(lattices, "_fincke_pohst", search)
     monkeypatch.setattr(
-        embeddings, "compute_embeddings", lambda *args: calls.append(args) or real_embeddings(*args)
+        embeddings, "_proposed_embeddings", lambda *args: calls.append(args) or real_embeddings(*args)
     )
     start = time.perf_counter()
     report = roots_of_unity(a)

@@ -203,6 +203,80 @@ def test_trace_gram_is_the_entrywise_trace_of_each_product(a):
     assert trace_gram(a) == IntMatrix.from_rows(want, n)
 
 
+def digits_of(p, z):
+    """The digits of z packed by p, read by an independent decoder: balanced
+    base-2^b digits, least significant first."""
+    b, out = 8 * p.width, []
+    for _ in range(p.size // p.width):
+        c = z % (1 << b)
+        c -= (c >= 1 << (b - 1)) << b
+        out.append(c)
+        z = (z - c) >> b
+    assert z == 0
+    return out
+
+
+def reads_back(p, digits):
+    """Whether the digits survive packing and `Packing.blocks`."""
+    try:
+        blocks = p.blocks([p.pack(digits)])[0]
+    except OverflowError:
+        return False
+    half = 1 << (8 * p.width - 1)
+    return [int.from_bytes(x, "little") - half for x in blocks] == list(digits)
+
+
+BOUNDS = st.sampled_from([1, 127, 128, 255, 256, 2**15 - 1, 2**15, 2**16]) | st.integers(1, 2**80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), BOUNDS, st.integers(1, 4), st.integers(1, 4))
+def test_packed_digits_read_back_and_the_width_is_tight(data, bound, blocks, per):
+    # digits from {-B, -1, 0, 1, B} and values in between; the blocks of
+    # `per` digits round-trip, equal blocks mean equal digits, the nonzero
+    # reader agrees with the blocks, and one byte fewer cannot carry +B
+    # (nor -B, unless B is the narrower width's 2^(b'-1))
+    count = blocks * per
+    digit = st.sampled_from([-bound, -1, 0, 1, bound]) | st.integers(-bound, bound)
+    cs = data.draw(st.lists(digit, min_size=count, max_size=count))
+    ds = data.draw(st.lists(digit, min_size=count, max_size=count) | st.just(cs))
+    p = orders.Packing(count, bound)
+    z, w = p.pack(cs), p.pack(ds)
+    assert digits_of(p, z) == cs and reads_back(p, cs)
+    assert (p.blocks([z], per) == p.blocks([w], per)) == (cs == ds)
+    assert [b"".join(x) for x in p.blocks([z, w], per)] == [b"".join(x) for x in p.blocks([z, w])]
+    assert [p.nonzero(z), p.nonzero(w)] == [[t for t, c in enumerate(x) if c] for x in (cs, ds)]
+    if p.width > 1:
+        narrow = orders.Packing(count, (1 << (8 * p.width - 9)) - 1)
+        assert narrow.width == p.width - 1
+        t = data.draw(st.integers(0, count - 1))
+        for sign in (1, -1):
+            cs = [0] * count
+            cs[t] = sign * bound
+            assert reads_back(narrow, cs) == (sign < 0 and bound == 1 << (8 * narrow.width - 1))
+
+
+@pytest.mark.parametrize("name", ["kummer6", "parity5", "zc6"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_table_times_packed_rows_is_each_product_times_the_matrix(name, seed):
+    # cell [k][i] of the table times the packed rows of V is e_k e_i V, and
+    # the product matrix of x is x e_l V over l, each formed in integers
+    a = rebased(example_order(name), seed)
+    n, rng = a.rank, random.Random(seed)
+    v = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+    x = [rng.randint(-5, 5) for _ in range(n)]
+    p = orders.Packing(n, 5 * n * n * orders.table_bound(a) * 50)
+    cells = list(orders.table_times(a, [p.pack(row) for row in v]))
+    e = a.basis()
+    for k in range(n):
+        for i in range(n):
+            want = [sum(c * v[m][j] for m, c in enumerate(mul(a, e[k], e[i]))) for j in range(n)]
+            assert digits_of(p, cells[k][i]) == want
+    for lth, z in enumerate(orders.product_matrix(x, cells)):
+        xe = mul(a, x, e[lth])
+        assert digits_of(p, z) == [sum(c * v[m][j] for m, c in enumerate(xe)) for j in range(n)]
+
+
 def test_nilradical_product_empty():
     one = monogenic_order([-1, 1])
     a = product_order(one, one)

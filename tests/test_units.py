@@ -105,7 +105,7 @@ def test_a_second_precision_and_seed_read_the_certified_idempotents(monkeypatch)
 
     monkeypatch.setattr(grading, "_grading_from_gram", counted(gradings, grading._grading_from_gram))
     monkeypatch.setattr(
-        embeddings, "compute_embeddings", counted(forms, embeddings.compute_embeddings)
+        embeddings, "_proposed_embeddings", counted(forms, embeddings._proposed_embeddings)
     )
     configs = [RunConfig(precision=384, seed=1), RunConfig(precision=256, seed=2)]
     for config in configs:
