@@ -226,7 +226,7 @@ def cmd_example(args, config: RunConfig) -> int:
 
 # every flag of a subcommand; precision, seed and cap set the RunConfig
 # fields precision, seed and enumeration_cap (only the roots of unity
-# enumerate, so only units reads the cap)
+# enumerate, one search per factor, so only units reads the cap)
 FLAGS = {
     "precision": dict(
         type=int, default=DEFAULT_CONFIG.precision, help="starting precision in bits"
@@ -237,7 +237,7 @@ FLAGS = {
         metavar="CAP",
         type=int,
         default=DEFAULT_CONFIG.enumeration_cap,
-        help="short-vector enumeration cap",
+        help="short-vector cap of each factor's roots-of-unity search",
     ),
     "mod-nilradical": dict(
         action="store_true", help="quotient by the nilradical before running"

@@ -10,7 +10,8 @@ class RunConfig:
     """Knobs for every numeric computation.
 
     precision          working precision in bits for embeddings and Gram forms
-    enumeration_cap    hard cap on the short vectors roots_of_unity enumerates
+    enumeration_cap    hard cap on the short vectors of each factor's search in
+                       roots_of_unity
     seed               seed for the deterministic choice of splitting elements
     """
 

@@ -9,10 +9,11 @@ any precision or seed, reads that one grading, and no search runs for it.
 
 Roots of unity factor through the e_i: a = e_1 a x ... x e_k a, so mu(a)
 is the set of sums of one root of each factor, and a root of e_i a has
-norm exactly r_i = rank(e_i a).  One search of the ball of norm
-<= max r_i on a's own form lists the candidates of every factor, the
-vectors of norm r_i with e_i v = v, one of each +- pair.  `element_order`
-decides each in a as v + 1 - e_i, whose order is v's order in e_i a: it
+norm exactly r_i = rank(e_i a).  Each factor is searched on its own
+lattice, spanned by the splitting components in its class: one search of
+its ball of norm r_i lists its candidates, one of each +- pair, and a
+connected order is searched on its own form.  `element_order` decides
+each candidate v in a as v + 1 - e_i, whose order is v's order in e_i a: it
 walks x, x^2, ... up to m* = max{m : phi(m) <= rank}, drops x once some
 power has |Tr| > rank (a root's powers have eigenvalues on the unit
 circle), and past m* falls back to the exponent gate x^L = 1,
@@ -24,15 +25,14 @@ O(sum |mu(e_i a)|) products.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass
 from math import lcm
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .embeddings import GramForm, norm, with_gram
+from .embeddings import GramForm, inner, norm, with_gram
 from .grading import graded_on, universal_grading
-from .intlinalg import Vec, vec_add, vec_neg, vec_sub
+from .intlinalg import IntMatrix, Vec, vec_add, vec_neg, vec_sub
 from .lattices import enumerate_up_to
 from .orders import Order, mul, power, trace_vector
 
@@ -201,11 +201,33 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
 
     Completeness.  A root z of e_i a has |sigma(z)| = 1 at the r_i embeddings
     where e_i is 1 and sigma(z) = 0 at the others, so its norm under the
-    canonical form of a is exactly r_i.  So one search of the ball of norm
-    <= max r_i lists every candidate: those of factor i are the vectors of
-    norm r_i (within the tolerance, compared on the grid of the form) with
-    e_i v = v exactly, one of each +- pair.  For k = 1, e_1 = 1 and the test
-    is skipped.
+    canonical form of a is exactly r_i.  The candidates of factor i are the
+    vectors of e_i a of norm r_i (within the tolerance, compared on the grid
+    of the form g), one of each +- pair, and each factor is searched on its
+    own lattice:
+    - The components of the splitting (`GradedOrder.decomposition`) split a
+      with index 1, and each lies in a single factor (`grading._atoms`).  A
+      component c in e_j a has e_i c_0 = c_0 != 0 for its first row c_0 when
+      j = i and e_i c_0 = e_i e_j c_0 = 0 otherwise, so the test e_i c_0 != 0
+      sorts the components into factors.
+    - Stack the rows of the components of factor i as B_i.  They lie in
+      e_i a and are independent, and a vector v of e_i a, an integer sum of
+      all the rows, equals e_i v, in which e_i kills every row outside
+      factor i and fixes the rest: so B_i is a basis of e_i a.
+    - h_i = B_i F B_i^T, F = g.entries, is a matrix of exact integers on the
+      grid of g, and it takes g's tolerance, so norm(h_i, x) =
+      norm(g, x B_i) exactly.  `lattices.enumerate_up_to` on h_i, at norm
+      r_i and with h_i's own LLL, then lists exactly the vectors of e_i a in
+      the ball of norm r_i of g, one of each +- pair: its Fincke-Pohst
+      completeness holds on any form.  Those of norm at least r_i, within
+      the tolerance, are the candidates of factor i (the ball can hold
+      shorter zero divisors, such as 2 e_1 of norm 4 in the rank-5
+      subring of Z^5 of equal parities), mapped back through B_i: the same
+      candidates, with the same verdicts, as a search of the ball of norm
+      max r_i of the whole lattice filtered by e_i v = v.
+    For k = 1, e_1 = 1, any basis of a is one of e_1 a, and the factor is
+    searched on g itself, with its reduction.  The enumeration cap bounds
+    each factor's search.
 
     Decision.  v (1 - e_i) = 0 and 1 - e_i is idempotent, so
     (v + 1 - e_i)^m = v^m + (1 - e_i), which is 1 exactly when v^m = e_i: the
@@ -226,24 +248,23 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     config = config or DEFAULT_CONFIG
 
     def run(g: GramForm):
-        atoms = graded_on(a, g).atoms  # (e_i, r_i), r_i increasing
-        top = atoms[-1][1] if atoms else 0
-        pool = enumerate_up_to(g, top << g.precision, config.enumeration_cap)
-        key = functools.partial(norm, g)
+        go = graded_on(a, g)
         factors = []
-        for e, r in atoms:
-            # the pool is sorted by exact norm, so the candidates are a slice,
-            # a suffix at the largest rank, where the pool ends
-            lo = bisect.bisect_left(pool, (r << g.precision) - g.tolerance, key=key)
-            hi = len(pool)
-            if r < top:
-                hi = bisect.bisect_right(pool, (r << g.precision) + g.tolerance, lo, key=key)
-            # z -> z + 1 - e, the identity when e = 1
-            lift = tuple if e == a.one else functools.partial(vec_add, vec_sub(a.one, e))
+        for e, r in go.atoms:
+            # k = 1: a itself, on g, and the lift z -> z + 1 - e is the identity
+            h, place, lift = g, tuple, tuple
+            if e != a.one:
+                comps = [c for c in go.decomposition.components if any(mul(a, e, c.vectors()[0]))]
+                rows = [v for c in comps for v in c.vectors()]
+                entries = tuple(tuple(inner(g, u, v) for v in rows) for u in rows)
+                h = GramForm(len(rows), entries, g.precision, g.tolerance)
+                place = IntMatrix.from_rows(rows).vec_mat
+                lift = functools.partial(vec_add, vec_sub(a.one, e))
             found = {}
-            for v in pool[lo:hi]:
-                if e != a.one and mul(a, e, v) != v:
+            for x in enumerate_up_to(h, r << g.precision, config.enumeration_cap):
+                if norm(h, x) < (r << g.precision) - g.tolerance:
                     continue
+                v = place(x)
                 k = element_order(a, lift(v))
                 if k is not None:
                     found[v] = k

@@ -12,8 +12,10 @@ Totally real inputs whose embeddings are out of reach, Z[C2^6] (a degree-64
 characteristic polynomial with 64 integer roots of one parity) and
 x^2 - 10^310 (coefficients beyond a double), answer every query on their
 exact trace form, with one grading and no embeddings computed, in under
-2 s each.  So does Z^14, whose roots of unity come from a search that
-visits about one point per pair +-e_i of its ball of norm 1."""
+2 s each.  So does Z^14, whose roots of unity come from one search per
+factor Z, of two visits each.  Each factor is searched on its own lattice,
+so Z^10 x Z[zeta_32] lists 1 vector per Z and 16 for Z[zeta_32], not the
+more than 10^6 of the ball of norm 16 of the whole lattice."""
 
 import functools
 import random
@@ -24,12 +26,14 @@ import pytest
 import gradus.embeddings as embeddings
 import gradus.grading as grading
 import gradus.lattices as lattices
+import gradus.units as units
+from gradus.config import RunConfig
 from gradus.grading import universal_grading
 from gradus.intlinalg import SublatticeBasis
-from gradus.orders import Order, group_ring, monogenic_order
+from gradus.orders import Order, group_ring, monogenic_order, product_order
 from gradus.units import idempotents, roots_of_unity
 
-from helpers import change_of_basis, integers_power, random_unimodular
+from helpers import change_of_basis, integers_power, random_unimodular, rebased
 
 # (coefficients of the monic polynomial, low degree first; invariant
 # factors; centred searches of the splitting)
@@ -138,11 +142,12 @@ def test_totally_real_hard_inputs_answer_on_the_exact_form(monkeypatch, name, qu
     assert len(gradings) == 1
 
 
-@pytest.mark.parametrize("k, visits", [(8, 9), (14, 15)])
+@pytest.mark.parametrize("k, visits", [(8, 16), (14, 28)])
 def test_roots_of_z_k_visit_about_one_point_per_pair(monkeypatch, k, visits):
     # the budget of a Fincke-Pohst search is kept on its own grid 2**(-2K),
-    # so a coordinate of true cost 1 is charged in full: the ball of norm 1
-    # of Z^k is searched over its k pairs +-e_i and the origin
+    # so a coordinate of true cost 1 is charged in full: each factor Z of
+    # Z^k is searched on its own form at norm 1, over its pair +-1 and its
+    # origin, two visits per factor
     a = integers_power(k)
     count, calls = [0], []
     real_search, real_embeddings = lattices._fincke_pohst, embeddings._proposed_embeddings
@@ -164,3 +169,26 @@ def test_roots_of_z_k_visit_about_one_point_per_pair(monkeypatch, k, visits):
     assert report.count == 2**k and report.group_closed
     assert count[0] == visits
     assert calls == []
+
+
+@pytest.mark.parametrize("k, seed", [(10, None), (8, 0)])
+def test_roots_of_z_k_times_z_zeta32_search_each_factor_alone(monkeypatch, k, seed):
+    # the ball of norm 16 of the whole lattice of Z^10 x Z[zeta_32] holds
+    # more than 10^6 vectors (Z^8 x Z[zeta_32], rebased: 153,040); each
+    # factor's own ball of norm r_i holds its pair +-1 in Z and the 16 pairs
+    # +-zeta^j in Z[zeta_32], so a cap of 16 vectors per search suffices
+    z, zeta32 = monogenic_order([-1, 1]), monogenic_order([1] + [0] * 15 + [1])
+    a = functools.reduce(product_order, [z] * k + [zeta32])
+    if seed is not None:
+        a = rebased(a, seed)
+    pools = []
+    real = units.enumerate_up_to
+
+    def pooled(*args):
+        pools.append(real(*args))
+        return pools[-1]
+
+    monkeypatch.setattr(units, "enumerate_up_to", pooled)
+    report = roots_of_unity(a, RunConfig(enumeration_cap=16))
+    assert report.count == 2**k * 32 and report.group_closed
+    assert [len(p) for p in pools] == [1] * k + [16]

@@ -207,9 +207,9 @@ def test_subgroup_certificate_matches_pairwise_closure(name):
 
 
 def test_roots_of_z5_take_38_products(monkeypatch):
-    # Z^5 is five copies of Z, each searched at norm 1: 25 products test
-    # e_i v = v on the five pool vectors, one walk and one sign gate take 3,
-    # and the certificate of {1, 1 - 2 e_i} takes 2 per factor
+    # Z^5 is five copies of Z, each searched at norm 1: 25 products e_i c
+    # place the five components in their factors, one walk and one sign
+    # gate take 3, and the certificate of {1, 1 - 2 e_i} takes 2 per factor
     a = rebased(integers_power(5), 0)
     roots_of_unity(a)  # the numeric context, computed once
     calls = []
@@ -225,9 +225,9 @@ def test_roots_of_z5_take_38_products(monkeypatch):
 
 
 def test_roots_of_z8_search_norm_one_only(monkeypatch):
-    # the factors of Z^8 have rank 1, so the pool holds the 8 pairs +-e_i
-    # and each factor sends its one candidate to the exact filter, not the
-    # 4,664 pairs of norm 8
+    # the factors of Z^8 have rank 1, so each is searched on its own form at
+    # norm 1: eight pools of the one pair +-e_i, not the 4,664 pairs of
+    # norm 8 of the whole lattice
     a = rebased(integers_power(8), 0)
     roots_of_unity(a)  # the numeric context, computed once
     orders_walked, pools = [], []
@@ -246,7 +246,7 @@ def test_roots_of_z8_search_norm_one_only(monkeypatch):
     report = roots_of_unity(a)
     assert report.count == 256 and report.group_closed
     assert len(orders_walked) <= 8
-    assert [len(p) for p in pools] == [8]
+    assert [len(p) for p in pools] == [1] * 8
 
 
 def test_torsion_order_bound_small_ranks():
@@ -476,6 +476,41 @@ def test_idempotents_and_connectedness_match_the_oracle(a, seed):
 @given(torsion_orders, st.integers(0, 2**32))
 def test_roots_of_unity_match_the_oracle(a, seed):
     a = rebased(a, seed)
+    report = roots_of_unity(a)
+    assert dict(zip(report.roots, report.orders)) == oracle_roots(a)
+    assert report.group_closed == oracle_group_closed(a, report.roots)
+
+
+# connected factors by name: (rank, builder).  All but kummer6 are of CM
+# type, so their products answer on exact forms, and any product with
+# kummer6 on a numeric one
+SPLIT_FACTORS = {
+    "z": (1, lambda: monogenic_order(SMALL_RINGS["z"])),
+    "z[i]": (2, lambda: monogenic_order(SMALL_RINGS["z[i]"])),
+    "z[sqrt2]": (2, lambda: monogenic_order(SMALL_RINGS["z[sqrt2]"])),
+    "zc3": (3, lambda: group_ring([3])[0]),
+    "zeta5": (4, lambda: example_order("zeta5")),
+    "kummer6": (6, lambda: example_order("kummer6")),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(sorted(SPLIT_FACTORS)),
+        min_size=2,
+        max_size=3,
+        unique_by=lambda name: SPLIT_FACTORS[name][0],
+    ).filter(lambda names: sum(SPLIT_FACTORS[n][0] for n in names) <= 8),
+    st.integers(0, 2**32),
+)
+@example(["kummer6", "zeta5"], 0)
+@example(["z", "zc3", "zeta5"], 1)
+def test_roots_searched_factor_by_factor_match_the_oracle(names, seed):
+    # each factor is searched on its own form, of a rank below the order's;
+    # the oracle searches the ball of norm rank(a) of the whole lattice
+    a = rebased(functools.reduce(product_order, [SPLIT_FACTORS[n][1]() for n in names]), seed)
+    assert len(universal_grading(a).atoms) == len(names)
     report = roots_of_unity(a)
     assert dict(zip(report.roots, report.orders)) == oracle_roots(a)
     assert report.group_closed == oracle_group_closed(a, report.roots)
