@@ -51,7 +51,7 @@ import sys
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
@@ -62,7 +62,7 @@ from .errors import (
     NotReduced,
     PrecisionExhausted,
 )
-from .intlinalg import IntMatrix, Vec, inverse_unimodular, leading_minors, solve_definite
+from .intlinalg import IntMatrix, Vec, leading_minors, solve_definite
 from .orders import (
     Order,
     charpoly_rows,
@@ -147,18 +147,41 @@ class GramForm:
     tolerance: int
 
     @functools.cached_property
+    def minors(self) -> tuple | None:
+        """The fraction-free LDL (lam, delta) of the entries,
+        `intlinalg.leading_minors` at the floor `tolerance`, or None at the
+        first pivot at most the tolerance.  The one elimination of the form:
+        computed once per form object, or kept from the positivity test of
+        an exact form (`_exact_form`), and LLL starts from a copy of it."""
+        return leading_minors(self.entries, self.tolerance)
+
+    @functools.cached_property
     def reduction(self) -> tuple:
         """The LLL basis of the form (rows of an IntMatrix), the fixed-point
-        LDL data (D, M) of its Gram matrix on the grid of the form
-        (`lattices.lll_reduce`), the inverse of the basis, which maps a
-        vector to its coordinates in that basis, and the leading minors of
-        the basis.  Computed once per form object and shared by every
-        enumeration and decomposition test on it."""
+        LDL data (D, M) of its Gram matrix on the grid of the form, and the
+        exact LDL (lam, delta) of that Gram matrix, which solves for a
+        vector's coordinates in the basis (`lattices.lll_reduce`).
+        Computed once per form object and shared by every enumeration and
+        decomposition test on it."""
         from . import lattices  # lattices imports this module
 
-        rows, D, M, delta = lattices.lll_reduce(self)
-        basis = IntMatrix.from_rows(rows, self.n)
-        return basis, D, M, inverse_unimodular(basis), delta
+        rows, D, M, ldl = lattices.lll_reduce(self)
+        return IntMatrix.from_rows(rows, self.n), D, M, ldl
+
+
+def _exact_form(n: int, rows: Iterable[Sequence[int]]) -> GramForm | None:
+    """The exact form (grid p = 0, tolerance 0) of the symmetric integer
+    matrix read row by row from `rows`, or None when it is not positive
+    definite.  Sylvester's test by `intlinalg.leading_minors` reads row i
+    only once the leading minor before it is positive, and the form keeps
+    the minors it computed as its `GramForm.minors`."""
+    rows, kept = itertools.tee(rows)
+    ldl = leading_minors(rows)
+    if ldl is None:
+        return None
+    g = GramForm(n, tuple(map(tuple, kept)), 0, 0)
+    g.__dict__["minors"] = ldl  # the value the cached property would compute
+    return g
 
 
 def compute_embeddings(
@@ -637,16 +660,15 @@ def trace_form(a: Order) -> GramForm | None:
     signature (1, 1), so the form is positive definite exactly when r2 = 0
     (Conner-Perlis, A Survey of Trace Forms of Algebraic Number Fields).
 
-    The test is Sylvester's criterion by `intlinalg.leading_minors`, the
-    elimination `lattices.lll_reduce` opens with.  Row i of the trace form,
-    from `orders.table_times`, is formed only once the leading minor before
-    it is positive, so an order that is not totally real pays for the rows
-    up to its first pivot <= 0.  A form that passes keeps the rows formed.
+    The test is Sylvester's criterion by `intlinalg.leading_minors`
+    (`_exact_form`), whose minors `lattices.lll_reduce` starts from.  Row i
+    of the trace form, from `orders.table_times`, is formed only once the
+    leading minor before it is positive, so an order that is not totally
+    real pays for the rows up to its first pivot <= 0.  A form that passes
+    keeps the rows formed.
     """
     if "trace_form" not in a.derived:
-        rows, kept = itertools.tee(table_times(a, trace_vector(a)))
-        positive = leading_minors(rows) is not None
-        a.derived["trace_form"] = GramForm(a.rank, tuple(map(tuple, kept)), 0, 0) if positive else None
+        a.derived["trace_form"] = _exact_form(a.rank, table_times(a, trace_vector(a)))
     return a.derived["trace_form"]
 
 
@@ -681,22 +703,22 @@ def cm_form(a: Order, precision: int, seed: int) -> GramForm | None:
             for row, rounded in zip(f.entries, entries)
             for x, y in zip(row, rounded)
         )
-        exact = near and _cm_certificate(a, e.splitting, entries)
-        a.derived["cm_form"] = GramForm(a.rank, entries, 0, 0) if exact else None
-        if not exact:
+        a.derived["cm_form"] = g = _cm_certificate(a, e.splitting, entries) if near else None
+        if g is None:
             certified(a, e)
             _numeric_form(a, precision, seed, f)
     return a.derived["cm_form"]
 
 
-def _cm_certificate(a: Order, z: Sequence[int], entries) -> bool:
-    """Whether the symmetric integer matrix G = entries is the canonical
-    form <x, y> = sum_sigma sigma(x) conj(sigma(y)) of a, given an element z
-    of a whose characteristic polynomial is squarefree.  Three checks, in
-    O(n^3) integer operations:
+def _cm_certificate(a: Order, z: Sequence[int], entries) -> GramForm | None:
+    """The exact form of the symmetric integer matrix G = entries when it is
+    the canonical form <x, y> = sum_sigma sigma(x) conj(sigma(y)) of a, else
+    None, given an element z of a whose characteristic polynomial is
+    squarefree.  Three checks, in O(n^3) integer operations:
 
     1. one G = t, the trace functional: <1, u> = Tr(u) for every u.
-    2. `leading_minors(G)` are positive: G is positive definite.
+    2. `leading_minors(G)` are positive: G is positive definite
+       (`_exact_form`, whose form keeps them for LLL).
     3. For w = y / d, integer y, check d M_z^T G = G M_y, that is <z x,
        v> = <x, w v> for all x, v (M_x the matrix of multiplication by x,
        M_x coords(v) = coords(x v)).  w is proposed as the solution of G w
@@ -738,19 +760,19 @@ def _cm_certificate(a: Order, z: Sequence[int], entries) -> bool:
     n = a.rank
     t = trace_vector(a)
     if tuple(product_matrix(a.one, zip(*entries))) != t:
-        return False
-    ldl = leading_minors(entries)
-    if ldl is None:
-        return False
+        return None
+    g = _exact_form(n, entries)
+    if g is None:
+        return None
     # T z = (Tr(e_k z))_k
-    y, d = solve_definite(ldl, product_matrix(z, table_times(a, t)))
+    y, d = solve_definite(g.minors, product_matrix(z, table_times(a, t)))
     top = max(max(map(max, entries)), -min(map(min, entries))) * table_bound(a)
     top *= n * n * max(d * max(map(abs, z)), max(map(abs, y)))
     packing = Packing(n, top)
     # row k of M_u^T G, <u e_k, e_j> over j, packed, is sum_i u_i h[k][i]
     h = list(table_times(a, [packing.pack(row) for row in entries]))
     left = packing.blocks([d * x for x in product_matrix(z, h)])
-    return left == list(zip(*packing.blocks(product_matrix(y, h))))
+    return g if left == list(zip(*packing.blocks(product_matrix(y, h)))) else None
 
 
 def escalate(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -188,13 +188,16 @@ def make_grading(
 @dataclass(frozen=True)
 class GradedOrder:
     """Universal grading together with the lattice splitting it came from,
-    the map sending each splitting component to its group element, and the
-    primitive idempotents e_i as the pairs (e_i, t . e_i), t . e_i rising."""
+    the map sending each splitting component to its group element, the
+    primitive idempotents e_i as the pairs (e_i, t . e_i), t . e_i rising,
+    and the map sending each splitting component to the index i of the
+    factor e_i a it lies in."""
 
     grading: Grading
     decomposition: SDecomposition
     component_images: tuple[GroupElem, ...]
     atoms: tuple[tuple[Vec, int], ...]
+    component_factors: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -388,8 +391,8 @@ def graded_on(a: Order, g: GramForm) -> GradedOrder:
     no reference to a, as nothing in `a.derived` may."""
     if "grading" not in a.derived:
         go = _grading_from_gram(a, g)
-        gr = go.grading
-        a.derived["grading"] = (gr.group, gr.pieces, go.decomposition, go.component_images, go.atoms)
+        gr, *rest = (getattr(go, f.name) for f in fields(go))
+        a.derived["grading"] = (gr.group, gr.pieces, *rest)
     return universal_grading(a)
 
 
@@ -447,16 +450,17 @@ def _grading_from_gram(a: Order, g) -> GradedOrder:
     grading = Grading(a, group, tuple(pieces))
     if not group.generated_by(grading.support()):
         raise EscalationNeeded("support of the assembled grading does not generate the group")
-    return GradedOrder(grading, dec, images, _atoms(a, dec, rows, block, met))
+    return GradedOrder(grading, dec, images, *_atoms(a, dec, rows, block, met))
 
 
 def _atoms(
     a: Order, dec: SDecomposition, rows: Sequence[Vec], block: Sequence[int], met
-) -> tuple[tuple[Vec, int], ...]:
+) -> tuple[tuple[tuple[Vec, int], ...], tuple[int, ...]]:
     """The primitive idempotents of a as the pairs (e_i, t . e_i) in
     increasing trace, from the product graph of the splitting dec: row m of
     its stacked `rows` lies in component block[m], and every triple
-    (s1, s2, s3) of `met` is an edge s1 - s2.
+    (s1, s2, s3) of `met` is an edge s1 - s2.  Also the index i of the
+    factor e_i a that each component lies in: its class's.
 
     Why.  The factors e_i a are orthogonal, as sigma(e_i e_j) = 0, so each
     component lies in one of them (Eichler: the splitting into
@@ -477,7 +481,7 @@ def _atoms(
             old, new = label[s2], label[s1]
             label = [new if c == old else c for c in label]
     if len(set(label)) == 1:
-        return ((a.one, a.rank),)
+        return ((a.one, a.rank),), (0,) * len(label)
     sums = dict.fromkeys(label, a.zero())
     for c, row, s in zip(dec.inverse.vec_mat(a.one), rows, block):
         if c:
@@ -487,7 +491,9 @@ def _atoms(
         if not any(e) or mul(a, e, e) != e or any(any(mul(a, e, f)) for f in atoms[i + 1 :]):
             raise EscalationNeeded("the product graph gives no primitive idempotents")
     t = trace_vector(a)
-    return tuple((e, r) for r, e in sorted((sum(map(operator.mul, t, e)), e) for e in atoms))
+    # the atoms are distinct, so the classes c never decide the order
+    ranked = sorted((sum(map(operator.mul, t, e)), e, c) for c, e in sums.items())
+    return tuple((e, r) for r, e, _ in ranked), tuple(map([c for *_, c in ranked].index, label))
 
 
 def _stack(comps: Sequence[SublatticeBasis]) -> list[Vec]:

@@ -2,12 +2,14 @@
 
 Inner products, norms and the zero and sign verdicts on them are exact
 integers on the grid of the form (see `embeddings.GramForm`).  LLL is
-integral: it reduces the exact grid Gram matrix through its leading minors
-and fraction-free LDL data, and the Fincke-Pohst searches run on that data,
-with mu and the centres in fixed point on the grid 2**(-K) Z, K =
-`_grid_bits(D)` read off the pivots.  Each node widens its range by a
-proven bound on that rounding, so every search is complete by proof (see
-`_fincke_pohst`) and its callers decide the points exactly.
+integral: it reduces the exact grid Gram matrix from the form's one
+fraction-free LDL (`GramForm.minors`) and ends with the exact LDL of the
+reduced basis, which gives each centre's coordinates in that basis.  The
+Fincke-Pohst searches run on that data, with mu and the centres in fixed
+point on the grid 2**(-K) Z, K = `_grid_bits(D)` read off the pivots.
+Each node widens its range by a proven bound on that rounding, so every
+search is complete by proof (see `_fincke_pohst`) and its callers decide
+the points exactly.
 
 Provides LLL reduction of the standard basis, one Fincke-Pohst enumeration
 kernel (short vectors around the origin, and the centred ball of the
@@ -38,7 +40,7 @@ from .intlinalg import (
     SublatticeBasis,
     Vec,
     inverse_unimodular,
-    leading_minors,
+    solve_definite,
     vec_neg,
     vec_sub,
 )
@@ -98,20 +100,23 @@ def _grid_bits(D: Sequence[int]) -> int:
 
 def lll_reduce(
     g: GramForm,
-) -> tuple[list[Vec], list[int], list[tuple[int, ...]], list[int]]:
+) -> tuple[list[Vec], list[int], list[tuple[int, ...]], tuple[list[list[int]], list[int]]]:
     """LLL-reduced basis of the standard lattice under the form g, with the
     fixed-point LDL data (D, M) of its Gram matrix on the grid of g and its
-    leading minors.
+    exact LDL.
 
     Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.6.7) on the exact Gram matrix F = g.entries.  `leading_minors`
-    of F gives the leading minors Delta_i (Delta_-1 = 1) and the integers
-    lambda_ji = Delta_i mu_ji, so that the Gram matrix of the basis is L
-    diag(d) L^T with L[j][i] = mu_ji and d_i = Delta_i / Delta_(i-1).  Size
-    reduction subtracts round(mu_kj) b_j from b_k (a tie rounds half to
-    even), and a swap of b_(k-1) and b_k updates Delta_(k-1) and lambda in
-    O(n) exact divisions.  The Lovasz test with delta = 99/100 is 100
-    (Delta_k Delta_(k-2) + lambda_k(k-1)^2) >= 99 Delta_(k-1)^2.
+    Alg. 2.6.7) on the exact Gram matrix F = g.entries.  It starts from a
+    copy of `g.minors`, the `intlinalg.leading_minors` of F: the leading
+    minors Delta_i (Delta_-1 = 1) and the integers lambda_ji = Delta_i
+    mu_ji, so that the Gram matrix of the basis is L diag(d) L^T with
+    L[j][i] = mu_ji and d_i = Delta_i / Delta_(i-1).  Size reduction
+    subtracts round(mu_kj) b_j from b_k (a tie rounds half to even), and a
+    swap of b_(k-1) and b_k updates Delta_(k-1), lambda_(k-1)(k-1) =
+    Delta_(k-1) and the rest of lambda in O(n) exact divisions, so (lambda,
+    Delta) stay the `leading_minors` of the Gram matrix of the basis.  The
+    Lovasz test with delta = 99/100 is 100 (Delta_k Delta_(k-2) +
+    lambda_k(k-1)^2) >= 99 Delta_(k-1)^2.
 
     Termination: every Delta_i is a positive integer, size reduction leaves
     them unchanged, and a swap replaces Delta_(k-1) by (Delta_k Delta_(k-2)
@@ -119,9 +124,10 @@ def lll_reduce(
     falls by that factor with every swap.
 
     Returns the basis rows, D_i = floor(d_i), M[i] = (M_ji for j > i) with
-    M_ji = round(mu_ji 2**K) (half up), K = `_grid_bits(D)`, and the
-    leading minors delta of the basis (delta[i + 1] = Delta_i, delta[0] =
-    1), so that d_i = delta[i + 1] / delta[i] exactly.  Raises
+    M_ji = round(mu_ji 2**K) (half up), K = `_grid_bits(D)`, and the exact
+    LDL (lam, delta) of the Gram matrix of the basis in the format of
+    `leading_minors` (delta[i + 1] = Delta_i, delta[0] = 1, lam[j][i] =
+    lambda_ji for i <= j), so that d_i = delta[i + 1] / delta[i].  Raises
     AmbiguousZero, which callers treat as a request for more precision,
     when a pivot of the standard basis has d_i <= g.tolerance, or, with its
     own message, one of the final basis has D_i <= g.tolerance, which
@@ -130,10 +136,10 @@ def lll_reduce(
     n, tol = g.n, g.tolerance
     num, den = LLL_DELTA
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    ldl = leading_minors(g.entries, tol)
-    if ldl is None:
+    if g.minors is None:
         raise AmbiguousZero("form is not positive definite at the working precision")
-    lam, delta = ldl  # delta[i + 1] = Delta_i; lam is lower triangular
+    # delta[i + 1] = Delta_i; lam is lower triangular
+    lam, delta = [list(row) for row in g.minors[0]], list(g.minors[1])
     k = 1
     while k < n:
         row = lam[k]
@@ -157,7 +163,7 @@ def lll_reduce(
             t = lam[i][k]
             lam[i][k] = (delta[k + 1] * lam[i][k - 1] - m * t) // delta[k]
             lam[i][k - 1] = (b * t + m * lam[i][k]) // delta[k + 1]
-        delta[k] = b
+        delta[k] = lam[k - 1][k - 1] = b
         k = max(k - 1, 1)
     D = [delta[i + 1] // delta[i] for i in range(n)]
     if any(x <= tol for x in D):
@@ -170,7 +176,7 @@ def lll_reduce(
         )
         for i in range(n)
     ]
-    return [tuple(row) for row in basis], D, M, delta
+    return [tuple(row) for row in basis], D, M, (lam, delta)
 
 
 def _fincke_pohst(D, M, C, limit: int, visit) -> bool:
@@ -263,7 +269,7 @@ def enumerate_up_to(
     if n == 0:
         return []
     limit += g.tolerance
-    basis, D, M, _, _ = g.reduction
+    basis, D, M, _ = g.reduction
     zero = (0,) * n
     found: list[tuple[int, Vec]] = []
 
@@ -294,13 +300,24 @@ def search_centred_ball(g: GramForm, v: Sequence[int], visit) -> bool:
     radius is widened by AMBIGUITY_SPAN * tolerance, so every point whose
     sign test is not a clear "negative" is visited; visit makes the exact
     decision.
+
+    The centre.  The coordinates c of v in the LLL basis B (rows b_i),
+    c B = v, solve H c^T = B F v^T for the Gram matrix H = B F B^T of the
+    basis, as H c^T = B F (c B)^T.  H is positive definite, so that
+    solution is unique, and `solve_definite` finds it in O(n^2) operations
+    on the exact LDL of H that LLL leaves (`lll_reduce`).  It is integral:
+    B is unimodular (an LLL basis of the standard lattice), so c = v B^(-1)
+    has integer entries, and the solution y / d in lowest terms has d = 1.
     """
     if g.n == 0:
         return bool(visit(()))
-    basis, D, M, inverse, _ = g.reduction
+    basis, D, M, ldl = g.reduction
+    # F v^T, then B F v^T
+    column = [sum(map(operator.mul, row, v)) for row in g.entries]
+    coords, _ = solve_definite(ldl, [sum(map(operator.mul, b, column)) for b in basis.entries])
     # v / 2 in the reduced basis, on the grid 2**(-K) Z of the search
     K = _grid_bits(D)
-    centre = [c << (K - 1) for c in inverse.vec_mat(v)]
+    centre = [c << (K - 1) for c in coords]
     # |v|^2 / 4 rounded up, on the grid of g
     limit = -(-norm(g, v) // 4) + AMBIGUITY_SPAN * g.tolerance
     return _fincke_pohst(D, M, centre, limit, lambda x: visit(basis.vec_mat(x)))
@@ -371,7 +388,7 @@ def universal_s_decomposition(g: GramForm) -> SDecomposition:
     n = g.n
     classes: list[list[Vec]] = []
     seen: set[Vec] = set()
-    basis, _, _, _, delta = g.reduction
+    basis, _, _, (_, delta) = g.reduction
     # the least pivot d_i = delta[i + 1] / delta[i], as num / den: v is a
     # leaf without a search when (|v|^2 + band) den < 2 num
     num, den = 1, 0

@@ -206,10 +206,8 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     of the form g), one of each +- pair, and each factor is searched on its
     own lattice:
     - The components of the splitting (`GradedOrder.decomposition`) split a
-      with index 1, and each lies in a single factor (`grading._atoms`).  A
-      component c in e_j a has e_i c_0 = c_0 != 0 for its first row c_0 when
-      j = i and e_i c_0 = e_i e_j c_0 = 0 otherwise, so the test e_i c_0 != 0
-      sorts the components into factors.
+      with index 1, and each lies in a single factor, which the grading
+      keeps (`GradedOrder.component_factors`, from `grading._atoms`).
     - Stack the rows of the components of factor i as B_i.  They lie in
       e_i a and are independent, and a vector v of e_i a, an integer sum of
       all the rows, equals e_i v, in which e_i kills every row outside
@@ -250,12 +248,12 @@ def roots_of_unity(a: Order, config: RunConfig | None = None) -> UnitGroupReport
     def run(g: GramForm):
         go = graded_on(a, g)
         factors = []
-        for e, r in go.atoms:
+        for i, (e, r) in enumerate(go.atoms):
             # k = 1: a itself, on g, and the lift z -> z + 1 - e is the identity
             h, place, lift = g, tuple, tuple
             if e != a.one:
-                comps = [c for c in go.decomposition.components if any(mul(a, e, c.vectors()[0]))]
-                rows = [v for c in comps for v in c.vectors()]
+                comps = zip(go.decomposition.components, go.component_factors)
+                rows = [v for c, f in comps if f == i for v in c.vectors()]
                 entries = tuple(tuple(inner(g, u, v) for v in rows) for u in rows)
                 h = GramForm(len(rows), entries, g.precision, g.tolerance)
                 place = IntMatrix.from_rows(rows).vec_mat

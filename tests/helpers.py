@@ -808,6 +808,30 @@ def oracle_grid_str(x, precision, digits):
     return f"{'-' if x < 0 else ''}{whole}.{frac.rstrip('0') or '0'}{suffix}"
 
 
+def oracle_coordinates(basis, v):
+    """The coordinates of v in a unimodular basis (an IntMatrix): v times
+    the exact inverse of the basis, from its Hermite form."""
+    from gradus.intlinalg import inverse_unimodular
+
+    return inverse_unimodular(basis).vec_mat(v)
+
+
+def oracle_centred_search(g, v):
+    """The points, in order, that `lattices.search_centred_ball` visits
+    around v / 2 when its centre comes from `oracle_coordinates`: the same
+    Fincke-Pohst search on the same LLL data and radius."""
+    from gradus.embeddings import AMBIGUITY_SPAN, norm
+    from gradus.lattices import _fincke_pohst, _grid_bits
+
+    basis, D, M, _ = g.reduction
+    K = _grid_bits(D)
+    centre = [c << (K - 1) for c in oracle_coordinates(basis, v)]
+    limit = -(-norm(g, v) // 4) + AMBIGUITY_SPAN * g.tolerance
+    visits = []
+    _fincke_pohst(D, M, centre, limit, lambda x: visits.append(basis.vec_mat(x)))
+    return visits
+
+
 def oracle_lll(g):
     """LLL of the standard lattice under the grid form g in exact Fraction
     arithmetic: the exact LDL data of B F B^T (`frac_ldl`) is recomputed
@@ -815,8 +839,10 @@ def oracle_lll(g):
     (b_k against b_(k-1), ..., b_0, then the Lovasz test), same tie rule
     (round(mu) half to even) and delta = 99/100.  Returns the basis rows,
     D_i = floor(d_i), M[i] = (round(mu_ji 2**K), half up, for j > i), K =
-    FP_BITS plus the spread of the bit lengths of D, and the leading minors
-    [1, d_0, d_0 d_1, ...] of the basis."""
+    FP_BITS plus the spread of the bit lengths of D, and the exact LDL
+    (lam, delta) of the basis in the format of `intlinalg.leading_minors`:
+    delta = [1, d_0, d_0 d_1, ...], the leading minors, and lam[j][i] =
+    Delta_i mu_ji for i <= j (mu_jj = 1)."""
     from gradus.lattices import FP_BITS, LLL_DELTA
 
     n = g.n
@@ -849,8 +875,10 @@ def oracle_lll(g):
     minors = [Fraction(1)]
     for x in d:
         minors.append(minors[-1] * x)
-    assert all(x.denominator == 1 for x in minors)
-    return [tuple(row) for row in basis], D, M, [int(x) for x in minors]
+    lam = [[minors[i + 1] * (mu[j][i] if i < j else 1) for i in range(j + 1)] for j in range(n)]
+    assert all(x.denominator == 1 for x in minors + [y for row in lam for y in row])
+    lam = [[int(x) for x in row] for row in lam]
+    return [tuple(row) for row in basis], D, M, (lam, [int(x) for x in minors])
 
 
 def dense_snf(m):

@@ -23,6 +23,7 @@ import pytest
 
 import gradus.embeddings as embeddings
 import gradus.grading as grading
+import gradus.intlinalg as intlinalg
 import gradus.lattices as lattices
 import gradus.orders as orders
 from gradus.cli import main
@@ -94,6 +95,40 @@ def test_idempotent_and_root_queries_share_one_search(monkeypatch, name):
     assert len(gradings) == 1
     levels = {"zxz": (), "kummer6": CONFIGS}.get(name, CONFIGS[:1])
     assert [args[1:3] for args in emb] == [(c.precision, c.seed) for c in levels]
+
+
+def test_each_exact_form_is_eliminated_once(monkeypatch):
+    # the positivity test of an exact form computes its leading minors, and
+    # its LLL starts from them: one elimination for zc2c2's trace form, and
+    # for zc4 one for its CM form after the lazy rejection of its trace form
+    minors = []
+    real = intlinalg.leading_minors
+
+    def counted(*args):
+        minors.append(args)
+        return real(*args)
+
+    # wherever the package calls it
+    for module in (embeddings, lattices):
+        monkeypatch.setattr(module, "leading_minors", counted, raising=False)
+    for name, calls in [("zc2c2", 1), ("zc4", 2)]:
+        minors.clear()
+        a = example_order(name)
+        assert is_connected(a) is True
+        assert len(universal_grading(a).decomposition.components) == 4
+        assert len(minors) == calls
+
+
+@pytest.mark.parametrize("name", ["zc2c2", "zc4", "kummer6"])
+def test_a_reduced_basis_takes_no_hermite_form(monkeypatch, name):
+    # the centred searches solve for coordinates on the exact LDL that LLL
+    # leaves: no inverse of the basis, and no Hermite form at all
+    g = embeddings.with_gram(example_order(name), RunConfig(), lambda g: g)
+    hermite = counting(monkeypatch, intlinalg, "hnf")
+    basis = g.reduction[0]
+    for v in basis.entries:
+        lattices.search_centred_ball(g, v, lambda x: False)
+    assert hermite == []
 
 
 def test_queries_on_the_zero_ring():

@@ -23,7 +23,13 @@ from gradus.embeddings import (
     trace_form,
     with_gram,
 )
-from gradus.errors import AmbiguousSign, AmbiguousZero, EscalationNeeded, NotReduced
+from gradus.errors import (
+    AmbiguousSign,
+    AmbiguousZero,
+    DegenerateSplitting,
+    EscalationNeeded,
+    NotReduced,
+)
 from gradus.examples import example_names, example_order
 from gradus.lattices import enumerate_up_to
 from gradus.config import DEFAULT_CONFIG
@@ -643,6 +649,35 @@ def test_newton_gives_up_without_quadratic_convergence(bits):
     assert embeddings._newton([1, 0, 0], 0.0, 0, bits) is None
     root = embeddings._newton([1, 0, -2], 1.4, 0, bits)
     assert root is not None and abs(root[0] - math.isqrt(2 << 2 * bits)) <= 1
+
+
+def test_a_failed_newton_moves_on_to_the_next_splitting_element(monkeypatch):
+    # Newton fails on every start of the first splitting element's chi, so
+    # its roots are None after the first pass, and the embeddings come from
+    # a later element
+    first = compute_embeddings(example_order("kummer6"))
+    bad = []
+    real_newton = embeddings._newton
+
+    def newton(chi, *rest):
+        bad[:] = bad or [chi]
+        return None if chi == bad[0] else real_newton(chi, *rest)
+
+    monkeypatch.setattr(embeddings, "_newton", newton)
+    e = compute_embeddings(example_order("kummer6"))
+    assert e.splitting != first.splitting and e.residual is not None
+    assert len(e.rows) == e.n == 6
+
+
+def test_an_aberth_iteration_without_sweeps_proposes_no_roots(monkeypatch):
+    # no splitting element gets roots: the reduced zc5 is degenerate, and
+    # the dual numbers, whose chi is never squarefree, are not reduced
+    monkeypatch.setattr(embeddings, "ABERTH_SWEEPS", 0)
+    assert embeddings._aberth([1, 0, -2]) is None
+    with pytest.raises(DegenerateSplitting):
+        compute_embeddings(example_order("zc5"))
+    with pytest.raises(NotReduced):
+        compute_embeddings(example_order("dual"))
 
 
 # chi (leading coefficient first), real roots, conjugate pairs

@@ -447,6 +447,23 @@ def test_find_morphism_rejects_a_placement_no_homomorphism_follows():
         find_morphism(go, swapped)
 
 
+def test_find_morphism_rejects_images_that_break_the_source_relations():
+    # Z[C2] with its pieces at 0 and 1 of C3: the generator of C2 would go
+    # to 1, which 2 does not send to 0
+    go = universal_grading(example_order("zc2"))
+    pieces = dict(go.grading.pieces)
+    tripled = make_grading(
+        go.grading.order, FinAbGroup((3,)), {(0,): pieces[(0,)].vectors(), (1,): pieces[(1,)].vectors()}
+    )
+    with pytest.raises(NoMorphism, match="do not define a homomorphism"):
+        find_morphism(go, tripled)
+
+
+def test_a_homomorphism_between_groups_of_different_order_is_not_bijective():
+    assert not GroupHom.trivial(FinAbGroup((2,)), FinAbGroup((4,))).is_bijective()
+    assert not GroupHom(FinAbGroup((4,)), FinAbGroup((2,)), ((1,),)).is_bijective()
+
+
 def test_find_morphism_rejects_a_support_that_does_not_generate():
     # Z[sqrt2] with its pieces at 0 and 2 of C4: the support generates 2C4,
     # so no generator of C4 has a preimage to read off

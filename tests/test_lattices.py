@@ -31,7 +31,7 @@ from gradus.errors import (
     PrecisionExhausted,
 )
 from gradus.examples import example_names, example_order
-from gradus.intlinalg import SublatticeBasis, leading_minors, vec_neg
+from gradus.intlinalg import SublatticeBasis, leading_minors, solve_definite, vec_neg
 from gradus.lattices import (
     FP_BITS,
     enumerate_up_to,
@@ -53,6 +53,8 @@ from helpers import (
     frac_ldl,
     is_decomposition,
     oracle_ball_points,
+    oracle_centred_search,
+    oracle_coordinates,
     oracle_finest_orthogonal_partition,
     oracle_gram_entries,
     oracle_indecomposable,
@@ -634,6 +636,41 @@ def test_centred_search_visits_every_ball_point(gm, scale, data):
     check_ball_search(gm, scale, v)
 
 
+def check_ldl_coordinates(g, v, w):
+    # the exact LDL that LLL leaves solves for the coordinates of w in its
+    # basis, as the inverse of the basis does, and the search centred by
+    # that LDL visits the points of the search centred by that inverse
+    basis, _, _, ldl = g.reduction
+    target = [inner(g, b, w) for b in basis.entries]  # B F w^T
+    assert solve_definite(ldl, target) == (oracle_coordinates(basis, w), 1)
+    seen = []
+    search_centred_ball(g, v, seen.append)
+    assert seen == oracle_centred_search(g, v)
+
+
+@settings(max_examples=50, deadline=None)
+@given(pd_grams(max_dim=4), SCALES, st.data())
+def test_the_ldl_of_lll_gives_the_coordinates_of_the_inverse_basis(gm, scale, data):
+    v = data.draw(st.tuples(*[st.integers(-2, 2)] * len(gm)))
+    w = data.draw(st.tuples(*[st.integers(-10**6, 10**6)] * len(gm)))
+    check_ldl_coordinates(exact_form(gm, scale), v, w)
+
+
+@functools.lru_cache(maxsize=None)
+def rebased_form(name):
+    return gram(compute_embeddings(REBASED[name][2]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(REBASED)), st.data())
+def test_the_ldl_of_lll_gives_the_coordinates_of_the_inverse_basis_on_rebased_orders(name, data):
+    # v is short: a sum of LLL basis vectors, as the splitting searches
+    g = rebased_form(name)
+    v = g.reduction[0].vec_mat(data.draw(st.tuples(*[st.integers(-1, 1)] * g.n)))
+    w = data.draw(st.tuples(*[st.integers(-10**6, 10**6)] * g.n))
+    check_ldl_coordinates(g, v, w)
+
+
 @pytest.mark.parametrize("scale", [1, 1 << 64, 1 << 1200], ids=["1", "2^64", "2^1200"])
 def test_centred_search_visits_every_point_of_a_thin_ball(scale):
     # a draw of the test above: the coordinate box around this ball holds
@@ -687,7 +724,7 @@ def test_grid_is_fine_enough_for_pivots_of_very_different_size():
 @given(pd_grams(max_dim=4), SCALES)
 def test_kernel_data_is_the_exact_ldl_on_the_grid(gm, scale):
     g = exact_form(gm, scale)
-    basis, D, M, _, _ = g.reduction
+    basis, D, M, _ = g.reduction
     rows = basis.entries
     h = [[dot_form(g.entries, u, w) for w in rows] for u in rows]
     d, mu = frac_ldl(h)
@@ -775,7 +812,7 @@ def test_exact_enumeration_matches_the_box_oracle(gm, bound):
 def test_origin_search_visits_one_point_of_each_pair(gm, scale, bound):
     # tolerance 0 and an exact form: the pairs on the sphere must be reached
     g = exact_form(gm, scale)
-    basis, D, M, _, _ = g.reduction
+    basis, D, M, _ = g.reduction
     visits = []
     _fincke_pohst(D, M, (0,) * len(gm), bound * scale, lambda x: visits.append(tuple(x)))
     seen = {basis.vec_mat(x) for x in visits}

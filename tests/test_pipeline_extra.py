@@ -246,7 +246,7 @@ def test_splitting_searches_each_basis_vector_at_or_above_the_bound_once(
 
     b, _ = change_of_basis(a, random_unimodular(random.Random(8), a.rank))
     g = gram(compute_embeddings(b))
-    basis, _, _, _, delta = g.reduction  # the LLL basis is made before counting
+    basis, _, _, (_, delta) = g.reduction  # the LLL basis is made before counting
     calls = []
     real = lattices.search_centred_ball
 

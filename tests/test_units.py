@@ -206,10 +206,10 @@ def test_subgroup_certificate_matches_pairwise_closure(name):
     assert is_subgroup(a, []) and oracle_group_closed(a, [])
 
 
-def test_roots_of_z5_take_38_products(monkeypatch):
-    # Z^5 is five copies of Z, each searched at norm 1: 25 products e_i c
-    # place the five components in their factors, one walk and one sign
-    # gate take 3, and the certificate of {1, 1 - 2 e_i} takes 2 per factor
+def test_roots_of_z5_take_13_products(monkeypatch):
+    # Z^5 is five copies of Z, each searched at norm 1 on the components
+    # the grading placed in its factor: one walk and one sign gate take 3,
+    # and the certificate of {1, 1 - 2 e_i} takes 2 per factor
     a = rebased(integers_power(5), 0)
     roots_of_unity(a)  # the numeric context, computed once
     calls = []
@@ -221,7 +221,7 @@ def test_roots_of_z5_take_38_products(monkeypatch):
 
     monkeypatch.setattr(orders, "_mul_raw", counted)
     assert roots_of_unity(a).count == 32
-    assert len(calls) == 38
+    assert len(calls) == 13
 
 
 def test_roots_of_z8_search_norm_one_only(monkeypatch):
@@ -458,9 +458,13 @@ def test_atoms_of_the_product_graph_match_the_searched_atoms(names, seed):
     # graph are the atoms of the idempotents that the short-vector oracle
     # finds
     a = rebased(functools.reduce(product_order, [CONNECTED[n]() for n in names]), seed)
-    atoms = universal_grading(a).atoms
-    assert atoms == oracle_atoms(a)
-    assert len(atoms) == len(names)
+    go = universal_grading(a)
+    assert go.atoms == oracle_atoms(a)
+    assert len(go.atoms) == len(names)
+    # each component lies in the factor e_i a the grading keeps for it
+    for c, i in zip(go.decomposition.components, go.component_factors):
+        c0 = c.vectors()[0]
+        assert mul(a, go.atoms[i][0], c0) == c0
 
 
 @settings(max_examples=25, deadline=None)
