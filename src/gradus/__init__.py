@@ -10,15 +10,7 @@ search, and pushforwards along group homomorphisms are exact.
 """
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .embeddings import (
-    EmbeddingMatrix,
-    GramForm,
-    compute_embeddings,
-    gram,
-    gram_from_strings,
-    inner,
-    norm,
-)
+from .embeddings import EmbeddingMatrix, compute_embeddings, gram
 from .errors import (
     AmbiguousMorphism,
     AmbiguousSign,
@@ -67,10 +59,14 @@ from .intlinalg import (
     solve_left,
 )
 from .lattices import (
+    GramForm,
     SDecomposition,
     enumerate_up_to,
+    gram_from_strings,
+    inner,
     is_indecomposable,
     lll_reduce,
+    norm,
     universal_s_decomposition,
 )
 from .orders import (

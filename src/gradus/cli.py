@@ -2,7 +2,7 @@
 
 Subcommands: validate, analyze, grade, units, idempotents, decompose,
 example.  Orders travel as JSON files, Gram matrices as decimal strings
-that `embeddings.gram_from_strings` reads exactly and `embeddings.grid_str`
+that `lattices.gram_from_strings` reads exactly and `lattices.grid_str`
 prints rounded to the digits the precision certifies.  Every subcommand
 with --precision, decompose included, starts there and doubles the
 precision on an ambiguous verdict in `embeddings.escalate`.  Exit codes: 0
@@ -19,7 +19,7 @@ import json
 import sys
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .embeddings import escalate, gram_from_strings, grid_str, with_gram
+from .embeddings import escalate, with_gram
 from .errors import (
     DegenerateSplitting,
     EnumerationBudgetExceeded,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .examples import EXAMPLES, example_names, example_order
 from .grading import graded_on, grading_to_json, universal_grading
-from .lattices import universal_s_decomposition
+from .lattices import gram_from_strings, grid_str, universal_s_decomposition
 from .orders import (
     Order,
     nilradical,

@@ -12,19 +12,12 @@ reads those integers, and their exact homomorphism residual certifies
 them.
 
 The inner product <x, y> = sum over embeddings of sigma(x) * conj(sigma(y))
-is assembled into a Gram form on the grid 2**(-p) Z: each entry is one
-exact integer sum on the grid 2**(-2q) Z, shifted once onto 2**(-p) Z, so
-the form is a matrix F of Python integers with F / 2**p ~ <e_i, e_j>.
-Inner products u F v^T are then exact integers, and the zero and sign
-verdicts integer comparisons against a tolerance on the same grid, with a
-wide ambiguous band in between: any value landing in the band aborts the
-computation so the caller can escalate the precision instead of guessing.
-The tolerance covers the rounding of the entries, so an exactly known form
-can carry tolerance 0, and its verdicts are then exact.  This module also
-owns number input and output, with `decimal` and `fractions`:
-`gram_from_strings` reads decimal entries exactly onto the grid, and
-`grid_str` prints grid values correctly rounded.  LLL and the Fincke-Pohst
-searches of `lattices` run on exact integer data.
+is assembled into a `lattices.GramForm` on the grid 2**(-p) Z: each entry
+is one exact integer sum on the grid 2**(-2q) Z, shifted once onto
+2**(-p) Z, so the form is a matrix F of Python integers with F / 2**p ~
+<e_i, e_j>, and its zero tolerance covers the rounding of the entries.
+The verdicts on the form, its LLL and the Fincke-Pohst searches are those
+of `lattices`, on exact integer data.
 
 Two kinds of order have an exact form, on the grid p = 0 with tolerance
 0, which `with_gram` tries before the numeric levels.  When every
@@ -42,27 +35,17 @@ form is certified never computes it.
 from __future__ import annotations
 
 import cmath
-import functools
-import itertools
 import math
 import operator
 import random
 import sys
 from dataclasses import dataclass, replace
-from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import (
-    AmbiguousSign,
-    AmbiguousZero,
-    DegenerateSplitting,
-    EscalationNeeded,
-    NotReduced,
-    PrecisionExhausted,
-)
-from .intlinalg import IntMatrix, Vec, leading_minors, solve_definite
+from .errors import DegenerateSplitting, EscalationNeeded, NotReduced, PrecisionExhausted
+from .intlinalg import Vec, leading_minors, solve_definite
+from .lattices import GramForm, _tolerance
 from .orders import (
     Order,
     charpoly_rows,
@@ -71,16 +54,9 @@ from .orders import (
     product_matrix,
     table_bound,
     table_times,
+    trace_gram,
     trace_vector,
 )
-
-# |value| <= tol counts as zero, |value| >= AMBIGUITY_SPAN * tol as nonzero;
-# anything in between needs more precision.
-AMBIGUITY_SPAN = 1 << 16
-
-# the zero tolerance of a form at p bits is 2**(-p/TOLERANCE_EXPONENT) times
-# its largest entry (at least 1), on the grid of the form
-TOLERANCE_EXPONENT = 3
 
 # seeded splitting elements tried at one precision before the spectrum is
 # declared degenerate
@@ -98,12 +74,6 @@ FIXED_GUARD_BITS = 16
 # how many times one query may double the precision in total, so no level
 # exceeds precision * 2**ESCALATION_BUDGET
 ESCALATION_BUDGET = 4
-
-# the largest decimal exponent a Gram entry may have: |x| < 10**(E + 1).
-# The exact grid value of 10**E is an integer of about 3.3 E bits, so the
-# bound keeps reading one entry to milliseconds, far above the 10**310 of
-# the largest forms in use
-MAX_DECIMAL_EXPONENT = 10_000
 
 T = TypeVar("T")
 
@@ -134,52 +104,15 @@ class EmbeddingMatrix:
     splitting: Vec = ()
 
 
-@dataclass(frozen=True)
-class GramForm:
-    """Symmetric positive-definite matrix of the canonical form on the grid
-    2**(-p) Z, p = precision: entries[i][j] is the integer F_ij with
-    F_ij / 2**p ~ <e_i, e_j>, and tolerance, the zero tolerance of every
-    verdict on the form, is an integer on the same grid."""
-
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-    precision: int
-    tolerance: int
-
-    @functools.cached_property
-    def minors(self) -> tuple | None:
-        """The fraction-free LDL (lam, delta) of the entries,
-        `intlinalg.leading_minors` at the floor `tolerance`, or None at the
-        first pivot at most the tolerance.  The one elimination of the form:
-        computed once per form object, or kept from the positivity test of
-        an exact form (`_exact_form`), and LLL starts from a copy of it."""
-        return leading_minors(self.entries, self.tolerance)
-
-    @functools.cached_property
-    def reduction(self) -> tuple:
-        """The LLL basis of the form (rows of an IntMatrix), the fixed-point
-        LDL data (D, M) of its Gram matrix on the grid of the form, and the
-        exact LDL (lam, delta) of that Gram matrix, which solves for a
-        vector's coordinates in the basis (`lattices.lll_reduce`).
-        Computed once per form object and shared by every enumeration and
-        decomposition test on it."""
-        from . import lattices  # lattices imports this module
-
-        rows, D, M, ldl = lattices.lll_reduce(self)
-        return IntMatrix.from_rows(rows, self.n), D, M, ldl
-
-
-def _exact_form(n: int, rows: Iterable[Sequence[int]]) -> GramForm | None:
+def _exact_form(rows: Sequence[Sequence[int]]) -> GramForm | None:
     """The exact form (grid p = 0, tolerance 0) of the symmetric integer
-    matrix read row by row from `rows`, or None when it is not positive
-    definite.  Sylvester's test by `intlinalg.leading_minors` reads row i
-    only once the leading minor before it is positive, and the form keeps
-    the minors it computed as its `GramForm.minors`."""
-    rows, kept = itertools.tee(rows)
+    matrix with these rows, or None when it is not positive definite.  The
+    form keeps the minors of Sylvester's test by `intlinalg.leading_minors`,
+    which stops at the first pivot <= 0, as its `GramForm.minors`."""
     ldl = leading_minors(rows)
     if ldl is None:
         return None
-    g = GramForm(n, tuple(map(tuple, kept)), 0, 0)
+    g = GramForm(len(rows), tuple(map(tuple, rows)), 0, 0)
     g.__dict__["minors"] = ldl  # the value the cached property would compute
     return g
 
@@ -497,9 +430,12 @@ def _hom_residual(a: Order, rows: Sequence[Row], q: int) -> int:
 
     With sigma = S / 2**q for Gaussian integers S, the residuals are
     (S_i S_j - 2**q sum_m T_ijm S_m) / 2**(2q) and (sum_i c_i S_i - 2**q) /
-    2**q, c = coords(1), exact Gaussian integers over 2**(2q).  The table
-    is integral, so the conjugate of a row has the same residual, and a
-    caller may pass one row of each conjugate pair.
+    2**q, c = coords(1), exact Gaussian integers over 2**(2q).  The sums
+    sum_m T_ijm S_m are cell j of row i of `orders.table_times` of the real
+    and of the imaginary parts, and as the table is commutative the cells
+    with j >= i suffice.  The table is integral, so the conjugate of a row
+    has the same residual, and a caller may pass one row of each conjugate
+    pair.
     """
     n = a.rank
     shift = 1 << q
@@ -509,23 +445,13 @@ def _hom_residual(a: Order, rows: Sequence[Row], q: int) -> int:
         dre = sum(c * re[i] for i, c in one) - shift
         dim = sum(c * im[i] for i, c in one)
         worst_one = max(worst_one, dre * dre + dim * dim)
-        for i in range(n):
-            ri, ii, cells, support = re[i], im[i], a.table[i], a.support[i]
+        for i, (lre, lim) in enumerate(zip(table_times(a, re), table_times(a, im))):
+            ri, ii = re[i], im[i]
             for j in range(i, n):
-                cell = cells[j]
-                lre = lim = 0
-                for m in support[j]:
-                    lre += cell[m] * re[m]
-                    lim += cell[m] * im[m]
-                dre = ri * re[j] - ii * im[j] - (lre << q)
-                dim = ri * im[j] + ii * re[j] - (lim << q)
+                dre = ri * re[j] - ii * im[j] - (lre[j] << q)
+                dim = ri * im[j] + ii * re[j] - (lim[j] << q)
                 worst_pair = max(worst_pair, dre * dre + dim * dim)
     return _ceil_sqrt(max(worst_pair, worst_one << (2 * q)))
-
-
-def _tolerance(entries, precision: int) -> int:
-    biggest = max((abs(x) for row in entries for x in row), default=0)
-    return max(biggest, 1 << precision) >> (precision // TOLERANCE_EXPONENT)
 
 
 def gram(e: EmbeddingMatrix) -> GramForm:
@@ -551,100 +477,6 @@ def gram(e: EmbeddingMatrix) -> GramForm:
     return GramForm(n, tuple(map(tuple, entries)), p, _tolerance(entries, p))
 
 
-def gram_from_strings(
-    rows: Sequence[Sequence[str]], precision: int = DEFAULT_CONFIG.precision
-) -> GramForm:
-    """Gram form from decimal-string entries, as used in the JSON exchange
-    format.  The matrix must be a list of rows, square and symmetric as
-    given, and each entry a string, int or float naming a finite real below
-    10**(MAX_DECIMAL_EXPONENT + 1) in magnitude; anything else raises
-    ValueError.  Each entry is read exactly and put on the nearest point of
-    the grid 2**(-precision)Z (ties to even), and the symmetry is checked on
-    those grid points."""
-    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
-        raise ValueError("gram matrix must be a list of rows")
-    n = len(rows)
-    entries = tuple(tuple(_grid_point(x, precision) for x in row) for row in rows)
-    if any(len(r) != n for r in entries):
-        raise ValueError("gram matrix must be square")
-    if any(entries[i][j] != entries[j][i] for i in range(n) for j in range(i + 1, n)):
-        raise ValueError("gram matrix must be symmetric")
-    return GramForm(n, entries, precision, _tolerance(entries, precision))
-
-
-def _grid_point(x, precision: int) -> int:
-    if isinstance(x, bool) or not isinstance(x, (str, int, float)):
-        raise ValueError(f"gram entry {x!r} is not a number")
-    try:
-        d = Decimal(x)
-    except InvalidOperation:
-        raise ValueError(f"gram entry {x!r} is not a number") from None
-    if not d.is_finite():
-        raise ValueError(f"gram entry {x!r} is not a finite real")
-    # |d| < 10**(-precision) is under half a grid step: 0 without building
-    # the power of ten of a tiny exponent
-    exponent = d.adjusted()
-    if exponent < -precision:
-        return 0
-    if exponent > MAX_DECIMAL_EXPONENT:
-        raise ValueError(f"gram entry of order 10**{exponent} is above 10**{MAX_DECIMAL_EXPONENT}")
-    return round(Fraction(d) * (1 << precision))
-
-
-def grid_str(g: GramForm, x: int, digits: int) -> str:
-    """The value x * 2**(-p) on the grid of g, rounded half away from zero
-    to `digits` (>= 1) significant digits, in mpmath's `nstr` layout: fixed
-    point when min(-(digits // 3), -5) < exponent < digits, and trailing
-    zeros cut down to at least one digit after the point."""
-    if not x:
-        return "0.0"
-    ctx = Context(prec=digits, rounding=ROUND_HALF_UP)
-    d = ctx.divide(Decimal(x), 1 << g.precision).normalize(ctx)
-    fixed = min(-(digits // 3), -5) < d.adjusted() < digits
-    head, e, exponent = f"{d:{'f' if fixed else 'e'}}".partition("e")
-    return (head if "." in head else head + ".0") + e + exponent
-
-
-def inner(g: GramForm, u: Sequence[int], v: Sequence[int]) -> int:
-    """Inner product of two integer coordinate vectors under the form: the
-    exact integer u F v^T on the grid of g."""
-    if len(u) != g.n or len(v) != g.n:
-        raise ValueError("vector length does not match the form")
-    return sum(ui * sum(map(operator.mul, row, v)) for ui, row in zip(u, g.entries) if ui)
-
-
-def norm(g: GramForm, v: Sequence[int]) -> int:
-    return inner(g, v, v)
-
-
-def is_zero(g: GramForm, value: int) -> bool:
-    """Tolerance verdict on an inner product on the grid of g.
-
-    Raises AmbiguousZero when the magnitude falls in the band where neither
-    verdict is safe; callers escalate precision on that signal.
-    """
-    mag = abs(value)
-    if mag <= g.tolerance:
-        return True
-    if mag >= AMBIGUITY_SPAN * g.tolerance:
-        return False
-    raise AmbiguousZero(
-        f"|{grid_str(g, value, 8)}| is inside the ambiguous zero band at {g.precision} bits"
-    )
-
-
-def is_nonneg(g: GramForm, value: int) -> bool:
-    """Sign verdict used by decomposition tests: is value >= 0 up to the
-    tolerance?  Raises AmbiguousSign just below zero, inside the band."""
-    if value >= -g.tolerance:
-        return True
-    if value <= -(AMBIGUITY_SPAN * g.tolerance):
-        return False
-    raise AmbiguousSign(
-        f"{grid_str(g, value, 8)} is inside the ambiguous sign band at {g.precision} bits"
-    )
-
-
 def trace_form(a: Order) -> GramForm | None:
     """The canonical form of a totally real order, exactly: the trace form
     Tr(xy) with its integer entries on the grid p = 0 and tolerance 0, or
@@ -661,14 +493,13 @@ def trace_form(a: Order) -> GramForm | None:
     (Conner-Perlis, A Survey of Trace Forms of Algebraic Number Fields).
 
     The test is Sylvester's criterion by `intlinalg.leading_minors`
-    (`_exact_form`), whose minors `lattices.lll_reduce` starts from.  Row i
-    of the trace form, from `orders.table_times`, is formed only once the
-    leading minor before it is positive, so an order that is not totally
-    real pays for the rows up to its first pivot <= 0.  A form that passes
-    keeps the rows formed.
+    (`_exact_form`), whose minors `lattices.lll_reduce` starts from.  It
+    reads the trace form T that the order keeps (`orders.trace_gram`), the
+    same T as the CM certificate's T z and `orders.nilradical`, and stops
+    at the first pivot <= 0.
     """
     if "trace_form" not in a.derived:
-        a.derived["trace_form"] = _exact_form(a.rank, table_times(a, trace_vector(a)))
+        a.derived["trace_form"] = _exact_form(trace_gram(a).entries)
     return a.derived["trace_form"]
 
 
@@ -722,11 +553,12 @@ def _cm_certificate(a: Order, z: Sequence[int], entries) -> GramForm | None:
     3. For w = y / d, integer y, check d M_z^T G = G M_y, that is <z x,
        v> = <x, w v> for all x, v (M_x the matrix of multiplication by x,
        M_x coords(v) = coords(x v)).  w is proposed as the solution of G w
-       = T z, T the trace form (`solve_definite` on the minors of check
-       2): when G is the canonical form, <e_k, i(z)> = Tr(i(e_k) i(z)) =
-       Tr(e_k z), so w = i(z); but any w that passes is a proof.  As G is
-       symmetric, G M_y is the transpose of M_y^T G, and row k of M_u^T G
-       is <u e_k, e_j> over j.
+       = T z, T the trace form that the order keeps (`orders.trace_gram`),
+       by `solve_definite` on the minors of check 2: when G is the
+       canonical form, <e_k, i(z)> = Tr(i(e_k) i(z)) = Tr(e_k z), so w =
+       i(z); but any w that passes is a proof.  As G is symmetric, G M_y
+       is the transpose of M_y^T G, and row k of M_u^T G is <u e_k, e_j>
+       over j.
        The table times the rows of G, packed (`orders.Packing`), gives
        <e_k e_i, e_j> over j, packed, and the rows of M_u^T G are the
        `product_matrix` of u: O(n^3) products of integers and no matrix of
@@ -758,14 +590,13 @@ def _cm_certificate(a: Order, z: Sequence[int], entries) -> GramForm | None:
       has i(x) x nilpotent, of trace 0.
     """
     n = a.rank
-    t = trace_vector(a)
-    if tuple(product_matrix(a.one, zip(*entries))) != t:
+    if tuple(product_matrix(a.one, zip(*entries))) != trace_vector(a):
         return None
-    g = _exact_form(n, entries)
+    g = _exact_form(entries)
     if g is None:
         return None
     # T z = (Tr(e_k z))_k
-    y, d = solve_definite(g.minors, product_matrix(z, table_times(a, t)))
+    y, d = solve_definite(g.minors, product_matrix(z, trace_gram(a).entries))
     top = max(max(map(max, entries)), -min(map(min, entries))) * table_bound(a)
     top *= n * n * max(d * max(map(abs, z)), max(map(abs, y)))
     packing = Packing(n, top)

@@ -20,7 +20,7 @@ from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .embeddings import GramForm, with_gram
+from .embeddings import with_gram
 from .errors import (
     AmbiguousMorphism,
     EscalationNeeded,
@@ -39,7 +39,7 @@ from .intlinalg import (
     vec_add,
     vec_scale,
 )
-from .lattices import SDecomposition, universal_s_decomposition
+from .lattices import GramForm, SDecomposition, universal_s_decomposition
 from .orders import Order, Packing, mul, product_matrix, table_bound, table_times, trace_vector
 
 GroupElem = tuple[int, ...]

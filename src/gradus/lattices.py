@@ -1,8 +1,19 @@
 """Positive-definite lattice machinery over a Gram form on the grid 2**(-p)Z.
 
-Inner products, norms and the zero and sign verdicts on them are exact
-integers on the grid of the form (see `embeddings.GramForm`).  LLL is
-integral: it reduces the exact grid Gram matrix from the form's one
+A `GramForm` is a symmetric positive-definite matrix F of Python integers
+on the grid 2**(-p) Z, F / 2**p the matrix of an inner product on Z^n.
+Inner products u F v^T are exact integers, and the zero and sign verdicts
+integer comparisons against a tolerance on the same grid, with a wide
+ambiguous band in between: any value landing in the band aborts the
+computation so the caller can escalate the precision instead of guessing.
+The tolerance covers the rounding of the entries, so an exactly known form
+can carry tolerance 0, and its verdicts are then exact.  This module also
+owns number input and output, with `decimal` and `fractions`:
+`gram_from_strings` reads decimal entries exactly onto the grid, and
+`grid_str` prints grid values correctly rounded.  `embeddings` builds the
+forms of an order.
+
+LLL is integral: it reduces the exact grid Gram matrix from the form's one
 fraction-free LDL (`GramForm.minors`) and ends with the exact LDL of the
 reduced basis, which gives each centre's coordinates in that basis.  The
 Fincke-Pohst searches run on that data, with mu and the centres in fixed
@@ -31,28 +42,36 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Context, Decimal, InvalidOperation
+from fractions import Fraction
 from typing import Sequence
 
 from .config import DEFAULT_CONFIG
-from .errors import AmbiguousZero, EnumerationBudgetExceeded, EscalationNeeded
+from .errors import AmbiguousSign, AmbiguousZero, EnumerationBudgetExceeded, EscalationNeeded
 from .intlinalg import (
     IntMatrix,
     SublatticeBasis,
     Vec,
     inverse_unimodular,
+    leading_minors,
     solve_definite,
     vec_neg,
     vec_sub,
 )
-from .embeddings import (
-    AMBIGUITY_SPAN,
-    GramForm,
-    grid_str,
-    inner,
-    is_nonneg,
-    is_zero,
-    norm,
-)
+
+# |value| <= tol counts as zero, |value| >= AMBIGUITY_SPAN * tol as nonzero;
+# anything in between needs more precision.
+AMBIGUITY_SPAN = 1 << 16
+
+# the zero tolerance of a form at p bits is 2**(-p/TOLERANCE_EXPONENT) times
+# its largest entry (at least 1), on the grid of the form
+TOLERANCE_EXPONENT = 3
+
+# the largest decimal exponent a Gram entry may have: |x| < 10**(E + 1).
+# The exact grid value of 10**E is an integer of about 3.3 E bits, so the
+# bound keeps reading one entry to milliseconds, far above the 10**310 of
+# the largest forms in use
+MAX_DECIMAL_EXPONENT = 10_000
 
 # the Lovasz constant delta = 99/100 of LLL, as (numerator, denominator)
 LLL_DELTA = (99, 100)
@@ -60,6 +79,139 @@ LLL_DELTA = (99, 100)
 # fractional bits of the fixed-point Fincke-Pohst data when the pivots of
 # the basis have equal bit lengths (see `_grid_bits`)
 FP_BITS = 64
+
+
+@dataclass(frozen=True)
+class GramForm:
+    """Symmetric positive-definite matrix of the canonical form on the grid
+    2**(-p) Z, p = precision: entries[i][j] is the integer F_ij with
+    F_ij / 2**p ~ <e_i, e_j>, and tolerance, the zero tolerance of every
+    verdict on the form, is an integer on the same grid."""
+
+    n: int
+    entries: tuple[tuple[int, ...], ...]
+    precision: int
+    tolerance: int
+
+    @functools.cached_property
+    def minors(self) -> tuple | None:
+        """The fraction-free LDL (lam, delta) of the entries,
+        `intlinalg.leading_minors` at the floor `tolerance`, or None at the
+        first pivot at most the tolerance.  The one elimination of the form:
+        computed once per form object, or kept from the positivity test of
+        an exact form (`embeddings._exact_form`), and LLL starts from a
+        copy of it."""
+        return leading_minors(self.entries, self.tolerance)
+
+    @functools.cached_property
+    def reduction(self) -> tuple:
+        """The LLL basis of the form (rows of an IntMatrix), the fixed-point
+        LDL data (D, M) of its Gram matrix on the grid of the form, and the
+        exact LDL (lam, delta) of that Gram matrix, which solves for a
+        vector's coordinates in the basis (`lll_reduce`).  Computed once
+        per form object and shared by every enumeration and decomposition
+        test on it."""
+        rows, D, M, ldl = lll_reduce(self)
+        return IntMatrix.from_rows(rows, self.n), D, M, ldl
+
+
+def _tolerance(entries, precision: int) -> int:
+    biggest = max((abs(x) for row in entries for x in row), default=0)
+    return max(biggest, 1 << precision) >> (precision // TOLERANCE_EXPONENT)
+
+
+def gram_from_strings(
+    rows: Sequence[Sequence[str]], precision: int = DEFAULT_CONFIG.precision
+) -> GramForm:
+    """Gram form from decimal-string entries, as used in the JSON exchange
+    format.  The matrix must be a list of rows, square and symmetric as
+    given, and each entry a string, int or float naming a finite real below
+    10**(MAX_DECIMAL_EXPONENT + 1) in magnitude; anything else raises
+    ValueError.  Each entry is read exactly and put on the nearest point of
+    the grid 2**(-precision)Z (ties to even), and the symmetry is checked on
+    those grid points."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise ValueError("gram matrix must be a list of rows")
+    n = len(rows)
+    entries = tuple(tuple(_grid_point(x, precision) for x in row) for row in rows)
+    if any(len(r) != n for r in entries):
+        raise ValueError("gram matrix must be square")
+    if any(entries[i][j] != entries[j][i] for i in range(n) for j in range(i + 1, n)):
+        raise ValueError("gram matrix must be symmetric")
+    return GramForm(n, entries, precision, _tolerance(entries, precision))
+
+
+def _grid_point(x, precision: int) -> int:
+    if isinstance(x, bool) or not isinstance(x, (str, int, float)):
+        raise ValueError(f"gram entry {x!r} is not a number")
+    try:
+        d = Decimal(x)
+    except InvalidOperation:
+        raise ValueError(f"gram entry {x!r} is not a number") from None
+    if not d.is_finite():
+        raise ValueError(f"gram entry {x!r} is not a finite real")
+    # |d| < 10**(-precision) is under half a grid step: 0 without building
+    # the power of ten of a tiny exponent
+    exponent = d.adjusted()
+    if exponent < -precision:
+        return 0
+    if exponent > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"gram entry of order 10**{exponent} is above 10**{MAX_DECIMAL_EXPONENT}")
+    return round(Fraction(d) * (1 << precision))
+
+
+def grid_str(g: GramForm, x: int, digits: int) -> str:
+    """The value x * 2**(-p) on the grid of g, rounded half away from zero
+    to `digits` (>= 1) significant digits, in mpmath's `nstr` layout: fixed
+    point when min(-(digits // 3), -5) < exponent < digits, and trailing
+    zeros cut down to at least one digit after the point."""
+    if not x:
+        return "0.0"
+    ctx = Context(prec=digits, rounding=ROUND_HALF_UP)
+    d = ctx.divide(Decimal(x), 1 << g.precision).normalize(ctx)
+    fixed = min(-(digits // 3), -5) < d.adjusted() < digits
+    head, e, exponent = f"{d:{'f' if fixed else 'e'}}".partition("e")
+    return (head if "." in head else head + ".0") + e + exponent
+
+
+def inner(g: GramForm, u: Sequence[int], v: Sequence[int]) -> int:
+    """Inner product of two integer coordinate vectors under the form: the
+    exact integer u F v^T on the grid of g."""
+    if len(u) != g.n or len(v) != g.n:
+        raise ValueError("vector length does not match the form")
+    return sum(ui * sum(map(operator.mul, row, v)) for ui, row in zip(u, g.entries) if ui)
+
+
+def norm(g: GramForm, v: Sequence[int]) -> int:
+    return inner(g, v, v)
+
+
+def is_zero(g: GramForm, value: int) -> bool:
+    """Tolerance verdict on an inner product on the grid of g.
+
+    Raises AmbiguousZero when the magnitude falls in the band where neither
+    verdict is safe; callers escalate precision on that signal.
+    """
+    mag = abs(value)
+    if mag <= g.tolerance:
+        return True
+    if mag >= AMBIGUITY_SPAN * g.tolerance:
+        return False
+    raise AmbiguousZero(
+        f"|{grid_str(g, value, 8)}| is inside the ambiguous zero band at {g.precision} bits"
+    )
+
+
+def is_nonneg(g: GramForm, value: int) -> bool:
+    """Sign verdict used by decomposition tests: is value >= 0 up to the
+    tolerance?  Raises AmbiguousSign just below zero, inside the band."""
+    if value >= -g.tolerance:
+        return True
+    if value <= -(AMBIGUITY_SPAN * g.tolerance):
+        return False
+    raise AmbiguousSign(
+        f"{grid_str(g, value, 8)} is inside the ambiguous sign band at {g.precision} bits"
+    )
 
 
 @dataclass(frozen=True)

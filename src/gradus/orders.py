@@ -350,16 +350,20 @@ def charpoly_rows(a: Order, z: Sequence[int]) -> tuple[Vec, tuple[Vec, ...]]:
 
 
 def trace_gram(a: Order) -> IntMatrix:
-    """Integer Gram matrix of the trace form (x, y) -> trace of M_{x*y}."""
-    return IntMatrix.from_rows(table_times(a, trace_vector(a)), a.rank)
+    """Integer Gram matrix T of the trace form (x, y) -> trace of M_{x*y}.
+    Kept on the order object, so the trace form's positivity test, the CM
+    certificate's T z and `nilradical` read one T."""
+    if "trace_gram" not in a.derived:
+        a.derived["trace_gram"] = IntMatrix.from_rows(table_times(a, trace_vector(a)), a.rank)
+    return a.derived["trace_gram"]
 
 
 def nilradical(a: Order) -> SublatticeBasis:
     """Basis of the ideal of nilpotent elements.
 
-    Computed as the saturated kernel of the trace form; each basis vector is
-    certified nilpotent by repeated squaring (the nilpotency index is at most
-    the rank).  Kept on the order object, so the CLI's report and the
+    Computed as the saturated kernel of the trace form (`trace_gram`,
+    which the order keeps); each basis vector is certified nilpotent by
+    repeated squaring (the nilpotency index is at most the rank).  Kept on the order object, so the CLI's report and the
     reducedness check behind the embeddings of one order share one
     computation; an equal but distinct order computes its own.
     """

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from math import lcm
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .embeddings import GramForm, inner, norm, with_gram
+from .embeddings import with_gram
 from .grading import graded_on, universal_grading
 from .intlinalg import IntMatrix, Vec, vec_add, vec_neg, vec_sub
-from .lattices import enumerate_up_to
+from .lattices import GramForm, enumerate_up_to, inner, norm
 from .orders import Order, mul, power, trace_vector
 
 

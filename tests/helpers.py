@@ -522,8 +522,8 @@ def oracle_roots(a):
     from mpmath import mp
 
     from gradus.config import DEFAULT_CONFIG
-    from gradus.embeddings import norm, with_gram
-    from gradus.lattices import enumerate_up_to
+    from gradus.embeddings import with_gram
+    from gradus.lattices import enumerate_up_to, norm
     from gradus.orders import mul
 
     n = a.rank
@@ -664,7 +664,7 @@ def oracle_gram(e):
     entry put on the nearest point of the grid 2**(-p)Z."""
     from mpmath import mp
 
-    from gradus.embeddings import GramForm, _tolerance
+    from gradus.lattices import GramForm, _tolerance
 
     p = e.precision
     with mp.workprec(p):
@@ -749,7 +749,7 @@ def mpf_grid_point(x, precision):
 
 
 def oracle_inner(entries, u, v):
-    """<u, v> over a real Gram matrix the way `embeddings.inner` computed it
+    """<u, v> over a real Gram matrix the way `lattices.inner` computed it
     on mpf entries: u_i times one `mp.fsum` per row, at the working
     precision."""
     from mpmath import mp, mpf
@@ -763,12 +763,12 @@ def oracle_inner(entries, u, v):
 
 def oracle_verdict(entries, precision, value, sign=False):
     """The zero verdict (or with sign=True the sign verdict) on a real value
-    as `embeddings.is_zero` and `is_nonneg` gave it on mpf entries, against
+    as `lattices.is_zero` and `is_nonneg` gave it on mpf entries, against
     the tolerance 2**(-p/3) max(1, max|entry|): True, False, or the
     exception class raised in the ambiguous band."""
     from mpmath import mp, mpf
 
-    from gradus.embeddings import AMBIGUITY_SPAN, TOLERANCE_EXPONENT
+    from gradus.lattices import AMBIGUITY_SPAN, TOLERANCE_EXPONENT
     from gradus.errors import AmbiguousSign, AmbiguousZero
 
     with mp.workprec(precision):
@@ -784,7 +784,7 @@ def oracle_verdict(entries, precision, value, sign=False):
 
 
 def oracle_grid_str(x, precision, digits):
-    """x * 2**(-precision) printed as `embeddings.grid_str` should: the
+    """x * 2**(-precision) printed as `lattices.grid_str` should: the
     exact rational rounded half away from zero to `digits` significant
     digits, in fixed point when min(-(digits // 3), -5) < exponent < digits
     and as d.ddd e+-k otherwise, trailing zeros cut down to one."""
@@ -820,7 +820,7 @@ def oracle_centred_search(g, v):
     """The points, in order, that `lattices.search_centred_ball` visits
     around v / 2 when its centre comes from `oracle_coordinates`: the same
     Fincke-Pohst search on the same LLL data and radius."""
-    from gradus.embeddings import AMBIGUITY_SPAN, norm
+    from gradus.lattices import AMBIGUITY_SPAN, norm
     from gradus.lattices import _fincke_pohst, _grid_bits
 
     basis, D, M, _ = g.reduction
@@ -972,7 +972,7 @@ def oracle_product_table(a, dec):
 def is_decomposition(g, z, x, y):
     """Whether (x, y) decomposes z under the form g: z = x + y exactly and
     <x, y> >= 0."""
-    from gradus.embeddings import inner, is_nonneg
+    from gradus.lattices import inner, is_nonneg
 
     if tuple(z) != tuple(a + b for a, b in zip(x, y, strict=True)):
         return False
@@ -1008,7 +1008,7 @@ def reference_s_decomposition(g):
     popped, the oracle of `lattices.universal_s_decomposition`, which skips
     the search below a bound.  Returns (components, searched vectors); a
     part no shorter than its whole raises AssertionError."""
-    from gradus.embeddings import inner, is_zero, norm
+    from gradus.lattices import inner, is_zero, norm
     from gradus.intlinalg import SublatticeBasis, vec_neg, vec_sub
     from gradus.lattices import _split
 

@@ -18,7 +18,7 @@ from mpmath import mp
 
 from gradus.cli import main as cli_main
 from gradus.config import RunConfig
-from gradus.embeddings import compute_embeddings, gram, gram_from_strings, norm
+from gradus.embeddings import compute_embeddings, gram
 from gradus.examples import example_order, natural_group_ring_grading
 from gradus.grading import (
     FinAbGroup,
@@ -32,7 +32,7 @@ from gradus.grading import (
 )
 from gradus.intlinalg import SublatticeBasis
 from gradus.orders import nilradical, order_to_json
-from gradus.lattices import universal_s_decomposition
+from gradus.lattices import gram_from_strings, norm, universal_s_decomposition
 from gradus.units import idempotents, is_connected, roots_of_unity
 
 from helpers import (

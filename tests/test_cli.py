@@ -7,9 +7,9 @@ import zipfile
 import pytest
 
 from gradus.cli import main
-from gradus.embeddings import MAX_DECIMAL_EXPONENT
 from gradus.examples import example_names, example_order
 from gradus.grading import grading_from_json, verify_grading
+from gradus.lattices import MAX_DECIMAL_EXPONENT
 from gradus.orders import monogenic_order, order_from_json, order_to_json
 
 

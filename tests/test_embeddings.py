@@ -1,9 +1,11 @@
+import cmath
 import functools
 import json
 import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,15 +13,11 @@ from mpmath import mp, mpf
 from sympy import Matrix, symbols
 
 import gradus.embeddings as embeddings
+import gradus.lattices as lattices
+import gradus.orders as orders
 from gradus.embeddings import (
-    GramForm,
     compute_embeddings,
     gram,
-    gram_from_strings,
-    grid_str,
-    is_nonneg,
-    is_zero,
-    norm,
     trace_form,
     with_gram,
 )
@@ -31,15 +29,23 @@ from gradus.errors import (
     NotReduced,
 )
 from gradus.examples import example_names, example_order
-from gradus.lattices import enumerate_up_to
+from gradus.lattices import (
+    GramForm,
+    enumerate_up_to,
+    gram_from_strings,
+    grid_str,
+    is_nonneg,
+    is_zero,
+    norm,
+)
 from gradus.config import DEFAULT_CONFIG
 from gradus.grading import universal_grading
 from gradus.orders import (
-    Order,
     charpoly_rows,
     is_reduced,
     group_ring,
     monogenic_order,
+    nilradical,
     product_order,
     quotient_order,
     regular_matrix,
@@ -595,7 +601,7 @@ def test_gram_matches_the_oracle(a, basis_seed, precision, seed):
     for r, s in zip(g.entries, h.entries):
         for x, y in zip(r, s):
             assert abs(x - y) << shift <= limit
-    shift += p // embeddings.TOLERANCE_EXPONENT
+    shift += p // lattices.TOLERANCE_EXPONENT
     assert abs(g.tolerance - h.tolerance) << shift <= limit + (1 << shift)
 
 
@@ -678,6 +684,38 @@ def test_an_aberth_iteration_without_sweeps_proposes_no_roots(monkeypatch):
         compute_embeddings(example_order("zc5"))
     with pytest.raises(NotReduced):
         compute_embeddings(example_order("dual"))
+
+
+@pytest.mark.parametrize("start", [complex(math.inf, 0), 1 + 0j])
+def test_an_aberth_iteration_that_breaks_down_proposes_no_roots(monkeypatch, start):
+    # every start at the same point: at infinity the value of chi is not
+    # finite, and at 1 the repulsion divides by zero; neither settles
+    monkeypatch.setattr(
+        embeddings, "cmath", SimpleNamespace(exp=lambda z: start, isfinite=cmath.isfinite)
+    )
+    assert embeddings._aberth([1, 0, 1]) is None
+
+
+def test_roots_are_refused_when_the_refined_roots_outnumber_the_starts(monkeypatch):
+    # one made-up start for x^2 + 1: it refines to i, which stands for the
+    # pair +-i, two roots for one start, so no roots are returned
+    monkeypatch.setattr(embeddings, "_aberth", lambda chi: (0, [0.1 + 0.9j]))
+    assert embeddings._roots([1, 0, 1], 128, 1 << 80) is None
+
+
+def test_the_zero_ring_has_no_embeddings_and_the_empty_form():
+    # rank 0: no rows and residual 0, the empty form on the working grid,
+    # no short vectors, and one point in every centred ball, the empty one
+    p = DEFAULT_CONFIG.precision
+    e = compute_embeddings(validate([], []))
+    assert e == embeddings.EmbeddingMatrix(0, (), p, 0)
+    g = gram(e)
+    assert g == GramForm(0, (), p, 0)
+    assert enumerate_up_to(g, 1 << p) == []
+    visited = []
+    assert lattices.search_centred_ball(g, (), lambda x: visited.append(x) or True) is True
+    assert lattices.search_centred_ball(g, (), visited.append) is False
+    assert visited == [(), ()]
 
 
 # chi (leading coefficient first), real roots, conjugate pairs
@@ -797,25 +835,37 @@ def test_the_exact_form_is_the_numeric_form_of_a_totally_real_order(a, seed):
 
 
 @pytest.mark.parametrize("name", ["zc3", "zc4", "zsqrtm1", "zeta5", "kummer6", "dual"])
-def test_an_order_that_is_not_totally_real_is_rejected_at_its_first_bad_pivot(name):
-    # the lazy test forms the rows of the trace form only up to the first
-    # leading minor <= 0, so no full trace Gram, and decides once per order
+def test_an_order_that_is_not_totally_real_is_rejected_at_its_first_bad_pivot(monkeypatch, name):
+    # Sylvester's test reads the rows of the trace form T only up to the
+    # first leading minor <= 0, and decides once per order; T is formed
+    # from the table once per order, and the CM form and the nilradical
+    # read that T
+    t = Matrix(trace_gram(example_order(name)).entries)
+    first_bad = next(k for k in range(1, t.rows + 1) if t[:k, :k].det() <= 0)
+    read, formed = [], []
+    real_minors, real_times = embeddings.leading_minors, orders.table_times
+
+    def minors(rows, *floor):
+        return real_minors((read.append(i) or row for i, row in enumerate(rows)), *floor)
+
+    def times(a, v):
+        if v is trace_vector(a):
+            formed.append(v)
+        return real_times(a, v)
+
+    monkeypatch.setattr(embeddings, "leading_minors", minors)
+    for module in (orders, embeddings):
+        monkeypatch.setattr(module, "table_times", times)
     a = example_order(name)
-    trace_vector(a)  # reads every row; kept on the order
-    read = []
-
-    class Rows(tuple):
-        def __getitem__(self, i):
-            read.append(i)
-            return tuple.__getitem__(self, i)
-
-    b = Order(a.rank, Rows(a.table), a.one)
-    b.derived.update(a.derived)
-    assert trace_form(b) is None
-    assert trace_form(b) is None
-    t = Matrix(trace_gram(a).entries)
-    first_bad = next(k for k in range(1, a.rank + 1) if t[:k, :k].det() <= 0)
+    assert trace_form(a) is None
+    assert trace_form(a) is None
     assert read == list(range(first_bad))
+    try:
+        embeddings.cm_form(a, DEFAULT_CONFIG.precision, DEFAULT_CONFIG.seed)
+    except NotReduced:
+        assert name == "dual"
+    nilradical(a)
+    assert len(formed) == 1
 
 
 # reduced orders that are neither totally real nor of CM type: a (x) Q has

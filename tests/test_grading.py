@@ -511,7 +511,8 @@ def test_nilradical_is_homogeneous_in_graded_dual_numbers():
 def test_universal_pieces_pairwise_orthogonal():
     from mpmath import mp
 
-    from gradus.embeddings import compute_embeddings, gram, inner
+    from gradus.embeddings import compute_embeddings, gram
+    from gradus.lattices import inner
 
     for name in ["zc2c2", "zsqrt2", "kummer6"]:
         a = example_order(name)

@@ -12,15 +12,9 @@ import gradus.lattices as lattices
 from gradus.config import DEFAULT_CONFIG
 from gradus.embeddings import (
     ESCALATION_BUDGET,
-    GramForm,
     compute_embeddings,
     escalate,
     gram,
-    gram_from_strings,
-    inner,
-    is_nonneg,
-    is_zero,
-    norm,
 )
 from gradus.errors import (
     AmbiguousSign,
@@ -34,9 +28,15 @@ from gradus.examples import example_names, example_order
 from gradus.intlinalg import SublatticeBasis, leading_minors, solve_definite, vec_neg
 from gradus.lattices import (
     FP_BITS,
+    GramForm,
     enumerate_up_to,
+    gram_from_strings,
+    inner,
     is_indecomposable,
+    is_nonneg,
+    is_zero,
     LLL_DELTA,
+    norm,
     SDecomposition,
     _fincke_pohst,
     lll_reduce,
@@ -235,7 +235,7 @@ def test_decomposition_invariants_on_fixtures():
                 for d in dec.components[i + 1 :]:
                     for u in c.vectors():
                         for v in d.vectors():
-                            from gradus.embeddings import inner
+                            from gradus.lattices import inner
 
                             assert abs(inner(g, u, v)) <= g.tolerance
 

@@ -241,7 +241,8 @@ def test_splitting_searches_each_basis_vector_at_or_above_the_bound_once(
     from helpers import random_unimodular
 
     import gradus.lattices as lattices
-    from gradus.embeddings import AMBIGUITY_SPAN, compute_embeddings, gram, norm
+    from gradus.embeddings import compute_embeddings, gram
+    from gradus.lattices import AMBIGUITY_SPAN, norm
     from gradus.lattices import universal_s_decomposition
 
     b, _ = change_of_basis(a, random_unimodular(random.Random(8), a.rank))
