@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InfiniteIndex
 
@@ -143,6 +143,17 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     )
 
 
+def add_multiple(dst: dict[int, int], src: Mapping[int, int], q: int):
+    """dst += q src on sparse rows {index: entry}, dropping the entries that
+    cancel."""
+    for j, x in src.items():
+        y = dst.get(j, 0) + q * x
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
+
+
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Smith normal form.
 
@@ -165,15 +176,6 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     s = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
     # vcols[j] is column j of V, as {row: entry}
     vcols = [{j: 1} for j in range(nc)]
-
-    def add_multiple(dst: dict, src: dict, q: int):
-        # dst += q src, dropping the entries that cancel
-        for j, x in src.items():
-            y = dst.get(j, 0) + q * x
-            if y:
-                dst[j] = y
-            else:
-                del dst[j]
 
     t = 0
     while t < min(nr, nc):

@@ -959,6 +959,32 @@ def dense_snf(m):
     )
 
 
+def oracle_presentation(num_gens, relations):
+    """The group presented on num_gens generators by the relations, each a
+    mapping {generator: coefficient} or a dense row, and the images of the
+    generators: `dense_snf` of the whole matrix of distinct dense rows,
+    sorted.  Raises InfiniteGroup for an infinite group."""
+    from gradus.errors import InfiniteGroup
+    from gradus.grading import FinAbGroup
+    from gradus.intlinalg import IntMatrix
+
+    dense = set()
+    for rel in relations:
+        items = rel.items() if isinstance(rel, dict) else enumerate(rel)
+        row = [0] * num_gens
+        for g, x in items:
+            row[g] += x
+        dense.add(tuple(row))
+    rows = sorted(dense)
+    s, v = dense_snf(IntMatrix.from_rows(rows, num_gens))
+    diag = [s.entries[i][i] if i < len(rows) else 0 for i in range(num_gens)]
+    if 0 in diag:
+        raise InfiniteGroup("the relations leave a free quotient")
+    keep = [i for i, d in enumerate(diag) if d > 1]
+    group = FinAbGroup(tuple(diag[i] for i in keep))
+    return group, tuple(tuple(v.entries[j][i] % diag[i] for i in keep) for j in range(num_gens))
+
+
 def oracle_product_table(a, dec):
     """The products of the splitting vectors of dec on the splitting, entry
     [i][j] for rows i and i + j, each formed with `orders.mul` and mapped

@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import random
+from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,8 +38,9 @@ from gradus.orders import group_ring, monogenic_order, nilradical
 
 from helpers import (
     dual_numbers_grading,
-    oracle_subgroup,
+    oracle_presentation,
     oracle_product_table,
+    oracle_subgroup,
     quadratic_grading,
     random_hom,
     rebased,
@@ -111,6 +115,117 @@ def test_group_from_relations_trivial():
     group, images = group_from_relations(2, [(1, 0), (0, 1)])
     assert group.invariant_factors == ()
     assert images == ((), ())
+
+
+def test_group_from_relations_reads_a_mapping_as_its_nonzero_entries():
+    dense = [(1, 0, -1), (0, 4, 0), (2, 0, 0)]
+    sparse = [{0: 1, 2: -1}, {1: 4, 0: 0}, {0: 2}]
+    assert group_from_relations(3, sparse) == group_from_relations(3, dense)
+    assert group_from_relations(3, sparse)[0].invariant_factors == (2, 4)
+
+
+@pytest.mark.parametrize("relation", [{2: 1}, {-1: 1}, {0: 1, 5: 0}, (1,), (1, 0, 0)])
+def test_group_from_relations_rejects_a_relation_off_the_generators(relation):
+    with pytest.raises(ValueError):
+        group_from_relations(2, [(1, 0), relation])
+
+
+def triple_relation(s1, s2, s3):
+    """e_s1 + e_s2 - e_s3, written as a test would: a Counter."""
+    rel = Counter((s1, s2))
+    rel[s3] -= 1
+    return rel
+
+
+def group_ring_triples(factors, perm, keep):
+    """The triples (a, b, a + b) of the group ring of the product of cyclic
+    groups of these orders, each element numbered through perm, the pairs
+    a <= b kept where keep says so."""
+    elems = list(itertools.product(*map(range, factors)))
+    index = {e: perm[i] for i, e in enumerate(elems)}
+    pairs = itertools.combinations_with_replacement(elems, 2)
+    return [
+        (index[a], index[b], index[tuple((x + y) % d for x, y, d in zip(a, b, factors))])
+        for (a, b), kept in zip(pairs, keep)
+        if kept
+    ]
+
+
+GROUPS = [(2,), (3,), (4,), (2, 2), (6,), (2, 4), (3, 3), (2, 2, 2), (12,), (2, 6)]
+TRIPLE_SETS = st.one_of(
+    st.integers(1, 12).flatmap(
+        lambda k: st.tuples(
+            st.just(k), st.lists(st.tuples(*[st.integers(0, k - 1)] * 3), max_size=40)
+        )
+    ),
+    st.sampled_from(GROUPS).flatmap(
+        lambda f: st.tuples(
+            st.just(f),
+            st.permutations(range(prod(f))),
+            st.lists(st.booleans(), min_size=prod(f) ** 2, max_size=prod(f) ** 2),
+        ).map(lambda c: (prod(f), group_ring_triples(*c)))
+    ),
+)
+
+
+def check_presentation(num_gens, relations, dense):
+    """group_from_relations against `oracle_presentation`: the same
+    invariant factors or InfiniteGroup on both sides, and images that send
+    every relation to 0 and generate the group, so that they differ from
+    the oracle's by at most an automorphism."""
+    try:
+        want = oracle_presentation(num_gens, dense)
+    except InfiniteGroup:
+        with pytest.raises(InfiniteGroup):
+            group_from_relations(num_gens, relations)
+        return
+    group, images = group_from_relations(num_gens, relations)
+    assert group == want[0]
+    assert len(images) == num_gens and all(map(group.contains, images))
+    assert all(group.combination(row, images) == group.identity for row in dense)
+    assert group.generated_by(images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TRIPLE_SETS)
+def test_group_from_relations_on_triples_agrees_with_the_oracle(case):
+    k, triples = case
+    dense = [[(t == s1) + (t == s2) - (t == s3) for t in range(k)] for s1, s2, s3 in triples]
+    check_presentation(k, [triple_relation(*t) for t in triples], dense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda k: st.tuples(
+            st.just(k), st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k), max_size=6)
+        )
+    )
+)
+def test_group_from_relations_on_dense_rows_agrees_with_the_oracle(case):
+    k, rows = case
+    check_presentation(k, rows, rows)
+    check_presentation(k, [{g: x for g, x in enumerate(r) if x} for r in rows], rows)
+
+
+@pytest.mark.parametrize("factors", [[12], [3, 3], [2] * 6])
+def test_snf_sees_at_most_one_column_per_possible_invariant_factor(monkeypatch, factors):
+    # a group of order m has at most log2(m) invariant factors; the unit
+    # pivots leave snf no more columns than that, where the whole relation
+    # matrix had one per component
+    a = rebased(group_ring(factors)[0], str(factors))
+    shapes = []
+    real = grading.snf
+
+    def recorded(m):
+        shapes.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(grading, "snf", recorded)
+    go = universal_grading(a)
+    assert go.grading.group.invariant_factors == tuple(sorted(factors))
+    assert len(shapes) == 1
+    assert shapes[0][1] <= prod(factors).bit_length() - 1
 
 
 def test_universal_grading_zsqrt2():
