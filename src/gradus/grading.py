@@ -33,7 +33,6 @@ from .intlinalg import (
     IntMatrix,
     SublatticeBasis,
     Vec,
-    add_multiple,
     direct_sum_index,
     hnf,
     snf,
@@ -212,6 +211,17 @@ class GradingReport:
     index: int | None
 
 
+def _add_multiple(dst: dict[int, int], src: Mapping[int, int], q: int):
+    """dst += q src on sparse rows {index: entry}, dropping the entries that
+    cancel."""
+    for j, x in src.items():
+        y = dst.get(j, 0) + q * x
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
+
+
 def group_from_relations(
     num_gens: int, relations: Iterable[Mapping[int, int] | Sequence[int]]
 ) -> tuple[FinAbGroup, tuple[GroupElem, ...]]:
@@ -253,7 +263,7 @@ def group_from_relations(
         row: dict[int, int] = {}
         for g, x in rel.items():
             if x:
-                add_multiple(row, expressions.get(g, {g: 1}), x)
+                _add_multiple(row, expressions.get(g, {g: 1}), x)
         units = [g for g, x in row.items() if x in (1, -1)]
         if not units:
             return row
@@ -261,7 +271,7 @@ def group_from_relations(
         expr = {g: -row[p] * x for g, x in row.items() if g != p}
         for e in expressions.values():
             if p in e:
-                add_multiple(e, expr, e.pop(p))
+                _add_multiple(e, expr, e.pop(p))
         expressions[p] = expr
         return {}
 

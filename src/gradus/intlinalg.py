@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InfiniteIndex
 
@@ -143,17 +143,6 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     )
 
 
-def add_multiple(dst: dict[int, int], src: Mapping[int, int], q: int):
-    """dst += q src on sparse rows {index: entry}, dropping the entries that
-    cancel."""
-    for j, x in src.items():
-        y = dst.get(j, 0) + q * x
-        if y:
-            dst[j] = y
-        else:
-            del dst[j]
-
-
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Smith normal form.
 
@@ -161,99 +150,63 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     computed, V unimodular, and nonnegative diagonal entries satisfying
     d1 | d2 | ...  Pivoting always selects the smallest nonzero entry (the
     first in row-major order among equals), which keeps coefficient growth
-    tame at the ranks this library targets.
+    tame at the ranks this library targets.  At step t the pivot's column
+    is cleared below it, then its row to its right, and a row that the
+    pivot does not divide is pulled up, until the pivot divides all that
+    is left.
 
-    The rows of S are held sparse, as {column: entry}, and V by columns, so
-    the work follows the nonzero entries; a relation matrix of the grading
-    has three per row.  Before pivot t the first t rows and columns are
-    diagonal, so the pivot search sees rows t.. only; and a column
-    operation comes after column t is cleared below the pivot, so it
-    changes row t of S and V and nothing else.  A pivot of 1 divides every
-    entry, so its divisibility scan is skipped.  The operations and their
-    order are those of the dense elimination, so S and V are too.
+    The elimination is dense, which is enough for both callers, whose
+    inputs are small by construction: `grading.group_from_relations`
+    eliminates the unit pivots first, which on every order graded so far
+    leaves one column per invariant factor (127 x 7 for Z[C2^7], where the
+    relations are 8129 x 128), and `orders.quotient_order` passes the
+    Hermite basis of an ideal, at most rank x rank.
     """
     nr, nc = m.rows, m.cols
-    s = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
-    # vcols[j] is column j of V, as {row: entry}
-    vcols = [{j: 1} for j in range(nc)]
+    s = [list(r) for r in m.entries]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
-    t = 0
-    while t < min(nr, nc):
-        # the first row holding the smallest |entry|, and its first column
-        # holding it; no entry is below 1
-        least, i0 = 0, t
-        for i in range(t, nr):
-            if s[i]:
-                x = min(map(abs, s[i].values()))
-                if not least or x < least:
-                    least, i0 = x, i
-                    if x == 1:
-                        break
-        if not least:
+    def swap_cols(i: int, j: int):
+        for r in s + v:
+            r[i], r[j] = r[j], r[i]
+
+    for t in range(min(nr, nc)):
+        # rows and columns before t are diagonal already
+        live = [(abs(x), i, j) for i in range(t, nr) for j in range(t, nc) if (x := s[i][j])]
+        if not live:
             break
-        j0 = min(j for j, x in s[i0].items() if abs(x) == least)
+        _, i0, j0 = min(live)
+        s[t], s[i0] = s[i0], s[t]
+        swap_cols(t, j0)
         while True:
-            if i0 != t:
-                s[t], s[i0] = s[i0], s[t]
-            if j0 != t:
-                for r in s[t:]:
-                    if t in r or j0 in r:
-                        x, y = r.pop(t, 0), r.pop(j0, 0)
-                        if y:
-                            r[t] = y
-                        if x:
-                            r[j0] = x
-                vcols[t], vcols[j0] = vcols[j0], vcols[t]
-            i0 = j0 = t
-            row = s[t]
-            if row[t] < 0:
-                for j in row:
-                    row[j] = -row[j]
-            piv = row[t]
-            live = []
+            if s[t][t] < 0:
+                s[t] = [-x for x in s[t]]
+            row, piv = s[t], s[t][t]
             for i in range(t + 1, nr):
-                x = s[i].get(t)
-                if x:
-                    q = x // piv
-                    if q:
-                        add_multiple(s[i], row, -q)
-                    if t in s[i]:
-                        live.append(i)
+                if q := s[i][t] // piv:
+                    s[i] = [a - q * b for a, b in zip(s[i], row)]
+            live = [i for i in range(t + 1, nr) if s[i][t]]
             if live:
                 i0 = min(live, key=lambda i: abs(s[i][t]))
+                s[t], s[i0] = s[i0], s[t]
                 continue
-            for j in sorted(j for j in row if j > t):
-                q = row[j] // piv
-                if q:
-                    y = row[j] - q * piv
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-                    add_multiple(vcols[j], vcols[t], -q)
-            live = sorted(j for j in row if j > t)
+            # column t is zero below the pivot, so a column operation
+            # changes row t of S and nothing else of it
+            for j in range(t + 1, nc):
+                if q := row[j] // piv:
+                    row[j] -= q * piv
+                    for r in v:
+                        r[j] -= q * r[t]
+            live = [j for j in range(t + 1, nc) if row[j]]
             if live:
-                j0 = min(live, key=lambda j: abs(row[j]))
+                swap_cols(t, min(live, key=lambda j: abs(row[j])))
                 continue
-            if piv == 1:
-                break
-            offender = next(
-                (i for i in range(t + 1, nr) if any(x % piv for x in s[i].values())), None
-            )
+            offender = next((r for r in s[t + 1 :] if any(x % piv for x in r)), None)
             if offender is None:
                 break
             # pull the offending row up so the next pass shrinks the pivot
-            add_multiple(row, s[offender], 1)
-        t += 1
-    srows = [[0] * nc for _ in range(nr)]
-    for row, r in zip(srows, s):
-        for j, x in r.items():
-            row[j] = x
-    vrows = [[0] * nc for _ in range(nc)]
-    for j, c in enumerate(vcols):
-        for i, x in c.items():
-            vrows[i][j] = x
-    return IntMatrix(tuple(map(tuple, srows)), nc), IntMatrix(tuple(map(tuple, vrows)), nc)
+            s[t] = [a + b for a, b in zip(row, offender)]
+    return IntMatrix(tuple(map(tuple, s)), nc), IntMatrix(tuple(map(tuple, v)), nc)
 
 
 def _hermite_coordinates(rows: Sequence[Vec], v: Sequence[int]) -> Vec | None:

@@ -162,8 +162,8 @@ def relation_matrices(draw, max_gens=7):
 @example(IntMatrix.from_rows([[2, -1, 0], [2, -1, 0], [0, 2, -1], [-1, 0, 2]]))
 @example(IntMatrix.zeros(0, 3))
 def test_snf_equals_the_dense_elimination(m):
-    # the sparse elimination performs the dense one's operations in its
-    # order, so S and V (and with V every generator map) agree exactly
+    # snf and the whole-matrix reference perform the same operations in the
+    # same order, so S and V (and with V every generator map) agree exactly
     assert snf(m) == dense_snf(m)
 
 

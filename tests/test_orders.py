@@ -2,12 +2,12 @@ import random
 from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gradus.orders as orders
 from gradus.errors import BadIdentity, NotAssociative, NotCommutative, TorsionQuotient
 from gradus.examples import example_names, example_order
-from gradus.intlinalg import IntMatrix, SublatticeBasis, vec_add
+from gradus.intlinalg import IntMatrix, SublatticeBasis, kernel_saturated, vec_add
 from gradus.orders import (
     group_ring,
     is_reduced,
@@ -347,6 +347,66 @@ def test_quotient_by_the_zero_ideal_is_the_order():
     b, proj = quotient_order(a, [])
     assert b is a
     assert proj == IntMatrix.identity(4)
+
+
+def poly_mul(f, g):
+    """The product of two polynomials, coefficients constant term first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+MONIC = st.lists(st.integers(-2, 2), max_size=2).map(lambda c: c + [1])
+
+
+@st.composite
+def quotient_cases(draw):
+    """(order, ideal generators, x, y): Z[C_n] / (1 - g^k) for k | n <= 8,
+    or a monogenic Z[x] / (g^2 h) by its nilradical, sometimes on a seeded
+    random basis, and two elements of the order."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        k = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        a, _ = group_ring([n])
+        gens = [vec_add(a.one, [-x for x in a.unit(k % n)])]
+    else:
+        g = draw(MONIC.filter(lambda c: len(c) > 1))
+        a = monogenic_order(poly_mul(poly_mul(g, g), draw(MONIC)))
+        gens = list(nilradical(a).vectors())
+    if draw(st.booleans()):
+        u = random_unimodular(random.Random(draw(st.integers(0, 99))), a.rank)
+        a, uinv = change_of_basis(a, u)
+        gens = [uinv.vec_mat(x) for x in gens]
+    element = st.lists(st.integers(-3, 3), min_size=a.rank, max_size=a.rank)
+    return a, gens, draw(element), draw(element)
+
+
+def nilradical_case(f, x, y):
+    a = monogenic_order(f)
+    return a, list(nilradical(a).vectors()), x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotient_cases())
+@example(nilradical_case([0, 0, -1, 1], [1, 2, -1], [0, -3, 2]))  # x^2 (x - 1)
+@example(nilradical_case([1, 0, 2, 0, 1], [1, 2, -1, 3], [0, -3, 2, 1]))  # (x^2 + 1)^2
+@example(  # Z[C8] / (1 - g^2)
+    (
+        group_ring([8])[0],
+        [(1, 0, -1, 0, 0, 0, 0, 0)],
+        [1, 2, 0, 0, 0, 0, 0, 3],
+        [0, 1, 0, 0, -1, 0, 0, 0],
+    )
+)
+def test_quotient_order_projects_onto_a_ring_with_the_ideal_as_kernel(case):
+    a, gens, x, y = case
+    b, proj = quotient_order(a, gens)
+    assert proj.vec_mat(a.one) == b.one
+    assert proj.vec_mat(mul(a, x, y)) == mul(b, proj.vec_mat(x), proj.vec_mat(y))
+    assert SublatticeBasis.from_vectors(b.rank, proj.entries) == SublatticeBasis.full(b.rank)
+    assert kernel_saturated(proj) == orders.ideal_closure(a, gens)
 
 
 def test_quotient_order_torsion_rejected():
