@@ -25,11 +25,13 @@ embedding is real the form is the integer trace form Tr(xy), and
 `trace_form` gives it with no embeddings at all.  When a (x) Q is a
 product of totally real and CM fields (every group ring Z[G] of a finite
 abelian group, Z[i], Z[zeta_5], x^3 - 1000), the form is the integer form
-Tr(x i(y)), i complex conjugation: `cm_form` rounds the Gram form of the
-first level's rows to integers and certifies the result in O(n^3) integer
-operations, which is also a third proof of reducedness.  The homomorphism
-residual then belongs to the numeric levels only: an order whose integer
-form is certified never computes it.
+Tr(x i(y)), i complex conjugation: `cm_form` rounds a Gram form proposed
+in floating point to integers and certifies the result in O(n^3) integer
+operations, which is also a third proof of reducedness.  The proposal
+comes first from the double-precision roots of chi, with no Newton step
+and no fixed-point row; only when it is refused do the first level's rows
+propose again.  The homomorphism residual then belongs to the numeric
+levels only: an order whose integer form is certified never computes it.
 """
 
 from __future__ import annotations
@@ -70,6 +72,14 @@ NEWTON_EXTRA_STEPS = 8
 # fractional bits of the fixed-point grid of the rows, beyond the working
 # precision
 FIXED_GUARD_BITS = 16
+
+# how near to an integer every entry of the double-precision Gram form of
+# `_double_form` must lie for the rounded form to go to the certificate: a
+# wrong "yes" costs one certificate, a wrong "no" the fixed-point rows.  On
+# the group rings of rank 8 to 64 tried, the entries that passed lay within
+# 10**-5 of the canonical form; on kummer6, x^3 - 150, x^4 - 20 and
+# x^4 - 1000, not of CM type, some entry lay 0.2 or more from every integer
+CM_FILTER = 2.0**-4
 
 # how many times one query may double the precision in total, so no level
 # exceeds precision * 2**ESCALATION_BUDGET
@@ -164,9 +174,18 @@ def compute_embeddings(
     return certified(a, _proposed_embeddings(a, precision, seed))
 
 
-def _proposed_embeddings(a: Order, precision: int, seed: int) -> EmbeddingMatrix:
+def _proposed_embeddings(
+    a: Order, precision: int, seed: int, cm: bool = False
+) -> EmbeddingMatrix | GramForm:
     """The rows of `compute_embeddings` with residual None, for `cm_form`,
-    whose certified integer form needs no residual."""
+    whose certified integer form needs no residual.
+
+    With cm, the first splitting element whose chi is squarefree and whose
+    roots `_aberth` settles first proposes the canonical form in double
+    precision (`_double_form`), and when `_cm_certificate` accepts it, that
+    exact form is returned instead of rows: no Newton step and no
+    fixed-point row is computed.  Otherwise the rows follow as without cm,
+    from the same element and the same Aberth roots."""
     n = a.rank
     if n == 0:
         return EmbeddingMatrix(0, (), precision, None)
@@ -178,9 +197,18 @@ def _proposed_embeddings(a: Order, precision: int, seed: int) -> EmbeddingMatrix
         chi, betas = charpoly_rows(a, coeffs)
         if not _squarefree(chi):
             continue
+        proposal = _aberth(chi)
+        if proposal is None:
+            continue
+        if cm:
+            cm = False
+            entries = _double_form(a, betas, proposal)
+            g = None if entries is None else _cm_certificate(a, coeffs, entries)
+            if g is not None:
+                return g
         bits = p + max(abs(b).bit_length() for beta in betas for b in beta) + 32
         # the separation floor 2**(-p/4) on the grid 2**(-bits)
-        roots = _roots(chi, bits, 1 << (bits - p // 4))
+        roots = _roots(chi, bits, 1 << (bits - p // 4), proposal)
         if roots is None:
             continue
         columns = list(zip(*betas))
@@ -217,11 +245,26 @@ def certified(a: Order, e: EmbeddingMatrix) -> EmbeddingMatrix:
 
 
 def _squarefree(chi: Sequence[int]) -> bool:
-    """Whether gcd(chi, chi') = 1 over Q, by a primitive pseudo-remainder
-    sequence in integers (coefficients leading first)."""
+    """Whether gcd(chi, chi') = 1 over Q for the monic chi (coefficients
+    leading first): first modulo the prime P = 2**61 - 1, then, when that
+    gcd is not 1, by a primitive pseudo-remainder sequence in integers.
+
+    Why gcd = 1 mod P proves gcd = 1 over Q.  A common factor of positive
+    degree over Q gives a monic one h in Z[x], as chi is monic (Gauss's
+    lemma), and chi' = h q with q in Z[x], since dividing by a monic h
+    stays in Z[x].  The image of h mod P is monic of the same degree and
+    divides both images, so their gcd is not 1.  chi' has the leading
+    coefficient n, a unit mod P, so its image is the derivative of chi's,
+    of degree n - 1.  A gcd of positive degree mod P proves nothing (P may
+    divide the discriminant), so the sequence in integers decides then:
+    the verdicts are those of the sequence alone (von zur Gathen-Gerhard,
+    Modern Computer Algebra, ch. 6).
+    """
     deg = len(chi) - 1
     f = list(chi)
     g = [c * (deg - k) for k, c in enumerate(chi[:-1])]
+    if _coprime_mod(f, g, (1 << 61) - 1):
+        return True
     while len(g) > 1:
         r = _pseudo_remainder(f, g)
         if not r:
@@ -237,9 +280,30 @@ def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
     lead = g[0]
     while len(f) >= len(g):
         top = f[0]
-        f = [lead * x - top * y for x, y in zip(f, g + [0] * (len(f) - len(g)))][1:]
-        while f and not f[0]:
-            f.pop(0)
+        f = _stripped([lead * x - top * y for x, y in zip(f, g + [0] * (len(f) - len(g)))][1:])
+    return f
+
+
+def _coprime_mod(f: Sequence[int], g: Sequence[int], prime: int) -> bool:
+    """Whether gcd(f, g) = 1 in F_prime[x], by Euclid's algorithm on the
+    images (coefficients leading first).  Each remainder is taken times a
+    power of the divisor's leading coefficient, a unit mod prime, which
+    leaves the gcd unchanged and needs no inverse."""
+    f, g = _stripped([c % prime for c in f]), _stripped([c % prime for c in g])
+    while g:
+        lead, m, tail = g[0], len(g), g[1:]
+        while len(f) >= m:
+            t = f[0]
+            rest = [lead * x % prime for x in f[m:]]
+            f = _stripped([(lead * x - t * y) % prime for x, y in zip(f[1:m], tail)] + rest)
+        f, g = g, f
+    return len(f) == 1
+
+
+def _stripped(f: list[int]) -> list[int]:
+    """f with its leading zeros removed, in place."""
+    while f and not f[0]:
+        f.pop(0)
     return f
 
 
@@ -248,17 +312,20 @@ def _round_div(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def _roots(chi: Sequence[int], bits: int, floor: int) -> list[tuple[int, int]] | None:
+def _roots(
+    chi: Sequence[int], bits: int, floor: int, proposal: tuple[int, list[complex]]
+) -> list[tuple[int, int]] | None:
     """The real roots and the roots in the upper half-plane of a squarefree
     chi on the grid 2**(-bits) Z[i], as Gaussian integers (re, im) in units
     of 2**(-bits), or None when the roots are not pairwise farther apart
     than the separation floor, `floor` units.
 
-    The starts come from `_aberth`; when it fails, or its refined roots
-    collide, the caller moves on to the next splitting element.  chi is
-    real, so a root nearer to its own conjugate than the roots are to one
-    another is real and is returned with imaginary part exactly 0; the
-    others come in conjugate pairs, and one of each pair is returned.
+    The starts are `proposal`, the settled roots that `_aberth` gave for
+    chi; when their refined roots collide, the caller moves on to the next
+    splitting element.  chi is real, so a root nearer to its own conjugate
+    than the roots are to one another is real and is returned with
+    imaginary part exactly 0; the others come in conjugate pairs, and one
+    of each pair is returned.
 
     Newton refines one start per conjugate pair.  A start x below the real
     axis is skipped when another start y lies nearer to its conjugate than
@@ -273,9 +340,6 @@ def _roots(chi: Sequence[int], bits: int, floor: int) -> list[tuple[int, int]] |
     skipped starts are refined too and all n are decided as if none had
     been skipped, so no verdict is worse than refining every start.
     """
-    proposal = _aberth(chi)
-    if proposal is None:
-        return None
     scale, starts = proposal
     n = len(starts)
     mirrored = [
@@ -323,6 +387,7 @@ def _aberth(chi: Sequence[int]) -> tuple[int, list[complex]] | None:
     n = len(chi) - 1
     e = max((-(-abs(c).bit_length() // k) for k, c in enumerate(chi[1:], 1) if c), default=0)
     coeffs = [c / (1 << (e * k)) for k, c in enumerate(chi)]
+    sizes = [abs(c) for c in coeffs]
     # every root lies within twice this radius (Fujiwara)
     radius = max(abs(c) ** (1 / k) for k, c in enumerate(coeffs[1:], 1)) or 1.0
     xs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
@@ -336,10 +401,11 @@ def _aberth(chi: Sequence[int]) -> tuple[int, list[complex]] | None:
                     continue
                 val = der = 0j
                 bound = 0.0
-                for c in coeffs:
+                size = abs(x)
+                for c, m in zip(coeffs, sizes):
                     der = der * x + val
                     val = val * x + c
-                    bound = bound * abs(x) + abs(c)
+                    bound = bound * size + m
                 if not (cmath.isfinite(val) and math.isfinite(bound)):
                     return None
                 if abs(val) <= noise * bound:
@@ -413,6 +479,51 @@ def _row(a: Order, columns, lam: tuple[int, int], bits: int, q: int) -> Row:
     )
 
 
+def _double_form(
+    a: Order, betas: Sequence[Vec], proposal: tuple[int, list[complex]]
+) -> list[list[int]] | None:
+    """The canonical form proposed in double precision from the settled
+    Aberth roots of chi: the integer matrix G nearest to F = Re sum_lambda
+    sigma_lambda^T conj(sigma_lambda) over the n roots, or None when an
+    entry of F is not finite or lies farther than CM_FILTER from every
+    integer.
+
+    The rows are those of `compute_embeddings`, sigma_lambda(e_i) = w_i /
+    (w . one) with w = sum_k lambda^{n-k} beta_k, in complex doubles.
+    `_aberth` gives lambda = s x for the scaled root x, and w = s^(n-1)
+    sum_k x^{n-k} beta_k / s^(k-1), whose factor s^(n-1) cancels in the
+    row; so each beta_k / s^(k-1) is put into a double by one correctly
+    rounded integer division, and an overflow is a None as well.  F
+    decides nothing: `_cm_certificate` accepts G or not.
+    """
+    scale, xs = proposal
+    n = len(xs)
+    try:
+        columns = [[b / (1 << (scale * k)) for k, b in enumerate(col)] for col in zip(*betas)]
+        one = [(i, c) for i, c in enumerate(a.one) if c]
+        rows = []
+        for x in xs:
+            powers = [1.0 + 0j]
+            for _ in range(n - 1):
+                powers.append(powers[-1] * x)
+            powers.reverse()
+            w = [sum(map(operator.mul, col, powers)) for col in columns]
+            den = sum(c * w[i] for i, c in one)
+            rows.append([y / den for y in w])
+    except (OverflowError, ZeroDivisionError):
+        return None
+    cols = list(zip(*rows))
+    conj = [[y.conjugate() for y in col] for col in cols]
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            f = sum(map(operator.mul, cols[i], conj[j])).real
+            if not (math.isfinite(f) and abs(f - round(f)) <= CM_FILTER):
+                return None
+            entries[i][j] = entries[j][i] = round(f)
+    return entries
+
+
 def _min_separation(roots: Sequence[tuple[int, int]]) -> int:
     """The least squared distance |r_i - r_j|^2 of two Gaussian integers."""
     pairs = ((x, y) for k, x in enumerate(roots) for y in roots[k + 1 :])
@@ -459,21 +570,29 @@ def gram(e: EmbeddingMatrix) -> GramForm:
 
     Each entry sum_k Re(s_ki conj s_kj) of the rows s on the grid
     2**(-q) Z[i] is an exact integer sum on the grid 2**(-2q) Z, and one
-    integer shift rounds it to the nearest point of 2**(-p) Z.
+    integer shift rounds it to the nearest point of 2**(-p) Z.  The rows
+    of a conjugate pair are exact conjugates, so each pair is summed once,
+    doubled.
     """
     n, p = e.n, e.precision
     if n == 0:
         return GramForm(0, (), p, 0)
     shift = p + 2 * FIXED_GUARD_BITS
     half = 1 << (shift - 1)
-    re_cols = list(zip(*(re for re, _ in e.rows)))
-    im_cols = list(zip(*(im for _, im in e.rows)))
+    # the rows that `certified` checks: a conjugate pair adds the same real
+    # part twice, so its row with the larger imaginary part counts double
+    upper = [(re, im) for re, im in e.rows if any(im) and im > tuple(-y for y in im)]
+    real = [re for re, im in e.rows if not any(im)]
+    real_cols = list(zip(*real)) or [()] * n
+    re_cols = list(zip(*(re for re, _ in upper))) or [()] * n
+    im_cols = list(zip(*(im for _, im in upper))) or [()] * n
     entries = [[0] * n for _ in range(n)]
     for i in range(n):
-        ri, ii = re_cols[i], im_cols[i]
+        xi, ri, ii = real_cols[i], re_cols[i], im_cols[i]
         for j in range(i, n):
-            real = sum(map(operator.mul, ri, re_cols[j])) + sum(map(operator.mul, ii, im_cols[j]))
-            entries[i][j] = entries[j][i] = (real + half) >> shift
+            pair = sum(map(operator.mul, ri, re_cols[j])) + sum(map(operator.mul, ii, im_cols[j]))
+            total = sum(map(operator.mul, xi, real_cols[j])) + 2 * pair
+            entries[i][j] = entries[j][i] = (total + half) >> shift
     return GramForm(n, tuple(map(tuple, entries)), p, _tolerance(entries, p))
 
 
@@ -508,23 +627,34 @@ def cm_form(a: Order, precision: int, seed: int) -> GramForm | None:
     Tr(x i(y)), i complex conjugation, on the grid p = 0 with tolerance 0,
     or None when the order is not of CM type, that is, when a (x) Q is not
     a product of totally real and CM fields, or its form is not recognised
-    at this precision.  Decided once per order object, from the rows of
-    the first (precision, seed) that gives rows, and kept on it, the "no"
-    included.
+    at this precision.  Decided once per order object, at the first
+    (precision, seed) that gives rows, and kept on it, the "no" included.
 
-    Numerics propose: the Gram form F of the uncertified rows must lie
-    within 2**(p/2) of 2**p G for an integer matrix G, a test of O(n^2)
-    that is all an order that is not of CM type pays for.  Integers
-    decide, in `_cm_certificate`.  On a "no" the same rows are `certified`
-    and their form F is kept as the numeric level (precision, seed), so
-    that level computes no embeddings and no form of its own;
-    NotReduced, DegenerateSplitting and EscalationNeeded come out as they
-    would from that level.  Why a rational form of an order of CM type is
-    integral: each entry is a sum of products sigma(e_i) conj(sigma(e_j))
-    of algebraic integers, and rational.
+    Numerics propose, twice at most, and integers decide, in
+    `_cm_certificate`.  First the Gram form of the rows in complex doubles
+    at the Aberth roots of the first splitting element that has them
+    (`_double_form`): when it rounds to an integer matrix G within
+    CM_FILTER and the certificate accepts G, the form is decided with no
+    Newton step, no fixed-point row and no big-integer Gram form.  The
+    certificate is exact, and the canonical form is unique, so an
+    accepted G is the form the rows would give.  Otherwise the rows of
+    `_proposed_embeddings` follow, from the same element and Aberth roots:
+    their Gram form F must lie within 2**(p/2) of 2**p G for an integer
+    matrix G, a test of O(n^2) that is all an order that is not of CM type
+    pays for beyond the double proposal, and the certificate decides
+    again.  On a "no" the same rows are `certified` and their form F is
+    kept as the numeric level (precision, seed), so that level computes no
+    embeddings and no form of its own; NotReduced, DegenerateSplitting and
+    EscalationNeeded come out as they would from that level.  Why a
+    rational form of an order of CM type is integral: each entry is a sum
+    of products sigma(e_i) conj(sigma(e_j)) of algebraic integers, and
+    rational.
     """
     if "cm_form" not in a.derived:
-        e = _proposed_embeddings(a, precision, seed)
+        e = _proposed_embeddings(a, precision, seed, True)
+        if isinstance(e, GramForm):
+            a.derived["cm_form"] = e
+            return e
         f = gram(e)
         p = precision
         half, slack = 1 << (p - 1), 1 << (p // 2)
@@ -545,7 +675,9 @@ def _cm_certificate(a: Order, z: Sequence[int], entries) -> GramForm | None:
     """The exact form of the symmetric integer matrix G = entries when it is
     the canonical form <x, y> = sum_sigma sigma(x) conj(sigma(y)) of a, else
     None, given an element z of a whose characteristic polynomial is
-    squarefree.  Three checks, in O(n^3) integer operations:
+    squarefree.  G may come from anywhere (`cm_form` proposes it from
+    double-precision roots, then from fixed-point rows): nothing but z and
+    G enters the proof.  Three checks, in O(n^3) integer operations:
 
     1. one G = t, the trace functional: <1, u> = Tr(u) for every u.
     2. `leading_minors(G)` are positive: G is positive definite

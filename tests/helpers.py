@@ -1080,3 +1080,39 @@ def reference_roots(chi, bits, floor):
     real = [(re, 0) for re, im in roots if 2 * abs(im) < floor]
     upper = [r for r in roots if 2 * r[1] >= floor]
     return real + upper if len(real) + 2 * len(upper) == len(roots) else None
+
+
+def summed_gram_entries(e):
+    """The entries of `embeddings.gram` of e, summing every row instead of
+    each conjugate pair once, doubled: sum_k Re(s_ki conj s_kj) over all
+    rows, exact on the grid 2**(-2q), rounded once to 2**(-p)."""
+    from gradus.embeddings import FIXED_GUARD_BITS
+
+    shift = e.precision + 2 * FIXED_GUARD_BITS
+    return tuple(
+        tuple(
+            (sum(re[i] * re[j] + im[i] * im[j] for re, im in e.rows) + (1 << (shift - 1))) >> shift
+            for j in range(e.n)
+        )
+        for i in range(e.n)
+    )
+
+
+def fixed_point_cm_form(a, precision=192, seed=0):
+    """The CM form proposed from the fixed-point rows alone, as
+    `embeddings.cm_form` proposed it before the double-precision proposal:
+    the rows of the first splitting element that gives rows, their Gram
+    form F summed over every row, G = F rounded to integers when F lies
+    within 2**(p/2) of 2**p G, then `embeddings._cm_certificate`.  The
+    entries of the certified form, or None."""
+    from gradus import embeddings
+
+    e = embeddings._proposed_embeddings(a, precision, seed)
+    f = summed_gram_entries(e)
+    half, slack = 1 << (precision - 1), 1 << (precision // 2)
+    entries = tuple(tuple((x + half) >> precision for x in row) for row in f)
+    near = all(
+        abs(x - (y << precision)) <= slack for r, s in zip(f, entries) for x, y in zip(r, s)
+    )
+    g = embeddings._cm_certificate(a, e.splitting, entries) if near else None
+    return None if g is None else g.entries

@@ -3,7 +3,7 @@
 Every query on an order that needs a Gram form takes it from
 `embeddings.with_gram`, which tries the exact trace form of a totally real
 order first, then the certified integer form of an order of CM type,
-decided from the rows of its first level, and otherwise computes the
+decided at its first level, and otherwise computes the
 embeddings once per (precision, seed), and keeps the form on the order
 object; `embeddings.escalate`, the loop behind it, is the only code that
 doubles the precision.  The LLL reduction is kept on the form, and the
@@ -273,11 +273,14 @@ def test_an_order_of_cm_type_needs_no_residual(monkeypatch, name, factors):
 
 
 def test_degenerate_spectrum_at_every_level(monkeypatch, tmp_path, capsys):
+    # kummer6 is neither totally real nor of CM type, so every level
+    # separates the refined roots (an order of CM type answers on the form
+    # its double-precision roots propose, before any separation test)
     monkeypatch.setattr(embeddings, "_min_separation", lambda roots: 0)
     with pytest.raises(DegenerateSplitting):
-        roots_of_unity(example_order("zsqrtm1"))
+        roots_of_unity(example_order("kummer6"))
     path = tmp_path / "order.json"
-    path.write_text(json.dumps(order_to_json(example_order("zsqrtm1"))))
+    path.write_text(json.dumps(order_to_json(example_order("kummer6"))))
     assert main(["analyze", str(path)]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "DegenerateSplitting"
 

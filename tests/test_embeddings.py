@@ -60,6 +60,7 @@ from helpers import (
     SMALL_RINGS,
     as_mpc,
     cm_mutants,
+    fixed_point_cm_form,
     mpf_grid_point,
     oracle_cm_checks,
     oracle_cm_form,
@@ -72,6 +73,7 @@ from helpers import (
     rebased_samples,
     reference_roots,
     small_ring_product,
+    summed_gram_entries,
 )
 
 
@@ -427,6 +429,52 @@ def test_repeated_eigenvalue_is_skipped_exactly(monkeypatch):
     assert (1, 16, 64) not in calls and len(calls) == 1
 
 
+def prs_squarefree(chi):
+    # `embeddings._squarefree` with the modular test answering "not
+    # coprime", so the primitive pseudo-remainder sequence decides alone
+    real = embeddings._coprime_mod
+    embeddings._coprime_mod = lambda *args: False
+    try:
+        return embeddings._squarefree(chi)
+    finally:
+        embeddings._coprime_mod = real
+
+
+# monic integer polynomials as products of monic factors, some repeated
+MONIC_FACTORS = st.lists(
+    st.tuples(st.lists(st.integers(-40, 40), min_size=1, max_size=3), st.integers(1, 2)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MONIC_FACTORS)
+def test_the_modular_squarefree_test_agrees_with_the_prs_and_sympy(factors):
+    from sympy import Poly, gcd as poly_gcd
+
+    x = symbols("x")
+    f = Poly(1, x)
+    for low, power in factors:
+        f *= Poly([1, *low], x) ** power
+    chi = [int(c) for c in f.all_coeffs()]
+    want = poly_gcd(f, f.diff(x)).degree() == 0
+    assert embeddings._squarefree(chi) == prs_squarefree(chi) == want
+
+
+def test_a_chi_singular_mod_the_prime_is_decided_by_the_prs():
+    # in Z[sqrt P], P = 2^61 - 1, every chi_z = (x - a)^2 - b^2 P is x^2 -
+    # 2 a x + a^2 = (x - a)^2 mod P, so the gcd mod P is not 1 and proves
+    # nothing; the sequence in integers finds chi squarefree
+    p = 2**61 - 1
+    a = monogenic_order([-p, 0, 1])
+    for z in [(3, 1), (-5, 2), (0, 7)]:
+        chi, _ = charpoly_rows(a, z)
+        derivative = [2 * chi[0], chi[1]]
+        assert not embeddings._coprime_mod(chi, derivative, p)
+        assert embeddings._squarefree(chi)
+
+
 @pytest.mark.parametrize("name", example_names())
 def test_charpoly_matches_sympy(name):
     a = example_order(name)
@@ -445,6 +493,23 @@ def test_embeddings_deterministic_for_seed():
     e1 = compute_embeddings(a, seed=7)
     e2 = compute_embeddings(a, seed=7)
     assert e1.rows == e2.rows
+
+
+@pytest.mark.parametrize("precision", [192, 384])
+@pytest.mark.parametrize(
+    "a",
+    [example_order(name) for name in example_names() if name != "dual"]
+    + [rebased(group_ring(f)[0], 1) for f in ([8], [3, 3], [12], [2, 6])]
+    + [monogenic_order([-150, 0, 0, 1]), monogenic_order([-20, 0, 0, 0, 1])],
+    ids=[name for name in example_names() if name != "dual"]
+    + ["zc8", "zc3c3", "zc12", "zc2c6", "x3-150", "x4-20"],
+)
+def test_the_gram_form_sums_each_conjugate_pair_once(a, precision):
+    # the rows of a pair are exact conjugates, so summing one of them
+    # twice gives the integers of the sum over every row
+    for seed in range(2):
+        e = compute_embeddings(a, precision, seed)
+        assert gram(e).entries == summed_gram_entries(e)
 
 
 @pytest.mark.parametrize("name", ["zxz", "zc2c2", "zeta5", "kummer6"])
@@ -700,7 +765,7 @@ def test_roots_are_refused_when_the_refined_roots_outnumber_the_starts(monkeypat
     # one made-up start for x^2 + 1: it refines to i, which stands for the
     # pair +-i, two roots for one start, so no roots are returned
     monkeypatch.setattr(embeddings, "_aberth", lambda chi: (0, [0.1 + 0.9j]))
-    assert embeddings._roots([1, 0, 1], 128, 1 << 80) is None
+    assert embeddings._roots([1, 0, 1], 128, 1 << 80, embeddings._aberth([1, 0, 1])) is None
 
 
 def test_the_zero_ring_has_no_embeddings_and_the_empty_form():
@@ -746,7 +811,7 @@ def test_newton_refines_one_start_per_conjugate_pair(monkeypatch, name):
     monkeypatch.setattr(
         embeddings, "_newton", lambda chi, x, *rest: calls.append(x) or real_newton(chi, x, *rest)
     )
-    got = embeddings._roots(chi, bits, floor)
+    got = embeddings._roots(chi, bits, floor, embeddings._aberth(chi))
     assert got == want
     assert sum(im == 0 for _, im in got) == n_real and len(got) == n_real + n_pairs
     assert len(calls) == n_real + n_pairs
@@ -769,7 +834,7 @@ def test_skipped_starts_are_refined_when_the_kept_ones_do_not_account_for_every_
     monkeypatch.setattr(
         embeddings, "_newton", lambda chi, x, *rest: calls.append(x) or real_newton(chi, x, *rest)
     )
-    got = embeddings._roots(chi, bits, floor)
+    got = embeddings._roots(chi, bits, floor, embeddings._aberth(chi))
     assert got == want
     assert [(re > 0, im) for re, im in got] == [(True, 0), (False, 0)]
     assert calls == [0.1 + 0.5j, -0.4 - 0.5j]
@@ -785,8 +850,8 @@ def test_roots_match_the_reference_that_refines_every_start(monkeypatch, a):
     seen = []
     real_roots = embeddings._roots
 
-    def roots(chi, bits, floor):
-        got = real_roots(chi, bits, floor)
+    def roots(chi, bits, floor, proposal):
+        got = real_roots(chi, bits, floor, proposal)
         seen.append((chi, bits, floor, got))
         return got
 
@@ -930,6 +995,86 @@ def test_the_cm_form_of_a_rebased_group_ring_is_the_rounded_oracle_form(factors,
     a = rebased(group_ring(factors)[0], seed)
     g = embeddings.cm_form(a, 192, run_seed)
     assert g is not None and g.entries == oracle_cm_form(a)
+
+
+def cm_entries(make, propose):
+    # the entries of a proposed CM form, None for "not of CM type", or
+    # NotReduced
+    try:
+        g = propose(make())
+    except NotReduced:
+        return NotReduced
+    return g.entries if isinstance(g, GramForm) else g
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_the_cm_form_is_the_certified_fixed_point_proposal(name):
+    # the double-precision roots propose the form, or hand over to the
+    # fixed-point rows; either way the answer is the form the fixed-point
+    # rows alone give
+    make = functools.partial(example_order, name)
+    want = cm_entries(make, fixed_point_cm_form)
+    assert cm_entries(make, lambda a: embeddings.cm_form(a, 192, 0)) == want
+
+
+@settings(max_examples=12, deadline=None)
+@given(CM_GROUPS, st.integers(0, 2**32), st.integers(0, 3))
+def test_the_cm_form_of_a_rebased_group_ring_is_the_certified_fixed_point_proposal(
+    factors, seed, run_seed
+):
+    def make():
+        return rebased(group_ring(factors)[0], seed)
+
+    want = cm_entries(make, lambda a: fixed_point_cm_form(a, 192, run_seed))
+    assert want is not None
+    assert cm_entries(make, lambda a: embeddings.cm_form(a, 192, run_seed)) == want
+
+
+# the group rings of the benchmark's group-rings workload
+GROUP_RINGS_BATCH = [[8], [2, 4], [2, 2, 2], [9], [3, 3], [10], [12], [2, 6]]
+
+
+def test_the_group_rings_grade_without_fixed_point_rows(monkeypatch):
+    # their double-precision roots propose the CM form, which the
+    # certificate accepts: no Newton step, no fixed-point row and no
+    # numeric Gram form (Z[C2^3] is totally real and takes its trace form)
+    calls = []
+    for name in ("_newton", "_row", "gram"):
+        real = getattr(embeddings, name)
+        monkeypatch.setattr(
+            embeddings, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    for seed in range(3):
+        for factors in GROUP_RINGS_BATCH:
+            a = rebased(group_ring(factors)[0], seed)
+            assert universal_grading(a).grading.group.invariant_factors == tuple(factors)
+            assert with_gram(a, DEFAULT_CONFIG, lambda g: g.precision) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["zsqrtm1", "zc4", "zeta5", "x3-1000", "zc3xzi"])
+def test_a_refused_double_proposal_hands_over_to_the_fixed_point_rows(monkeypatch, name):
+    # a double-precision proposal off by one in one pair of entries fails
+    # the certificate, and the fixed-point rows of the same splitting
+    # element then give the form they give alone
+    want = fixed_point_cm_form(CM[name]())
+    real, newton = embeddings._double_form, []
+
+    def perturbed(*args):
+        g = [list(row) for row in real(*args)]
+        g[0][1] += 1
+        g[1][0] += 1
+        return g
+
+    real_newton = embeddings._newton
+    monkeypatch.setattr(embeddings, "_double_form", perturbed)
+    monkeypatch.setattr(
+        embeddings, "_newton", lambda *args: newton.append(args) or real_newton(*args)
+    )
+    g = embeddings.cm_form(CM[name](), 192, 0)
+    assert (g.precision, g.tolerance) == (0, 0)
+    assert g.entries == want
+    assert newton
 
 
 @pytest.mark.parametrize("name", NOT_CM)
